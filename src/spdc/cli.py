@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, asdict
@@ -88,8 +89,14 @@ class RunConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}; choose from {SCHEDULES}")
         if self.a < 1:
             raise ConfigError(f"a must be >= 1, got {self.a}")
-        if self.lambda_scale <= 0:
-            raise ConfigError(f"lambda-scale must be positive, got {self.lambda_scale}")
+        if not (math.isfinite(self.lambda_scale) and self.lambda_scale > 0):
+            raise ConfigError(f"lambda-scale must be positive and finite, got {self.lambda_scale}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
+        for name, every in (("refresh-every", self.refresh_every),
+                            ("gap-check-every", self.gap_check_every)):
+            if every is not None and every < 1:
+                raise ConfigError(f"{name} must be >= 1, got {every}")
         variant = self.algo in ("ovsspdc", "ovs-exact", "ovsspdc-plus", "ovsspdc-plusplus")
         if variant:
             if self.schedule != "auto":
@@ -118,6 +125,13 @@ class RunConfig:
             raise ConfigError("algo=ovs-exact requires a=1")
         if self.prob in ("cor16", "cor17") and self.a != 1:
             raise ConfigError(f"prob={self.prob} requires a=1")
+
+    def check_sizes(self, n: int, d: int) -> None:
+        """Bounds that depend on the dataset's instance and feature counts."""
+        if self.a > n:
+            raise ConfigError(f"a={self.a} exceeds the instance count n={n}")
+        if self.algo == "dspdc" and not 1 <= self.dspdc_b <= d:
+            raise ConfigError(f"dspdc-b={self.dspdc_b} must lie in [1, d={d}]")
 
 
 def _build_plan(cfg: RunConfig, ds, spec):
@@ -174,10 +188,13 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
     stepper = "adaspdc" if cfg.algo == "adaspdc" else "spdc"
     if cfg.algo == "dspdc":
         stepper = "dspdc"
-        q = None
-        if cfg.dspdc_q != "uniform":
-            q = np.array([float(t) for t in cfg.dspdc_q.split(",")])
-        dcfg = core.DspdcConfig.build(ds.d, cfg.dspdc_b, q)
+        try:
+            q = None
+            if cfg.dspdc_q != "uniform":
+                q = np.array([float(t) for t in cfg.dspdc_q.split(",")])
+            dcfg = core.DspdcConfig.build(ds.d, cfg.dspdc_b, q)
+        except ValueError as exc:
+            raise ConfigError(f"dspdc-q={cfg.dspdc_q!r}: {exc}") from None
         ok, failing, _ = core.verify_thm20(params, plan, dcfg, ds, spec, cfg.a)
         if not ok:
             raise ScheduleError(f"dspdc parameter check failed at {failing}")
@@ -213,6 +230,7 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError(f"dataset not found: {exc}") from exc
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
+    cfg.check_sizes(ds.n, ds.d)
     lmax = lambda_max(ds)
     if lmax == 0.0:
         raise ConfigError("lambda_max is zero; the label/feature correlation vanishes")
@@ -238,6 +256,9 @@ def run(cfg: RunConfig) -> int:
         "wall_seconds": wall,
         "schedule_params": None,
         "conditions": _condition_report(result, ds, spec, cfg, extra),
+        # the scalar counters; logs of draws and gaps stay with the RunResult
+        "counters": {k: v for k, v in result.counters.items()
+                     if isinstance(v, (bool, int, float))},
     }
     if result.params is not None:
         summary["schedule_params"] = {
@@ -285,6 +306,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
         try:
             cfg.validate()
             ds = load_libsvm(cfg.data, normalize=cfg.normalize)
+            cfg.check_sizes(ds.n, ds.d)
             lmax = lambda_max(ds)
             spec = ProblemSpec(gamma=cfg.gamma, lam=cfg.lambda_scale * lmax)
             budget = Budget(gap_tol=cfg.gap_tol, max_epochs=cfg.max_epochs)

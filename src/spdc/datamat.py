@@ -135,6 +135,8 @@ def _parse_line(line: str, lineno: int, classification: bool):
         label = float(tokens[0])
     except ValueError:
         raise DataError(f"line {lineno}: cannot parse label {tokens[0]!r}") from None
+    if not math.isfinite(label):
+        raise DataError(f"line {lineno}: label {tokens[0]!r} is not finite")
     if classification and label not in (-1.0, 1.0):
         raise DataError(f"line {lineno}: label {tokens[0]!r} is not +-1")
     idxs, vals = [], []
@@ -179,9 +181,10 @@ def load_libsvm(path, normalize: bool = False, classification: bool = True) -> S
     Raises
     ------
     DataError
-        On malformed lines (with line number), all-zero rows, or bad labels.
+        On malformed lines (with line number), non-finite labels or values,
+        all-zero rows, or bad labels.
     """
-    labels = []
+    labels, linenos = [], []
     rows_i, rows_j, rows_v = [], [], []
     d = 0
     with open(path, "r") as fh:
@@ -194,6 +197,7 @@ def load_libsvm(path, normalize: bool = False, classification: bool = True) -> S
                 raise DataError(f"line {lineno}: instance has no nonzero features")
             i = len(labels)
             labels.append(label)
+            linenos.append(lineno)
             rows_i.extend([i] * len(idxs))
             rows_j.extend(idxs)
             rows_v.extend(vals)
@@ -203,6 +207,13 @@ def load_libsvm(path, normalize: bool = False, classification: bool = True) -> S
     mat = sp.coo_matrix(
         (rows_v, (rows_i, rows_j)), shape=(len(labels), d), dtype=np.float64
     ).tocsr()
+    # one vectorized check, not a call per token; entries keep file order
+    bad = np.flatnonzero(~np.isfinite(mat.data))
+    if bad.size:
+        k = int(bad[0])
+        i = int(np.searchsorted(mat.indptr, k, side="right")) - 1
+        raise DataError(f"line {linenos[i]}: feature {mat.indices[k] + 1} has "
+                        f"non-finite value {float(mat.data[k])!r}")
     ds = SparseDataset(mat, labels)
     if normalize:
         scale = sp.diags(1.0 / ds.row_norms)

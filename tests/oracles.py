@@ -5,9 +5,14 @@ localization grid with parabolic interpolation through well-separated sample
 points: the vertex of a parabola fitted to three function values on one
 quadratic piece is that piece's exact extremum up to rounding, which beats
 the ~sqrt(eps) plateau a value-comparison grid bottoms out at.
+
+``dense_primal_pass`` is the exception: it reuses the library's prox, because
+it is the reference for which coordinates a pass computes, not for the prox.
 """
 
 import numpy as np
+
+from spdc.objective import primal_prox
 
 
 def _vertex(fun, x, h):
@@ -72,3 +77,24 @@ def primal_prox_oracle(u, w_old, tau, lam):
 
 def central_difference(fun, x, h=1e-6):
     return (fun(x + h) - fun(x - h)) / (2.0 * h)
+
+
+def dense_primal_pass(state, tau, lam, theta, primal_coords=None):
+    """Whole-vector primal pass: prox every selected weight coordinate from
+    scratch, then extrapolate the full vector.
+
+    Reference for the solver's pass, which skips coordinates the prox would
+    leave bitwise unchanged and must agree with this one bit for bit.
+    """
+    w_old = state.w
+    if primal_coords is None:
+        w_new = primal_prox(state.v_cache, w_old, tau, lam)
+    else:
+        w_new = w_old.copy()
+        w_new[primal_coords] = primal_prox(
+            state.v_cache[primal_coords], w_old[primal_coords], tau, lam
+        )
+    state.w_prev = w_old
+    state.w = w_new
+    state.w_bar = w_new + theta * (w_new - w_old)
+    state.iter += 1

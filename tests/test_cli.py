@@ -25,6 +25,14 @@ def data_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    """n=20, d=5: small enough that batch and block flags overrun it."""
+    path = tmp_path_factory.mktemp("data") / "small.svm"
+    synth(n=20, d=5, sparsity=0.6, dual_skew=0.0, seed=1, out_path=str(path))
+    return str(path)
+
+
 class TestSynth:
     def test_reproducible_checksum(self, tmp_path):
         h = []
@@ -125,6 +133,36 @@ class TestRun:
                  "--lambda-scale", "1e-5", "--max-epochs", "2")
         assert rc == 3
 
+    @pytest.mark.parametrize("flags,fragment", [
+        (["-a", "50"], "a=50 exceeds the instance count n=20"),
+        (["--algo", "dspdc", "--dspdc-b", "9"], "dspdc-b=9 must lie in [1, d=5]"),
+        (["--gamma", "0"], "gamma must be positive"),
+        (["--algo", "dspdc", "--dspdc-b", "2", "--dspdc-q", "0.5,x"], "dspdc-q"),
+    ])
+    def test_out_of_range_flags_exit_2(self, small_file, capsys, flags, fragment):
+        assert cli("run", "--data", small_file, *flags) == 2
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert "Traceback" not in err
+
+    def test_non_finite_data_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.svm"
+        bad.write_text("+1 1:1\n-1 2:nan\n")
+        assert cli("run", "--data", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
+    def test_summary_reports_counters(self, data_file, tmp_path):
+        summary = tmp_path / "counters.json"
+        cfg = RunConfig(data=data_file, normalize=True, algo="ovsspdc-plus",
+                        lambda_scale=1e-2, gap_tol=1e-6, max_epochs=200, seed=1,
+                        summary=str(summary))
+        assert run(cfg) == 0
+        counters = json.loads(summary.read_text())["counters"]
+        assert set(counters) == {"iterations", "duals_drawn", "accepts", "inner_rounds",
+                                 "primal_writes", "optimal_exit"}
+        assert counters["duals_drawn"] > 0 and counters["inner_rounds"] > 0
+
     def test_numerical_failure_exits_4(self, data_file, monkeypatch):
         import spdc.cli as cli_mod
         from spdc.errors import NumericalFailure
@@ -183,6 +221,12 @@ class TestSweep:
         rows = sweep([bad, good])
         assert rows[0]["status"].startswith("error")
         assert rows[1]["status"] == "converged"
+
+    def test_out_of_range_configs_become_error_rows(self, small_file):
+        rows = sweep([RunConfig(data=small_file, a=50),
+                      RunConfig(data=small_file, algo="dspdc", dspdc_b=9),
+                      RunConfig(data=small_file, gamma=0.0)])
+        assert [r["status"].split(":")[0] for r in rows] == ["error"] * 3
 
     def test_mixed_datasets_rejected(self, data_file):
         with pytest.raises(ConfigError):

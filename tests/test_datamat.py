@@ -57,6 +57,10 @@ class TestLoader:
             ("+1 3:1 2:1\n", "increasing"),
             ("+1 0:1\n", "1-based"),
             ("2 1:1\n", "label"),
+            ("+1 1:1\n-1 2:nan\n", "line 2: feature 2 has non-finite value nan"),
+            ("+1 1:inf\n", "line 1: feature 1 has non-finite"),
+            ("+1 1:-1e400\n", "line 1: feature 1 has non-finite"),
+            ("nan 1:1\n", "line 1: label 'nan' is not finite"),
         ],
     )
     def test_malformed_lines(self, tmp_path, text, fragment):
@@ -72,6 +76,8 @@ class TestLoader:
     def test_regression_labels_allowed(self, tmp_path):
         ds = load_libsvm(write(tmp_path, "0.5 1:1\n-2.25 2:1\n"), classification=False)
         assert np.array_equal(ds.labels, [0.5, -2.25])
+        with pytest.raises(DataError, match="line 2: label 'inf' is not finite"):
+            load_libsvm(write(tmp_path, "0.5 1:1\ninf 2:1\n"), classification=False)
 
     def test_round_trip(self, tmp_path):
         ds = make_dataset(15, 8, seed=3, density=0.4)
