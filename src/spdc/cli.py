@@ -284,8 +284,10 @@ def run(cfg: RunConfig) -> int:
 def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
     """Run a grid of configurations over a shared dataset.
 
-    Child failures are reported and do not abort the remaining runs.  Returns
-    (and optionally writes as CSV) one row per configuration with
+    The dataset is parsed once per ``normalize`` value; a parse failure is
+    recorded in the row of every configuration that reads it.  Child
+    failures are reported and do not abort the remaining runs.  Returns (and
+    optionally writes as CSV) one row per configuration with
     epochs-to-tolerance and the final gap.
     """
     if not configs:
@@ -294,6 +296,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
     for c in configs:
         if c.data != data:
             raise ConfigError("sweep configurations must share one dataset")
+    loaded: dict[bool, object] = {}  # normalize -> dataset or the load error
     rows = []
     for cfg in configs:
         row = {
@@ -305,7 +308,14 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
         }
         try:
             cfg.validate()
-            ds = load_libsvm(cfg.data, normalize=cfg.normalize)
+            if cfg.normalize not in loaded:
+                try:
+                    loaded[cfg.normalize] = load_libsvm(data, normalize=cfg.normalize)
+                except (DataError, FileNotFoundError) as exc:
+                    loaded[cfg.normalize] = exc
+            ds = loaded[cfg.normalize]
+            if isinstance(ds, Exception):
+                raise ds
             cfg.check_sizes(ds.n, ds.d)
             lmax = lambda_max(ds)
             spec = ProblemSpec(gamma=cfg.gamma, lam=cfg.lambda_scale * lmax)

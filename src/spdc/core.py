@@ -75,13 +75,16 @@ class StepParams:
 
 @dataclass
 class _PrimalMemo:
-    """What the last primal pass ran with: its parameters and the state arrays
-    it left behind, compared by identity so that a rebound attribute shows."""
+    """What the last primal pass ran with: its parameters, the state arrays
+    it left behind (compared by identity so that a rebound attribute shows)
+    and ``moved``, the coordinates where it left ``w`` and ``w_prev`` with
+    different bits."""
 
     tau: float
     lam: float
     theta: float
     arrays: tuple
+    moved: np.ndarray
 
     def holds(self, state: "SolverState", tau: float, lam: float, theta: float) -> bool:
         return (self.tau == tau and self.lam == lam and self.theta == theta
@@ -157,12 +160,14 @@ class DspdcConfig:
     """Primal block partition and block probabilities for the doubly stochastic loop.
 
     ``[d]`` is split into ``d mod b`` blocks of size ``b+1`` followed by
-    ``floor(d/b) - (d mod b)`` blocks of size ``b``.
+    ``floor(d/b) - (d mod b)`` blocks of size ``b``.  ``cum_q`` is
+    ``cumsum(q)``, the table a block draw searches.
     """
 
     b: int
     q: np.ndarray
     blocks: tuple
+    cum_q: np.ndarray
 
     @staticmethod
     def build(d: int, b: int, q=None) -> "DspdcConfig":
@@ -182,7 +187,7 @@ class DspdcConfig:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (n_blocks,) or np.any(q <= 0) or abs(q.sum() - 1.0) > 1e-9:
             raise ValueError("q must be a positive probability vector over the blocks")
-        return DspdcConfig(b=b, q=q, blocks=tuple(blocks))
+        return DspdcConfig(b=b, q=q, blocks=tuple(blocks), cum_q=np.cumsum(q))
 
     def block_norms_sq(self, ds) -> np.ndarray:
         """Per instance, the max over blocks of the squared row norm within the block."""
@@ -410,12 +415,15 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
 def _settle_alpha_bar(state: SolverState, ds) -> None:
     """Collapse the previous step's dual extrapolation back onto alpha."""
     n = ds.n
+    indptr, indices, data = ds.csr_arrays()
+    alpha, alpha_bar = state.alpha, state.alpha_bar
     for i in state.last_batch:
-        delta = state.alpha[i] - state.alpha_bar[i]
+        a_i = alpha.item(i)
+        delta = a_i - alpha_bar.item(i)
         if delta != 0.0:
-            idx, vals = ds.row(i)
-            state.v_cache[idx] += (delta / n) * vals
-            state.alpha_bar[i] = state.alpha[i]
+            lo, hi = indptr[i], indptr[i + 1]
+            state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
+            alpha_bar[i] = a_i
     state.last_batch = []
 
 
@@ -428,11 +436,15 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     per-coordinate change amplified against the sampling probability,
     ``alpha_bar_i = alpha_i + (net change)/(a p_i)``, which makes the dual
     image fed to the primal prox unbiased for a full synchronous pass.
+
+    The scalar arithmetic runs on Python floats, which round as numpy's
+    float64 scalars do, at a fraction of their per-operation cost.
     """
     n = ds.n
     n_eff = params.n_eff
     gamma = spec.gamma
     alpha = state.alpha
+    alpha_bar = state.alpha_bar
     w_bar = state.w_bar
     p = plan.p
     sigma = params.sigma
@@ -442,23 +454,22 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     _settle_alpha_bar(state, ds)
     draws = draw_batch(plan, rng)
     start_vals: dict[int, float] = {}
-    for i in draws:
-        i = int(i)
-        old = alpha[i]
+    for i in draws.tolist():
+        old = alpha.item(i)
         if i not in start_vals:
             start_vals[i] = old
         lo, hi = indptr[i], indptr[i + 1]
         s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]]))
-        q = p[i] * n_eff / sigma[i]
-        alpha[i] = dual_prox(s, old, q, labels[i], gamma)
+        q = p.item(i) * n_eff / sigma.item(i)
+        alpha[i] = dual_prox(s, old, q, labels.item(i), gamma)
 
     for i, a0 in start_vals.items():
-        bar = a0 + (alpha[i] - a0) / (a * p[i])
-        delta = bar - state.alpha_bar[i]
+        bar = a0 + (alpha.item(i) - a0) / (a * p.item(i))
+        delta = bar - alpha_bar.item(i)
         if delta != 0.0:
             lo, hi = indptr[i], indptr[i + 1]
             state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
-        state.alpha_bar[i] = bar
+        alpha_bar[i] = bar
     state.last_batch = list(start_vals)
     state.last_draws = draws
 
@@ -487,34 +498,40 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
     used.  The prox is a pure function of ``(v_cache_j, w_j, tau, lam)`` whose
     last call returned ``w_j`` itself, so the whole-vector pass would rewrite
     ``w_j``, ``w_prev_j`` and ``w_bar_j`` unchanged; exact fixed points stay
-    frozen.  When the parameters or arrays differ, more than a quarter of
-    the coordinates move, or d is below ``_SKIP_MIN_D``, the whole vector is
-    proxed.
+    frozen.  The coordinates where ``w`` and ``w_prev`` differ are carried
+    from pass to pass, so only the ``v_cache`` test scans the vector.  When
+    the parameters or arrays differ, more than a quarter of the coordinates
+    move, or d is below ``_SKIP_MIN_D``, the whole vector is proxed.
     """
     d = state.w.size
     if primal_coords is not None and len(primal_coords) == d:
         primal_coords = None  # a block spanning every coordinate is the full pass
     memo = state._memo
     if memo is not None and memo.holds(state, tau, lam, theta):
-        moving, prox = _moving_coords(state, primal_coords)
+        moving, prox = _moving_coords(state, memo.moved, primal_coords)
         if moving.size <= _SKIP_MAX_SHARE * d:
             _sparse_primal_pass(state, tau, lam, theta, moving, prox)
             return
     _dense_primal_pass(state, tau, lam, theta, primal_coords)
 
 
-def _moving_coords(state: SolverState, primal_coords):
-    """Coordinates the pass must write, and which of them it must prox (a
-    mask over them, or all of them)."""
-    w_moves = state.w.view(np.int64) != state.w_prev.view(np.int64)
+def _moving_coords(state: SolverState, moved, primal_coords):
+    """Coordinates the pass must write, each once: ``moved`` and the selected
+    ones whose ``v_cache`` changed since their last prox.  Also which of them
+    it must prox: a mask over them, or None for all of them."""
     v, v_seen = state.v_cache, state.v_seen
     if primal_coords is None:
-        return np.flatnonzero(w_moves | (v != v_seen)), slice(None)
-    coords = np.asarray(primal_coords)
-    w_moves[coords[v[coords] != v_seen[coords]]] = True
+        hits = (v != v_seen).nonzero()[0]
+    else:
+        coords = np.asarray(primal_coords)
+        hits = coords[v[coords] != v_seen[coords]]
+    # a hit whose w and w_prev differ is in ``moved`` already
+    hits = hits[state.w.view(np.int64)[hits] == state.w_prev.view(np.int64)[hits]]
+    moving = np.concatenate((moved, hits))
+    if primal_coords is None:
+        return moving, None
     selected = np.zeros(v.size, dtype=bool)
     selected[coords] = True
-    moving = np.flatnonzero(w_moves)
     return moving, selected[moving]
 
 
@@ -522,18 +539,24 @@ def _sparse_primal_pass(state: SolverState, tau, lam, theta, moving, prox) -> No
     w_old, w_new = state.w, state.w_prev  # w_prev equals w off ``moving``
     old = w_old[moving]
     u = state.v_cache[moving]
-    new = old.copy()
-    new[prox] = primal_prox(u[prox], old[prox], tau, lam)
-    # a moving coordinate left unproxed has no prox result that still holds
-    seen = np.full(moving.size, np.nan)
-    seen[prox] = u[prox]
+    if prox is None:
+        new = primal_prox(u, old, tau, lam)
+        seen = u
+    else:
+        new = old.copy()
+        new[prox] = primal_prox(u[prox], old[prox], tau, lam)
+        # a moving coordinate left unproxed has no prox result that still holds
+        seen = np.full(moving.size, np.nan)
+        seen[prox] = u[prox]
     w_new[moving] = new
     state.w_bar[moving] = new + theta * (new - old)
     state.v_seen[moving] = seen
     state.w_prev = w_old
     state.w = w_new
     state.iter += 1
-    state._memo.arrays = _pass_arrays(state)
+    memo = state._memo
+    memo.arrays = _pass_arrays(state)
+    memo.moved = moving[new.view(np.int64) != old.view(np.int64)]
 
 
 def _dense_primal_pass(state: SolverState, tau, lam, theta, primal_coords) -> None:
@@ -551,14 +574,16 @@ def _dense_primal_pass(state: SolverState, tau, lam, theta, primal_coords) -> No
     # set up the next pass to skip, when it is large and few weights moved
     state._memo = None
     d = w_new.size
-    if (d >= _SKIP_MIN_D and w_old.dtype == np.float64
-            and np.count_nonzero(w_new != w_old) <= _SKIP_MAX_SHARE * d):
+    if d < _SKIP_MIN_D or w_old.dtype != np.float64:
+        return
+    moved = (w_new.view(np.int64) != w_old.view(np.int64)).nonzero()[0]
+    if moved.size <= _SKIP_MAX_SHARE * d:
         if primal_coords is None:
             state.v_seen = v.copy()
         else:
             state.v_seen = np.full(d, np.nan)
             state.v_seen[primal_coords] = v[primal_coords]
-        state._memo = _PrimalMemo(tau, lam, theta, _pass_arrays(state))
+        state._memo = _PrimalMemo(tau, lam, theta, _pass_arrays(state), moved)
 
 
 def _step(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
@@ -592,7 +617,7 @@ def dspdc_step(state, params, plan, cfg: DspdcConfig, ds, spec, a,
     extrapolation spans the full vector.
     """
     _dual_pass(state, params, plan, ds, spec, a, rng)
-    h = int(np.searchsorted(np.cumsum(cfg.q), rng.random(), side="right"))
+    h = int(np.searchsorted(cfg.cum_q, rng.random(), side="right"))
     h = min(h, len(cfg.blocks) - 1)
     block = cfg.blocks[h]
     tau_eff = params.tau * (block.size / (cfg.q[h] * ds.d))

@@ -192,10 +192,33 @@ def primal_prox(u, w_old, tau, lam):
         raise ValueError(f"lambda must be positive, got {lam}")
     u = np.asarray(u, dtype=float)
     w_old = np.asarray(w_old, dtype=float)
-    v = soft_threshold(u + w_old / tau, lam) / (lam + 1.0 / tau)
-    keep = (w_old - soft_threshold(u / lam, 1.0) == 0.0) & (np.sign(v) == np.sign(w_old))
-    out = np.where(keep, w_old, v)
-    return float(out) if out.ndim == 0 else out
+    if u.ndim == 0 and w_old.ndim == 0:
+        v = soft_threshold(u + w_old / tau, lam) / (lam + 1.0 / tau)
+        keep = (w_old - soft_threshold(u / lam, 1.0) == 0.0) & (np.sign(v) == np.sign(w_old))
+        return float(np.where(keep, w_old, v))
+    if u.shape != w_old.shape:
+        u, w_old = np.broadcast_arrays(u, w_old)
+    # arrays: the same expressions, in place and with fewer temporaries
+    s = w_old / tau
+    s += u
+    v = np.abs(s)
+    v -= lam
+    np.maximum(v, 0.0, out=v)
+    v *= np.sign(s, out=s)
+    v /= lam + 1.0 / tau
+    t = np.divide(u, lam, out=s)
+    r = np.abs(t)
+    r -= 1.0
+    np.maximum(r, 0.0, out=r)
+    r *= np.sign(t, out=t)
+    np.subtract(w_old, r, out=r)
+    # few coordinates pass the first keep test; the sign test runs on those
+    idx = np.flatnonzero(r == 0.0)
+    if idx.size:
+        v_flat, w_flat = v.reshape(-1), w_old.reshape(-1)
+        idx = idx[np.sign(v_flat[idx]) == np.sign(w_flat[idx])]
+        v_flat[idx] = w_flat[idx]
+    return v
 
 
 def primal_objective(w, ds, spec: ProblemSpec) -> float:

@@ -41,16 +41,19 @@ class AliasTable:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. indices."""
         n = self.prob.size
+        if size == 1:
+            # scalar calls read the generator's stream as the array calls do
+            k = rng.integers(0, n)
+            return np.array([k if rng.random() < self.prob[k] else self.alias[k]])
         ks = rng.integers(0, n, size=size)
         us = rng.random(size)
         return np.where(us < self.prob[ks], ks, self.alias[ks])
 
 
-def alias_build(p, seed: int | None = None) -> AliasTable:
+def alias_build(p) -> AliasTable:
     """Construct an alias table for probability vector ``p``.
 
-    ``seed`` is accepted for interface symmetry but the construction itself is
-    deterministic; draws take their own generator.
+    The construction is deterministic; draws take their own generator.
 
     Raises
     ------

@@ -6,13 +6,12 @@ points: the vertex of a parabola fitted to three function values on one
 quadratic piece is that piece's exact extremum up to rounding, which beats
 the ~sqrt(eps) plateau a value-comparison grid bottoms out at.
 
-``dense_primal_pass`` is the exception: it reuses the library's prox, because
-it is the reference for which coordinates a pass computes, not for the prox.
+``reference_primal_prox`` and ``dense_primal_pass`` are the exceptions: they
+are frozen copies of the closed-form prox and of the whole-vector primal pass,
+the bitwise references for the library's fused prox and its skipping pass.
 """
 
 import numpy as np
-
-from spdc.objective import primal_prox
 
 
 def _vertex(fun, x, h):
@@ -79,6 +78,21 @@ def central_difference(fun, x, h=1e-6):
     return (fun(x + h) - fun(x - h)) / (2.0 * h)
 
 
+def _soft(s, thr):
+    return np.sign(s) * np.maximum(np.abs(s) - thr, 0.0)
+
+
+def reference_primal_prox(u, w_old, tau, lam):
+    """The closed-form primal prox as plain array expressions, with the keep
+    rule for exact fixed points; the library's prox must match it bit for bit."""
+    u = np.asarray(u, dtype=float)
+    w_old = np.asarray(w_old, dtype=float)
+    v = _soft(u + w_old / tau, lam) / (lam + 1.0 / tau)
+    keep = (w_old - _soft(u / lam, 1.0) == 0.0) & (np.sign(v) == np.sign(w_old))
+    out = np.where(keep, w_old, v)
+    return float(out) if out.ndim == 0 else out
+
+
 def dense_primal_pass(state, tau, lam, theta, primal_coords=None):
     """Whole-vector primal pass: prox every selected weight coordinate from
     scratch, then extrapolate the full vector.
@@ -88,10 +102,10 @@ def dense_primal_pass(state, tau, lam, theta, primal_coords=None):
     """
     w_old = state.w
     if primal_coords is None:
-        w_new = primal_prox(state.v_cache, w_old, tau, lam)
+        w_new = reference_primal_prox(state.v_cache, w_old, tau, lam)
     else:
         w_new = w_old.copy()
-        w_new[primal_coords] = primal_prox(
+        w_new[primal_coords] = reference_primal_prox(
             state.v_cache[primal_coords], w_old[primal_coords], tau, lam
         )
     state.w_prev = w_old

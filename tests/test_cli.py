@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from spdc import cli as cli_mod
 from spdc.cli import RunConfig, main, run, sweep, synth
 from spdc.datamat import load_libsvm
 from spdc.errors import ConfigError
@@ -227,6 +228,36 @@ class TestSweep:
                       RunConfig(data=small_file, algo="dspdc", dspdc_b=9),
                       RunConfig(data=small_file, gamma=0.0)])
         assert [r["status"].split(":")[0] for r in rows] == ["error"] * 3
+
+    def test_dataset_parsed_once(self, small_file, monkeypatch):
+        calls = []
+        real = cli_mod.load_libsvm
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("normalize"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "load_libsvm", counted)
+        configs = [RunConfig(data=small_file, max_epochs=3, seed=s) for s in range(3)]
+        rows = sweep(configs)
+        assert len(calls) == 1
+        assert rows == [sweep([c])[0] for c in configs]  # one parse serves them all
+        calls.clear()
+        sweep(configs + [RunConfig(data=small_file, normalize=True, max_epochs=3)])
+        assert sorted(calls) == [False, True]
+
+    def test_load_error_reaches_every_row(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli_mod.load_libsvm
+        monkeypatch.setattr(cli_mod, "load_libsvm",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        bad = tmp_path / "bad.svm"
+        bad.write_text("1 1:nan\n")
+        for path in (str(bad), str(tmp_path / "missing.svm")):
+            calls.clear()
+            rows = sweep([RunConfig(data=path, seed=s) for s in range(3)])
+            assert len(calls) == 1
+            assert [r["status"].startswith("error") for r in rows] == [True] * 3
 
     def test_mixed_datasets_rejected(self, data_file):
         with pytest.raises(ConfigError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdc.objective import (
@@ -23,7 +23,12 @@ from spdc.objective import (
 )
 
 from conftest import make_dataset
-from oracles import central_difference, dual_prox_oracle, primal_prox_oracle
+from oracles import (
+    central_difference,
+    dual_prox_oracle,
+    primal_prox_oracle,
+    reference_primal_prox,
+)
 
 
 class TestSmoothedHinge:
@@ -199,6 +204,52 @@ class TestPrimalProx:
         vec = primal_prox(u, w, 0.7, 0.3)
         scal = np.array([primal_prox(ui, wi, 0.7, 0.3) for ui, wi in zip(u, w)])
         assert np.array_equal(vec, scal)
+
+
+STEP = st.floats(1e-4, 1e3)
+# signed zeros and the smallest subnormals, whose quotient by tau is a zero
+COORD = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                  st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def prox_cases(draw):
+    """(u, w_old, tau, lam) with signed zeros and exact fixed points mixed in."""
+    tau, lam = draw(STEP), draw(STEP)
+    m = draw(st.integers(1, 24))
+    u = np.array(draw(st.lists(COORD, min_size=m, max_size=m)))
+    w = np.array(draw(st.lists(COORD, min_size=m, max_size=m)))
+    fixed = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    # w at the soft threshold of u/lam: the keep branch's first condition
+    w[fixed] = np.sign(u[fixed] / lam) * np.maximum(np.abs(u[fixed] / lam) - 1.0, 0.0)
+    return u, w, tau, lam
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(case=prox_cases())
+# u + w_old/tau is -0.0 here and the keep rule does not hold: the result is
+# sign(-0.0) * 0 = +0.0
+@example(case=(np.array([-0.0, 1.0]), np.array([-5e-324, 0.5]), 10.0, 1.0))
+# a fixed point whose update is NaN (1/tau overflows): the sign test rejects it
+@example(case=(np.array([2.0, 0.5]), np.array([1.0, 0.0]), 5e-324, 1.0))
+def test_primal_prox_matches_frozen_reference_bitwise(case):
+    u, w, tau, lam = case
+    assert _bits(primal_prox(u, w, tau, lam)) == _bits(reference_primal_prox(u, w, tau, lam))
+    for uj, wj in zip(u.tolist(), w.tolist()):
+        got = primal_prox(uj, wj, tau, lam)
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(reference_primal_prox(uj, wj, tau, lam))
+    # a scalar weight broadcast against the array, and a column
+    assert (_bits(primal_prox(u, w[0], tau, lam))
+            == _bits(reference_primal_prox(u, w[0], tau, lam)))
+    col = primal_prox(u[:, None], w[:, None], tau, lam)
+    assert col.shape == (u.size, 1)
+    assert _bits(col.ravel()) == _bits(reference_primal_prox(u, w, tau, lam))
 
 
 class TestObjectives:

@@ -49,8 +49,9 @@ OPS = st.one_of(
 )
 
 
-def _replay(problem, ops, seed):
-    """Apply ``ops`` to a fresh state; returns the state after every op."""
+def _replay(problem, ops, seed, after_op=None):
+    """Apply ``ops`` to a fresh state; returns the state after every op and
+    calls ``after_op(state)`` after each, when given."""
     ds, spec, plan, params, cfgs = problem
     rng = np.random.default_rng(seed)
     state = init_state(ds)
@@ -73,6 +74,8 @@ def _replay(problem, ops, seed):
             state.v_cache = ds.rmatvec(state.alpha_bar) / ds.n
         else:
             setattr(state, arg, state.w.copy())
+        if after_op is not None:
+            after_op(state)
         snapshots.append([getattr(state, k).tobytes() for k in
                           ("w", "w_prev", "w_bar", "alpha", "alpha_bar", "v_cache")])
     return snapshots
@@ -87,6 +90,39 @@ def test_matches_dense_reference_bitwise(highd, ops, seed):
         reference = _replay(highd, ops, seed)
     for k, (got, want) in enumerate(zip(fast, reference)):
         assert got == want, f"state differs after op {k}: {ops[k]}"
+
+
+def _check_carried_set(state):
+    """When the memo describes the state's arrays, its carried set is exactly
+    where ``w`` and ``w_prev`` differ bitwise.  Returns whether it did."""
+    memo = state._memo
+    if memo is None or not all(a is b for a, b in zip(memo.arrays, core._pass_arrays(state))):
+        return False
+    moved = np.flatnonzero(state.w.view(np.int64) != state.w_prev.view(np.int64))
+    assert memo.moved.size == moved.size  # no coordinate twice
+    assert np.array_equal(np.sort(memo.moved), moved)
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=st.lists(OPS, min_size=1, max_size=30), seed=st.integers(0, 2**16))
+def test_carried_set_is_the_moving_weights(highd, ops, seed):
+    ops = [("step", 0)] * 10 + ops
+    checked = []
+    real_pass, real_sparse = core._primal_pass, core._sparse_primal_pass
+
+    def checked_pass(state, *args, **kwargs):
+        real_pass(state, *args, **kwargs)
+        checked.append(_check_carried_set(state))
+
+    def unique_moving(state, tau, lam, theta, moving, prox):
+        assert np.unique(moving).size == moving.size
+        real_sparse(state, tau, lam, theta, moving, prox)
+
+    with mock.patch.object(core, "_primal_pass", checked_pass), \
+            mock.patch.object(core, "_sparse_primal_pass", unique_moving):
+        _replay(highd, ops, seed, after_op=_check_carried_set)
+    assert any(checked)
 
 
 def _count_sparse_passes(run):

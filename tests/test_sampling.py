@@ -61,6 +61,31 @@ class TestAlias:
         assert np.array_equal(a, b)
 
 
+class TestSingleDraw:
+    """``draw(rng, 1)`` takes scalar generator calls; it must pick what the
+    array path picks and read the same stream."""
+
+    @pytest.mark.parametrize("p", [
+        [0.5, 0.0, 0.25, 0.25],
+        [0.0, 0.0, 1.0],
+        [0.05, 0.0, 0.6, 0.0, 0.15, 0.2],
+        np.r_[np.full(7, 1.0 / 7), np.zeros(3)],  # a restricted plan
+    ])
+    def test_scalar_path_matches_array_path(self, p):
+        p = np.asarray(p, dtype=np.float64)
+        table = alias_build(p)
+        assert np.any(table.prob < 1.0)  # some slots are aliased
+        rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+        for _ in range(3000):
+            got = table.draw(rng, 1)
+            ks = twin.integers(0, p.size, size=1)
+            us = twin.random(1)
+            want = np.where(us < table.prob[ks], ks, table.alias[ks])
+            assert got.shape == (1,) and got.dtype == want.dtype
+            assert got[0] == want[0] and p[got[0]] > 0.0
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestDrawBatch:
     def test_single_draw(self):
         plan = build_uniform(10, 1)
