@@ -161,13 +161,16 @@ class DspdcConfig:
 
     ``[d]`` is split into ``d mod b`` blocks of size ``b+1`` followed by
     ``floor(d/b) - (d mod b)`` blocks of size ``b``.  ``cum_q`` is
-    ``cumsum(q)``, the table a block draw searches.
+    ``cumsum(q)``, the table a block draw searches, derived from ``q``.
     """
 
     b: int
     q: np.ndarray
     blocks: tuple
-    cum_q: np.ndarray
+    cum_q: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cum_q", np.cumsum(self.q))
 
     @staticmethod
     def build(d: int, b: int, q=None) -> "DspdcConfig":
@@ -187,7 +190,7 @@ class DspdcConfig:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (n_blocks,) or np.any(q <= 0) or abs(q.sum() - 1.0) > 1e-9:
             raise ValueError("q must be a positive probability vector over the blocks")
-        return DspdcConfig(b=b, q=q, blocks=tuple(blocks), cum_q=np.cumsum(q))
+        return DspdcConfig(b=b, q=q, blocks=tuple(blocks))
 
     def block_norms_sq(self, ds) -> np.ndarray:
         """Per instance, the max over blocks of the squared row norm within the block."""

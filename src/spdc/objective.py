@@ -192,13 +192,12 @@ def primal_prox(u, w_old, tau, lam):
         raise ValueError(f"lambda must be positive, got {lam}")
     u = np.asarray(u, dtype=float)
     w_old = np.asarray(w_old, dtype=float)
-    if u.ndim == 0 and w_old.ndim == 0:
-        v = soft_threshold(u + w_old / tau, lam) / (lam + 1.0 / tau)
-        keep = (w_old - soft_threshold(u / lam, 1.0) == 0.0) & (np.sign(v) == np.sign(w_old))
-        return float(np.where(keep, w_old, v))
-    if u.shape != w_old.shape:
+    scalar = u.ndim == 0 and w_old.ndim == 0
+    if scalar:
+        u, w_old = np.atleast_1d(u, w_old)
+    elif u.shape != w_old.shape:
         u, w_old = np.broadcast_arrays(u, w_old)
-    # arrays: the same expressions, in place and with fewer temporaries
+    # the same expressions as soft_threshold, in place and with fewer temporaries
     s = w_old / tau
     s += u
     v = np.abs(s)
@@ -212,13 +211,10 @@ def primal_prox(u, w_old, tau, lam):
     np.maximum(r, 0.0, out=r)
     r *= np.sign(t, out=t)
     np.subtract(w_old, r, out=r)
-    # few coordinates pass the first keep test; the sign test runs on those
-    idx = np.flatnonzero(r == 0.0)
-    if idx.size:
-        v_flat, w_flat = v.reshape(-1), w_old.reshape(-1)
-        idx = idx[np.sign(v_flat[idx]) == np.sign(w_flat[idx])]
-        v_flat[idx] = w_flat[idx]
-    return v
+    keep = r == 0.0
+    keep &= np.sign(v, out=s) == np.sign(w_old, out=r)
+    np.copyto(v, w_old, where=keep)
+    return float(v[0]) if scalar else v
 
 
 def primal_objective(w, ds, spec: ProblemSpec) -> float:
