@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}; choose from {SCHEDULES}")
         if self.a < 1:
             raise ConfigError(f"a must be >= 1, got {self.a}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lambda_scale) and self.lambda_scale > 0):
             raise ConfigError(f"lambda-scale must be positive and finite, got {self.lambda_scale}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
@@ -226,8 +228,8 @@ def run(cfg: RunConfig) -> int:
     cfg.validate()
     try:
         ds = load_libsvm(cfg.data, normalize=cfg.normalize)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"dataset not found: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset: {exc}") from exc
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
     cfg.check_sizes(ds.n, ds.d)
@@ -311,7 +313,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
             if cfg.normalize not in loaded:
                 try:
                     loaded[cfg.normalize] = load_libsvm(data, normalize=cfg.normalize)
-                except (DataError, FileNotFoundError) as exc:
+                except (DataError, OSError) as exc:
                     loaded[cfg.normalize] = exc
             ds = loaded[cfg.normalize]
             if isinstance(ds, Exception):
@@ -330,7 +332,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
                 iterations=result.counters.get("iterations", 0),
             )
         except (ConfigError, DataError, ScheduleError, ConditionNotMetError,
-                NumericalFailure, FileNotFoundError) as exc:
+                NumericalFailure, OSError) as exc:
             row.update(status=f"error: {exc}", epochs_to_tol="", final_gap="",
                        iterations="")
         rows.append(row)
@@ -467,29 +469,45 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+def _split_flag(flag: str, text: str, kind) -> list:
+    """Comma-separated values of one sweep flag, each converted by ``kind``."""
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--{flag} takes comma-separated {kind.__name__} values, "
+                          f"got {text!r}") from None
+
+
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    """Run the command that ``argv`` names and return its exit code."""
+    try:
+        args = _make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage or help text
+        return exc.code
     try:
         if args.command == "run":
             return run(_config_from_args(args))
         if args.command == "sweep":
+            scales = _split_flag("lambda-scales", args.lambda_scales, float)
+            batches = _split_flag("batches", args.batches, int)
+            seeds = _split_flag("seeds", args.seeds, int)
             configs = []
             for algo in args.algos.split(","):
                 for prob in args.probs.split(","):
-                    for scale in args.lambda_scales.split(","):
-                        for a in args.batches.split(","):
-                            for seed in args.seeds.split(","):
+                    for scale in scales:
+                        for a in batches:
+                            for seed in seeds:
                                 configs.append(RunConfig(
                                     data=args.data,
                                     normalize=args.normalize,
                                     algo=algo.strip(),
                                     prob=prob.strip(),
-                                    a=int(a),
-                                    lambda_scale=float(scale),
+                                    a=a,
+                                    lambda_scale=scale,
                                     gamma=args.gamma,
                                     gap_tol=args.gap_tol,
                                     max_epochs=args.max_epochs,
-                                    seed=int(seed),
+                                    seed=seed,
                                     timing=not args.no_timing,
                                 ))
             rows = sweep(configs, args.out)

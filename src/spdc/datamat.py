@@ -9,6 +9,7 @@ safe to share across concurrent solver runs.
 from __future__ import annotations
 
 import math
+from itertools import islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +35,8 @@ class SparseDataset:
     matrix : scipy.sparse matrix, shape (n, d)
         The design matrix X whose i-th row is the i-th instance.
     labels : ndarray, shape (n,)
-        Targets; +-1 for classification, arbitrary reals for regression.
+        Targets, +-1 for the hinge-type losses the solvers use; this
+        constructor does not check them (``load_libsvm`` does).
 
     Attributes
     ----------
@@ -55,14 +57,7 @@ class SparseDataset:
             raise DataError(
                 f"label count {labels.shape} does not match instance count {csr.shape[0]}"
             )
-        norms = np.empty(csr.shape[0])
-        for i in range(csr.shape[0]):
-            vals = csr.data[csr.indptr[i]:csr.indptr[i + 1]]
-            if vals.size == 0:
-                raise DataError(f"instance {i} has zero norm; all-zero rows are rejected")
-            # scale before squaring so tiny stored values cannot underflow to zero
-            peak = float(np.max(np.abs(vals)))
-            norms[i] = peak * math.sqrt(float(np.sum((vals / peak) ** 2)))
+        norms = _row_norms(csr.indptr, csr.data)
         self._csr = csr
         self._csc = csr.tocsc()
         self._csc.sort_indices()
@@ -109,14 +104,6 @@ class SparseDataset:
             return float(vals[pos])
         return 0.0
 
-    def value_by_col(self, i, j) -> float:
-        """Entry X[i, j] read via the column layout."""
-        idx, vals = self.col(j)
-        pos = np.searchsorted(idx, i)
-        if pos < idx.size and idx[pos] == i:
-            return float(vals[pos])
-        return 0.0
-
     def equals(self, other: "SparseDataset") -> bool:
         """Exact structural and numerical equality (used by round-trip tests)."""
         return (
@@ -129,7 +116,34 @@ class SparseDataset:
         )
 
 
-def _parse_line(line: str, lineno: int, classification: bool):
+def _row_norms(indptr, data):
+    """Euclidean norm of every CSR row, ``peak * sqrt(sum((vals / peak)**2))``.
+
+    Rows of one length are reduced together as a ``(rows, length)`` array; a
+    reduction along its last axis adds each row's values in the same order
+    as a sum over that row alone, so every norm is the one a per-row loop
+    gives, bit for bit.
+    """
+    lengths = np.diff(indptr)
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise DataError(f"instance {empty[0]} has zero norm; all-zero rows are rejected")
+    norms = np.empty(lengths.size)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        vals = data[indptr[rows, None] + np.arange(length)]
+        # scale before squaring so tiny stored values cannot underflow to zero
+        peak = np.max(np.abs(vals), axis=1)
+        norms[rows] = peak * np.sqrt(np.sum((vals / peak[:, None]) ** 2, axis=1))
+    return norms
+
+
+# lines per bulk parse step: bounds the Python strings alive at one time
+_BLOCK_LINES = 128
+_MAX_INDEX = np.iinfo(np.int64).max
+
+
+def _parse_line(line: str, lineno: int):
     tokens = line.split()
     try:
         label = float(tokens[0])
@@ -137,7 +151,7 @@ def _parse_line(line: str, lineno: int, classification: bool):
         raise DataError(f"line {lineno}: cannot parse label {tokens[0]!r}") from None
     if not math.isfinite(label):
         raise DataError(f"line {lineno}: label {tokens[0]!r} is not finite")
-    if classification and label not in (-1.0, 1.0):
+    if label not in (-1.0, 1.0):
         raise DataError(f"line {lineno}: label {tokens[0]!r} is not +-1")
     idxs, vals = [], []
     prev = 0
@@ -150,6 +164,8 @@ def _parse_line(line: str, lineno: int, classification: bool):
             raise DataError(f"line {lineno}: malformed feature token {tok!r}") from None
         if idx < 1:
             raise DataError(f"line {lineno}: feature index {idx} is not 1-based")
+        if idx > _MAX_INDEX:
+            raise DataError(f"line {lineno}: feature index {idx} is too large")
         if idx == prev:
             raise DataError(f"line {lineno}: duplicate feature index {idx}")
         if idx < prev:
@@ -161,64 +177,113 @@ def _parse_line(line: str, lineno: int, classification: bool):
     return label, idxs, vals
 
 
-def load_libsvm(path, normalize: bool = False, classification: bool = True) -> SparseDataset:
+def _check_lines(raw, first_lineno: int) -> None:
+    """Check a block's lines one at a time; raise for the first bad one."""
+    for lineno, text in enumerate(raw, start=first_lineno):
+        try:
+            text.encode()
+        except UnicodeEncodeError:  # undecodable bytes arrive as lone surrogates
+            raise DataError(f"line {lineno}: not valid UTF-8 text") from None
+        line = text.strip()
+        if not line or line.startswith("#"):
+            continue
+        _, idxs, vals = _parse_line(line, lineno)
+        if not idxs:
+            raise DataError(f"line {lineno}: instance has no nonzero features")
+        for j, v in zip(idxs, vals):
+            if not math.isfinite(v):
+                raise DataError(f"line {lineno}: feature {j + 1} has non-finite value {v!r}")
+    raise DataError(f"lines {first_lineno}-{first_lineno + len(raw) - 1}: not LIBSVM data")
+
+
+def _parse_block(raw):
+    """Parse a block of lines in bulk, or return None if any line of it is bad.
+
+    Returns the labels, the count of nonzero entries per instance, and the
+    0-based indices and values of those entries in file order.  The tokens
+    are split by a few ``str`` calls over the whole block and converted by
+    the same ``int`` and ``float`` as ``_parse_line``, and every check runs
+    on arrays, so a block this accepts parses line by line to the same data.
+    """
+    try:
+        "".join(raw).encode()
+    except UnicodeEncodeError:
+        return None
+    lines = [s for s in map(str.strip, raw) if s and s[0] != "#"]
+    if not lines:
+        return np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    heads = [s.split(None, 1) for s in lines]
+    if any(len(h) < 2 for h in heads):
+        return None
+    rests = [h[1] for h in heads]
+    text = " ".join(rests)
+    tokens = text.split()
+    counts = np.fromiter(map(str.count, rests, repeat(":")), np.int64, len(rests))
+    # every token has a colon after its index and the block has as many colons
+    # as tokens, so every token has exactly one and instance i has counts[i]
+    if counts.sum() != len(tokens) or min(map(str.find, tokens, repeat(":"))) < 1:
+        return None
+    parts = text.replace(":", " ").split()
+    try:  # an empty value leaves too few parts, which fromiter's count rejects
+        labels = np.fromiter(map(float, (h[0] for h in heads)), np.float64, len(heads))
+        idx = np.fromiter(map(int, parts[0::2]), np.int64, len(tokens))
+        vals = np.fromiter(map(float, parts[1::2]), np.float64, len(tokens))
+    except (ValueError, OverflowError):
+        return None
+    starts = np.cumsum(counts) - counts
+    steps = np.diff(idx)
+    steps[starts[1:] - 1] = 1  # the first index of an instance follows nothing
+    nonzero = vals != 0.0
+    lengths = np.add.reduceat(nonzero, starts, dtype=np.int64)
+    if not (np.all((labels == 1.0) | (labels == -1.0)) and idx.min() >= 1
+            and np.all(steps > 0) and np.all(np.isfinite(vals)) and lengths.min() > 0):
+        return None
+    return labels, lengths, idx[nonzero] - 1, vals[nonzero]
+
+
+def load_libsvm(path, normalize: bool = False) -> SparseDataset:
     """Parse a text file in LIBSVM format.
 
-    Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
-    increasing indices.  Lines whose first non-blank character is ``#`` are
-    skipped.  Explicitly stored zeros are dropped.  The feature count is the
-    maximum index seen.
+    Each data line is ``label idx:val idx:val ...`` with a label of +-1 and
+    1-based, strictly increasing indices.  Lines whose first non-blank
+    character is ``#`` are skipped.  Explicitly stored zeros are dropped.
+    The feature count is the maximum index seen.
+
+    The file is parsed in blocks of lines, each in bulk; a block that fails
+    a bulk check is read again line by line to name its first bad line.
 
     Parameters
     ----------
     path : str or Path
-        File to read.
+        File to read, UTF-8 text.
     normalize : bool
         If set, scale every instance to unit Euclidean norm.
-    classification : bool
-        Require +-1 labels (default).  Pass False for regression targets.
 
     Raises
     ------
     DataError
-        On malformed lines (with line number), non-finite labels or values,
-        all-zero rows, or bad labels.
+        Naming the first bad line in file order: text that is not UTF-8,
+        malformed tokens, labels other than +-1, non-finite values, or
+        instances without a nonzero entry.
     """
-    labels, linenos = [], []
-    rows_i, rows_j, rows_v = [], [], []
-    d = 0
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            label, idxs, vals = _parse_line(line, lineno, classification)
-            if not idxs:
-                raise DataError(f"line {lineno}: instance has no nonzero features")
-            i = len(labels)
-            labels.append(label)
-            linenos.append(lineno)
-            rows_i.extend([i] * len(idxs))
-            rows_j.extend(idxs)
-            rows_v.extend(vals)
-            d = max(d, idxs[-1] + 1)
-    if not labels:
+    blocks = []
+    lineno = 1
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while raw := list(islice(fh, _BLOCK_LINES)):
+            block = _parse_block(raw)
+            if block is None:
+                _check_lines(raw, lineno)
+            blocks.append(block)
+            lineno += len(raw)
+    if not sum(block[0].size for block in blocks):
         raise DataError(f"{path}: no data lines found")
-    mat = sp.coo_matrix(
-        (rows_v, (rows_i, rows_j)), shape=(len(labels), d), dtype=np.float64
-    ).tocsr()
-    # one vectorized check, not a call per token; entries keep file order
-    bad = np.flatnonzero(~np.isfinite(mat.data))
-    if bad.size:
-        k = int(bad[0])
-        i = int(np.searchsorted(mat.indptr, k, side="right")) - 1
-        raise DataError(f"line {linenos[i]}: feature {mat.indices[k] + 1} has "
-                        f"non-finite value {float(mat.data[k])!r}")
-    ds = SparseDataset(mat, labels)
+    labels, lengths, indices, values = (np.concatenate(parts) for parts in zip(*blocks))
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
     if normalize:
-        scale = sp.diags(1.0 / ds.row_norms)
-        ds = SparseDataset(scale @ ds._csr, ds.labels)
-    return ds
+        values *= np.repeat(1.0 / _row_norms(indptr, values), lengths)
+    matrix = sp.csr_matrix((values, indices, indptr),
+                           shape=(labels.size, int(indices.max()) + 1))
+    return SparseDataset(matrix, labels)
 
 
 def save_libsvm(ds: SparseDataset, path) -> None:

@@ -6,12 +6,20 @@ points: the vertex of a parabola fitted to three function values on one
 quadratic piece is that piece's exact extremum up to rounding, which beats
 the ~sqrt(eps) plateau a value-comparison grid bottoms out at.
 
-``reference_primal_prox`` and ``dense_primal_pass`` are the exceptions: they
-are frozen copies of the closed-form prox and of the whole-vector primal pass,
-the bitwise references for the library's fused prox and its skipping pass.
+``reference_primal_prox``, ``dense_primal_pass``, ``reference_row_norms`` and
+``reference_load_libsvm`` are the exceptions: they are frozen copies of the
+closed-form prox, the whole-vector primal pass, the per-row norm loop and the
+line-by-line LIBSVM loader, the bitwise references for the library's fused
+prox, its skipping pass, its grouped row norms and its bulk loader.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
+import scipy.sparse as sp
+
+from spdc.errors import DataError
 
 
 def _vertex(fun, x, h):
@@ -112,3 +120,102 @@ def dense_primal_pass(state, tau, lam, theta, primal_coords=None):
     state.w = w_new
     state.w_bar = w_new + theta * (w_new - w_old)
     state.iter += 1
+
+
+def reference_row_norms(indptr, data):
+    """Per-row Euclidean norms, one row at a time, scaled by the row's peak."""
+    norms = np.empty(len(indptr) - 1)
+    for i in range(norms.size):
+        vals = data[indptr[i]:indptr[i + 1]]
+        if vals.size == 0:
+            raise DataError(f"instance {i} has zero norm; all-zero rows are rejected")
+        peak = float(np.max(np.abs(vals)))
+        norms[i] = peak * math.sqrt(float(np.sum((vals / peak) ** 2)))
+    return norms
+
+
+def _reference_dataset(matrix, labels):
+    csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    norms = reference_row_norms(csr.indptr, csr.data)
+    csc = csr.tocsc()
+    csc.sort_indices()
+    return SimpleNamespace(n=csr.shape[0], d=csr.shape[1],
+                           labels=np.asarray(labels, dtype=np.float64).copy(),
+                           csr=csr, csc=csc, row_norms=norms)
+
+
+def _reference_parse_line(line, lineno):
+    tokens = line.split()
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        raise DataError(f"line {lineno}: cannot parse label {tokens[0]!r}") from None
+    if not math.isfinite(label):
+        raise DataError(f"line {lineno}: label {tokens[0]!r} is not finite")
+    if label not in (-1.0, 1.0):
+        raise DataError(f"line {lineno}: label {tokens[0]!r} is not +-1")
+    idxs, vals = [], []
+    prev = 0
+    for tok in tokens[1:]:
+        try:
+            stext, vtext = tok.split(":", 1)
+            idx = int(stext)
+            val = float(vtext)
+        except ValueError:
+            raise DataError(f"line {lineno}: malformed feature token {tok!r}") from None
+        if idx < 1:
+            raise DataError(f"line {lineno}: feature index {idx} is not 1-based")
+        if idx == prev:
+            raise DataError(f"line {lineno}: duplicate feature index {idx}")
+        if idx < prev:
+            raise DataError(f"line {lineno}: feature indices must be strictly increasing")
+        prev = idx
+        if val != 0.0:
+            idxs.append(idx - 1)
+            vals.append(val)
+    return label, idxs, vals
+
+
+def reference_load_libsvm(path, normalize=False):
+    """The line-by-line LIBSVM loader with +-1 labels.
+
+    Returns n, d, labels, the CSR and CSC matrices and the row norms of the
+    dataset the library's loader must reproduce bit for bit, or raises the
+    ``DataError`` it must raise for a file with one bad line.
+    """
+    labels, linenos = [], []
+    rows_i, rows_j, rows_v = [], [], []
+    d = 0
+    with open(path, "r") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            label, idxs, vals = _reference_parse_line(line, lineno)
+            if not idxs:
+                raise DataError(f"line {lineno}: instance has no nonzero features")
+            i = len(labels)
+            labels.append(label)
+            linenos.append(lineno)
+            rows_i.extend([i] * len(idxs))
+            rows_j.extend(idxs)
+            rows_v.extend(vals)
+            d = max(d, idxs[-1] + 1)
+    if not labels:
+        raise DataError(f"{path}: no data lines found")
+    mat = sp.coo_matrix(
+        (rows_v, (rows_i, rows_j)), shape=(len(labels), d), dtype=np.float64
+    ).tocsr()
+    bad = np.flatnonzero(~np.isfinite(mat.data))
+    if bad.size:
+        k = int(bad[0])
+        i = int(np.searchsorted(mat.indptr, k, side="right")) - 1
+        raise DataError(f"line {linenos[i]}: feature {mat.indices[k] + 1} has "
+                        f"non-finite value {float(mat.data[k])!r}")
+    ds = _reference_dataset(mat, labels)
+    if normalize:
+        scale = sp.diags(1.0 / ds.row_norms)
+        ds = _reference_dataset(scale @ ds.csr, ds.labels)
+    return ds

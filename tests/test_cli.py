@@ -1,12 +1,18 @@
 """Experiment runner: flags, exit codes, output files, determinism."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdc import cli as cli_mod
 from spdc.cli import RunConfig, main, run, sweep, synth
@@ -139,6 +145,7 @@ class TestRun:
         (["--algo", "dspdc", "--dspdc-b", "9"], "dspdc-b=9 must lie in [1, d=5]"),
         (["--gamma", "0"], "gamma must be positive"),
         (["--algo", "dspdc", "--dspdc-b", "2", "--dspdc-q", "0.5,x"], "dspdc-q"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ])
     def test_out_of_range_flags_exit_2(self, small_file, capsys, flags, fragment):
         assert cli("run", "--data", small_file, *flags) == 2
@@ -152,6 +159,18 @@ class TestRun:
         assert cli("run", "--data", str(bad)) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
+
+    def test_non_utf8_data_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.svm"
+        bad.write_bytes(b"+1 1:1\n# caf\xe9\n-1 2:3\n")
+        assert cli("run", "--data", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "line 2: not valid UTF-8 text" in err and "Traceback" not in err
+
+    def test_directory_as_data_exits_2(self, tmp_path, capsys):
+        assert cli("run", "--data", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "cannot read dataset" in err and "Traceback" not in err
 
     def test_summary_reports_counters(self, data_file, tmp_path):
         summary = tmp_path / "counters.json"
@@ -259,6 +278,22 @@ class TestSweep:
             assert len(calls) == 1
             assert [r["status"].startswith("error") for r in rows] == [True] * 3
 
+    def test_directory_as_data_gives_error_rows(self, tmp_path):
+        out = tmp_path / "table.csv"
+        assert cli("sweep", "--data", str(tmp_path), "--seeds", "0,1", "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"].split(":")[0] for r in rows] == ["error"] * 2
+        assert "Is a directory" in rows[0]["status"]
+
+    @pytest.mark.parametrize("flag,value", [("--batches", "x"), ("--lambda-scales", "abc"),
+                                            ("--seeds", "1,x")])
+    def test_malformed_list_flag_exits_2(self, small_file, tmp_path, capsys, flag, value):
+        assert cli("sweep", "--data", small_file, flag, value,
+                   "--out", str(tmp_path / "t.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} takes comma-separated" in err and "Traceback" not in err
+
     def test_mixed_datasets_rejected(self, data_file):
         with pytest.raises(ConfigError):
             sweep([RunConfig(data=data_file), RunConfig(data="other.svm")])
@@ -300,3 +335,83 @@ def test_bundled_dataset_end_to_end(tmp_path):
     assert rc == 0
     s = json.loads(summary.read_text())
     assert s["converged"] and s["final_gap"] <= 1e-8
+
+
+# flag values for the exit-code property: valid ones mixed with invalid ones
+RUN_FLAGS = {
+    "--algo": ["adaspdc", "spdc", "dspdc", "ovsspdc", "ovs-exact", "ovsspdc-plus",
+               "ovsspdc-plusplus", "bogus"],
+    "--prob": ["uniform", "cor16", "cor17", "ovs", "x"],
+    "--schedule": ["auto", "thm4", "thm5", "thm15", "cor18", "cor19", "nope"],
+    "-a": ["1", "2", "25", "0", "-3", "x"],
+    "--lambda-scale": ["1e-2", "0", "-1", "nan", "inf", "x"],
+    "--dspdc-b": ["1", "3", "5", "0", "9"],
+    "--dspdc-q": ["uniform", "0.5,0.5", "1,x", "-1,2"],
+    "--refresh-every": ["1", "5", "0", "-2"],
+    "--gap-check-every": ["1", "5", "0"],
+}
+SWEEP_FLAGS = {
+    "--algos": ["adaspdc", "spdc,ovsspdc", "bogus"],
+    "--probs": ["uniform", "uniform,cor17", "x"],
+    "--lambda-scales": ["1e-2", "1e-2,1e-1", "abc", "-1", ""],
+    "--batches": ["1", "1,2", "x", "0"],
+    "--seeds": ["0", "0,1", "x", "-1"],
+}
+SHARED_FLAGS = {
+    "--gamma": ["1", "0.5", "0", "-2", "nan", "inf"],
+    "--gap-tol": ["1e-3", "0", "-1", "nan"],
+    "--max-epochs": ["0", "0.5", "1", "-1", "nan"],
+    "--seed": ["0", "7", "-1", "x"],
+}
+SWITCHES = ["--normalize", "--no-timing"]
+
+
+@st.composite
+def data_paths(draw, valid, folder):
+    """--data: the valid file, a copy with flipped bytes or cut short, a
+    missing path, or a directory."""
+    # "valid" twice, so that about half the draws reach a solve
+    kind = draw(st.sampled_from(["valid", "valid", "flipped", "truncated", "missing",
+                                 "directory"]))
+    if kind == "valid":
+        return valid
+    if kind == "missing":
+        return str(folder / "missing.svm")
+    if kind == "directory":
+        return str(folder)
+    blob = bytearray(Path(valid).read_bytes())
+    if kind == "truncated":
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    else:
+        for _ in range(draw(st.integers(1, 4))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    path = folder / f"{kind}.svm"
+    path.write_bytes(bytes(blob))
+    return str(path)
+
+
+@st.composite
+def argvs(draw, valid, folder):
+    command = draw(st.sampled_from(["run", "sweep"]))
+    argv = [command, "--data", draw(data_paths(valid, folder))]
+    flags = {**SHARED_FLAGS, **(RUN_FLAGS if command == "run" else SWEEP_FLAGS)}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=6)):
+        argv += [flag, draw(st.sampled_from(flags[flag]))]
+    argv += draw(st.lists(st.sampled_from(SWITCHES), unique=True))
+    if "--max-epochs" not in argv:
+        argv += ["--max-epochs", "1"]
+    if command == "sweep":
+        argv += ["--out", str(folder / "table.csv")]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_every_argv_exits_with_a_contract_code(small_file, tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("argv")
+    argv = data.draw(argvs(small_file, folder))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

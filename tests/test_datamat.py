@@ -12,6 +12,7 @@ from spdc.datamat import SparseDataset, density, lambda_max, load_libsvm, save_l
 from spdc.errors import DataError
 
 from conftest import make_dataset
+from oracles import reference_load_libsvm, reference_row_norms
 
 
 def write(tmp_path, text, name="data.svm"):
@@ -73,11 +74,9 @@ class TestLoader:
         with pytest.raises(DataError):
             load_libsvm(write(tmp_path, "+1\n"))
 
-    def test_regression_labels_allowed(self, tmp_path):
-        ds = load_libsvm(write(tmp_path, "0.5 1:1\n-2.25 2:1\n"), classification=False)
-        assert np.array_equal(ds.labels, [0.5, -2.25])
+    def test_infinite_label_rejected(self, tmp_path):
         with pytest.raises(DataError, match="line 2: label 'inf' is not finite"):
-            load_libsvm(write(tmp_path, "0.5 1:1\ninf 2:1\n"), classification=False)
+            load_libsvm(write(tmp_path, "+1 1:1\ninf 2:1\n"))
 
     def test_round_trip(self, tmp_path):
         ds = make_dataset(15, 8, seed=3, density=0.4)
@@ -121,15 +120,141 @@ class TestLoader:
         assert ds.equals(load_libsvm(out))
 
 
-class TestRowColDuality:
-    def test_random_entries_agree(self):
-        ds = make_dataset(30, 12, seed=11, density=0.3)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            i = int(rng.integers(ds.n))
-            j = int(rng.integers(ds.d))
-            assert ds.value(i, j) == ds.value_by_col(i, j)
+LABELS = ("+1", "-1", "1", "1.0", "-1.00", "+1e0")
+ZEROS = ("0", "0.0", "-0", "0e0")
+FILLERS = ("", "   ", "\t", "# comment 1:2 3:x", "  #indented comment")
 
+
+def random_lines(seed, n_rows, max_len, filler_share, long_runs):
+    """Lines (without newlines) of a valid file: +-1 labels, rows of 1 to
+    max_len entries with values of magnitude 1e-300 to 1e300 and explicit
+    zeros, mixed separators, comments and blank lines, and, when long_runs
+    is set, runs of blank lines long enough to move rows across blocks."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n_rows):
+        while rng.random() < filler_share:
+            lines.append(FILLERS[rng.integers(len(FILLERS))])
+        if long_runs and rng.random() < 0.3:
+            lines += [""] * int(rng.integers(1, 300))
+        length = int(rng.integers(1, max_len + 1))
+        idx = np.sort(rng.choice(np.arange(1, 2 * max_len + 1), size=length, replace=False))
+        vals = rng.choice([-1.0, 1.0], size=length) * 10.0 ** rng.uniform(-300, 300, length)
+        vals[rng.random(length) < 0.1] = 0.0
+        if not vals.any():
+            vals[-1] = 1.5
+        fmt = ("{!r}", "{:.6g}", "{:.3e}")[rng.integers(3)]
+        feats = [f"{j}:{fmt.format(float(v))}" if v else f"{j}:{ZEROS[rng.integers(4)]}"
+                 for j, v in zip(idx, vals)]
+        sep = (" ", "\t", "  ")[rng.integers(3)]
+        pad = ("", " ", "\t")[rng.integers(3)]
+        lines.append(pad + sep.join([LABELS[rng.integers(len(LABELS))]] + feats) + pad)
+    return lines
+
+
+def write_lines(path, lines, seed):
+    """Write lines as bytes with LF or CRLF endings picked per line."""
+    rng = np.random.default_rng(seed)
+    ends = np.where(rng.random(len(lines)) < 0.5, b"\n", b"\r\n")
+    path.write_bytes(b"".join((ln if isinstance(ln, bytes) else ln.encode()) + end
+                              for ln, end in zip(lines, ends)))
+    return path
+
+
+def assert_same_dataset(ds, ref):
+    """n, d and every array of the dataset equal the reference bit for bit."""
+    assert (ds.n, ds.d) == (ref.n, ref.d)
+    pairs = [(ds.labels, ref.labels), (ds.row_norms, ref.row_norms)]
+    for mine, theirs in ((ds._csr, ref.csr), (ds._csc, ref.csc)):
+        pairs += [(mine.indptr, theirs.indptr), (mine.indices, theirs.indices),
+                  (mine.data, theirs.data)]
+    for mine, theirs in pairs:
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def data_error(fn, *args, **kwargs):
+    with pytest.raises(DataError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+# one bad line each, as bytes; the last two are rejected by this loader only
+DEFECTS = (
+    b"+1 1:x", b"+1 3", b"+1 1:2:3", b"+1 :3", b"+1 3:", b"+1 0:1", b"+1 2:1 2:3",
+    b"+1 3:1 2:1", b"2 1:1", b"inf 1:1", b"nan 1:1", b"abc 1:1", b"+1 1:nan",
+    b"-1 2:-inf", b"+1 1:1e400", b"+1 1:0 4:0", b"+1", b"-1 1:1 # trailing",
+    b"+1 1 2:3:4", b"+1 2: 3:4",
+    b"+1 1:\xff", b"# caf\xe9",
+)
+NOT_UTF8 = (b"+1 1:\xff", b"# caf\xe9")
+
+
+class TestBulkLoader:
+    """The block-wise loader against the frozen line-by-line loader."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40),
+           max_len=st.sampled_from([1, 3, 9, 40, 300]),
+           filler_share=st.sampled_from([0.0, 0.3]), long_runs=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_valid_files_match_reference(self, tmp_path_factory, seed, n_rows, max_len,
+                                         filler_share, long_runs):
+        lines = random_lines(seed, n_rows, max_len, filler_share, long_runs)
+        path = write_lines(tmp_path_factory.mktemp("bulk") / "ok.svm", lines, seed)
+        for normalize in (False, True):
+            assert_same_dataset(load_libsvm(path, normalize=normalize),
+                                reference_load_libsvm(path, normalize=normalize))
+
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 30),
+           long_runs=st.booleans(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_error_names_first_bad_line(self, tmp_path_factory, seed, n_rows, long_runs,
+                                        data):
+        lines = random_lines(seed, n_rows, 12, 0.2, long_runs)
+        spots = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3,
+                                   unique=True))
+        defects = [data.draw(st.sampled_from(DEFECTS)) for _ in spots]
+        bad = list(lines)
+        for spot, defect in zip(spots, defects):
+            bad[spot] = defect
+        folder = tmp_path_factory.mktemp("bad")
+        got = data_error(load_libsvm, write_lines(folder / "bad.svm", bad, seed))
+        first = min(range(len(spots)), key=spots.__getitem__)
+        if defects[first] in NOT_UTF8:
+            assert got == f"line {spots[first] + 1}: not valid UTF-8 text"
+        else:
+            # with one bad line, the frozen loader's message is the one to give
+            one = list(lines)
+            one[spots[first]] = defects[first]
+            path = write_lines(folder / "one.svm", one, seed)
+            assert got == data_error(reference_load_libsvm, path)
+
+    def test_huge_index_rejected(self, tmp_path):
+        path = write(tmp_path, "+1 1:1\n-1 99999999999999999999:1\n")
+        assert data_error(load_libsvm, path) == (
+            "line 2: feature index 99999999999999999999 is too large")
+
+    def test_no_data_lines(self, tmp_path):
+        for text in ("", "# only a comment\n\n"):
+            path = write(tmp_path, text)
+            assert data_error(load_libsvm, path) == data_error(reference_load_libsvm, path)
+
+    @given(lengths=st.lists(st.one_of(st.integers(1, 300), st.sampled_from([7, 8, 9, 128, 129])),
+                            min_size=1, max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_row_norms_match_per_row_loop(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        data = rng.choice([-1.0, 1.0], size=indptr[-1]) * 10.0 ** rng.uniform(-300, 300,
+                                                                                indptr[-1])
+        indices = np.concatenate([np.arange(k) for k in lengths])
+        ds = SparseDataset(sp.csr_matrix((data, indices, indptr)), np.ones(len(lengths)))
+        ref = reference_row_norms(indptr, data)
+        assert ds.row_norms.tobytes() == ref.tobytes()
+
+
+class TestRowColDuality:
     def test_full_matrix_agrees(self):
         ds = make_dataset(10, 6, seed=5)
         assert np.array_equal(ds._csr.toarray(), ds._csc.toarray())
