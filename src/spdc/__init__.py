@@ -17,7 +17,6 @@ from .datamat import (SparseDataset, density, example_path, lambda_max,
                       load_libsvm, save_libsvm)
 from .objective import (
     ProblemSpec,
-    ViolationVector,
     dual_objective,
     dual_prox,
     dual_violations,

@@ -14,6 +14,7 @@ failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -35,6 +36,7 @@ from .errors import (
 from .objective import ProblemSpec
 from .sampling import build_data_driven, build_uniform
 from .trace import write_trace_csv
+# _dispatch looks the run_* names up in this module's globals when it calls one
 from .variants import (
     Budget,
     RunResult,
@@ -48,6 +50,8 @@ from .variants import (
 
 ALGOS = ("spdc", "adaspdc", "dspdc", "ovsspdc", "ovs-exact", "ovsspdc-plus",
          "ovsspdc-plusplus")
+# the violation-driven algorithms, which pick their own plans and step sizes
+VARIANTS = ("ovsspdc", "ovs-exact", "ovsspdc-plus", "ovsspdc-plusplus")
 PROBS = ("uniform", "cor16", "cor17", "ovs")
 SCHEDULES = ("thm4", "thm5", "thm15", "cor18", "cor19", "auto")
 
@@ -99,8 +103,7 @@ class RunConfig:
                             ("gap-check-every", self.gap_check_every)):
             if every is not None and every < 1:
                 raise ConfigError(f"{name} must be >= 1, got {every}")
-        variant = self.algo in ("ovsspdc", "ovs-exact", "ovsspdc-plus", "ovsspdc-plusplus")
-        if variant:
+        if self.algo in VARIANTS:
             if self.schedule != "auto":
                 raise ConfigError(
                     f"algo {self.algo!r} manages its own step sizes; use schedule=auto"
@@ -136,6 +139,26 @@ class RunConfig:
             raise ConfigError(f"dspdc-b={self.dspdc_b} must lie in [1, d={d}]")
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failure to write ``path`` as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _problem(cfg: RunConfig, ds):
+    """Check ``cfg`` against ``ds``; (lambda_max, spec, budget, generator) of its run."""
+    cfg.check_sizes(ds.n, ds.d)
+    lmax = lambda_max(ds)
+    if lmax == 0.0:
+        raise ConfigError("lambda_max is zero; the label/feature correlation vanishes")
+    return (lmax, ProblemSpec(gamma=cfg.gamma, lam=cfg.lambda_scale * lmax),
+            Budget(gap_tol=cfg.gap_tol, max_epochs=cfg.max_epochs),
+            np.random.default_rng(cfg.seed))
+
+
 def _build_plan(cfg: RunConfig, ds, spec):
     if cfg.prob == "uniform":
         return build_uniform(ds.n, cfg.a)
@@ -146,20 +169,16 @@ def _pick_schedule(cfg: RunConfig, ds) -> str:
     """Resolve schedule=auto; non-uniform plans with a > sqrt(n) are rejected."""
     if cfg.schedule != "auto":
         return cfg.schedule
-    small_batch = cfg.a * cfg.a <= ds.n
-    if cfg.algo == "adaspdc":
-        if small_batch:
-            return "thm5" if cfg.prob != "cor16" else "thm4"
-        if cfg.prob != "uniform":
-            raise ScheduleError(
-                f"a={cfg.a} > sqrt(n) admits only uniform sampling (schedule thm15)"
-            )
-        return "thm15"
-    if small_batch:
-        return "cor19" if cfg.prob != "cor16" else "cor18"
+    # the algorithm's base, sqrt(n)-boosted and large-batch rules
+    base, boosted, large = (("thm4", "thm5", "thm15") if cfg.algo == "adaspdc"
+                            else ("cor18", "cor19", "cor18"))
+    if cfg.a * cfg.a <= ds.n:
+        return base if cfg.prob == "cor16" else boosted
     if cfg.prob != "uniform":
-        raise ScheduleError(f"a={cfg.a} > sqrt(n) admits only uniform sampling")
-    return "cor18"
+        raise ScheduleError(
+            f"a={cfg.a} > sqrt(n) admits only uniform sampling (schedule {large})"
+        )
+    return large
 
 
 def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
@@ -167,15 +186,13 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
     vcfg = VariantConfig(refresh_every=cfg.refresh_every,
                          gap_check_every=cfg.gap_check_every)
     extra: dict = {}
-    if cfg.algo == "ovsspdc":
-        return run_ovsspdc(ds, spec, cfg.a, vcfg, budget, rng, timing=cfg.timing), extra
     if cfg.algo == "ovs-exact":
         return run_ovs_exact(ds, spec, vcfg, budget, rng, timing=cfg.timing), extra
-    if cfg.algo == "ovsspdc-plus":
-        return run_ovsspdc_plus(ds, spec, cfg.a, vcfg, budget, rng, timing=cfg.timing), extra
-    if cfg.algo == "ovsspdc-plusplus":
-        return run_ovsspdc_plusplus(ds, spec, cfg.a, vcfg, budget, rng,
-                                    timing=cfg.timing), extra
+    if cfg.algo in VARIANTS:
+        # run_ovsspdc, run_ovsspdc_plus or run_ovsspdc_plusplus, read from
+        # the module's globals when called (the benchmark patches them)
+        runner = globals()["run_" + cfg.algo.replace("-", "_")]
+        return runner(ds, spec, cfg.a, vcfg, budget, rng, timing=cfg.timing), extra
     plan = _build_plan(cfg, ds, spec)
     schedule = _pick_schedule(cfg, ds)
     if schedule == "thm4":
@@ -187,9 +204,7 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
     else:
         params = core.schedule_vanilla(ds, spec, plan, schedule)
     dcfg = None
-    stepper = "adaspdc" if cfg.algo == "adaspdc" else "spdc"
     if cfg.algo == "dspdc":
-        stepper = "dspdc"
         try:
             q = None
             if cfg.dspdc_q != "uniform":
@@ -200,8 +215,8 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
         ok, failing, _ = core.verify_thm20(params, plan, dcfg, ds, spec, cfg.a)
         if not ok:
             raise ScheduleError(f"dspdc parameter check failed at {failing}")
-    result = run_fixed(ds, spec, plan, params, cfg.a, budget, rng,
-                       stepper=stepper, dspdc_cfg=dcfg, timing=cfg.timing)
+    result = run_fixed(ds, spec, plan, params, cfg.a, budget, rng, dspdc_cfg=dcfg,
+                       timing=cfg.timing)
     extra["dspdc_cfg"] = dcfg
     return result, extra
 
@@ -232,13 +247,7 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.check_sizes(ds.n, ds.d)
-    lmax = lambda_max(ds)
-    if lmax == 0.0:
-        raise ConfigError("lambda_max is zero; the label/feature correlation vanishes")
-    spec = ProblemSpec(gamma=cfg.gamma, lam=cfg.lambda_scale * lmax)
-    budget = Budget(gap_tol=cfg.gap_tol, max_epochs=cfg.max_epochs)
-    rng = np.random.default_rng(cfg.seed)
+    lmax, spec, budget, rng = _problem(cfg, ds)
     t0 = time.perf_counter()
     result, extra = _dispatch(cfg, ds, spec, budget, rng)
     wall = time.perf_counter() - t0 if cfg.timing else 0.0
@@ -271,9 +280,10 @@ def run(cfg: RunConfig) -> int:
             "theta": result.params.theta,
         }
     if cfg.trace:
-        write_trace_csv(result.trace, cfg.trace)
+        with _writing(cfg.trace):
+            write_trace_csv(result.trace, cfg.trace)
     if cfg.summary:
-        with open(cfg.summary, "w") as fh:
+        with _writing(cfg.summary), open(cfg.summary, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(
@@ -318,11 +328,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
             ds = loaded[cfg.normalize]
             if isinstance(ds, Exception):
                 raise ds
-            cfg.check_sizes(ds.n, ds.d)
-            lmax = lambda_max(ds)
-            spec = ProblemSpec(gamma=cfg.gamma, lam=cfg.lambda_scale * lmax)
-            budget = Budget(gap_tol=cfg.gap_tol, max_epochs=cfg.max_epochs)
-            rng = np.random.default_rng(cfg.seed)
+            _, spec, budget, rng = _problem(cfg, ds)
             result, _ = _dispatch(cfg, ds, spec, budget, rng)
             last = result.trace[-1]
             row.update(
@@ -339,7 +345,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
     if out_path:
         fields = ["algo", "prob", "lambda_scale", "a", "seed", "status",
                   "epochs_to_tol", "final_gap", "iterations"]
-        with open(out_path, "w", newline="") as fh:
+        with _writing(out_path), open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
@@ -386,7 +392,7 @@ def synth(n: int, d: int, sparsity: float, dual_skew: float, seed: int,
         vals *= margin / abs(s)
         feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(support, vals))
         lines.append(f"{int(y):+d} {feats}")
-    with open(out_path, "w") as fh:
+    with _writing(out_path), open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

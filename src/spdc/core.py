@@ -10,6 +10,9 @@ spec's schedule tokens:
 * ``thm15`` - uniform p with large batches ``a >= sqrt(n)``.
 * ``cor18``/``cor19`` - shared scalar dual step (plain SPDC), base / boosted.
 
+All of them, and the restricted rule of the violation-gated runners, are one
+formula, :func:`_steps`.
+
 ``verify_lemma3`` / ``verify_lemma14`` / ``verify_thm20`` evaluate the
 feasibility inequalities that certify geometric contraction of the potential
 ``delta_t`` for the emitted parameters.
@@ -218,8 +221,33 @@ def _check_cap(p: np.ndarray, cap: float, what: str) -> None:
         raise ScheduleError(f"{what}: p[{i}] is not strictly positive")
 
 
+def _supported(plan: SamplingPlan, *arrays):
+    """``plan.p`` and each of ``arrays`` on the entries with nonzero probability."""
+    active = plan.p > 0.0
+    return (plan.p[active], *(x[active] for x in arrays))
+
+
 def _r_under(p: np.ndarray, norms: np.ndarray) -> float:
     return float(np.min(p / norms))
+
+
+def _steps(spec: ProblemSpec, k: int, tau_half, sigma_half):
+    """The step-size formula of every rule:
+    ``tau = tau_half sqrt(k gamma/lam)``, ``sigma_i = sigma_half_i sqrt(k lam/gamma)``.
+
+    ``k`` is 1 for the base rules and the instance count for the
+    sqrt(n)-boosted ones; the halves are ``a x/2`` and ``n x_i/2`` for the
+    rule's ``x`` (``R_under``, ``p_i/||x_i||`` or ``1/(a ||x_i||)``), computed
+    by the caller in the rule's own expression order, which fixes the bits.
+    """
+    return (tau_half * math.sqrt(k * spec.gamma / spec.lam),
+            sigma_half * math.sqrt(k * spec.lam / spec.gamma))
+
+
+def _theta(spec: ProblemSpec, tau: float, a: int, n: int, p, sigma) -> float:
+    t1 = 1.0 - 1.0 / (1.0 + 1.0 / (2.0 * tau * spec.lam))
+    t2 = 1.0 - 1.0 / np.max(1.0 / (a * p) + n / (2.0 * a * sigma * spec.gamma))
+    return max(t1, float(t2))
 
 
 def theta_of(params: StepParams, plan: SamplingPlan, spec: ProblemSpec, n: int) -> float:
@@ -229,13 +257,32 @@ def theta_of(params: StepParams, plan: SamplingPlan, spec: ProblemSpec, n: int) 
                   1 - 1/max_i(1/(a p_i) + n/(2 a sigma_i gamma)))``,
     always in (0, 1).  Entries with zero probability are excluded.
     """
+    p, sigma = _supported(plan, params.sigma)
+    return _theta(spec, params.tau, plan.batch, n, p, sigma)
+
+
+# rules on a given plan: schedule -> (sqrt(n)-boosted, shared scalar sigma)
+_PLAN_RULES = {"thm4": (False, False), "thm5": (True, False),
+               "cor18": (False, True), "cor19": (True, True)}
+
+
+def _plan_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
+    boosted, shared = _PLAN_RULES[schedule]
     a = plan.batch
-    active = plan.p > 0.0
-    p = plan.p[active]
-    sigma = params.sigma[active]
-    t1 = 1.0 - 1.0 / (1.0 + 1.0 / (2.0 * params.tau * spec.lam))
-    t2 = 1.0 - 1.0 / np.max(1.0 / (a * p) + n / (2.0 * a * sigma * spec.gamma))
-    return max(t1, float(t2))
+    n = ds.n
+    if boosted:
+        if a * a > n:
+            raise ScheduleError(f"{schedule} requires a <= sqrt(n); got a={a}, n={n}")
+        _check_cap(plan.p, 1.0 / (a * math.sqrt(n)), schedule)
+    else:
+        _check_cap(plan.p, 1.0 / a, schedule)
+    ru = _r_under(plan.p, ds.row_norms)
+    sigma_half = n * ru / 2.0 if shared else n * plan.p / (2.0 * ds.row_norms)
+    tau, sigma = _steps(spec, n if boosted else 1, a * ru / 2.0, sigma_half)
+    params = StepParams(tau=tau, sigma=np.full(n, sigma) if shared else sigma, theta=0.5,
+                        schedule=schedule, r_under=ru, n_eff=n)
+    params.theta = theta_of(params, plan, spec, n)
+    return params
 
 
 def schedule_thm4(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
@@ -244,15 +291,7 @@ def schedule_thm4(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
     ``tau = (a R_under / 2) sqrt(gamma/lam)``,
     ``sigma_i = (n p_i / (2||x_i||)) sqrt(lam/gamma)``.
     """
-    a = plan.batch
-    _check_cap(plan.p, 1.0 / a, "thm4")
-    n = ds.n
-    ru = _r_under(plan.p, ds.row_norms)
-    tau = (a * ru / 2.0) * math.sqrt(spec.gamma / spec.lam)
-    sigma = (n * plan.p / (2.0 * ds.row_norms)) * math.sqrt(spec.lam / spec.gamma)
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm4", r_under=ru, n_eff=n)
-    params.theta = theta_of(params, plan, spec, n)
-    return params
+    return _plan_rule("thm4", ds, spec, plan)
 
 
 def schedule_thm5(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
@@ -261,17 +300,7 @@ def schedule_thm5(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
     ``tau = (a R_under / 2) sqrt(n gamma/lam)``,
     ``sigma_i = (n p_i / (2||x_i||)) sqrt(n lam/gamma)``.
     """
-    a = plan.batch
-    n = ds.n
-    if a * a > n:
-        raise ScheduleError(f"thm5 requires a <= sqrt(n); got a={a}, n={n}")
-    _check_cap(plan.p, 1.0 / (a * math.sqrt(n)), "thm5")
-    ru = _r_under(plan.p, ds.row_norms)
-    tau = (a * ru / 2.0) * math.sqrt(n * spec.gamma / spec.lam)
-    sigma = (n * plan.p / (2.0 * ds.row_norms)) * math.sqrt(n * spec.lam / spec.gamma)
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm5", r_under=ru, n_eff=n)
-    params.theta = theta_of(params, plan, spec, n)
-    return params
+    return _plan_rule("thm5", ds, spec, plan)
 
 
 def schedule_thm15(ds, spec: ProblemSpec, a: int) -> StepParams:
@@ -284,8 +313,7 @@ def schedule_thm15(ds, spec: ProblemSpec, a: int) -> StepParams:
     if a * a < n:
         raise ScheduleError(f"thm15 requires a >= sqrt(n); got a={a}, n={n}")
     big_r = float(np.max(ds.row_norms))
-    tau = (1.0 / (2.0 * big_r)) * math.sqrt(spec.gamma / spec.lam)
-    sigma = (n / (2.0 * a * ds.row_norms)) * math.sqrt(spec.lam / spec.gamma)
+    tau, sigma = _steps(spec, 1, 1.0 / (2.0 * big_r), n / (2.0 * a * ds.row_norms))
     plan = build_uniform(n, a)
     ru = _r_under(plan.p, ds.row_norms)
     params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm15", r_under=ru, n_eff=n)
@@ -300,25 +328,9 @@ def schedule_vanilla(ds, spec: ProblemSpec, plan: SamplingPlan, scheme: str) -> 
     for ``p_i <= 1/a``.  ``cor19`` carries sqrt(n) factors and needs
     ``a <= sqrt(n)``, ``p_i <= 1/(a sqrt(n))``.
     """
-    a = plan.batch
-    n = ds.n
-    ru = _r_under(plan.p, ds.row_norms)
-    if scheme == "cor18":
-        _check_cap(plan.p, 1.0 / a, "cor18")
-        tau = (a * ru / 2.0) * math.sqrt(spec.gamma / spec.lam)
-        sigma_val = (n * ru / 2.0) * math.sqrt(spec.lam / spec.gamma)
-    elif scheme == "cor19":
-        if a * a > n:
-            raise ScheduleError(f"cor19 requires a <= sqrt(n); got a={a}, n={n}")
-        _check_cap(plan.p, 1.0 / (a * math.sqrt(n)), "cor19")
-        tau = (a * ru / 2.0) * math.sqrt(n * spec.gamma / spec.lam)
-        sigma_val = (n * ru / 2.0) * math.sqrt(n * spec.lam / spec.gamma)
-    else:
+    if scheme not in ("cor18", "cor19"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    sigma = np.full(n, sigma_val)
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule=scheme, r_under=ru, n_eff=n)
-    params.theta = theta_of(params, plan, spec, n)
-    return params
+    return _plan_rule(scheme, ds, spec, plan)
 
 
 def verify_lemma3(params: StepParams, plan: SamplingPlan, ds, a: int):
@@ -329,10 +341,7 @@ def verify_lemma3(params: StepParams, plan: SamplingPlan, ds, a: int):
     Returns (ok, worst margin); zero-probability coordinates are skipped.
     """
     n = params.n_eff
-    active = plan.p > 0.0
-    p = plan.p[active]
-    sigma = params.sigma[active]
-    norms = ds.row_norms[active]
+    p, sigma, norms = _supported(plan, params.sigma, ds.row_norms)
     lhs = 1.0 / (2.0 * a * sigma) - (
         params.tau * norms**2 * ((1.0 - a * p) ** 2 + params.theta) / (a * p * n) ** 2
     )
@@ -347,10 +356,7 @@ def verify_lemma14(params: StepParams, plan: SamplingPlan, ds, a: int) -> bool:
     ``(sum_k ||x_k||^2) / (n^2 / tau) <= 1/(4 a sigma_i)``.
     """
     n = params.n_eff
-    active = plan.p > 0.0
-    p = plan.p[active]
-    sigma = params.sigma[active]
-    norms = ds.row_norms[active]
+    p, sigma, norms = _supported(plan, params.sigma, ds.row_norms)
     bound1 = a * (p * n) ** 2 / (4.0 * norms**2)
     ok1 = np.all(params.tau * sigma <= bound1 * (1.0 + _RTOL))
     lhs2 = float(np.sum(norms**2)) / (n * n / params.tau)
@@ -381,9 +387,7 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
     a_blk = d / (2.0 * tau * sizes)
     clause1 = float(np.max((a_blk + lam * (1.0 - q) / q) / (a_blk + lam / q)))
 
-    active = plan.p > 0.0
-    p = plan.p[active]
-    sigma = params.sigma[active]
+    p, sigma, lam_k = _supported(plan, params.sigma, cfg.block_norms_sq(ds))
     dual_num = 1.0 / (2.0 * sigma) + (1.0 - a * p) * gamma / (p * n)
     dual_den = 1.0 / (2.0 * sigma) + gamma / (p * n)
     clause2 = float(np.max(dual_num / dual_den))
@@ -392,7 +396,6 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
     clause3 = theta * qmax
     clause4 = theta * qmax
 
-    lam_k = cfg.block_norms_sq(ds)[active]
     qmin = float(np.min(q))
     lhs5 = 1.0 / (2.0 * a * sigma) - (
         ((1.0 - a * p) ** 2 / qmin + theta) * tau * lam_k / (a * p * n) ** 2
@@ -589,26 +592,18 @@ def _dense_primal_pass(state: SolverState, tau, lam, theta, primal_coords) -> No
         state._memo = _PrimalMemo(tau, lam, theta, _pass_arrays(state), moved)
 
 
-def _step(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
-          spec: ProblemSpec, a: int, rng: np.random.Generator,
-          primal_coords=None) -> SolverState:
+def adaspdc_step(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
+                 spec: ProblemSpec, a: int, rng: np.random.Generator,
+                 primal_coords=None) -> SolverState:
+    """One iteration with per-instance dual step sizes."""
     _dual_pass(state, params, plan, ds, spec, a, rng)
     _primal_pass(state, params.tau, spec.lam, params.theta, primal_coords)
     return state
 
 
-def adaspdc_step(state, params, plan, ds, spec, a, rng, primal_coords=None):
-    """One iteration with per-instance dual step sizes."""
-    return _step(state, params, plan, ds, spec, a, rng, primal_coords)
-
-
-def vanilla_spdc_step(state, params, plan, ds, spec, a, rng, primal_coords=None):
-    """One iteration with a shared scalar dual step size.
-
-    Identical to :func:`adaspdc_step` when all ``sigma_i`` coincide, which the
-    shared-sigma rules guarantee by construction.
-    """
-    return _step(state, params, plan, ds, spec, a, rng, primal_coords)
+# one iteration with a shared scalar dual step size: the shared-sigma rules
+# make every sigma_i equal, so it is the per-instance iteration
+vanilla_spdc_step = adaspdc_step
 
 
 def dspdc_step(state, params, plan, cfg: DspdcConfig, ds, spec, a,
@@ -635,18 +630,15 @@ def complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, a: int,
     p = plan.p
     norms = ds.row_norms
     lg = spec.lam * spec.gamma
-    if schedule == "thm4":
-        return float(np.max(1.0 / (a * p) + norms / (p * a * math.sqrt(lg))))
-    if schedule == "thm5":
-        return float(np.max(1.0 / (a * p) + norms / (p * a * math.sqrt(n * lg))))
     if schedule == "thm15":
         return n / a + float(np.max(norms)) / math.sqrt(lg)
-    ru = _r_under(p, norms)
-    if schedule == "cor18":
-        return float(np.max(1.0 / (a * p))) + 1.0 / (ru * a * math.sqrt(lg))
-    if schedule == "cor19":
-        return float(np.max(1.0 / (a * p))) + 1.0 / (ru * a * math.sqrt(n * lg))
-    raise ValueError(f"unknown schedule {schedule!r}")
+    if schedule not in _PLAN_RULES:
+        raise ValueError(f"unknown schedule {schedule!r}")
+    boosted, shared = _PLAN_RULES[schedule]
+    root = math.sqrt((n if boosted else 1) * lg)
+    if shared:
+        return float(np.max(1.0 / (a * p))) + 1.0 / (_r_under(p, norms) * a * root)
+    return float(np.max(1.0 / (a * p) + norms / (p * a * root)))
 
 
 def delta_t(state: SolverState, ref_w, ref_alpha, params: StepParams,

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "ProblemSpec",
-    "ViolationVector",
     "smoothed_hinge",
     "smoothed_hinge_grad",
     "smoothed_hinge_conj",
@@ -44,45 +43,12 @@ class ProblemSpec:
 
     gamma: float = 1.0
     lam: float = 1.0
-    loss: str = "smoothed_hinge"
-    penalty: str = "elastic_net"
 
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.loss != "smoothed_hinge":
-            raise ValueError(f"unsupported loss {self.loss!r}")
-        if self.penalty != "elastic_net":
-            raise ValueError(f"unsupported penalty {self.penalty!r}")
-
-
-@dataclass
-class ViolationVector:
-    """Per-instance dual and per-feature primal optimality violations.
-
-    ``stamp`` records the iteration the vectors were computed at.
-    """
-
-    kappa: np.ndarray
-    psi: np.ndarray
-    stamp: int = 0
-
-    def __post_init__(self):
-        if np.any(self.kappa < 0) or not np.all(np.isfinite(self.kappa)):
-            raise ValueError("kappa entries must be nonnegative and finite")
-        if np.any(self.psi < 0) or not np.all(np.isfinite(self.psi)):
-            raise ValueError("psi entries must be nonnegative and finite")
-
-    @classmethod
-    def at(cls, w, alpha, ds, spec: "ProblemSpec", stamp: int = 0) -> "ViolationVector":
-        """Evaluate both violation vectors at the given iterate."""
-        return cls(
-            kappa=dual_violations(w, alpha, ds, spec),
-            psi=primal_violations(w, alpha, ds, spec),
-            stamp=stamp,
-        )
 
 
 def smoothed_hinge(z, y, gamma):

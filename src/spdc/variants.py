@@ -1,12 +1,17 @@
-"""Solver run loops: fixed-plan runs, violation-refresh sampling, and the
-snapshot/acceptance heuristics that restrict updates to violated coordinates.
+"""Solver runs: fixed-plan runs, violation-refresh sampling, exact gating,
+and the snapshot/acceptance heuristics that restrict updates to violated
+coordinates.
 
-Each runner drives the step functions from :mod:`spdc.core`, emits one trace
-record per epoch-equivalent of sampled dual coordinates, and stops when the
-duality gap reaches the budget tolerance or the epoch budget is exhausted
-(budget exhaustion returns the final state, it is not an error).  Runs are
-strictly sequential; distinct runs over the same dataset may execute in
-parallel.
+Every runner is one run loop, :func:`_drive`, and a small policy that
+picks the plan and step sizes.  The loop emits one trace record per
+epoch-equivalent of sampled dual coordinates and stops when the duality gap
+reaches the budget tolerance or the epoch budget is spent (budget exhaustion
+returns the final state, it is not an error).  It tests the budget between
+the policy's units, so the three kinds of run stop differently: a fixed-plan
+run tests it between epochs and ends on a whole epoch; ``ovsspdc`` and
+``ovs-exact`` test it after every iteration and close with a partial
+checkpoint; the snapshot variants test it once per round.  Runs are strictly
+sequential; distinct runs over the same dataset may execute in parallel.
 """
 
 from __future__ import annotations
@@ -64,16 +69,13 @@ class VariantConfig:
     ``refresh_every`` is the iteration period of the violation/probability
     refresh (None means ceil(n/a)).  ``gap_check_every`` sets how often the
     snapshot acceptance test runs inside an inner loop (None means once, at
-    the end).  ``violation_tol`` is the threshold below which a violation
-    counts as zero; the default 0 uses exact float equality, which the prox
-    arithmetic produces at fixed points.  ``record_draws`` keeps a log of all
-    sampled indices for instrumentation.
+    the end).  A violation counts as zero only at exact float equality,
+    which the prox arithmetic produces at fixed points.  ``record_draws``
+    keeps a log of all sampled indices for instrumentation.
     """
 
     refresh_every: int | None = None
     gap_check_every: int | None = None
-    mode: str = "ovs"
-    violation_tol: float = 0.0
     record_draws: bool = False
 
     def __post_init__(self):
@@ -83,7 +85,8 @@ class VariantConfig:
 
 @dataclass
 class RunResult:
-    """A finished run: final state, trace, and bookkeeping counters."""
+    """A run's state, trace and bookkeeping counters, with the last plan and
+    step sizes it used; :func:`_drive` fills it in."""
 
     state: SolverState
     trace: list
@@ -128,42 +131,94 @@ def _checkpoint(records, idx, epoch, clock, state, ds, spec) -> TraceRecord:
     return rec
 
 
+class _Optimum(Exception):
+    """The iterate is an exact optimum; ``args[0]`` is the number of duals
+    the unit that found it drew."""
+
+
+def _new_run(ds, state0: SolverState | None, cfg: VariantConfig | None = None,
+             actives: bool = True, **counters) -> RunResult:
+    """An empty run record for :func:`_drive` from a copy of ``state0`` (or
+    a zero state), holding the policy's own counters and, when
+    ``cfg.record_draws`` is set, the logs of sampled indices (and of active
+    sets, with ``actives``)."""
+    if cfg is not None and cfg.record_draws:
+        counters["draw_log"] = []
+        if actives:
+            counters["active_log"] = []
+    state = init_state(ds) if state0 is None else state0.copy()
+    return RunResult(state, [], False, counters)
+
+
+def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
+           every: int, timing: bool, start=None) -> RunResult:
+    """The run loop of every solver.
+
+    ``advance(units)`` is the solver's policy: it runs the iterations
+    between two budget tests on ``run.state`` (it may replace the state and
+    set ``run.plan``/``run.params``), is told how many units ran before it
+    and returns the number of duals it drew, or raises :class:`_Optimum`.
+    Checkpoint 0 comes first; the budget is tested before every unit; a
+    unit that drew duals and ends a multiple of ``every`` units is
+    checkpointed.  The run ends when a checkpoint's gap reaches the
+    tolerance, the budget is spent or the policy finds an exact optimum; an
+    optimum or a unit off the cadence gets a last checkpoint, once the state
+    has iterated.  ``start``, if given, is called with the gap of
+    checkpoint 0.
+    """
+    n = ds.n
+    clock = _Clock(timing)
+    records = run.trace
+    rec = _checkpoint(records, 0, 0.0, clock, run.state, ds, spec)
+    converged = rec.gap <= budget.gap_tol
+    if start is not None:
+        start(rec.gap)
+    drawn = units = 0
+    optimal = False
+    try:
+        while not converged and drawn / n < budget.max_epochs:
+            k = advance(units)
+            drawn += k
+            units += 1
+            if k and units % every == 0:
+                rec = _checkpoint(records, len(records), drawn / n, clock, run.state, ds, spec)
+                converged = rec.gap <= budget.gap_tol
+    except _Optimum as exc:
+        drawn += exc.args[0]
+        optimal = run.counters["optimal_exit"] = True
+    if run.state.iter > 0 and (optimal or units % every != 0):
+        rec = _checkpoint(records, len(records), drawn / n, clock, run.state, ds, spec)
+        converged = rec.gap <= budget.gap_tol
+    run.converged = converged or optimal
+    run.counters.update(iterations=run.state.iter, duals_drawn=drawn)
+    return run
+
+
 def run_fixed(ds, spec: ProblemSpec, plan: SamplingPlan, params: StepParams,
               a: int, budget: Budget, rng: np.random.Generator,
-              stepper: str = "adaspdc", dspdc_cfg: DspdcConfig | None = None,
-              timing: bool = True, state0: SolverState | None = None) -> RunResult:
+              dspdc_cfg: DspdcConfig | None = None, timing: bool = True,
+              state0: SolverState | None = None) -> RunResult:
     """Run a solver with a fixed plan and fixed step sizes to the budget.
 
-    ``stepper`` selects the iteration: 'adaspdc' (per-instance dual steps),
-    'spdc' (shared scalar step), or 'dspdc' (random primal block, needs
-    ``dspdc_cfg``).  ``state0`` warm-starts the run (the state is copied).
+    Each iteration proxes sampled duals with the steps of ``params`` (the
+    shared-sigma rules make them equal: plain SPDC) and then the whole
+    primal, or with ``dspdc_cfg`` one random primal block.  The budget is
+    tested between epochs.  ``state0`` warm-starts the run (it is copied).
     """
-    state = init_state(ds) if state0 is None else state0.copy()
-    clock = _Clock(timing)
-    records: list[TraceRecord] = []
+    run = _new_run(ds, state0)
+    run.plan, run.params = plan, params
     per_epoch = math.ceil(ds.n / a)
-    rec = _checkpoint(records, 0, 0.0, clock, state, ds, spec)
-    converged = rec.gap <= budget.gap_tol
-    duals_drawn = 0
-    ckpt = 0
-    while not converged and duals_drawn / ds.n < budget.max_epochs:
+
+    def epoch(_):
+        state = run.state
         for _ in range(per_epoch):
-            if stepper == "dspdc":
-                core.dspdc_step(state, params, plan, dspdc_cfg, ds, spec, a, rng)
-            else:
+            if dspdc_cfg is None:
                 adaspdc_step(state, params, plan, ds, spec, a, rng)
-            duals_drawn += a
-        ckpt += 1
-        rec = _checkpoint(records, ckpt, duals_drawn / ds.n, clock, state, ds, spec)
-        converged = rec.gap <= budget.gap_tol
-    return RunResult(
-        state=state,
-        trace=records,
-        converged=converged,
-        counters={"iterations": state.iter, "duals_drawn": duals_drawn},
-        params=params,
-        plan=plan,
-    )
+            else:
+                core.dspdc_step(state, params, plan, dspdc_cfg, ds, spec, a, rng)
+        return per_epoch * a
+
+    return _drive(ds, spec, budget, run, epoch, 1, timing)
 
 
 def run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig, budget: Budget,
@@ -175,56 +230,37 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig, budget: Budge
     violations are recomputed at the current iterate, the capped
     violation-weighted plan is rebuilt, and the sqrt(n)-boosted step sizes and
     momentum are rederived from it.  When every violation is zero the refresh
-    falls back to the uniform plan and the run continues.
+    falls back to the uniform plan and the run continues.  The budget is
+    tested after every iteration.
     """
     n = ds.n
     if a * a > n:
         raise ScheduleError(f"violation-weighted sampling requires a <= sqrt(n); got a={a}")
-    refresh_every = cfg.refresh_every or math.ceil(n / a)
     per_epoch = math.ceil(n / a)
-    state = init_state(ds) if state0 is None else state0.copy()
-    clock = _Clock(timing)
-    records: list[TraceRecord] = []
-    rec = _checkpoint(records, 0, 0.0, clock, state, ds, spec)
-    converged = rec.gap <= budget.gap_tol
-    plan = params = None
-    refreshes = fallbacks = 0
-    draw_log = [] if cfg.record_draws else None
-    duals_drawn = 0
-    ckpt = 0
-    it = 0
-    while not converged and duals_drawn / n < budget.max_epochs:
+    refresh_every = cfg.refresh_every or per_epoch
+    run = _new_run(ds, state0, cfg, actives=False, refreshes=0,
+                   uniform_fallbacks=0)
+    counters = run.counters
+    draws = counters.get("draw_log")
+
+    def iteration(it):
+        state = run.state
         if it % refresh_every == 0:
             kappa = dual_violations(state.w, state.alpha, ds, spec)
-            kappa = np.where(kappa > cfg.violation_tol, kappa, 0.0)
+            kappa = np.where(kappa > 0.0, kappa, 0.0)
             try:
-                plan = build_ovs(kappa, ds.row_norms, a, n)
+                run.plan = build_ovs(kappa, ds.row_norms, a, n)
             except ZeroViolations:
-                plan = build_uniform(n, a)
-                fallbacks += 1
-            params = core.schedule_thm5(ds, spec, plan)
-            refreshes += 1
-        adaspdc_step(state, params, plan, ds, spec, a, rng)
-        if draw_log is not None:
-            draw_log.append(state.last_draws.copy())
-        duals_drawn += a
-        it += 1
-        if it % per_epoch == 0:
-            ckpt += 1
-            rec = _checkpoint(records, ckpt, duals_drawn / n, clock, state, ds, spec)
-            converged = rec.gap <= budget.gap_tol
-    if it % per_epoch != 0:
-        rec = _checkpoint(records, ckpt + 1, duals_drawn / n, clock, state, ds, spec)
-        converged = rec.gap <= budget.gap_tol
-    counters = {
-        "iterations": state.iter,
-        "duals_drawn": duals_drawn,
-        "refreshes": refreshes,
-        "uniform_fallbacks": fallbacks,
-    }
-    if draw_log is not None:
-        counters["draw_log"] = draw_log
-    return RunResult(state, records, converged, counters, params, plan)
+                run.plan = build_uniform(n, a)
+                counters["uniform_fallbacks"] += 1
+            run.params = core.schedule_thm5(ds, spec, run.plan)
+            counters["refreshes"] += 1
+        adaspdc_step(state, run.params, run.plan, ds, spec, a, rng)
+        if draws is not None:
+            draws.append(state.last_draws.copy())
+        return a
+
+    return _drive(ds, spec, budget, run, iteration, per_epoch, timing)
 
 
 def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan, a: int) -> StepParams:
@@ -241,28 +277,19 @@ def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan, a: int) -> S
     n_eff = active.size
     p_act = plan.p[active]
     norms_act = ds.row_norms[active]
-    ru = float(np.min(p_act / norms_act))
+    ru = core._r_under(p_act, norms_act)
     a_eff = min(a, n_eff)
-    if a_eff * a_eff <= n_eff:
-        tau = (a_eff * ru / 2.0) * math.sqrt(n_eff * spec.gamma / spec.lam)
-        sig_act = (n_eff * p_act / (2.0 * norms_act)) * math.sqrt(n_eff * spec.lam / spec.gamma)
-        schedule = "thm5"
-    else:
-        tau = (a_eff * ru / 2.0) * math.sqrt(spec.gamma / spec.lam)
-        sig_act = (n_eff * p_act / (2.0 * norms_act)) * math.sqrt(spec.lam / spec.gamma)
-        schedule = "thm4"
+    boosted = a_eff * a_eff <= n_eff
+    tau, sig_act = core._steps(spec, n_eff if boosted else 1, a_eff * ru / 2.0,
+                               n_eff * p_act / (2.0 * norms_act))
     degenerate = spec.gamma - p_act * n_eff / sig_act == 0.0
     if np.any(degenerate):
         sig_act = np.where(degenerate, sig_act * (1.0 + 1e-9), sig_act)
     sigma = np.ones(ds.n)
     sigma[active] = sig_act
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule=schedule,
-                        r_under=ru, n_eff=n_eff)
-    t1 = 1.0 - 1.0 / (1.0 + 1.0 / (2.0 * tau * spec.lam))
-    t2 = 1.0 - 1.0 / float(
-        np.max(1.0 / (a_eff * p_act) + n_eff / (2.0 * a_eff * sig_act * spec.gamma))
-    )
-    params.theta = max(t1, t2)
+    params = StepParams(tau=tau, sigma=sigma, theta=0.5,
+                        schedule="thm5" if boosted else "thm4", r_under=ru, n_eff=n_eff)
+    params.theta = core._theta(spec, tau, a_eff, n_eff, p_act, sig_act)
     return params
 
 
@@ -276,63 +303,40 @@ def run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: Budget,
     quantity the dual prox actually sees, so gated coordinates are exact
     fixed points.  Costs O(nnz) per iteration; intended for small problems.
     Terminates early when every dual and primal violation is exactly zero.
+    The budget is tested after every iteration.
     """
-    n = ds.n
-    a = 1
-    state = init_state(ds) if state0 is None else state0.copy()
-    clock = _Clock(timing)
-    records: list[TraceRecord] = []
-    rec = _checkpoint(records, 0, 0.0, clock, state, ds, spec)
-    converged = rec.gap <= budget.gap_tol
-    plan = params = None
-    optimal = False
-    draw_log = [] if cfg.record_draws else None
-    active_log = [] if cfg.record_draws else None
-    duals_drawn = 0
-    ckpt = 0
-    it = 0
-    while not converged and not optimal and duals_drawn / n < budget.max_epochs:
+    run = _new_run(ds, state0, cfg, optimal_exit=False)
+    draws, actives = run.counters.get("draw_log"), run.counters.get("active_log")
+
+    def iteration(_):
+        state = run.state
         kappa_bar = dual_violations(state.w_bar, state.alpha, ds, spec)
-        kappa_bar = np.where(kappa_bar > cfg.violation_tol, kappa_bar, 0.0)
+        kappa_bar = np.where(kappa_bar > 0.0, kappa_bar, 0.0)
         try:
-            plan = build_restricted(kappa_bar, a)
+            plan = build_restricted(kappa_bar, 1)
         except ZeroViolations:
             psi = primal_violations(state.w, state.alpha_bar, ds, spec)
             if np.all(psi == 0.0):
-                optimal = True
-                break
+                raise _Optimum(0) from None
             # dual side settled; flush the primal and re-check next iteration
-            if params is None:
-                params = core.schedule_thm5(ds, spec, build_uniform(n, a))
+            if run.params is None:
+                run.params = core.schedule_thm5(ds, spec, build_uniform(ds.n, 1))
             core._settle_alpha_bar(state, ds)
             w_before = state.w.copy()
-            core._primal_pass(state, params.tau, spec.lam, params.theta)
-            it += 1
+            core._primal_pass(state, run.params.tau, spec.lam, run.params.theta)
             if np.array_equal(state.w, w_before):
                 # the primal map has frozen too: a genuine fixed point
-                optimal = True
-                break
-            continue
-        params = _restricted_schedule(ds, spec, plan, a)
-        adaspdc_step(state, params, plan, ds, spec, a, rng)
-        if draw_log is not None:
-            draw_log.append(state.last_draws.copy())
-            active_log.append(plan.active.copy())
-        duals_drawn += a
-        it += 1
-        if it % n == 0:
-            ckpt += 1
-            rec = _checkpoint(records, ckpt, duals_drawn / n, clock, state, ds, spec)
-            converged = rec.gap <= budget.gap_tol
-    if state.iter > 0 and (optimal or it % n != 0):
-        rec = _checkpoint(records, ckpt + 1, duals_drawn / n, clock, state, ds, spec)
-        converged = rec.gap <= budget.gap_tol
-    counters = {"iterations": state.iter, "duals_drawn": duals_drawn,
-                "optimal_exit": optimal}
-    if draw_log is not None:
-        counters["draw_log"] = draw_log
-        counters["active_log"] = active_log
-    return RunResult(state, records, converged or optimal, counters, params, plan)
+                raise _Optimum(0) from None
+            return 0  # drew nothing, so takes no checkpoint
+        run.plan = plan
+        run.params = _restricted_schedule(ds, spec, plan, 1)
+        adaspdc_step(state, run.params, plan, ds, spec, 1, rng)
+        if draws is not None:
+            draws.append(state.last_draws.copy())
+            actives.append(plan.active.copy())
+        return 1
+
+    return _drive(ds, spec, budget, run, iteration, ds.n, timing)
 
 
 def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) -> None:
@@ -362,103 +366,74 @@ def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) ->
 def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
                           budget: Budget, rng: np.random.Generator,
                           restrict_primal: bool, timing: bool = True) -> RunResult:
-    """Shared body of the snapshot/acceptance heuristics.
+    """Shared body of the snapshot/acceptance heuristics; the budget is
+    tested once per round.
 
-    Outer rounds: one deterministic full sweep, violation recomputation, then
-    an inner loop of ceil(n'/a) sampled iterations over the restricted plan.
-    Inner iterates are committed only when their duality gap strictly improves
-    on the best committed gap, so the committed gap sequence is strictly
-    decreasing by construction.  When ``restrict_primal`` is set, inner primal
-    updates touch only coordinates with nonzero primal violations.
+    A round is one deterministic full sweep, violation recomputation, then
+    an inner loop of ceil(n'/a) sampled iterations over the restricted plan
+    on a copy of the state.  Inner iterates are committed only when their
+    duality gap strictly improves on the best committed gap, so the
+    committed gap sequence is strictly decreasing by construction.  When
+    ``restrict_primal`` is set, inner primal updates touch only coordinates
+    with nonzero primal violations.
     """
     n = ds.n
-    state = init_state(ds)
-    clock = _Clock(timing)
-    records: list[TraceRecord] = []
-    rec = _checkpoint(records, 0, 0.0, clock, state, ds, spec)
-    ref_gap = rec.gap
-    converged = ref_gap <= budget.gap_tol
     if a * a <= n:
         outer_params = core.schedule_thm5(ds, spec, build_uniform(n, a))
     else:
         outer_params = core.schedule_thm15(ds, spec, a)
-    committed_gaps = [ref_gap]
-    counters = {
-        "primal_writes": 0,
-        "duals_drawn": 0,
-        "accepts": 0,
-        "inner_rounds": 0,
-        "optimal_exit": False,
-    }
-    draw_log = [] if cfg.record_draws else None
-    active_log = [] if cfg.record_draws else None
-    plan = params = None
-    ckpt = 0
-    while not converged and counters["duals_drawn"] / n < budget.max_epochs:
+    run = _new_run(ds, None, cfg, primal_writes=0, accepts=0, inner_rounds=0,
+                   optimal_exit=False, committed_gaps=[])
+    counters = run.counters
+    draws, actives = counters.get("draw_log"), counters.get("active_log")
+    gaps = counters["committed_gaps"]  # gaps[-1] is the best committed gap
+    check_every = cfg.gap_check_every
+
+    def round_(_):
+        state = run.state
         _full_pass(state, ds, spec, outer_params)
-        counters["duals_drawn"] += n
         counters["primal_writes"] += ds.d
         kappa = dual_violations(state.w, state.alpha, ds, spec)
-        kappa = np.where(kappa > cfg.violation_tol, kappa, 0.0)
+        kappa = np.where(kappa > 0.0, kappa, 0.0)
         g_full = primal_objective(state.w, ds, spec) - dual_objective(state.alpha, ds, spec)
-        if g_full < ref_gap:
-            ref_gap = g_full
-            committed_gaps.append(ref_gap)
-        if ref_gap <= budget.gap_tol:
-            converged = True
-            break
+        if g_full < gaps[-1]:
+            gaps.append(g_full)
+        if gaps[-1] <= budget.gap_tol:
+            return n  # the checkpoint of this state ends the run
         try:
             plan = build_restricted(kappa, a)
         except ZeroViolations:
-            counters["optimal_exit"] = True
-            break
-        params = _restricted_schedule(ds, spec, plan, a)
+            raise _Optimum(n) from None
+        run.plan = plan
+        run.params = params = _restricted_schedule(ds, spec, plan, a)
         primal_coords = None
         if restrict_primal:
             psi = primal_violations(state.w, state.alpha, ds, spec)
-            psi = np.where(psi > cfg.violation_tol, psi, 0.0)
+            psi = np.where(psi > 0.0, psi, 0.0)
             primal_coords = np.flatnonzero(psi != 0.0)
         n_active = plan.active.size
         inner_len = math.ceil(n_active / a)
         counters.setdefault("active_sizes", []).append(n_active)
         counters.setdefault("inner_lengths", []).append(inner_len)
         inner = state.copy()
-        accepted = None
         for u in range(1, inner_len + 1):
-            adaspdc_step(inner, params, plan, ds, spec, a, rng,
-                         primal_coords=primal_coords)
-            if draw_log is not None:
-                draw_log.append(inner.last_draws.copy())
-                active_log.append(plan.active.copy())
-            counters["duals_drawn"] += a
-            counters["primal_writes"] += ds.d if primal_coords is None else len(primal_coords)
-            check = (cfg.gap_check_every is not None and u % cfg.gap_check_every == 0)
-            if check or u == inner_len:
+            adaspdc_step(inner, params, plan, ds, spec, a, rng, primal_coords=primal_coords)
+            if draws is not None:
+                draws.append(inner.last_draws.copy())
+                actives.append(plan.active.copy())
+            if (check_every is not None and u % check_every == 0) or u == inner_len:
                 g = primal_objective(inner.w, ds, spec) - dual_objective(inner.alpha, ds, spec)
-                if g < ref_gap:
-                    ref_gap = g
-                    committed_gaps.append(g)
-                    accepted = inner.copy()
+                if g < gaps[-1]:
+                    gaps.append(g)
+                    run.state = inner.copy()
                     counters["accepts"] += 1
-                    if ref_gap <= budget.gap_tol:
+                    if g <= budget.gap_tol:
                         break
-        if accepted is not None:
-            state = accepted
         counters["inner_rounds"] += 1
-        ckpt += 1
-        rec = _checkpoint(records, ckpt, counters["duals_drawn"] / n, clock, state, ds, spec)
-        converged = rec.gap <= budget.gap_tol
-    if counters["optimal_exit"] or (converged and records[-1].gap > budget.gap_tol):
-        rec = _checkpoint(records, ckpt + 1, counters["duals_drawn"] / n, clock,
-                          state, ds, spec)
-        converged = rec.gap <= budget.gap_tol or counters["optimal_exit"]
-    counters["iterations"] = state.iter
-    counters["committed_gaps"] = committed_gaps
-    if draw_log is not None:
-        counters["draw_log"] = draw_log
-        counters["active_log"] = active_log
-    return RunResult(state, records, converged or counters["optimal_exit"],
-                     counters, params, plan)
+        counters["primal_writes"] += u * (ds.d if primal_coords is None else len(primal_coords))
+        return n + u * a
+
+    return _drive(ds, spec, budget, run, round_, 1, timing, start=gaps.append)
 
 
 def run_ovsspdc_plus(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,

@@ -224,10 +224,9 @@ def test_criterion_6_cross_solver_agreement(bench_file):
     runs["adaspdc"] = run_fixed(ds, spec, plan, schedule_thm5(ds, spec, plan), 1,
                                 budget, np.random.default_rng(61), timing=False)
     runs["spdc"] = run_fixed(ds, spec, plan, schedule_vanilla(ds, spec, plan, "cor19"),
-                             1, budget, np.random.default_rng(62), stepper="spdc",
-                             timing=False)
+                             1, budget, np.random.default_rng(62), timing=False)
     runs["dspdc"] = run_fixed(ds, spec, plan, schedule_vanilla(ds, spec, plan, "cor19"),
-                              1, budget, np.random.default_rng(63), stepper="dspdc",
+                              1, budget, np.random.default_rng(63),
                               dspdc_cfg=DspdcConfig.build(ds.d, ds.d), timing=False)
     runs["ovsspdc"] = run_ovsspdc(ds, spec, 1, VariantConfig(), budget,
                                   np.random.default_rng(64), timing=False)

@@ -194,6 +194,45 @@ class TestRun:
         assert cli("run", "--data", data_file) == 4
 
 
+class TestOutputPaths:
+    """An output path that cannot be written is a configuration error."""
+
+    @staticmethod
+    def _argv(kind, data, path):
+        if kind == "synth":
+            return ["synth", "--n", "5", "--d", "3", "--out", path]
+        if kind == "sweep":
+            return ["sweep", "--data", data, "--max-epochs", "1", "--out", path]
+        return ["run", "--data", data, "--max-epochs", "1", kind, path]
+
+    @pytest.mark.parametrize("kind", ["--trace", "--summary", "sweep", "synth"])
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_output_exits_2(self, small_file, tmp_path, capsys, kind, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+        assert main(self._argv(kind, small_file, str(path))) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {path}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["--trace", "--summary", "sweep", "synth"])
+    def test_writable_output(self, small_file, tmp_path, kind):
+        path = tmp_path / "out.txt"
+        assert main(self._argv(kind, small_file, str(path))) == 0
+        assert path.read_text()
+
+
+def test_zero_lambda_max_is_a_config_error(tmp_path, capsys):
+    # every feature is uncorrelated with the labels, so lambda_max is zero
+    data = tmp_path / "flat.svm"
+    data.write_text("+1 1:1\n-1 1:1\n")
+    assert cli("run", "--data", str(data)) == 2
+    assert "lambda_max is zero" in capsys.readouterr().err
+    out = tmp_path / "table.csv"
+    assert cli("sweep", "--data", str(data), "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "error: lambda_max is zero; the label/feature correlation vanishes"
+
+
 class TestDeterminism:
     def test_byte_identical_traces_without_timing(self, data_file, tmp_path):
         blobs = []
@@ -390,9 +429,31 @@ def data_paths(draw, valid, folder):
     return str(path)
 
 
+def output_paths(folder):
+    """An output path: a writable file, a directory or one whose parent is missing."""
+    return st.sampled_from([str(folder / "out.csv"), str(folder),
+                            str(folder / "missing" / "out.csv")])
+
+
+SYNTH_FLAGS = {
+    "--sparsity": ["0.3", "1", "0", "x"],
+    "--dual-skew": ["0", "0.5", "2", "-1"],
+    "--seed": ["0", "3", "x"],
+}
+
+
 @st.composite
 def argvs(draw, valid, folder):
-    command = draw(st.sampled_from(["run", "sweep"]))
+    command = draw(st.sampled_from(["run", "sweep", "synth"]))
+    if command == "synth":
+        # mostly valid sizes and few flags, so that most draws reach the write
+        argv = [command, "--n", draw(st.sampled_from(["4", "4", "0", "x"])),
+                "--d", draw(st.sampled_from(["3", "3", "-1"])),
+                "--out", draw(output_paths(folder))]
+        for flag in draw(st.lists(st.sampled_from(sorted(SYNTH_FLAGS)), unique=True,
+                                  max_size=1)):
+            argv += [flag, draw(st.sampled_from(SYNTH_FLAGS[flag]))]
+        return argv
     argv = [command, "--data", draw(data_paths(valid, folder))]
     flags = {**SHARED_FLAGS, **(RUN_FLAGS if command == "run" else SWEEP_FLAGS)}
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=6)):
@@ -401,7 +462,10 @@ def argvs(draw, valid, folder):
     if "--max-epochs" not in argv:
         argv += ["--max-epochs", "1"]
     if command == "sweep":
-        argv += ["--out", str(folder / "table.csv")]
+        argv += ["--out", draw(output_paths(folder))]
+    else:
+        for flag in draw(st.lists(st.sampled_from(["--trace", "--summary"]), unique=True)):
+            argv += [flag, draw(output_paths(folder))]
     return argv
 
 

@@ -11,6 +11,13 @@ The two datasets stress different paths: ``highd-sparse`` has far more
 features than any row touches, so most weights freeze at exact fixed points;
 ``dual-skewed`` has most duals vanish at the optimum, which drives the
 violation-based samplers and their snapshot acceptance tests.
+
+The budget-edge set (``tests/golden/budget-edge/``) runs every algorithm at
+``-a 7 --max-epochs 2.5`` (``-a 1`` for ``ovs-exact``), so the budget runs out
+mid-epoch and each runner's stopping rule shows in the trace: the fixed-plan
+runners test the budget between epochs only, ``ovsspdc`` and ``ovs-exact``
+after every iteration with a partial last checkpoint, and the snapshot
+variants once per round.
 """
 
 import hashlib
@@ -22,6 +29,7 @@ import pytest
 from spdc.cli import main, synth
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+EDGE_DIR = GOLDEN_DIR / "budget-edge"
 
 DATASETS = {
     "highd-sparse": {
@@ -42,14 +50,19 @@ ALGOS = ("spdc", "adaspdc", "dspdc", "ovsspdc", "ovs-exact", "ovsspdc-plus",
 CASES = [(name, algo) for name in DATASETS for algo in ALGOS]
 
 
-def _argv(data_path, name, algo, trace_path):
+def _argv(data_path, name, algo, trace_path, budget_edge=False):
     spec = DATASETS[name]
     argv = ["run", "--data", str(data_path), "--normalize", "--algo", algo,
             *spec["flags"], "--gap-tol", "1e-6", "--seed", "1", "--no-timing",
             "--trace", str(trace_path)]
-    # ovs-exact re-evaluates every violation per iteration, so it gets fewer
-    # epochs; dspdc runs at b=d, the only block size thm20 admits here
-    argv += ["--max-epochs", "6" if algo == "ovs-exact" else "12"]
+    if budget_edge:
+        # ovs-exact takes only a=1
+        argv += ["--max-epochs", "2.5", "-a", "1" if algo == "ovs-exact" else "7"]
+    else:
+        # ovs-exact re-evaluates every violation per iteration, so it gets
+        # fewer epochs
+        argv += ["--max-epochs", "6" if algo == "ovs-exact" else "12"]
+    # dspdc runs at b=d, the only block size thm20 admits here
     if algo == "dspdc":
         argv += ["--dspdc-b", str(spec["synth"]["d"])]
     return argv
@@ -61,8 +74,8 @@ def _write_dataset(name, directory):
     return path
 
 
-def _golden(name, algo):
-    return GOLDEN_DIR / f"{name}-{algo}.csv"
+def _golden(name, algo, budget_edge=False):
+    return (EDGE_DIR if budget_edge else GOLDEN_DIR) / f"{name}-{algo}.csv"
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +97,23 @@ def test_trace_matches_golden(datasets, tmp_path, name, algo):
     assert trace.read_bytes() == _golden(name, algo).read_bytes()
 
 
+@pytest.mark.parametrize("name,algo", CASES)
+def test_budget_edge_trace_matches_golden(datasets, tmp_path, name, algo):
+    trace = tmp_path / "trace.csv"
+    assert main(_argv(datasets[name], name, algo, trace, budget_edge=True)) == 0
+    assert trace.read_bytes() == _golden(name, algo, budget_edge=True).read_bytes()
+
+
 def _regenerate(directory):
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    EDGE_DIR.mkdir(parents=True, exist_ok=True)
     for name in DATASETS:
         path = _write_dataset(name, directory)
         print(name, hashlib.sha256(path.read_bytes()).hexdigest())
         for algo in ALGOS:
-            if main(_argv(path, name, algo, _golden(name, algo))) != 0:
-                sys.exit(f"{name}/{algo} failed")
+            for edge in (False, True):
+                trace = _golden(name, algo, budget_edge=edge)
+                if main(_argv(path, name, algo, trace, budget_edge=edge)) != 0:
+                    sys.exit(f"{name}/{algo} failed")
 
 
 if __name__ == "__main__":

@@ -342,15 +342,3 @@ class TestViolations:
         ds, spec = tiny
         psi = primal_violations(np.zeros(ds.d), np.zeros(ds.n), ds, spec)
         assert np.all(psi == 0.0)
-
-    def test_violation_vector_container(self, tiny):
-        from spdc.objective import ViolationVector
-
-        ds, spec = tiny
-        vv = ViolationVector.at(np.zeros(ds.d), np.zeros(ds.n), ds, spec, stamp=7)
-        assert vv.stamp == 7
-        assert vv.kappa.shape == (ds.n,) and vv.psi.shape == (ds.d,)
-        with pytest.raises(ValueError, match="nonnegative"):
-            ViolationVector(kappa=np.array([-1.0]), psi=np.zeros(2))
-        with pytest.raises(ValueError, match="finite"):
-            ViolationVector(kappa=np.ones(2), psi=np.array([np.inf]))
