@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScheduleError
-from .objective import ProblemSpec, dual_prox, primal_prox
+from .objective import ProblemSpec, dual_prox, dual_prox_array, primal_prox
 from .sampling import SamplingPlan, build_uniform, draw_batch
 
 __all__ = [
@@ -196,16 +196,22 @@ class DspdcConfig:
         return DspdcConfig(b=b, q=q, blocks=tuple(blocks))
 
     def block_norms_sq(self, ds) -> np.ndarray:
-        """Per instance, the max over blocks of the squared row norm within the block."""
+        """Per instance, the max over blocks of the squared row norm within the block.
+
+        One ``bincount`` over the occupied (instance, block) pairs adds each
+        pair's squares in row order, as a per-instance ``bincount`` does, so
+        the sums are the same bits; a pair no entry falls in counts as zero.
+        """
+        nb = len(self.blocks)
         block_id = np.empty(ds.d, dtype=np.intp)
         for h, blk in enumerate(self.blocks):
             block_id[blk] = h
-        out = np.empty(ds.n)
-        nb = len(self.blocks)
-        for i in range(ds.n):
-            idx, vals = ds.row(i)
-            sums = np.bincount(block_id[idx], weights=vals * vals, minlength=nb)
-            out[i] = sums.max()
+        indptr, indices, data = ds.csr_arrays()
+        keys = np.repeat(np.arange(ds.n), np.diff(indptr)) * nb + block_id[indices]
+        pairs, pair_of = np.unique(keys, return_inverse=True)
+        sums = np.bincount(pair_of.ravel(), weights=data * data, minlength=pairs.size)
+        out = np.zeros(ds.n)
+        np.maximum.at(out, pairs // nb, sums)
         return out
 
 
@@ -478,6 +484,63 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
         alpha_bar[i] = bar
     state.last_batch = list(start_vals)
     state.last_draws = draws
+
+
+# rows per block of the bulk dual sweep: bounds its gathered arrays, and so
+# its memory, whatever n is
+_SWEEP_ROWS = 256
+
+
+def _row_dots(indptr, indices, data, lo: int, hi: int, w) -> np.ndarray:
+    """``x_i . w`` for the rows ``lo <= i < hi``.
+
+    Rows of one length are gathered into a ``(rows, length)`` pair and
+    multiplied as a stack of row-by-column products, which numpy evaluates
+    with the routine of a lone vector dot, so every entry has the bits of the
+    per-row ``np.dot``.  (A plain ``X @ w`` or ``einsum`` sums in another
+    order and differs in about half the rows.)
+    """
+    starts = indptr[lo:hi]
+    lengths = indptr[lo + 1:hi + 1] - starts
+    out = np.empty(hi - lo)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        pos = starts[rows, None] + np.arange(length)
+        out[rows] = np.matmul(data[pos][:, None, :], w[indices[pos]][:, :, None])[:, 0, 0]
+    return out
+
+
+def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
+    """Prox every dual coordinate once, in index order, with ``q_i = 1/sigma_i``
+    against ``w_bar``, writing each change into ``alpha``, ``alpha_bar`` and
+    the cache unextrapolated.
+
+    ``w_bar`` is fixed during the sweep, so the rows are independent and run
+    in blocks of ``_SWEEP_ROWS``: one grouped dot, one array prox and one
+    scatter of the changed rows in row order, which adds into each cache
+    entry in the order of the row-at-a-time sweep.  The result is that
+    sweep's, bit for bit.
+    """
+    n = ds.n
+    indptr, indices, data = ds.csr_arrays()
+    alpha, alpha_bar = state.alpha, state.alpha_bar
+    for lo in range(0, n, _SWEEP_ROWS):
+        hi = min(lo + _SWEEP_ROWS, n)
+        s = _row_dots(indptr, indices, data, lo, hi, state.w_bar)
+        old = alpha[lo:hi]
+        new = dual_prox_array(s, old, 1.0 / sigma[lo:hi], ds.labels[lo:hi], spec.gamma)
+        delta = new - old
+        changed = delta != 0.0
+        if not changed.any():
+            continue
+        np.copyto(old, new, where=changed)
+        np.copyto(alpha_bar[lo:hi], new, where=changed)
+        # rows whose delta is zero add nothing: adding 0.0 would turn -0.0 into 0.0
+        lengths = np.diff(indptr[lo:hi + 1])
+        keep = np.repeat(changed, lengths)
+        p0, p1 = indptr[lo], indptr[hi]
+        step = np.repeat(delta / n, lengths) * data[p0:p1]
+        np.add.at(state.v_cache, indices[p0:p1][keep], step[keep])
 
 
 def _pass_arrays(state: SolverState) -> tuple:

@@ -23,6 +23,7 @@ __all__ = [
     "elastic_net_conj_grad",
     "soft_threshold",
     "dual_prox",
+    "dual_prox_array",
     "primal_prox",
     "primal_objective",
     "dual_objective",
@@ -139,6 +140,23 @@ def dual_prox(s, alpha_old, q, y, gamma):
     elif u > 1.0:
         u = 1.0
     return y * u
+
+
+def dual_prox_array(s, alpha_old, q, y, gamma):
+    """:func:`dual_prox` over arrays of coordinates, bit for bit.
+
+    Every entry goes through the same operations in the same order as the
+    scalar update, fixed points and clipping included, so each output equals
+    ``dual_prox`` of that entry's inputs.  ``gamma`` is a scalar.
+    """
+    if np.any(q <= 0):
+        raise ValueError(f"q must be positive, got {q[q <= 0][0]}")
+    ys = y * s
+    g = np.where(ys > 1.0, 0.0,
+                 np.where(ys < 1.0 - gamma, -y, -y * (1.0 - ys) / gamma))
+    u = y * (y - s + q * alpha_old) / (gamma + q)
+    u = np.where(u < 0.0, 0.0, np.where(u > 1.0, 1.0, u))
+    return np.where(-alpha_old - g == 0.0, alpha_old, y * u)
 
 
 def primal_prox(u, w_old, tau, lam):

@@ -34,7 +34,6 @@ from .errors import NumericalFailure, ScheduleError, ZeroViolations
 from .objective import (
     ProblemSpec,
     dual_objective,
-    dual_prox,
     dual_violations,
     primal_objective,
     primal_violations,
@@ -344,22 +343,12 @@ def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) ->
     then the full primal prox and weight extrapolation.
 
     No sampling is involved, so the duals enter the cache unextrapolated.
+    The weights the duals see do not change during the sweep, so it is
+    evaluated in bulk (:func:`core._dual_sweep`), bit for bit as the sweep
+    that proxes one row at a time.
     """
-    n = ds.n
-    indptr, indices, data = ds.csr_arrays()
     core._settle_alpha_bar(state, ds)
-    alpha = state.alpha
-    w_bar = state.w_bar
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]]))
-        q = 1.0 / params.sigma[i]
-        new = dual_prox(s, alpha[i], q, ds.labels[i], spec.gamma)
-        delta = new - alpha[i]
-        if delta != 0.0:
-            state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
-            alpha[i] = new
-            state.alpha_bar[i] = new
+    core._dual_sweep(state, ds, spec, params.sigma)
     core._primal_pass(state, params.tau, spec.lam, params.theta)
 
 
@@ -373,7 +362,10 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
     an inner loop of ceil(n'/a) sampled iterations over the restricted plan
     on a copy of the state.  Inner iterates are committed only when their
     duality gap strictly improves on the best committed gap, so the
-    committed gap sequence is strictly decreasing by construction.  When
+    committed gap sequence is strictly decreasing by construction.  The
+    sweep itself is applied without an acceptance test, so the state it
+    leaves, and with it the gap of the trace, can be worse than the best
+    committed one: the trace gap may rise from round to round.  When
     ``restrict_primal`` is set, inner primal updates touch only coordinates
     with nonzero primal violations.
     """

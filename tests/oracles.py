@@ -6,11 +6,17 @@ points: the vertex of a parabola fitted to three function values on one
 quadratic piece is that piece's exact extremum up to rounding, which beats
 the ~sqrt(eps) plateau a value-comparison grid bottoms out at.
 
-``reference_primal_prox``, ``dense_primal_pass``, ``reference_row_norms`` and
-``reference_load_libsvm`` are the exceptions: they are frozen copies of the
-closed-form prox, the whole-vector primal pass, the per-row norm loop and the
-line-by-line LIBSVM loader, the bitwise references for the library's fused
-prox, its skipping pass, its grouped row norms and its bulk loader.
+The ``reference_*`` functions and ``dense_primal_pass`` are the exceptions:
+they are frozen copies of code the library has replaced by faster code that
+must agree with them bit for bit.  ``reference_primal_prox``,
+``dense_primal_pass``, ``reference_row_norms``, ``reference_load_libsvm``,
+``reference_full_pass``, ``reference_block_norms_sq`` and
+``reference_alias_build`` are the closed-form prox, the whole-vector primal
+pass, the per-row norm loop, the line-by-line LIBSVM loader, the
+row-at-a-time dual sweep, the per-instance block norms and the Vose loop on
+numpy arrays; they are the references for the library's fused prox, its
+skipping pass, its grouped row norms, its bulk loader, its bulk sweep, its
+single-``bincount`` block norms and its alias build on Python floats.
 """
 
 import math
@@ -19,7 +25,10 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
+from spdc import core
 from spdc.errors import DataError
+from spdc.objective import dual_prox
+from spdc.sampling import AliasTable
 
 
 def _vertex(fun, x, h):
@@ -219,3 +228,68 @@ def reference_load_libsvm(path, normalize=False):
         scale = sp.diags(1.0 / ds.row_norms)
         ds = _reference_dataset(scale @ ds.csr, ds.labels)
     return ds
+
+
+def reference_full_pass(state, ds, spec, params):
+    """The snapshot variants' full sweep, one dual row at a time: every dual
+    in index order against ``w_bar``, then the full primal pass."""
+    n = ds.n
+    indptr, indices, data = ds.csr_arrays()
+    core._settle_alpha_bar(state, ds)
+    alpha = state.alpha
+    w_bar = state.w_bar
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]]))
+        q = 1.0 / params.sigma[i]
+        new = dual_prox(s, alpha[i], q, ds.labels[i], spec.gamma)
+        delta = new - alpha[i]
+        if delta != 0.0:
+            state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
+            alpha[i] = new
+            state.alpha_bar[i] = new
+    core._primal_pass(state, params.tau, spec.lam, params.theta)
+
+
+def reference_block_norms_sq(cfg, ds):
+    """Per instance, the max over ``cfg``'s blocks of the squared row norm
+    within the block, one ``bincount`` per instance."""
+    block_id = np.empty(ds.d, dtype=np.intp)
+    for h, blk in enumerate(cfg.blocks):
+        block_id[blk] = h
+    out = np.empty(ds.n)
+    nb = len(cfg.blocks)
+    for i in range(ds.n):
+        idx, vals = ds.row(i)
+        sums = np.bincount(block_id[idx], weights=vals * vals, minlength=nb)
+        out[i] = sums.max()
+    return out
+
+
+def reference_alias_build(p):
+    """Vose's alias construction on numpy arrays and numpy scalars."""
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p < 0):
+        raise ValueError("probability vector has a negative entry")
+    total = p.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probability vector sums to {total!r}, not 1")
+    n = p.size
+    scaled = p * n
+    prob = np.ones(n)
+    alias = np.arange(n)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = scaled[l] - (1.0 - scaled[s])
+        if scaled[l] < 1.0:
+            small.append(l)
+        else:
+            large.append(l)
+    for i in small + large:
+        prob[i] = 1.0
+    return AliasTable(prob=prob, alias=alias)

@@ -30,6 +30,7 @@ from spdc.objective import ProblemSpec
 from spdc.sampling import build_ovs, build_uniform
 
 from conftest import make_dataset, solve_to_fixed_point
+from oracles import reference_block_norms_sq
 
 
 def unit_norm_ds(n, d=None, labels=None):
@@ -365,6 +366,27 @@ class TestDspdc:
                 saw_change = True
                 assert len(set(block_of[changed].tolist())) == 1
         assert saw_change
+
+    @pytest.mark.parametrize("b", [1, 6, 7, 8, 23, 70])
+    def test_block_norms_match_frozen_reference_bitwise(self, b):
+        # d = 70: b = 1, 7 and 70 split evenly, 6, 8 and 23 leave uneven blocks
+        ds = make_dataset(45, 70, seed=b, density=0.3)
+        cfg = DspdcConfig.build(ds.d, b)
+        got = cfg.block_norms_sq(ds)
+        want = reference_block_norms_sq(cfg, ds)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_block_norms_of_scattered_uneven_blocks(self):
+        # blocks that are neither contiguous nor in coordinate order, and a
+        # row with all of its entries in one block
+        ds = make_dataset(30, 12, seed=4, density=0.5)
+        blocks = (np.array([11, 0, 5]), np.array([3, 1]), np.array([2, 4, 6, 7, 8, 9, 10]))
+        cfg = DspdcConfig(b=3, q=np.full(3, 1.0 / 3), blocks=blocks)
+        one_block = SparseDataset(sp.csr_matrix(np.eye(1, 12, 2) * 3.0), [1.0])
+        for data in (ds, one_block):
+            got = cfg.block_norms_sq(data)
+            want = reference_block_norms_sq(cfg, data)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_verify_thm20_single_block_passes(self, small):
         ds, spec = small

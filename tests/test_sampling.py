@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdc.errors import ConditionNotMetError, ZeroViolations
 from spdc.objective import ProblemSpec
@@ -19,6 +21,7 @@ from spdc.sampling import (
 )
 
 from conftest import make_dataset
+from oracles import reference_alias_build
 
 
 class TestAlias:
@@ -59,6 +62,50 @@ class TestAlias:
         a = alias_build(p).draw(np.random.default_rng(42), 1000)
         b = alias_build(p).draw(np.random.default_rng(42), 1000)
         assert np.array_equal(a, b)
+
+
+@st.composite
+def probability_vectors(draw):
+    """Probability vectors with zeros, entries of exactly 1/n, one-hot
+    vectors and n = 1; some miss the sum test, which must then fail alike."""
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["mixed", "uniform", "one_hot", "at_1_over_n"]))
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
+    if kind == "one_hot":
+        p = np.zeros(n)
+        p[draw(st.integers(0, n - 1))] = 1.0
+        return p
+    w = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if not w.any():
+        w[0] = 1.0
+    p = w / w.sum()
+    if kind == "at_1_over_n":
+        # entries of exactly 1/n, the rest rescaled to the remaining mass
+        at = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        rest = p[~at].sum()
+        if rest > 0.0:
+            p[~at] *= (1.0 - at.sum() / n) / rest
+        p[at] = 1.0 / n
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=probability_vectors())
+@example(p=np.array([1.0]))
+@example(p=np.array([0.25, 0.0, 0.25, 0.5]))
+def test_alias_build_matches_frozen_reference_bitwise(p):
+    try:
+        want = reference_alias_build(p)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="sums to"):
+            alias_build(p)
+        assert "sums to" in str(exc)
+        return
+    got = alias_build(p)
+    assert got.prob.dtype == want.prob.dtype and got.alias.dtype == want.alias.dtype
+    assert got.prob.view(np.int64).tolist() == want.prob.view(np.int64).tolist()
+    assert got.alias.tolist() == want.alias.tolist()
 
 
 class TestSingleDraw:
