@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -212,12 +212,13 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
             dcfg = core.DspdcConfig.build(ds.d, cfg.dspdc_b, q)
         except ValueError as exc:
             raise ConfigError(f"dspdc-q={cfg.dspdc_q!r}: {exc}") from None
-        ok, failing, _ = core.verify_thm20(params, plan, dcfg, ds, spec, cfg.a)
+        ok, failing, margins = core.verify_thm20(params, plan, dcfg, ds, spec, cfg.a)
         if not ok:
             raise ScheduleError(f"dspdc parameter check failed at {failing}")
+        # the run keeps these params and this plan, so the verdict is the run's
+        extra["thm20"] = {"ok": bool(ok), "failing": failing, "margins": margins}
     result = run_fixed(ds, spec, plan, params, cfg.a, budget, rng, dspdc_cfg=dcfg,
                        timing=cfg.timing)
-    extra["dspdc_cfg"] = dcfg
     return result, extra
 
 
@@ -230,11 +231,8 @@ def _condition_report(result: RunResult, ds, spec, cfg: RunConfig, extra: dict) 
         "lemma3": {"ok": bool(ok3), "worst_margin": margin3},
         "lemma14": {"ok": bool(ok14)},
     }
-    dcfg = extra.get("dspdc_cfg")
-    if dcfg is not None:
-        ok20, failing, margins = core.verify_thm20(result.params, result.plan, dcfg,
-                                                   ds, spec, cfg.a)
-        report["thm20"] = {"ok": bool(ok20), "failing": failing, "margins": margins}
+    if "thm20" in extra:
+        report["thm20"] = extra["thm20"]
     return report
 
 
@@ -397,13 +395,14 @@ def synth(n: int, d: int, sparsity: float, dual_skew: float, seed: int,
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``run`` and ``sweep`` share; each names a RunConfig field and
+    one left out keeps that field's default."""
     p.add_argument("--data", required=True, help="LIBSVM dataset path")
     p.add_argument("--normalize", action="store_true", help="scale rows to unit norm")
-    p.add_argument("--gamma", type=float, default=1.0, help="loss smoothing width")
-    p.add_argument("--gap-tol", type=float, default=1e-8, help="absolute duality-gap tolerance")
-    p.add_argument("--max-epochs", type=float, default=100.0, help="epoch-equivalent budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-timing", action="store_true",
+    p.add_argument("--gamma", type=float, help="loss smoothing width")
+    p.add_argument("--gap-tol", type=float, help="absolute duality-gap tolerance")
+    p.add_argument("--max-epochs", type=float, help="epoch-equivalent budget")
+    p.add_argument("--no-timing", action="store_false", dest="timing",
                    help="record zero wall seconds so traces are byte-reproducible")
 
 
@@ -412,25 +411,28 @@ def _make_parser() -> argparse.ArgumentParser:
                                      description="Primal-dual coordinate solver benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="solve one configuration")
+    p_run = sub.add_parser("run", help="solve one configuration",
+                           argument_default=argparse.SUPPRESS)
     _add_run_flags(p_run)
-    p_run.add_argument("--algo", default="adaspdc", help=f"one of {ALGOS}")
-    p_run.add_argument("--prob", default="uniform", help=f"one of {PROBS}")
-    p_run.add_argument("--schedule", default="auto", help=f"one of {SCHEDULES}")
-    p_run.add_argument("-a", "--a", type=int, default=1, dest="a", help="mini-batch size")
-    p_run.add_argument("--lambda-scale", type=float, default=1e-3,
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--algo", help=f"one of {ALGOS}")
+    p_run.add_argument("--prob", help=f"one of {PROBS}")
+    p_run.add_argument("--schedule", help=f"one of {SCHEDULES}")
+    p_run.add_argument("-a", "--a", type=int, help="mini-batch size")
+    p_run.add_argument("--lambda-scale", type=float,
                        help="lambda as a multiple of lambda_max")
-    p_run.add_argument("--trace", default=None, help="trace CSV output path")
-    p_run.add_argument("--summary", default=None, help="summary JSON output path")
-    p_run.add_argument("--dspdc-b", type=int, default=None, help="primal block size")
-    p_run.add_argument("--dspdc-q", default="uniform",
-                       help="block probabilities: 'uniform' or comma-separated")
-    p_run.add_argument("--refresh-every", type=int, default=None,
+    p_run.add_argument("--trace", help="trace CSV output path")
+    p_run.add_argument("--summary", help="summary JSON output path")
+    p_run.add_argument("--dspdc-b", type=int, help="primal block size")
+    p_run.add_argument("--dspdc-q", help="block probabilities: 'uniform' or comma-separated")
+    p_run.add_argument("--refresh-every", type=int,
                        help="iterations between violation refreshes")
-    p_run.add_argument("--gap-check-every", type=int, default=None,
+    p_run.add_argument("--gap-check-every", type=int,
                        help="inner-loop acceptance-check period")
 
-    p_sweep = sub.add_parser("sweep", help="grid of runs over one dataset")
+    # no abbreviations, or --seed would be read as --seeds
+    p_sweep = sub.add_parser("sweep", help="grid of runs over one dataset",
+                             argument_default=argparse.SUPPRESS, allow_abbrev=False)
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--algos", default="adaspdc", help="comma-separated algo list")
     p_sweep.add_argument("--probs", default="uniform", help="comma-separated prob list")
@@ -453,26 +455,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        data=args.data,
-        normalize=args.normalize,
-        algo=args.algo,
-        prob=args.prob,
-        schedule=args.schedule,
-        a=args.a,
-        lambda_scale=args.lambda_scale,
-        gamma=args.gamma,
-        gap_tol=args.gap_tol,
-        max_epochs=args.max_epochs,
-        seed=args.seed,
-        trace=args.trace,
-        summary=args.summary,
-        dspdc_b=args.dspdc_b,
-        dspdc_q=args.dspdc_q,
-        refresh_every=args.refresh_every,
-        gap_check_every=args.gap_check_every,
-        timing=not args.no_timing,
-    )
+    """The RunConfig of the given flags; a flag left out keeps its default."""
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _split_flag(flag: str, text: str, kind) -> list:
@@ -497,25 +482,12 @@ def main(argv=None) -> int:
             scales = _split_flag("lambda-scales", args.lambda_scales, float)
             batches = _split_flag("batches", args.batches, int)
             seeds = _split_flag("seeds", args.seeds, int)
-            configs = []
-            for algo in args.algos.split(","):
-                for prob in args.probs.split(","):
-                    for scale in scales:
-                        for a in batches:
-                            for seed in seeds:
-                                configs.append(RunConfig(
-                                    data=args.data,
-                                    normalize=args.normalize,
-                                    algo=algo.strip(),
-                                    prob=prob.strip(),
-                                    a=a,
-                                    lambda_scale=scale,
-                                    gamma=args.gamma,
-                                    gap_tol=args.gap_tol,
-                                    max_epochs=args.max_epochs,
-                                    seed=seed,
-                                    timing=not args.no_timing,
-                                ))
+            base = _config_from_args(args)
+            configs = [replace(base, algo=algo.strip(), prob=prob.strip(), a=a,
+                               lambda_scale=scale, seed=seed)
+                       for algo in args.algos.split(",")
+                       for prob in args.probs.split(",")
+                       for scale in scales for a in batches for seed in seeds]
             rows = sweep(configs, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")
             return EXIT_OK

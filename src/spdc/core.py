@@ -81,13 +81,18 @@ class _PrimalMemo:
     """What the last primal pass ran with: its parameters, the state arrays
     it left behind (compared by identity so that a rebound attribute shows)
     and ``moved``, the coordinates where it left ``w`` and ``w_prev`` with
-    different bits."""
+    different bits.
+
+    ``v_seen`` holds, per weight coordinate, the ``v_cache`` value its last
+    primal prox read, or NaN where that prox result is not known to still
+    hold."""
 
     tau: float
     lam: float
     theta: float
     arrays: tuple
     moved: np.ndarray
+    v_seen: np.ndarray
 
     def holds(self, state: "SolverState", tau: float, lam: float, theta: float) -> bool:
         return (self.tau == tau and self.lam == lam and self.theta == theta
@@ -102,15 +107,14 @@ class SolverState:
     remembers which dual coordinates carry extrapolation so the next step can
     settle them in O(batch * row nnz).
 
-    ``v_seen`` holds, per weight coordinate, the ``v_cache`` value its last
-    primal prox read, or NaN where that prox result is not known to still
-    hold.  With it :func:`_primal_pass` skips the coordinates the prox would
-    leave bitwise unchanged; it stays None while d is too small for skipping
-    to pay.  The pass writes ``w_bar`` and ``v_seen`` in place and reuses the
-    old ``w_prev`` array as the new ``w``.  Code outside the solver that edits
-    ``w``, ``w_prev``, ``w_bar`` or ``v_cache`` assigns a new float64 array
-    to the attribute rather than writing into it; the next pass then sees the
-    change and proxes every coordinate, as the first pass of a copy does.
+    The private ``_memo`` lets :func:`_primal_pass` skip the coordinates the
+    prox would leave bitwise unchanged; it stays None while d is too small
+    for skipping to pay, and a copy starts without it.  The pass writes
+    ``w_bar`` in place and reuses the old ``w_prev`` array as the new ``w``.
+    Code outside the solver that edits ``w``, ``w_prev``, ``w_bar`` or
+    ``v_cache`` assigns a new float64 array to the attribute rather than
+    writing into it; the next pass then sees the change and proxes every
+    coordinate, as the first pass of a copy does.
     """
 
     w: np.ndarray
@@ -122,7 +126,6 @@ class SolverState:
     iter: int = 0
     last_batch: list = field(default_factory=list)
     last_draws: np.ndarray | None = None
-    v_seen: np.ndarray | None = None
     _memo: _PrimalMemo | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "SolverState":
@@ -136,7 +139,6 @@ class SolverState:
             iter=self.iter,
             last_batch=list(self.last_batch),
             last_draws=None if self.last_draws is None else self.last_draws.copy(),
-            v_seen=None if self.v_seen is None else self.v_seen.copy(),
         )
 
     def cache_error(self, ds) -> float:
@@ -162,12 +164,11 @@ def init_state(ds) -> SolverState:
 class DspdcConfig:
     """Primal block partition and block probabilities for the doubly stochastic loop.
 
-    ``[d]`` is split into ``d mod b`` blocks of size ``b+1`` followed by
-    ``floor(d/b) - (d mod b)`` blocks of size ``b``.  ``cum_q`` is
+    :meth:`build` splits ``[d]`` into ``floor(d/b)`` contiguous blocks whose
+    sizes differ by at most one, the larger ones first.  ``cum_q`` is
     ``cumsum(q)``, the table a block draw searches, derived from ``q``.
     """
 
-    b: int
     q: np.ndarray
     blocks: tuple
     cum_q: np.ndarray = field(init=False)
@@ -180,20 +181,13 @@ class DspdcConfig:
         if not 1 <= b <= d:
             raise ValueError(f"block size {b} must lie in [1, {d}]")
         n_blocks = d // b
-        n_big = d % b
-        sizes = [b + 1] * n_big + [b] * (n_blocks - n_big)
-        blocks = []
-        start = 0
-        for s in sizes:
-            blocks.append(np.arange(start, start + s))
-            start += s
-        assert start == d
+        blocks = np.array_split(np.arange(d), n_blocks)
         if q is None:
             q = np.full(n_blocks, 1.0 / n_blocks)
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (n_blocks,) or np.any(q <= 0) or abs(q.sum() - 1.0) > 1e-9:
             raise ValueError("q must be a positive probability vector over the blocks")
-        return DspdcConfig(b=b, q=q, blocks=tuple(blocks))
+        return DspdcConfig(q=q, blocks=tuple(blocks))
 
     def block_norms_sq(self, ds) -> np.ndarray:
         """Per instance, the max over blocks of the squared row norm within the block.
@@ -544,7 +538,7 @@ def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
 
 
 def _pass_arrays(state: SolverState) -> tuple:
-    return state.w, state.w_prev, state.w_bar, state.v_cache, state.v_seen
+    return state.w, state.w_prev, state.w_bar, state.v_cache
 
 
 # The skipping pass makes a dozen more numpy calls than the whole-vector pass
@@ -577,18 +571,18 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
         primal_coords = None  # a block spanning every coordinate is the full pass
     memo = state._memo
     if memo is not None and memo.holds(state, tau, lam, theta):
-        moving, prox = _moving_coords(state, memo.moved, primal_coords)
+        moving, prox = _moving_coords(state, memo, primal_coords)
         if moving.size <= _SKIP_MAX_SHARE * d:
             _sparse_primal_pass(state, tau, lam, theta, moving, prox)
             return
     _dense_primal_pass(state, tau, lam, theta, primal_coords)
 
 
-def _moving_coords(state: SolverState, moved, primal_coords):
-    """Coordinates the pass must write, each once: ``moved`` and the selected
-    ones whose ``v_cache`` changed since their last prox.  Also which of them
-    it must prox: a mask over them, or None for all of them."""
-    v, v_seen = state.v_cache, state.v_seen
+def _moving_coords(state: SolverState, memo: _PrimalMemo, primal_coords):
+    """Coordinates the pass must write, each once: ``memo.moved`` and the
+    selected ones whose ``v_cache`` changed since their last prox.  Also which
+    of them it must prox: a mask over them, or None for all of them."""
+    v, v_seen = state.v_cache, memo.v_seen
     if primal_coords is None:
         hits = (v != v_seen).nonzero()[0]
     else:
@@ -596,7 +590,7 @@ def _moving_coords(state: SolverState, moved, primal_coords):
         hits = coords[v[coords] != v_seen[coords]]
     # a hit whose w and w_prev differ is in ``moved`` already
     hits = hits[state.w.view(np.int64)[hits] == state.w_prev.view(np.int64)[hits]]
-    moving = np.concatenate((moved, hits))
+    moving = np.concatenate((memo.moved, hits))
     if primal_coords is None:
         return moving, None
     selected = np.zeros(v.size, dtype=bool)
@@ -617,13 +611,13 @@ def _sparse_primal_pass(state: SolverState, tau, lam, theta, moving, prox) -> No
         # a moving coordinate left unproxed has no prox result that still holds
         seen = np.full(moving.size, np.nan)
         seen[prox] = u[prox]
+    memo = state._memo
     w_new[moving] = new
     state.w_bar[moving] = new + theta * (new - old)
-    state.v_seen[moving] = seen
+    memo.v_seen[moving] = seen
     state.w_prev = w_old
     state.w = w_new
     state.iter += 1
-    memo = state._memo
     memo.arrays = _pass_arrays(state)
     memo.moved = moving[new.view(np.int64) != old.view(np.int64)]
 
@@ -648,11 +642,11 @@ def _dense_primal_pass(state: SolverState, tau, lam, theta, primal_coords) -> No
     moved = (w_new.view(np.int64) != w_old.view(np.int64)).nonzero()[0]
     if moved.size <= _SKIP_MAX_SHARE * d:
         if primal_coords is None:
-            state.v_seen = v.copy()
+            v_seen = v.copy()
         else:
-            state.v_seen = np.full(d, np.nan)
-            state.v_seen[primal_coords] = v[primal_coords]
-        state._memo = _PrimalMemo(tau, lam, theta, _pass_arrays(state), moved)
+            v_seen = np.full(d, np.nan)
+            v_seen[primal_coords] = v[primal_coords]
+        state._memo = _PrimalMemo(tau, lam, theta, _pass_arrays(state), moved, v_seen)
 
 
 def adaspdc_step(state: SolverState, params: StepParams, plan: SamplingPlan, ds,

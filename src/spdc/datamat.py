@@ -1,9 +1,10 @@
-"""Sparse dataset container with simultaneous instance-wise and feature-wise access.
+"""Sparse dataset container with instance-wise (row) access.
 
-Data is held in both CSR and CSC layouts so that solvers can traverse
-instances (rows) during dual updates and features (columns) during primal
-updates, both at O(nnz) cost.  Datasets are immutable after construction and
-safe to share across concurrent solver runs.
+Data is held in one CSR layout: the solvers' dual updates walk instances
+(rows), and ``X^T alpha`` for the dual objective and the violations is the
+transposed product of the same layout, at O(nnz) cost.  Datasets are
+immutable after construction and safe to share across concurrent solver
+runs.
 """
 
 from __future__ import annotations
@@ -59,14 +60,11 @@ class SparseDataset:
             )
         norms = _row_norms(csr.indptr, csr.data)
         self._csr = csr
-        self._csc = csr.tocsc()
-        self._csc.sort_indices()
         self.n, self.d = csr.shape
         self.labels = labels
         self.row_norms = norms
         # read-only views guard against accidental mutation by callers
         for arr in (self._csr.data, self._csr.indices, self._csr.indptr,
-                    self._csc.data, self._csc.indices, self._csc.indptr,
                     self.labels, self.row_norms):
             arr.setflags(write=False)
 
@@ -79,30 +77,17 @@ class SparseDataset:
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         return self._csr.indices[lo:hi], self._csr.data[lo:hi]
 
-    def col(self, j):
-        """Return (indices, values) of feature j as read-only views."""
-        lo, hi = self._csc.indptr[j], self._csc.indptr[j + 1]
-        return self._csc.indices[lo:hi], self._csc.data[lo:hi]
-
     def matvec(self, w):
         """X @ w, computed from the row layout."""
         return self._csr @ w
 
     def rmatvec(self, alpha):
-        """X.T @ alpha, computed from the column layout."""
-        return self._csc.T @ alpha
+        """X.T @ alpha, computed from the row layout."""
+        return self._csr.T @ alpha
 
     def csr_arrays(self):
         """Raw (indptr, indices, data) of the row layout, for tight solver loops."""
         return self._csr.indptr, self._csr.indices, self._csr.data
-
-    def value(self, i, j) -> float:
-        """Entry X[i, j] read via the row layout."""
-        idx, vals = self.row(i)
-        pos = np.searchsorted(idx, j)
-        if pos < idx.size and idx[pos] == j:
-            return float(vals[pos])
-        return 0.0
 
     def equals(self, other: "SparseDataset") -> bool:
         """Exact structural and numerical equality (used by round-trip tests)."""

@@ -151,9 +151,7 @@ def dual_prox_array(s, alpha_old, q, y, gamma):
     """
     if np.any(q <= 0):
         raise ValueError(f"q must be positive, got {q[q <= 0][0]}")
-    ys = y * s
-    g = np.where(ys > 1.0, 0.0,
-                 np.where(ys < 1.0 - gamma, -y, -y * (1.0 - ys) / gamma))
+    g = smoothed_hinge_grad(s, y, gamma)
     u = y * (y - s + q * alpha_old) / (gamma + q)
     u = np.where(u < 0.0, 0.0, np.where(u > 1.0, 1.0, u))
     return np.where(-alpha_old - g == 0.0, alpha_old, y * u)

@@ -92,20 +92,14 @@ def alias_build(p) -> AliasTable:
 class SamplingPlan:
     """A probability vector over instances plus its alias table.
 
-    ``cap`` is the per-entry upper bound the plan was built to satisfy
-    (``1/a`` or ``1/(a*sqrt(n))``); None when no cap applies.  ``kind`` records
-    which family built the plan.
+    ``batch`` is the mini-batch size ``a``; ``kind`` records which family
+    built the plan.
     """
 
     p: np.ndarray
-    cap: float | None
     alias: AliasTable
     batch: int
     kind: str
-
-    @property
-    def n(self) -> int:
-        return self.p.size
 
     @property
     def active(self) -> np.ndarray:
@@ -113,10 +107,10 @@ class SamplingPlan:
         return np.flatnonzero(self.p > 0.0)
 
 
-def _finalize(p: np.ndarray, cap: float | None, a: int, kind: str) -> SamplingPlan:
+def _finalize(p: np.ndarray, a: int, kind: str) -> SamplingPlan:
     p = np.asarray(p, dtype=np.float64)
     p.setflags(write=False)
-    return SamplingPlan(p=p, cap=cap, alias=alias_build(p), batch=a, kind=kind)
+    return SamplingPlan(p=p, alias=alias_build(p), batch=a, kind=kind)
 
 
 def draw_batch(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
@@ -129,7 +123,7 @@ def build_uniform(n: int, a: int) -> SamplingPlan:
     if not 1 <= a <= n:
         raise ValueError(f"batch size {a} must lie in [1, {n}]")
     p = np.full(n, 1.0 / n)
-    return _finalize(p, 1.0 / a, a, "uniform")
+    return _finalize(p, a, "uniform")
 
 
 def build_data_driven(ds, spec, a: int, scheme: str) -> SamplingPlan:
@@ -148,7 +142,6 @@ def build_data_driven(ds, spec, a: int, scheme: str) -> SamplingPlan:
     lg = spec.lam * spec.gamma
     if scheme == "cor16":
         raw = norms + math.sqrt(lg)
-        cap = 1.0 / a
     elif scheme == "cor17":
         bound = np.sum(norms) / math.sqrt(n) + math.sqrt(lg) * (n - math.sqrt(n))
         worst = int(np.argmax(norms))
@@ -158,12 +151,11 @@ def build_data_driven(ds, spec, a: int, scheme: str) -> SamplingPlan:
                 f"data-driven cap {bound:.6g}"
             )
         raw = norms + math.sqrt(n * lg)
-        cap = 1.0 / (a * math.sqrt(n))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     p = raw / raw.sum()
     kind = "data16" if scheme == "cor16" else "data17"
-    return _finalize(p, cap, a, kind)
+    return _finalize(p, a, kind)
 
 
 def build_ovs(kappa, row_norms, a: int, n: int) -> SamplingPlan:
@@ -196,13 +188,13 @@ def build_ovs(kappa, row_norms, a: int, n: int) -> SamplingPlan:
     cap = 1.0 / (a * math.sqrt(n))
     p_bar = raw.max()
     if p_bar <= cap:
-        return _finalize(raw, cap, a, "ovs")
+        return _finalize(raw, a, "ovs")
     # mixture written so the max entry lands on the cap exactly:
     # (1-zeta)/n + zeta*raw == 1/n + (cap - 1/n) * (raw - 1/n)/(p_bar - 1/n)
     base = 1.0 / n
     p = base + (cap - base) * (raw - base) / (p_bar - base)
     np.minimum(p, cap, out=p)
-    return _finalize(p, cap, a, "ovs")
+    return _finalize(p, a, "ovs")
 
 
 def build_restricted(kappa, a: int = 1) -> SamplingPlan:
@@ -222,4 +214,4 @@ def build_restricted(kappa, a: int = 1) -> SamplingPlan:
         raise ZeroViolations("all dual optimality violations are zero")
     p = np.zeros(kappa.size)
     p[active] = 1.0 / n_active
-    return _finalize(p, None, a, "restricted")
+    return _finalize(p, a, "restricted")

@@ -268,9 +268,7 @@ def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan, a: int) -> S
     The active-set size replaces the instance count in the step-size formulas
     and in the momentum factor.  Uses the sqrt(n')-boosted rule when
     ``a <= sqrt(n')``, the base rule for ``a <= n'``, and clamps the effective
-    batch to ``n'`` otherwise.  Dual steps are nudged if the prox coefficient
-    would make ``gamma - p_i n'/sigma_i`` vanish (the skip test needs it
-    nonzero).
+    batch to ``n'`` otherwise.
     """
     active = plan.active
     n_eff = active.size
@@ -281,9 +279,6 @@ def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan, a: int) -> S
     boosted = a_eff * a_eff <= n_eff
     tau, sig_act = core._steps(spec, n_eff if boosted else 1, a_eff * ru / 2.0,
                                n_eff * p_act / (2.0 * norms_act))
-    degenerate = spec.gamma - p_act * n_eff / sig_act == 0.0
-    if np.any(degenerate):
-        sig_act = np.where(degenerate, sig_act * (1.0 + 1e-9), sig_act)
     sigma = np.ones(ds.n)
     sigma[active] = sig_act
     params = StepParams(tau=tau, sigma=sigma, theta=0.5,

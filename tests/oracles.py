@@ -148,11 +148,9 @@ def _reference_dataset(matrix, labels):
     csr.eliminate_zeros()
     csr.sort_indices()
     norms = reference_row_norms(csr.indptr, csr.data)
-    csc = csr.tocsc()
-    csc.sort_indices()
     return SimpleNamespace(n=csr.shape[0], d=csr.shape[1],
                            labels=np.asarray(labels, dtype=np.float64).copy(),
-                           csr=csr, csc=csc, row_norms=norms)
+                           csr=csr, row_norms=norms)
 
 
 def _reference_parse_line(line, lineno):

@@ -118,6 +118,33 @@ class TestRun:
         s = json.loads(summary.read_text())
         assert s["conditions"]["thm20"]["ok"] is True
 
+    def test_dspdc_checks_thm20_once(self, data_file, tmp_path, monkeypatch):
+        calls = []
+        real = cli_mod.core.verify_thm20
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod.core, "verify_thm20", counted)
+        summary = tmp_path / "dspdc.json"
+        assert cli("run", "--data", data_file, "--normalize", "--algo", "dspdc",
+                   "--dspdc-b", "25", "--lambda-scale", "1e-2", "--max-epochs", "3",
+                   "--summary", str(summary)) == 0
+        assert len(calls) == 1
+        # the run's plan and params are the checked ones, so a second check
+        # after the run reports the same
+        ok, failing, margins = real(*calls[0][0], **calls[0][1])
+        assert json.loads(summary.read_text())["conditions"]["thm20"] == {
+            "ok": ok, "failing": failing, "margins": margins}
+
+    def test_dspdc_uneven_blocks_exit_with_a_contract_code(self, small_file, capsys):
+        # d=5, b=3: d mod b exceeds d // b
+        rc = cli("run", "--data", small_file, "--algo", "dspdc", "--dspdc-b", "3",
+                 "--max-epochs", "1")
+        assert rc in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_invalid_combination_exits_2(self, data_file):
         rc = cli("run", "--data", data_file, "--algo", "spdc", "--schedule", "thm5")
         assert rc == 2
@@ -218,6 +245,26 @@ class TestOutputPaths:
         path = tmp_path / "out.txt"
         assert main(self._argv(kind, small_file, str(path))) == 0
         assert path.read_text()
+
+
+class TestRunFlags:
+    def test_omitted_flags_keep_config_defaults(self):
+        args = cli_mod._make_parser().parse_args(["run", "--data", "x.svm"])
+        assert cli_mod._config_from_args(args) == RunConfig(data="x.svm")
+
+    def test_every_flag_sets_its_field(self):
+        argv = ["run", "--data", "x.svm", "--normalize", "--gamma", "0.5",
+                "--gap-tol", "1e-4", "--max-epochs", "7", "--no-timing", "--seed", "3",
+                "--algo", "dspdc", "--prob", "cor16", "--schedule", "cor18", "-a", "2",
+                "--lambda-scale", "0.1", "--trace", "t.csv", "--summary", "s.json",
+                "--dspdc-b", "4", "--dspdc-q", "0.5,0.5", "--refresh-every", "5",
+                "--gap-check-every", "6"]
+        args = cli_mod._make_parser().parse_args(argv)
+        assert cli_mod._config_from_args(args) == RunConfig(
+            data="x.svm", normalize=True, gamma=0.5, gap_tol=1e-4, max_epochs=7.0,
+            timing=False, seed=3, algo="dspdc", prob="cor16", schedule="cor18", a=2,
+            lambda_scale=0.1, trace="t.csv", summary="s.json", dspdc_b=4,
+            dspdc_q="0.5,0.5", refresh_every=5, gap_check_every=6)
 
 
 def test_zero_lambda_max_is_a_config_error(tmp_path, capsys):
@@ -333,6 +380,11 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"{flag} takes comma-separated" in err and "Traceback" not in err
 
+    def test_seed_flag_is_run_only(self, small_file, tmp_path):
+        # sweep seeds come from --seeds; --seed is neither taken nor read as it
+        assert cli("sweep", "--data", small_file, "--seed", "7",
+                   "--out", str(tmp_path / "t.csv")) == 2
+
     def test_mixed_datasets_rejected(self, data_file):
         with pytest.raises(ConfigError):
             sweep([RunConfig(data=data_file), RunConfig(data="other.svm")])
@@ -388,6 +440,7 @@ RUN_FLAGS = {
     "--dspdc-q": ["uniform", "0.5,0.5", "1,x", "-1,2"],
     "--refresh-every": ["1", "5", "0", "-2"],
     "--gap-check-every": ["1", "5", "0"],
+    "--seed": ["0", "7", "-1", "x"],
 }
 SWEEP_FLAGS = {
     "--algos": ["adaspdc", "spdc,ovsspdc", "bogus"],
@@ -400,7 +453,6 @@ SHARED_FLAGS = {
     "--gamma": ["1", "0.5", "0", "-2", "nan", "inf"],
     "--gap-tol": ["1e-3", "0", "-1", "nan"],
     "--max-epochs": ["0", "0.5", "1", "-1", "nan"],
-    "--seed": ["0", "7", "-1", "x"],
 }
 SWITCHES = ["--normalize", "--no-timing"]
 

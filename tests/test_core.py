@@ -84,7 +84,7 @@ class TestSchedules:
 
         ds = unit_norm_ds(4)
         p = np.array([0.6, 0.2, 0.1, 0.1])  # 0.6 > 1/(1*sqrt(4)) = 0.5
-        plan = SamplingPlan(p=p, cap=None, alias=alias_build(p), batch=1, kind="manual")
+        plan = SamplingPlan(p=p, alias=alias_build(p), batch=1, kind="manual")
         with pytest.raises(ScheduleError, match=r"p\[0\]"):
             schedule_thm5(ds, ProblemSpec(), plan)
 
@@ -297,7 +297,7 @@ class TestSteps:
         spec = ProblemSpec(gamma=1.0, lam=1.0)
         # both draws of the batch hit the only instance
         p = np.array([1.0])
-        plan = SamplingPlan(p=p, cap=None, alias=alias_build(p), batch=2, kind="manual")
+        plan = SamplingPlan(p=p, alias=alias_build(p), batch=2, kind="manual")
         params = StepParams(tau=0.25, sigma=np.array([0.25]), theta=0.5,
                             schedule="manual", r_under=0.5, n_eff=1)
         state = init_state(ds)
@@ -321,6 +321,29 @@ class TestDspdc:
         assert [len(b) for b in cfg.blocks] == [4, 4]
         flat = np.concatenate(cfg.blocks)
         assert np.array_equal(np.sort(flat), np.arange(8))
+
+    @staticmethod
+    def _old_partition(d, b):
+        """The rule the partition replaced: ``d mod b`` blocks of ``b+1``, then
+        blocks of ``b``; None where those sizes do not add up to d."""
+        n_big = d % b
+        sizes = [b + 1] * n_big + [b] * (d // b - n_big)
+        if sum(sizes) != d:
+            return None
+        return [np.arange(lo, lo + s) for lo, s in zip(np.cumsum([0] + sizes), sizes)]
+
+    def test_partition_every_size(self):
+        for d in range(1, 65):
+            for b in range(1, d + 1):
+                blocks = DspdcConfig.build(d, b).blocks
+                sizes = [len(blk) for blk in blocks]
+                assert len(blocks) == d // b
+                assert max(sizes) - min(sizes) <= 1
+                assert np.array_equal(np.concatenate(blocks), np.arange(d))
+                old = self._old_partition(d, b)
+                if old is not None:
+                    assert len(old) == len(blocks)
+                    assert all(np.array_equal(x, y) for x, y in zip(old, blocks))
 
     def test_single_block_step_matches_vanilla(self, small):
         ds, spec = small
@@ -381,7 +404,7 @@ class TestDspdc:
         # row with all of its entries in one block
         ds = make_dataset(30, 12, seed=4, density=0.5)
         blocks = (np.array([11, 0, 5]), np.array([3, 1]), np.array([2, 4, 6, 7, 8, 9, 10]))
-        cfg = DspdcConfig(b=3, q=np.full(3, 1.0 / 3), blocks=blocks)
+        cfg = DspdcConfig(q=np.full(3, 1.0 / 3), blocks=blocks)
         one_block = SparseDataset(sp.csr_matrix(np.eye(1, 12, 2) * 3.0), [1.0])
         for data in (ds, one_block):
             got = cfg.block_norms_sq(data)

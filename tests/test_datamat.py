@@ -8,7 +8,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc.datamat import SparseDataset, density, lambda_max, load_libsvm, save_libsvm
+from spdc.cli import synth
+from spdc.datamat import (SparseDataset, density, example_path, lambda_max, load_libsvm,
+                          save_libsvm)
 from spdc.errors import DataError
 
 from conftest import make_dataset
@@ -165,9 +167,8 @@ def assert_same_dataset(ds, ref):
     """n, d and every array of the dataset equal the reference bit for bit."""
     assert (ds.n, ds.d) == (ref.n, ref.d)
     pairs = [(ds.labels, ref.labels), (ds.row_norms, ref.row_norms)]
-    for mine, theirs in ((ds._csr, ref.csr), (ds._csc, ref.csc)):
-        pairs += [(mine.indptr, theirs.indptr), (mine.indices, theirs.indices),
-                  (mine.data, theirs.data)]
+    pairs += [(ds._csr.indptr, ref.csr.indptr), (ds._csr.indices, ref.csr.indices),
+              (ds._csr.data, ref.csr.data)]
     for mine, theirs in pairs:
         assert mine.dtype == theirs.dtype
         assert mine.tobytes() == theirs.tobytes()
@@ -254,11 +255,62 @@ class TestBulkLoader:
         assert ds.row_norms.tobytes() == ref.tobytes()
 
 
-class TestRowColDuality:
-    def test_full_matrix_agrees(self):
-        ds = make_dataset(10, 6, seed=5)
-        assert np.array_equal(ds._csr.toarray(), ds._csc.toarray())
+def column_layout_product(ds, alpha):
+    """``X^T alpha`` from a sorted CSC copy of the matrix, the product of the
+    two-layout dataset."""
+    csc = sp.csc_matrix(ds._csr)
+    csc.sort_indices()
+    return csc.T @ alpha
 
+
+def signed_alpha(rng, n):
+    """Duals over 12 decades with a share of exact zeros and negative zeros."""
+    alpha = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-6, 6, n)
+    alpha[rng.random(n) < 0.3] = 0.0
+    alpha[rng.random(n) < 0.2] = -0.0
+    return alpha
+
+
+class TestRmatvec:
+    """``X^T alpha`` from the row layout, bit for bit as from a column layout."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           d=st.sampled_from([1, 2, 7, 60, 5000]), per_row=st.integers(1, 9),
+           shared_col=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_column_layout(self, seed, n, d, per_row, shared_col):
+        rng = np.random.default_rng(seed)
+        rows, cols = [], []
+        common = int(rng.integers(d))
+        for i in range(n):
+            row = set(rng.choice(d, size=min(per_row, d), replace=False).tolist())
+            if shared_col:
+                row.add(common)  # one column present in every row
+            rows += [i] * len(row)
+            cols += sorted(row)
+        vals = rng.choice([-1.0, 1.0], size=len(cols)) * 10.0 ** rng.uniform(-6, 6, len(cols))
+        ds = SparseDataset(sp.csr_matrix((vals, (rows, cols)), shape=(n, d)), np.ones(n))
+        for _ in range(3):
+            alpha = signed_alpha(rng, n)
+            got, want = ds.rmatvec(alpha), column_layout_product(ds, alpha)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_loaded_file_matches_column_layout(self, tmp_path):
+        path = tmp_path / "wide.svm"
+        synth(n=300, d=400, sparsity=0.05, dual_skew=0.5, seed=11, out_path=str(path))
+        rng = np.random.default_rng(3)
+        for source in (path, example_path()):
+            for normalize in (False, True):
+                ds = load_libsvm(source, normalize=normalize)
+                for _ in range(20):
+                    alpha = signed_alpha(rng, ds.n)
+                    got = ds.rmatvec(alpha)
+                    want = column_layout_product(ds, alpha)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestRowColDuality:
     def test_row_norms_match_recomputation(self):
         ds = make_dataset(25, 9, seed=8)
         for i in range(ds.n):
