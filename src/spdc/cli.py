@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -48,10 +49,12 @@ from .variants import (
     run_ovsspdc_plusplus,
 )
 
-ALGOS = ("spdc", "adaspdc", "dspdc", "ovsspdc", "ovs-exact", "ovsspdc-plus",
-         "ovsspdc-plusplus")
+# each fixed-plan algorithm's (base, sqrt(n)-boosted, large-batch) step rules
+RULES = {"spdc": ("cor18", "cor19", "cor18"), "adaspdc": ("thm4", "thm5", "thm15"),
+         "dspdc": ("cor18", "cor19", "cor18")}
 # the violation-driven algorithms, which pick their own plans and step sizes
 VARIANTS = ("ovsspdc", "ovs-exact", "ovsspdc-plus", "ovsspdc-plusplus")
+ALGOS = (*RULES, *VARIANTS)
 PROBS = ("uniform", "cor16", "cor17", "ovs")
 SCHEDULES = ("thm4", "thm5", "thm15", "cor18", "cor19", "auto")
 
@@ -103,27 +106,17 @@ class RunConfig:
                             ("gap-check-every", self.gap_check_every)):
             if every is not None and every < 1:
                 raise ConfigError(f"{name} must be >= 1, got {every}")
+        accepted = dict.fromkeys(("auto", *RULES.get(self.algo, ())))
+        if self.schedule not in accepted:
+            raise ConfigError(f"algo {self.algo!r} takes schedule {' or '.join(accepted)}, "
+                              f"not {self.schedule!r}")
         if self.algo in VARIANTS:
-            if self.schedule != "auto":
-                raise ConfigError(
-                    f"algo {self.algo!r} manages its own step sizes; use schedule=auto"
-                )
             if self.prob == "uniform":
                 self.prob = "ovs"  # violation-driven algos own their sampling
             elif self.prob != "ovs":
                 raise ConfigError(f"algo {self.algo!r} does not take prob={self.prob!r}")
-        else:
-            if self.prob == "ovs":
-                raise ConfigError("prob=ovs requires algo=ovsspdc")
-        if self.algo in ("spdc", "dspdc") and self.schedule in ("thm4", "thm5", "thm15"):
-            raise ConfigError(
-                f"schedule {self.schedule!r} has per-instance dual steps; "
-                f"algo {self.algo!r} needs cor18/cor19/auto"
-            )
-        if self.algo == "adaspdc" and self.schedule in ("cor18", "cor19"):
-            raise ConfigError(
-                f"schedule {self.schedule!r} is a shared-sigma rule; use algo=spdc"
-            )
+        elif self.prob == "ovs":
+            raise ConfigError("prob=ovs requires algo=ovsspdc")
         if self.algo == "dspdc" and self.dspdc_b is None:
             raise ConfigError("algo=dspdc requires --dspdc-b")
         if self.algo == "ovs-exact" and self.a != 1:
@@ -159,26 +152,15 @@ def _problem(cfg: RunConfig, ds):
             np.random.default_rng(cfg.seed))
 
 
-def _build_plan(cfg: RunConfig, ds, spec):
-    if cfg.prob == "uniform":
-        return build_uniform(ds.n, cfg.a)
-    return build_data_driven(ds, spec, cfg.a, cfg.prob)
-
-
 def _pick_schedule(cfg: RunConfig, ds) -> str:
-    """Resolve schedule=auto; non-uniform plans with a > sqrt(n) are rejected."""
+    """Resolve schedule=auto: the large-batch rule for a > sqrt(n) (the plan is
+    uniform there, as cor16 and cor17 need a=1), else the boosted or, for cor16, base rule."""
     if cfg.schedule != "auto":
         return cfg.schedule
-    # the algorithm's base, sqrt(n)-boosted and large-batch rules
-    base, boosted, large = (("thm4", "thm5", "thm15") if cfg.algo == "adaspdc"
-                            else ("cor18", "cor19", "cor18"))
-    if cfg.a * cfg.a <= ds.n:
-        return base if cfg.prob == "cor16" else boosted
-    if cfg.prob != "uniform":
-        raise ScheduleError(
-            f"a={cfg.a} > sqrt(n) admits only uniform sampling (schedule {large})"
-        )
-    return large
+    base, boosted, large = RULES[cfg.algo]
+    if cfg.a * cfg.a > ds.n:
+        return large
+    return base if cfg.prob == "cor16" else boosted
 
 
 def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
@@ -193,7 +175,8 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
         # the module's globals when called (the benchmark patches them)
         runner = globals()["run_" + cfg.algo.replace("-", "_")]
         return runner(ds, spec, cfg.a, vcfg, budget, rng, timing=cfg.timing), extra
-    plan = _build_plan(cfg, ds, spec)
+    plan = (build_uniform(ds.n, cfg.a) if cfg.prob == "uniform"
+            else build_data_driven(ds, spec, cfg.a, cfg.prob))
     schedule = _pick_schedule(cfg, ds)
     if schedule == "thm4":
         params = core.schedule_thm4(ds, spec, plan)
@@ -341,10 +324,8 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
                        iterations="")
         rows.append(row)
     if out_path:
-        fields = ["algo", "prob", "lambda_scale", "a", "seed", "status",
-                  "epochs_to_tol", "final_gap", "iterations"]
         with _writing(out_path), open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     return rows
@@ -362,8 +343,12 @@ def synth(n: int, d: int, sparsity: float, dual_skew: float, seed: int,
     """
     if n < 1 or d < 1:
         raise ConfigError("n and d must be >= 1")
+    if not 0.0 <= sparsity <= 1.0:
+        raise ConfigError(f"sparsity must lie in [0, 1], got {sparsity}")
     if not 0.0 <= dual_skew <= 1.0:
         raise ConfigError("dual-skew must lie in [0, 1]")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     k_dir = max(1, int(round(0.3 * d)))
     dir_support = rng.choice(d, size=k_dir, replace=False)
@@ -434,12 +419,11 @@ def _make_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid of runs over one dataset",
                              argument_default=argparse.SUPPRESS, allow_abbrev=False)
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--algos", default="adaspdc", help="comma-separated algo list")
-    p_sweep.add_argument("--probs", default="uniform", help="comma-separated prob list")
-    p_sweep.add_argument("--lambda-scales", default="1e-3",
-                         help="comma-separated lambda scales")
-    p_sweep.add_argument("--batches", default="1", help="comma-separated batch sizes")
-    p_sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p_sweep.add_argument("--algos", help="comma-separated algo list")
+    p_sweep.add_argument("--probs", help="comma-separated prob list")
+    p_sweep.add_argument("--lambda-scales", help="comma-separated lambda scales")
+    p_sweep.add_argument("--batches", help="comma-separated batch sizes")
+    p_sweep.add_argument("--seeds", help="comma-separated seeds")
     p_sweep.add_argument("--out", required=True, help="comparison table CSV path")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -460,8 +444,11 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
-def _split_flag(flag: str, text: str, kind) -> list:
-    """Comma-separated values of one sweep flag, each converted by ``kind``."""
+def _split_flag(args, flag: str, default, kind) -> list:
+    """The values of one sweep list flag, each converted by ``kind``, or ``[default]``."""
+    text = getattr(args, flag.replace("-", "_"), None)
+    if text is None:
+        return [default]
     try:
         return [kind(t) for t in text.split(",")]
     except ValueError:
@@ -479,23 +466,22 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run(_config_from_args(args))
         if args.command == "sweep":
-            scales = _split_flag("lambda-scales", args.lambda_scales, float)
-            batches = _split_flag("batches", args.batches, int)
-            seeds = _split_flag("seeds", args.seeds, int)
             base = _config_from_args(args)
-            configs = [replace(base, algo=algo.strip(), prob=prob.strip(), a=a,
-                               lambda_scale=scale, seed=seed)
-                       for algo in args.algos.split(",")
-                       for prob in args.probs.split(",")
-                       for scale in scales for a in batches for seed in seeds]
+            # each list flag, the RunConfig field it sweeps and its value type
+            grid = {name: _split_flag(args, flag, getattr(base, name), kind)
+                    for flag, name, kind in (
+                        ("algos", "algo", str.strip), ("probs", "prob", str.strip),
+                        ("lambda-scales", "lambda_scale", float), ("batches", "a", int),
+                        ("seeds", "seed", int))}
+            configs = [replace(base, **dict(zip(grid, values)))
+                       for values in itertools.product(*grid.values())]
             rows = sweep(configs, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")
             return EXIT_OK
-        if args.command == "synth":
-            synth(args.n, args.d, args.sparsity, args.dual_skew, args.seed, args.out)
-            print(f"wrote {args.out}")
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+        # argparse admits no command but run, sweep and synth
+        synth(args.n, args.d, args.sparsity, args.dual_skew, args.seed, args.out)
+        print(f"wrote {args.out}")
+        return EXIT_OK
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,8 @@ spec's schedule tokens:
 * ``cor18``/``cor19`` - shared scalar dual step (plain SPDC), base / boosted.
 
 All of them, and the restricted rule of the violation-gated runners, are one
-formula, :func:`_steps`.
+formula, :func:`_steps`; all but ``thm15`` are also one assembly of that
+formula over the plan's support, :func:`_support_rule`.
 
 ``verify_lemma3`` / ``verify_lemma14`` / ``verify_thm20`` evaluate the
 feasibility inequalities that certify geometric contraction of the potential
@@ -72,8 +73,6 @@ class StepParams:
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if self.tau <= 0 or np.any(self.sigma <= 0):
-            raise ScheduleError("step sizes must be positive")
 
 
 @dataclass
@@ -239,9 +238,13 @@ def _steps(spec: ProblemSpec, k: int, tau_half, sigma_half):
     sqrt(n)-boosted ones; the halves are ``a x/2`` and ``n x_i/2`` for the
     rule's ``x`` (``R_under``, ``p_i/||x_i||`` or ``1/(a ||x_i||)``), computed
     by the caller in the rule's own expression order, which fixes the bits.
+    Steps that underflow to zero are rejected before any momentum is computed.
     """
-    return (tau_half * math.sqrt(k * spec.gamma / spec.lam),
-            sigma_half * math.sqrt(k * spec.lam / spec.gamma))
+    tau = tau_half * math.sqrt(k * spec.gamma / spec.lam)
+    sigma = sigma_half * math.sqrt(k * spec.lam / spec.gamma)
+    if tau <= 0 or np.any(sigma <= 0):
+        raise ScheduleError("step sizes must be positive")
+    return tau, sigma
 
 
 def _theta(spec: ProblemSpec, tau: float, a: int, n: int, p, sigma) -> float:
@@ -267,22 +270,37 @@ _PLAN_RULES = {"thm4": (False, False), "thm5": (True, False),
 
 
 def _plan_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
-    boosted, shared = _PLAN_RULES[schedule]
     a = plan.batch
     n = ds.n
-    if boosted:
+    if _PLAN_RULES[schedule][0]:
         if a * a > n:
             raise ScheduleError(f"{schedule} requires a <= sqrt(n); got a={a}, n={n}")
         _check_cap(plan.p, 1.0 / (a * math.sqrt(n)), schedule)
     else:
         _check_cap(plan.p, 1.0 / a, schedule)
-    ru = _r_under(plan.p, ds.row_norms)
-    sigma_half = n * ru / 2.0 if shared else n * plan.p / (2.0 * ds.row_norms)
-    tau, sigma = _steps(spec, n if boosted else 1, a * ru / 2.0, sigma_half)
-    params = StepParams(tau=tau, sigma=np.full(n, sigma) if shared else sigma, theta=0.5,
-                        schedule=schedule, r_under=ru, n_eff=n)
-    params.theta = theta_of(params, plan, spec, n)
-    return params
+    return _support_rule(schedule, ds, spec, plan, a)
+
+
+def _support_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan,
+                  a: int) -> StepParams:
+    """The plan rule ``schedule`` over the plan's support: its n' instances
+    with nonzero probability stand in for the n instances, the batch is
+    ``min(a, n')``, and the duals that are never drawn get sigma 1.  On a
+    restricted plan this is the restricted rule of the violation-gated runners.
+    """
+    boosted, shared = _PLAN_RULES[schedule]
+    active = plan.active
+    n = active.size
+    a = min(a, n)
+    p, norms = plan.p[active], ds.row_norms[active]
+    ru = _r_under(p, norms)
+    tau, sig = _steps(spec, n if boosted else 1, a * ru / 2.0,
+                      n * ru / 2.0 if shared else n * p / (2.0 * norms))
+    sigma = np.ones(ds.n)
+    sigma[active] = sig
+    theta = _theta(spec, tau, a, n, p, sigma[active])
+    return StepParams(tau=tau, sigma=sigma, theta=theta, schedule=schedule, r_under=ru,
+                      n_eff=n)
 
 
 def schedule_thm4(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
@@ -312,13 +330,11 @@ def schedule_thm15(ds, spec: ProblemSpec, a: int) -> StepParams:
     n = ds.n
     if a * a < n:
         raise ScheduleError(f"thm15 requires a >= sqrt(n); got a={a}, n={n}")
+    plan = build_uniform(n, a)
     big_r = float(np.max(ds.row_norms))
     tau, sigma = _steps(spec, 1, 1.0 / (2.0 * big_r), n / (2.0 * a * ds.row_norms))
-    plan = build_uniform(n, a)
-    ru = _r_under(plan.p, ds.row_norms)
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm15", r_under=ru, n_eff=n)
-    params.theta = theta_of(params, plan, spec, n)
-    return params
+    return StepParams(tau=tau, sigma=sigma, theta=_theta(spec, tau, a, n, plan.p, sigma),
+                      schedule="thm15", r_under=_r_under(plan.p, ds.row_norms), n_eff=n)
 
 
 def schedule_vanilla(ds, spec: ProblemSpec, plan: SamplingPlan, scheme: str) -> StepParams:

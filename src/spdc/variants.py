@@ -263,28 +263,12 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig, budget: Budge
 
 
 def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan, a: int) -> StepParams:
-    """Step sizes for a plan restricted to the active coordinates.
-
-    The active-set size replaces the instance count in the step-size formulas
-    and in the momentum factor.  Uses the sqrt(n')-boosted rule when
-    ``a <= sqrt(n')``, the base rule for ``a <= n'``, and clamps the effective
-    batch to ``n'`` otherwise.
-    """
-    active = plan.active
-    n_eff = active.size
-    p_act = plan.p[active]
-    norms_act = ds.row_norms[active]
-    ru = core._r_under(p_act, norms_act)
-    a_eff = min(a, n_eff)
-    boosted = a_eff * a_eff <= n_eff
-    tau, sig_act = core._steps(spec, n_eff if boosted else 1, a_eff * ru / 2.0,
-                               n_eff * p_act / (2.0 * norms_act))
-    sigma = np.ones(ds.n)
-    sigma[active] = sig_act
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5,
-                        schedule="thm5" if boosted else "thm4", r_under=ru, n_eff=n_eff)
-    params.theta = core._theta(spec, tau, a_eff, n_eff, p_act, sig_act)
-    return params
+    """Step sizes for a plan restricted to its n' active coordinates: the plan
+    rule over the plan's support (:func:`core._support_rule`), ``thm5`` when
+    ``min(a, n')^2 <= n'`` and ``thm4`` otherwise."""
+    n_eff = plan.active.size
+    boosted = min(a, n_eff) ** 2 <= n_eff
+    return core._support_rule("thm5" if boosted else "thm4", ds, spec, plan, a)
 
 
 def run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: Budget,

@@ -6,6 +6,11 @@ step sizes, momentum and complexity factors, and the same traces, counters,
 logs and final states.  Only the old ``violation_tol`` knob (always 0.0) is
 written as its value; the checkpoint, clock, full sweep and iteration steps
 are the library's, which the change left as they were.
+
+The CLI's checks of which rules an algorithm may run are frozen here too,
+as they were before one table of rules per algorithm replaced them:
+``reference_validate`` (``RunConfig.validate``) and
+``reference_pick_schedule`` (``cli._pick_schedule``).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from spdc import core, variants
 from spdc.core import StepParams, _check_cap, _r_under, adaspdc_step, init_state
-from spdc.errors import ScheduleError, ZeroViolations
+from spdc.errors import ConfigError, ScheduleError, ZeroViolations
 from spdc.objective import dual_objective, dual_violations, primal_objective, primal_violations
 from spdc.sampling import build_ovs, build_restricted, build_uniform
 from spdc.variants import RunResult
@@ -452,3 +457,76 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
         counters["active_log"] = active_log
     return RunResult(state, records, converged or counters["optimal_exit"],
                      counters, params, plan)
+
+
+REFERENCE_ALGOS = ("spdc", "adaspdc", "dspdc", "ovsspdc", "ovs-exact", "ovsspdc-plus",
+                   "ovsspdc-plusplus")
+REFERENCE_VARIANTS = ("ovsspdc", "ovs-exact", "ovsspdc-plus", "ovsspdc-plusplus")
+REFERENCE_PROBS = ("uniform", "cor16", "cor17", "ovs")
+REFERENCE_SCHEDULES = ("thm4", "thm5", "thm15", "cor18", "cor19", "auto")
+
+
+def reference_validate(self) -> None:
+    """``RunConfig.validate`` before the rule table; ``self`` is a RunConfig."""
+    if self.algo not in REFERENCE_ALGOS:
+        raise ConfigError(f"unknown algo {self.algo!r}; choose from {REFERENCE_ALGOS}")
+    if self.prob not in REFERENCE_PROBS:
+        raise ConfigError(f"unknown prob {self.prob!r}; choose from {REFERENCE_PROBS}")
+    if self.schedule not in REFERENCE_SCHEDULES:
+        raise ConfigError(f"unknown schedule {self.schedule!r}; "
+                          f"choose from {REFERENCE_SCHEDULES}")
+    if self.a < 1:
+        raise ConfigError(f"a must be >= 1, got {self.a}")
+    if self.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {self.seed}")
+    if not (math.isfinite(self.lambda_scale) and self.lambda_scale > 0):
+        raise ConfigError(f"lambda-scale must be positive and finite, got {self.lambda_scale}")
+    if not (math.isfinite(self.gamma) and self.gamma > 0):
+        raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
+    for name, every in (("refresh-every", self.refresh_every),
+                        ("gap-check-every", self.gap_check_every)):
+        if every is not None and every < 1:
+            raise ConfigError(f"{name} must be >= 1, got {every}")
+    if self.algo in REFERENCE_VARIANTS:
+        if self.schedule != "auto":
+            raise ConfigError(
+                f"algo {self.algo!r} manages its own step sizes; use schedule=auto"
+            )
+        if self.prob == "uniform":
+            self.prob = "ovs"  # violation-driven algos own their sampling
+        elif self.prob != "ovs":
+            raise ConfigError(f"algo {self.algo!r} does not take prob={self.prob!r}")
+    else:
+        if self.prob == "ovs":
+            raise ConfigError("prob=ovs requires algo=ovsspdc")
+    if self.algo in ("spdc", "dspdc") and self.schedule in ("thm4", "thm5", "thm15"):
+        raise ConfigError(
+            f"schedule {self.schedule!r} has per-instance dual steps; "
+            f"algo {self.algo!r} needs cor18/cor19/auto"
+        )
+    if self.algo == "adaspdc" and self.schedule in ("cor18", "cor19"):
+        raise ConfigError(
+            f"schedule {self.schedule!r} is a shared-sigma rule; use algo=spdc"
+        )
+    if self.algo == "dspdc" and self.dspdc_b is None:
+        raise ConfigError("algo=dspdc requires --dspdc-b")
+    if self.algo == "ovs-exact" and self.a != 1:
+        raise ConfigError("algo=ovs-exact requires a=1")
+    if self.prob in ("cor16", "cor17") and self.a != 1:
+        raise ConfigError(f"prob={self.prob} requires a=1")
+
+
+def reference_pick_schedule(cfg, ds) -> str:
+    """Resolve schedule=auto; non-uniform plans with a > sqrt(n) are rejected."""
+    if cfg.schedule != "auto":
+        return cfg.schedule
+    # the algorithm's base, sqrt(n)-boosted and large-batch rules
+    base, boosted, large = (("thm4", "thm5", "thm15") if cfg.algo == "adaspdc"
+                            else ("cor18", "cor19", "cor18"))
+    if cfg.a * cfg.a <= ds.n:
+        return base if cfg.prob == "cor16" else boosted
+    if cfg.prob != "uniform":
+        raise ScheduleError(
+            f"a={cfg.a} > sqrt(n) admits only uniform sampling (schedule {large})"
+        )
+    return large

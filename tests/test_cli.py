@@ -4,10 +4,12 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 from spdc import cli as cli_mod
 from spdc.cli import RunConfig, main, run, sweep, synth
 from spdc.datamat import load_libsvm
-from spdc.errors import ConfigError
+from spdc.errors import ConfigError, ScheduleError
 from spdc.trace import CSV_HEADER
+
+import reference_runs as ref
 
 
 def cli(*args):
@@ -67,6 +71,15 @@ class TestSynth:
         rc = cli("synth", "--n", "30", "--d", "6", "--out", str(out))
         assert rc == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--sparsity", "2"), ("--sparsity", "nan"),
+                                            ("--sparsity", "inf"), ("--seed", "-1")])
+    def test_out_of_range_flags_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "f.svm"
+        assert cli("synth", "--n", "5", "--d", "3", flag, value, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert flag.lstrip("-") in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRun:
@@ -247,6 +260,36 @@ class TestOutputPaths:
         assert path.read_text()
 
 
+def _rule_outcome(validate, pick, n, **fields):
+    """What validating a run and resolving its schedule gives: the outcome
+    class, ``prob`` after validation and the rule picked (fixed-plan runs)."""
+    cfg = RunConfig(data="x.svm", **fields)
+    rule = None
+    try:
+        validate(cfg)
+        if cfg.algo not in ref.REFERENCE_VARIANTS:
+            rule = pick(cfg, SimpleNamespace(n=n))
+    except (ConfigError, ScheduleError) as exc:
+        return type(exc).__name__, cfg.prob, None
+    return "accepted", cfg.prob, rule
+
+
+def test_rule_checks_match_reference():
+    """``RunConfig.validate`` and ``_pick_schedule``, read from the rule
+    table, decide every combination as the checks they replaced did."""
+    cases = list(itertools.product((*ref.REFERENCE_ALGOS, "bogus"),
+                                   (*ref.REFERENCE_PROBS, "x"),
+                                   (*ref.REFERENCE_SCHEDULES, "nope"),
+                                   (1, 2, 5, 7), (None, 3), (1, 4, 30)))
+    assert len(cases) == 6720
+    for algo, prob, schedule, a, dspdc_b, n in cases:
+        fields = dict(algo=algo, prob=prob, schedule=schedule, a=a, dspdc_b=dspdc_b)
+        old = _rule_outcome(ref.reference_validate, ref.reference_pick_schedule, n, **fields)
+        new = _rule_outcome(RunConfig.validate, cli_mod._pick_schedule, n, **fields)
+        assert new == old, (fields, n)
+        assert old[0] != "ScheduleError"  # the old raise is never reached
+
+
 class TestRunFlags:
     def test_omitted_flags_keep_config_defaults(self):
         args = cli_mod._make_parser().parse_args(["run", "--data", "x.svm"])
@@ -380,6 +423,20 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"{flag} takes comma-separated" in err and "Traceback" not in err
 
+    def test_omitted_list_flags_sweep_config_defaults(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli_mod, "sweep", lambda configs, out: seen.append(configs) or [])
+        assert cli("sweep", "--data", "f.svm", "--out", "o.csv") == 0
+        assert seen == [[RunConfig(data="f.svm")]]
+
+    def test_given_list_flags_keep_grid_order(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli_mod, "sweep", lambda configs, out: seen.append(configs) or [])
+        assert cli("sweep", "--data", "f.svm", "--algos", "spdc, adaspdc", "--batches", "2,1",
+                   "--lambda-scales", "1e-2", "--out", "o.csv") == 0
+        assert seen == [[RunConfig(data="f.svm", algo=algo, a=a, lambda_scale=1e-2)
+                         for algo in ("spdc", "adaspdc") for a in (2, 1)]]
+
     def test_seed_flag_is_run_only(self, small_file, tmp_path):
         # sweep seeds come from --seeds; --seed is neither taken nor read as it
         assert cli("sweep", "--data", small_file, "--seed", "7",
@@ -488,9 +545,9 @@ def output_paths(folder):
 
 
 SYNTH_FLAGS = {
-    "--sparsity": ["0.3", "1", "0", "x"],
+    "--sparsity": ["0.3", "1", "0", "2", "nan", "inf", "x"],
     "--dual-skew": ["0", "0.5", "2", "-1"],
-    "--seed": ["0", "3", "x"],
+    "--seed": ["0", "3", "-1", "x"],
 }
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from spdc.core import adaspdc_step, init_state, schedule_thm5
+from spdc import variants
+from spdc.core import adaspdc_step, init_state, schedule_thm4, schedule_thm5
 from spdc.datamat import lambda_max
 from spdc.errors import ScheduleError
 from spdc.objective import (
@@ -13,7 +16,7 @@ from spdc.objective import (
     primal_objective,
     primal_violations,
 )
-from spdc.sampling import build_uniform
+from spdc.sampling import build_restricted, build_uniform
 from spdc.variants import (
     Budget,
     VariantConfig,
@@ -237,3 +240,29 @@ class TestCrossSolverAgreementSmall:
             assert abs(v - ref) <= 1e-6 * abs(ref), (k, v, ref)
         for k, r in runs.items():
             assert r.converged, k
+
+
+@given(n=st.integers(1, 40), d=st.integers(1, 8), seed=st.integers(0, 10**6),
+       density=st.floats(0.2, 1.0), gamma=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+       scale=st.floats(1e-4, 2.0), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_restricted_rule_on_full_support_is_the_plan_rule(n, d, seed, density, gamma,
+                                                          scale, data):
+    """On a restricted plan that draws every dual, the restricted rule is
+    thm5 (thm4 when a^2 > n) on the uniform plan, bit for bit."""
+    ds = make_dataset(n, d, seed=seed, density=density)
+    lmax = lambda_max(ds)
+    assume(lmax > 0.0)
+    spec = ProblemSpec(gamma=gamma, lam=scale * lmax)
+    a = data.draw(st.integers(1, n))
+    kappa = np.array(data.draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n)))
+    got = variants._restricted_schedule(ds, spec, build_restricted(kappa, a), a)
+    rule = schedule_thm5 if a * a <= n else schedule_thm4
+    want = rule(ds, spec, build_uniform(n, a))
+
+    def bits(params):
+        scalars = np.array([params.tau, params.theta, params.r_under])
+        return (scalars.view(np.int64).tolist(), params.sigma.view(np.int64).tolist(),
+                params.schedule, params.n_eff)
+
+    assert bits(got) == bits(want)
