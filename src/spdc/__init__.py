@@ -64,7 +64,6 @@ from .trace import TraceRecord
 from .variants import (
     Budget,
     RunResult,
-    VariantConfig,
     run_fixed,
     run_ovs_exact,
     run_ovsspdc,

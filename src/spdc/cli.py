@@ -41,7 +41,6 @@ from .trace import write_trace_csv
 from .variants import (
     Budget,
     RunResult,
-    VariantConfig,
     run_fixed,
     run_ovs_exact,
     run_ovsspdc,
@@ -82,9 +81,6 @@ class RunConfig:
     trace: str | None = None
     summary: str | None = None
     dspdc_b: int | None = None
-    dspdc_q: str = "uniform"
-    refresh_every: int | None = None
-    gap_check_every: int | None = None
     timing: bool = True
 
     def validate(self) -> None:
@@ -102,10 +98,10 @@ class RunConfig:
             raise ConfigError(f"lambda-scale must be positive and finite, got {self.lambda_scale}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
-        for name, every in (("refresh-every", self.refresh_every),
-                            ("gap-check-every", self.gap_check_every)):
-            if every is not None and every < 1:
-                raise ConfigError(f"{name} must be >= 1, got {every}")
+        if math.isnan(self.gap_tol):
+            raise ConfigError("gap-tol must be a number, got nan")
+        if not math.isfinite(self.max_epochs):
+            raise ConfigError(f"max-epochs must be finite, got {self.max_epochs}")
         accepted = dict.fromkeys(("auto", *RULES.get(self.algo, ())))
         if self.schedule not in accepted:
             raise ConfigError(f"algo {self.algo!r} takes schedule {' or '.join(accepted)}, "
@@ -165,16 +161,14 @@ def _pick_schedule(cfg: RunConfig, ds) -> str:
 
 def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
               rng: np.random.Generator) -> tuple[RunResult, dict]:
-    vcfg = VariantConfig(refresh_every=cfg.refresh_every,
-                         gap_check_every=cfg.gap_check_every)
     extra: dict = {}
     if cfg.algo == "ovs-exact":
-        return run_ovs_exact(ds, spec, vcfg, budget, rng, timing=cfg.timing), extra
+        return run_ovs_exact(ds, spec, budget, rng, timing=cfg.timing), extra
     if cfg.algo in VARIANTS:
         # run_ovsspdc, run_ovsspdc_plus or run_ovsspdc_plusplus, read from
         # the module's globals when called (the benchmark patches them)
         runner = globals()["run_" + cfg.algo.replace("-", "_")]
-        return runner(ds, spec, cfg.a, vcfg, budget, rng, timing=cfg.timing), extra
+        return runner(ds, spec, cfg.a, budget, rng, timing=cfg.timing), extra
     plan = (build_uniform(ds.n, cfg.a) if cfg.prob == "uniform"
             else build_data_driven(ds, spec, cfg.a, cfg.prob))
     schedule = _pick_schedule(cfg, ds)
@@ -188,13 +182,7 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
         params = core.schedule_vanilla(ds, spec, plan, schedule)
     dcfg = None
     if cfg.algo == "dspdc":
-        try:
-            q = None
-            if cfg.dspdc_q != "uniform":
-                q = np.array([float(t) for t in cfg.dspdc_q.split(",")])
-            dcfg = core.DspdcConfig.build(ds.d, cfg.dspdc_b, q)
-        except ValueError as exc:
-            raise ConfigError(f"dspdc-q={cfg.dspdc_q!r}: {exc}") from None
+        dcfg = core.DspdcConfig.build(ds.d, cfg.dspdc_b)
         ok, failing, margins = core.verify_thm20(params, plan, dcfg, ds, spec, cfg.a)
         if not ok:
             raise ScheduleError(f"dspdc parameter check failed at {failing}")
@@ -248,7 +236,7 @@ def run(cfg: RunConfig) -> int:
         "wall_seconds": wall,
         "schedule_params": None,
         "conditions": _condition_report(result, ds, spec, cfg, extra),
-        # the scalar counters; logs of draws and gaps stay with the RunResult
+        # the scalar counters; the lists of gaps and set sizes stay with the RunResult
         "counters": {k: v for k, v in result.counters.items()
                      if isinstance(v, (bool, int, float))},
     }
@@ -292,13 +280,6 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
     loaded: dict[bool, object] = {}  # normalize -> dataset or the load error
     rows = []
     for cfg in configs:
-        row = {
-            "algo": cfg.algo,
-            "prob": cfg.prob,
-            "lambda_scale": cfg.lambda_scale,
-            "a": cfg.a,
-            "seed": cfg.seed,
-        }
         try:
             cfg.validate()
             if cfg.normalize not in loaded:
@@ -312,7 +293,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
             _, spec, budget, rng = _problem(cfg, ds)
             result, _ = _dispatch(cfg, ds, spec, budget, rng)
             last = result.trace[-1]
-            row.update(
+            outcome = dict(
                 status="converged" if result.converged else "budget",
                 epochs_to_tol=last.epoch if result.converged else "",
                 final_gap=last.gap,
@@ -320,9 +301,11 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
             )
         except (ConfigError, DataError, ScheduleError, ConditionNotMetError,
                 NumericalFailure, OSError) as exc:
-            row.update(status=f"error: {exc}", epochs_to_tol="", final_gap="",
-                       iterations="")
-        rows.append(row)
+            outcome = dict(status=f"error: {exc}", epochs_to_tol="", final_gap="",
+                           iterations="")
+        # after validate, which gives the violation-driven algos prob=ovs
+        rows.append({"algo": cfg.algo, "prob": cfg.prob, "lambda_scale": cfg.lambda_scale,
+                     "a": cfg.a, "seed": cfg.seed, **outcome})
     if out_path:
         with _writing(out_path), open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -409,11 +392,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", help="trace CSV output path")
     p_run.add_argument("--summary", help="summary JSON output path")
     p_run.add_argument("--dspdc-b", type=int, help="primal block size")
-    p_run.add_argument("--dspdc-q", help="block probabilities: 'uniform' or comma-separated")
-    p_run.add_argument("--refresh-every", type=int,
-                       help="iterations between violation refreshes")
-    p_run.add_argument("--gap-check-every", type=int,
-                       help="inner-loop acceptance-check period")
 
     # no abbreviations, or --seed would be read as --seeds
     p_sweep = sub.add_parser("sweep", help="grid of runs over one dataset",

@@ -163,8 +163,9 @@ def init_state(ds) -> SolverState:
 class DspdcConfig:
     """Primal block partition and block probabilities for the doubly stochastic loop.
 
-    :meth:`build` splits ``[d]`` into ``floor(d/b)`` contiguous blocks whose
-    sizes differ by at most one, the larger ones first.  ``cum_q`` is
+    :meth:`build` splits ``[d]`` into ``K = floor(d/b)`` contiguous blocks
+    whose sizes differ by at most one, the larger ones first, and draws each
+    with probability ``1/K``.  ``cum_q`` is
     ``cumsum(q)``, the table a block draw searches, derived from ``q``.
     """
 
@@ -176,17 +177,12 @@ class DspdcConfig:
         object.__setattr__(self, "cum_q", np.cumsum(self.q))
 
     @staticmethod
-    def build(d: int, b: int, q=None) -> "DspdcConfig":
+    def build(d: int, b: int) -> "DspdcConfig":
         if not 1 <= b <= d:
             raise ValueError(f"block size {b} must lie in [1, {d}]")
         n_blocks = d // b
         blocks = np.array_split(np.arange(d), n_blocks)
-        if q is None:
-            q = np.full(n_blocks, 1.0 / n_blocks)
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (n_blocks,) or np.any(q <= 0) or abs(q.sum() - 1.0) > 1e-9:
-            raise ValueError("q must be a positive probability vector over the blocks")
-        return DspdcConfig(q=q, blocks=tuple(blocks))
+        return DspdcConfig(q=np.full(n_blocks, 1.0 / n_blocks), blocks=tuple(blocks))
 
     def block_norms_sq(self, ds) -> np.ndarray:
         """Per instance, the max over blocks of the squared row norm within the block.

@@ -58,11 +58,12 @@ def alias_build(p) -> AliasTable:
     Raises
     ------
     ValueError
-        If any entry is negative or the vector does not sum to 1 within 1e-9.
+        If any entry is negative or NaN, or the vector does not sum to 1
+        within 1e-9 (so an infinite entry is rejected too).
     """
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0):
-        raise ValueError("probability vector has a negative entry")
+    if not np.all(p >= 0):
+        raise ValueError("probability vector has a negative or NaN entry")
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probability vector sums to {total!r}, not 1")

@@ -43,7 +43,6 @@ from .trace import TraceRecord
 
 __all__ = [
     "Budget",
-    "VariantConfig",
     "RunResult",
     "run_fixed",
     "run_ovsspdc",
@@ -59,27 +58,6 @@ class Budget:
 
     gap_tol: float = 1e-8
     max_epochs: float = 100.0
-
-
-@dataclass
-class VariantConfig:
-    """Knobs for the violation-driven runners.
-
-    ``refresh_every`` is the iteration period of the violation/probability
-    refresh (None means ceil(n/a)).  ``gap_check_every`` sets how often the
-    snapshot acceptance test runs inside an inner loop (None means once, at
-    the end).  A violation counts as zero only at exact float equality,
-    which the prox arithmetic produces at fixed points.  ``record_draws``
-    keeps a log of all sampled indices for instrumentation.
-    """
-
-    refresh_every: int | None = None
-    gap_check_every: int | None = None
-    record_draws: bool = False
-
-    def __post_init__(self):
-        if self.refresh_every is not None and self.refresh_every < 1:
-            raise ValueError("refresh_every must be >= 1")
 
 
 @dataclass
@@ -135,16 +113,9 @@ class _Optimum(Exception):
     the unit that found it drew."""
 
 
-def _new_run(ds, state0: SolverState | None, cfg: VariantConfig | None = None,
-             actives: bool = True, **counters) -> RunResult:
+def _new_run(ds, state0: SolverState | None, **counters) -> RunResult:
     """An empty run record for :func:`_drive` from a copy of ``state0`` (or
-    a zero state), holding the policy's own counters and, when
-    ``cfg.record_draws`` is set, the logs of sampled indices (and of active
-    sets, with ``actives``)."""
-    if cfg is not None and cfg.record_draws:
-        counters["draw_log"] = []
-        if actives:
-            counters["active_log"] = []
+    a zero state), holding the policy's own counters."""
     state = init_state(ds) if state0 is None else state0.copy()
     return RunResult(state, [], False, counters)
 
@@ -220,12 +191,12 @@ def run_fixed(ds, spec: ProblemSpec, plan: SamplingPlan, params: StepParams,
     return _drive(ds, spec, budget, run, epoch, 1, timing)
 
 
-def run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig, budget: Budget,
+def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
                 rng: np.random.Generator, timing: bool = True,
                 state0: SolverState | None = None) -> RunResult:
-    """Violation-weighted sampling with periodic probability refresh.
+    """Violation-weighted sampling with a probability refresh once per epoch.
 
-    Every ``refresh_every`` iterations (default one epoch-equivalent) the dual
+    At the start of every epoch-equivalent, ceil(n/a) iterations, the dual
     violations are recomputed at the current iterate, the capped
     violation-weighted plan is rebuilt, and the sqrt(n)-boosted step sizes and
     momentum are rederived from it.  When every violation is zero the refresh
@@ -236,15 +207,12 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig, budget: Budge
     if a * a > n:
         raise ScheduleError(f"violation-weighted sampling requires a <= sqrt(n); got a={a}")
     per_epoch = math.ceil(n / a)
-    refresh_every = cfg.refresh_every or per_epoch
-    run = _new_run(ds, state0, cfg, actives=False, refreshes=0,
-                   uniform_fallbacks=0)
+    run = _new_run(ds, state0, refreshes=0, uniform_fallbacks=0)
     counters = run.counters
-    draws = counters.get("draw_log")
 
     def iteration(it):
         state = run.state
-        if it % refresh_every == 0:
+        if it % per_epoch == 0:
             kappa = dual_violations(state.w, state.alpha, ds, spec)
             kappa = np.where(kappa > 0.0, kappa, 0.0)
             try:
@@ -255,8 +223,6 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig, budget: Budge
             run.params = core.schedule_thm5(ds, spec, run.plan)
             counters["refreshes"] += 1
         adaspdc_step(state, run.params, run.plan, ds, spec, a, rng)
-        if draws is not None:
-            draws.append(state.last_draws.copy())
         return a
 
     return _drive(ds, spec, budget, run, iteration, per_epoch, timing)
@@ -271,7 +237,7 @@ def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan, a: int) -> S
     return core._support_rule("thm5" if boosted else "thm4", ds, spec, plan, a)
 
 
-def run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: Budget,
+def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
                   rng: np.random.Generator, timing: bool = True,
                   state0: SolverState | None = None) -> RunResult:
     """Exact violation gating: recompute violations every iteration, sample
@@ -283,8 +249,7 @@ def run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: Budget,
     Terminates early when every dual and primal violation is exactly zero.
     The budget is tested after every iteration.
     """
-    run = _new_run(ds, state0, cfg, optimal_exit=False)
-    draws, actives = run.counters.get("draw_log"), run.counters.get("active_log")
+    run = _new_run(ds, state0, optimal_exit=False)
 
     def iteration(_):
         state = run.state
@@ -309,9 +274,6 @@ def run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: Budget,
         run.plan = plan
         run.params = _restricted_schedule(ds, spec, plan, 1)
         adaspdc_step(state, run.params, plan, ds, spec, 1, rng)
-        if draws is not None:
-            draws.append(state.last_draws.copy())
-            actives.append(plan.active.copy())
         return 1
 
     return _drive(ds, spec, budget, run, iteration, ds.n, timing)
@@ -331,15 +293,16 @@ def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) ->
     core._primal_pass(state, params.tau, spec.lam, params.theta)
 
 
-def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
-                          budget: Budget, rng: np.random.Generator,
+def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
+                          rng: np.random.Generator,
                           restrict_primal: bool, timing: bool = True) -> RunResult:
     """Shared body of the snapshot/acceptance heuristics; the budget is
     tested once per round.
 
     A round is one deterministic full sweep, violation recomputation, then
     an inner loop of ceil(n'/a) sampled iterations over the restricted plan
-    on a copy of the state.  Inner iterates are committed only when their
+    on a copy of the state.  The acceptance test runs once per round, at the
+    end of the inner loop: the inner iterate is committed only when its
     duality gap strictly improves on the best committed gap, so the
     committed gap sequence is strictly decreasing by construction.  The
     sweep itself is applied without an acceptance test, so the state it
@@ -353,12 +316,10 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
         outer_params = core.schedule_thm5(ds, spec, build_uniform(n, a))
     else:
         outer_params = core.schedule_thm15(ds, spec, a)
-    run = _new_run(ds, None, cfg, primal_writes=0, accepts=0, inner_rounds=0,
+    run = _new_run(ds, None, primal_writes=0, accepts=0, inner_rounds=0,
                    optimal_exit=False, committed_gaps=[])
     counters = run.counters
-    draws, actives = counters.get("draw_log"), counters.get("active_log")
     gaps = counters["committed_gaps"]  # gaps[-1] is the best committed gap
-    check_every = cfg.gap_check_every
 
     def round_(_):
         state = run.state
@@ -387,38 +348,31 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
         counters.setdefault("active_sizes", []).append(n_active)
         counters.setdefault("inner_lengths", []).append(inner_len)
         inner = state.copy()
-        for u in range(1, inner_len + 1):
+        for _ in range(inner_len):
             adaspdc_step(inner, params, plan, ds, spec, a, rng, primal_coords=primal_coords)
-            if draws is not None:
-                draws.append(inner.last_draws.copy())
-                actives.append(plan.active.copy())
-            if (check_every is not None and u % check_every == 0) or u == inner_len:
-                g = primal_objective(inner.w, ds, spec) - dual_objective(inner.alpha, ds, spec)
-                if g < gaps[-1]:
-                    gaps.append(g)
-                    run.state = inner.copy()
-                    counters["accepts"] += 1
-                    if g <= budget.gap_tol:
-                        break
+        g = primal_objective(inner.w, ds, spec) - dual_objective(inner.alpha, ds, spec)
+        if g < gaps[-1]:
+            gaps.append(g)
+            run.state = inner
+            counters["accepts"] += 1
         counters["inner_rounds"] += 1
-        counters["primal_writes"] += u * (ds.d if primal_coords is None else len(primal_coords))
-        return n + u * a
+        counters["primal_writes"] += inner_len * (ds.d if primal_coords is None
+                                                  else len(primal_coords))
+        return n + inner_len * a
 
     return _drive(ds, spec, budget, run, round_, 1, timing, start=gaps.append)
 
 
-def run_ovsspdc_plus(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
-                     budget: Budget, rng: np.random.Generator,
-                     timing: bool = True) -> RunResult:
+def run_ovsspdc_plus(ds, spec: ProblemSpec, a: int, budget: Budget,
+                     rng: np.random.Generator, timing: bool = True) -> RunResult:
     """Snapshot/acceptance heuristic restricting dual sampling to violated
     coordinates; full primal updates."""
-    return _run_snapshot_variant(ds, spec, a, cfg, budget, rng,
+    return _run_snapshot_variant(ds, spec, a, budget, rng,
                                  restrict_primal=False, timing=timing)
 
 
-def run_ovsspdc_plusplus(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
-                         budget: Budget, rng: np.random.Generator,
-                         timing: bool = True) -> RunResult:
+def run_ovsspdc_plusplus(ds, spec: ProblemSpec, a: int, budget: Budget,
+                         rng: np.random.Generator, timing: bool = True) -> RunResult:
     """Snapshot/acceptance heuristic restricting both dual sampling and inner
     primal updates to coordinates with nonzero violations.
 
@@ -426,5 +380,5 @@ def run_ovsspdc_plusplus(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
     cache still tracks every coordinate, so skipped coordinates resume
     seamlessly once their violation reappears.
     """
-    return _run_snapshot_variant(ds, spec, a, cfg, budget, rng,
+    return _run_snapshot_variant(ds, spec, a, budget, rng,
                                  restrict_primal=True, timing=timing)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from spdc import core
 from spdc.core import adaspdc_step, init_state, schedule_thm5
 from spdc.datamat import SparseDataset
 from spdc.objective import ProblemSpec
@@ -74,3 +75,19 @@ def small_ref(small):
     ds, spec = small
     state, _, _ = solve_to_fixed_point(ds, spec)
     return state
+
+
+@pytest.fixture
+def draw_log(monkeypatch):
+    """Every batch of sampled duals, as ``(plan, draws)``: records the calls
+    of ``core.draw_batch``, where every solver step draws its duals."""
+    log = []
+    draw_batch = core.draw_batch
+
+    def recorded(plan, rng):
+        draws = draw_batch(plan, rng)
+        log.append((plan, draws.copy()))
+        return draws
+
+    monkeypatch.setattr(core, "draw_batch", recorded)
+    return log

@@ -3,9 +3,11 @@ every rule became one formula and every runner one run loop.
 
 The library's rules and runners must reproduce these bit for bit: the same
 step sizes, momentum and complexity factors, and the same traces, counters,
-logs and final states.  Only the old ``violation_tol`` knob (always 0.0) is
+draws and final states.  Only the old ``violation_tol`` knob (always 0.0) is
 written as its value; the checkpoint, clock, full sweep and iteration steps
-are the library's, which the change left as they were.
+are the library's, which the change left as they were.  The runners' knobs
+that were later removed (the refresh and acceptance-test cadences, and the
+logs of draws) are written as their one remaining value too.
 
 The CLI's checks of which rules an algorithm may run are frozen here too,
 as they were before one table of rules per algorithm replaced them:
@@ -187,21 +189,19 @@ def reference_run_fixed(ds, spec: ProblemSpec, plan: SamplingPlan, params: StepP
     )
 
 
-def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
-                          budget: Budget, rng: np.random.Generator, timing: bool = True,
+def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
+                          rng: np.random.Generator, timing: bool = True,
                           state0: SolverState | None = None) -> RunResult:
     """Violation-weighted sampling with periodic probability refresh.
 
-    Every ``refresh_every`` iterations (default one epoch-equivalent) the dual
-    violations are recomputed at the current iterate, the capped
-    violation-weighted plan is rebuilt, and the sqrt(n)-boosted step sizes and
-    momentum are rederived from it.  When every violation is zero the refresh
+    Every epoch-equivalent the dual violations are recomputed at the current
+    iterate, the capped violation-weighted plan is rebuilt, and the
+    sqrt(n)-boosted step sizes and momentum are rederived from it.  When every violation is zero the refresh
     falls back to the uniform plan and the run continues.
     """
     n = ds.n
     if a * a > n:
         raise ScheduleError(f"violation-weighted sampling requires a <= sqrt(n); got a={a}")
-    refresh_every = cfg.refresh_every or math.ceil(n / a)
     per_epoch = math.ceil(n / a)
     state = init_state(ds) if state0 is None else state0.copy()
     clock = variants._Clock(timing)
@@ -210,12 +210,11 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
     converged = rec.gap <= budget.gap_tol
     plan = params = None
     refreshes = fallbacks = 0
-    draw_log = [] if cfg.record_draws else None
     duals_drawn = 0
     ckpt = 0
     it = 0
     while not converged and duals_drawn / n < budget.max_epochs:
-        if it % refresh_every == 0:
+        if it % per_epoch == 0:
             kappa = dual_violations(state.w, state.alpha, ds, spec)
             kappa = np.where(kappa > 0.0, kappa, 0.0)
             try:
@@ -226,8 +225,6 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
             params = reference_schedule_thm5(ds, spec, plan)
             refreshes += 1
         adaspdc_step(state, params, plan, ds, spec, a, rng)
-        if draw_log is not None:
-            draw_log.append(state.last_draws.copy())
         duals_drawn += a
         it += 1
         if it % per_epoch == 0:
@@ -243,8 +240,6 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
         "refreshes": refreshes,
         "uniform_fallbacks": fallbacks,
     }
-    if draw_log is not None:
-        counters["draw_log"] = draw_log
     return RunResult(state, records, converged, counters, params, plan)
 
 
@@ -288,7 +283,7 @@ def reference_restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan,
     return params
 
 
-def reference_run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: Budget,
+def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
                             rng: np.random.Generator, timing: bool = True,
                             state0: SolverState | None = None) -> RunResult:
     """Exact violation gating: recompute violations every iteration, sample
@@ -308,8 +303,6 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: B
     converged = rec.gap <= budget.gap_tol
     plan = params = None
     optimal = False
-    draw_log = [] if cfg.record_draws else None
-    active_log = [] if cfg.record_draws else None
     duals_drawn = 0
     ckpt = 0
     it = 0
@@ -337,9 +330,6 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: B
             continue
         params = reference_restricted_schedule(ds, spec, plan, a)
         adaspdc_step(state, params, plan, ds, spec, a, rng)
-        if draw_log is not None:
-            draw_log.append(state.last_draws.copy())
-            active_log.append(plan.active.copy())
         duals_drawn += a
         it += 1
         if it % n == 0:
@@ -351,14 +341,10 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, cfg: VariantConfig, budget: B
         converged = rec.gap <= budget.gap_tol
     counters = {"iterations": state.iter, "duals_drawn": duals_drawn,
                 "optimal_exit": optimal}
-    if draw_log is not None:
-        counters["draw_log"] = draw_log
-        counters["active_log"] = active_log
     return RunResult(state, records, converged or optimal, counters, params, plan)
 
 
-def reference_run_snapshot(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
-                           budget: Budget, rng: np.random.Generator,
+def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: np.random.Generator,
                            restrict_primal: bool, timing: bool = True) -> RunResult:
     """Shared body of the snapshot/acceptance heuristics.
 
@@ -388,8 +374,6 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
         "inner_rounds": 0,
         "optimal_exit": False,
     }
-    draw_log = [] if cfg.record_draws else None
-    active_log = [] if cfg.record_draws else None
     plan = params = None
     ckpt = 0
     while not converged and counters["duals_drawn"] / n < budget.max_epochs:
@@ -425,13 +409,9 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
         for u in range(1, inner_len + 1):
             adaspdc_step(inner, params, plan, ds, spec, a, rng,
                          primal_coords=primal_coords)
-            if draw_log is not None:
-                draw_log.append(inner.last_draws.copy())
-                active_log.append(plan.active.copy())
             counters["duals_drawn"] += a
             counters["primal_writes"] += ds.d if primal_coords is None else len(primal_coords)
-            check = (cfg.gap_check_every is not None and u % cfg.gap_check_every == 0)
-            if check or u == inner_len:
+            if u == inner_len:
                 g = primal_objective(inner.w, ds, spec) - dual_objective(inner.alpha, ds, spec)
                 if g < ref_gap:
                     ref_gap = g
@@ -452,9 +432,6 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, cfg: VariantConfig,
         converged = rec.gap <= budget.gap_tol or counters["optimal_exit"]
     counters["iterations"] = state.iter
     counters["committed_gaps"] = committed_gaps
-    if draw_log is not None:
-        counters["draw_log"] = draw_log
-        counters["active_log"] = active_log
     return RunResult(state, records, converged or counters["optimal_exit"],
                      counters, params, plan)
 
@@ -483,10 +460,6 @@ def reference_validate(self) -> None:
         raise ConfigError(f"lambda-scale must be positive and finite, got {self.lambda_scale}")
     if not (math.isfinite(self.gamma) and self.gamma > 0):
         raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
-    for name, every in (("refresh-every", self.refresh_every),
-                        ("gap-check-every", self.gap_check_every)):
-        if every is not None and every < 1:
-            raise ConfigError(f"{name} must be >= 1, got {every}")
     if self.algo in REFERENCE_VARIANTS:
         if self.schedule != "auto":
             raise ConfigError(

@@ -39,7 +39,6 @@ from spdc.objective import (
 from spdc.sampling import alias_build, build_ovs, build_uniform
 from spdc.variants import (
     Budget,
-    VariantConfig,
     run_fixed,
     run_ovsspdc,
     run_ovsspdc_plus,
@@ -228,11 +227,11 @@ def test_criterion_6_cross_solver_agreement(bench_file):
     runs["dspdc"] = run_fixed(ds, spec, plan, schedule_vanilla(ds, spec, plan, "cor19"),
                               1, budget, np.random.default_rng(63),
                               dspdc_cfg=DspdcConfig.build(ds.d, ds.d), timing=False)
-    runs["ovsspdc"] = run_ovsspdc(ds, spec, 1, VariantConfig(), budget,
+    runs["ovsspdc"] = run_ovsspdc(ds, spec, 1, budget,
                                   np.random.default_rng(64), timing=False)
-    runs["plus"] = run_ovsspdc_plus(ds, spec, 1, VariantConfig(), budget,
+    runs["plus"] = run_ovsspdc_plus(ds, spec, 1, budget,
                                     np.random.default_rng(65), timing=False)
-    runs["plusplus"] = run_ovsspdc_plusplus(ds, spec, 1, VariantConfig(), budget,
+    runs["plusplus"] = run_ovsspdc_plusplus(ds, spec, 1, budget,
                                             np.random.default_rng(66), timing=False)
     elapsed = time.perf_counter() - t0
     objectives = {k: primal_objective(r.state.w, ds, spec) for k, r in runs.items()}
@@ -263,7 +262,7 @@ def test_criterion_7_violation_sampling_speedup(tmp_path):
             params = schedule_thm5(ds, spec, plan)
             base = run_fixed(ds, spec, plan, params, a, budget,
                              np.random.default_rng(100 + seed), timing=False)
-            ovs = run_ovsspdc(ds, spec, a, VariantConfig(), budget,
+            ovs = run_ovsspdc(ds, spec, a, budget,
                               np.random.default_rng(200 + seed), timing=False)
             assert base.converged and ovs.converged
             uni_epochs.append(base.trace[-1].epoch)
@@ -271,8 +270,7 @@ def test_criterion_7_violation_sampling_speedup(tmp_path):
         results[scale] = (statistics.median(ovs_epochs), statistics.median(uni_epochs))
     # verify the dataset really is dual-sparse at the optimum
     spec = ProblemSpec(gamma=1.0, lam=1e-3 * lmax)
-    probe = run_ovsspdc(ds, spec, a, VariantConfig(),
-                        Budget(gap_tol=1e-10, max_epochs=6000),
+    probe = run_ovsspdc(ds, spec, a, Budget(gap_tol=1e-10, max_epochs=6000),
                         np.random.default_rng(799), timing=False)
     zero_frac = np.mean(probe.state.alpha == 0.0)
     ok = zero_frac >= 0.7 and all(o <= u for o, u in results.values())

@@ -184,8 +184,14 @@ class TestRun:
         (["-a", "50"], "a=50 exceeds the instance count n=20"),
         (["--algo", "dspdc", "--dspdc-b", "9"], "dspdc-b=9 must lie in [1, d=5]"),
         (["--gamma", "0"], "gamma must be positive"),
-        (["--algo", "dspdc", "--dspdc-b", "2", "--dspdc-q", "0.5,x"], "dspdc-q"),
+        (["--gap-tol", "nan"], "gap-tol must be a number, got nan"),
         (["--seed", "-1"], "seed must be >= 0"),
+        (["--max-epochs", "nan"], "max-epochs must be finite, got nan"),
+        # a tolerance met at the first checkpoint, should the budget pass
+        (["--max-epochs", "inf", "--gap-tol", "1e300"], "max-epochs must be finite, got inf"),
+        (["--refresh-every", "5"], "unrecognized arguments: --refresh-every"),
+        (["--gap-check-every", "5"], "unrecognized arguments: --gap-check-every"),
+        (["--dspdc-q", "0.5,0.5"], "unrecognized arguments: --dspdc-q"),
     ])
     def test_out_of_range_flags_exit_2(self, small_file, capsys, flags, fragment):
         assert cli("run", "--data", small_file, *flags) == 2
@@ -300,14 +306,12 @@ class TestRunFlags:
                 "--gap-tol", "1e-4", "--max-epochs", "7", "--no-timing", "--seed", "3",
                 "--algo", "dspdc", "--prob", "cor16", "--schedule", "cor18", "-a", "2",
                 "--lambda-scale", "0.1", "--trace", "t.csv", "--summary", "s.json",
-                "--dspdc-b", "4", "--dspdc-q", "0.5,0.5", "--refresh-every", "5",
-                "--gap-check-every", "6"]
+                "--dspdc-b", "4"]
         args = cli_mod._make_parser().parse_args(argv)
         assert cli_mod._config_from_args(args) == RunConfig(
             data="x.svm", normalize=True, gamma=0.5, gap_tol=1e-4, max_epochs=7.0,
             timing=False, seed=3, algo="dspdc", prob="cor16", schedule="cor18", a=2,
-            lambda_scale=0.1, trace="t.csv", summary="s.json", dspdc_b=4,
-            dspdc_q="0.5,0.5", refresh_every=5, gap_check_every=6)
+            lambda_scale=0.1, trace="t.csv", summary="s.json", dspdc_b=4)
 
 
 def test_zero_lambda_max_is_a_config_error(tmp_path, capsys):
@@ -362,6 +366,9 @@ class TestSweep:
         assert len(rows) == 4
         assert out.read_text().count("\n") == 5
         assert all(r["status"] == "converged" for r in rows)
+        # the row holds the validated prob: ovsspdc samples by violations
+        assert [r["prob"] for r in rows] == ["uniform"] * 2 + ["ovs"] * 2
+        assert out.read_text().splitlines()[3].startswith("ovsspdc,ovs,")
 
     def test_child_failure_does_not_abort(self, data_file):
         good = RunConfig(data=data_file, normalize=True, algo="adaspdc",
@@ -494,9 +501,6 @@ RUN_FLAGS = {
     "-a": ["1", "2", "25", "0", "-3", "x"],
     "--lambda-scale": ["1e-2", "0", "-1", "nan", "inf", "x"],
     "--dspdc-b": ["1", "3", "5", "0", "9"],
-    "--dspdc-q": ["uniform", "0.5,0.5", "1,x", "-1,2"],
-    "--refresh-every": ["1", "5", "0", "-2"],
-    "--gap-check-every": ["1", "5", "0"],
     "--seed": ["0", "7", "-1", "x"],
 }
 SWEEP_FLAGS = {

@@ -14,7 +14,7 @@ from spdc.datamat import lambda_max
 from spdc.objective import ProblemSpec, primal_objective
 from spdc.sampling import build_uniform
 from spdc.core import schedule_thm5
-from spdc.variants import Budget, VariantConfig, run_fixed, run_ovsspdc_plusplus
+from spdc.variants import Budget, run_fixed, run_ovsspdc_plusplus
 
 from conftest import make_dataset
 
@@ -42,7 +42,7 @@ def test_solvers_match_external_optimum(lam_scale):
     plan = build_uniform(ds.n, 1)
     params = schedule_thm5(ds, spec, plan)
     fixed = run_fixed(ds, spec, plan, params, 1, budget, np.random.default_rng(1))
-    pp = run_ovsspdc_plusplus(ds, spec, 1, VariantConfig(), budget,
+    pp = run_ovsspdc_plusplus(ds, spec, 1, budget,
                               np.random.default_rng(2))
     assert fixed.converged and pp.converged
     for res in (fixed, pp):

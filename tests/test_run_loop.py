@@ -3,7 +3,7 @@ the loops and rules they replaced (``tests/reference_runs.py``).
 
 The rules must give bitwise the same step sizes, momentum and complexity
 factors, or raise the same error; every runner must give the same trace,
-counters, logs, final state, plan and step sizes, including runs that stop
+counters, draws, final state, plan and step sizes, including runs that stop
 on the budget mid-epoch, at an exact optimum, on a converged full sweep or
 before any iteration.
 """
@@ -21,7 +21,6 @@ from spdc.objective import ProblemSpec
 from spdc.sampling import build_data_driven, build_ovs, build_restricted, build_uniform
 from spdc.variants import (
     Budget,
-    VariantConfig,
     run_fixed,
     run_ovs_exact,
     run_ovsspdc,
@@ -152,7 +151,7 @@ def _rng():
 
 
 # budgets that end mid-epoch, before any iteration, or at a tolerance (the
-# loose one is reached by a snapshot acceptance check in mid-round)
+# snapshot variants reach the loose one on a full sweep)
 BUDGETS = [Budget(1e-12, 2.5), Budget(1e-12, 0.0), Budget(1e-6, 400.0),
            Budget(1e-2, 400.0)]
 
@@ -191,62 +190,83 @@ def test_fixed_warm_start_matches_reference(mid):
     assert_same_run(new, old)
 
 
+def _compare(request, record, new, old):
+    """Assert that ``new()`` and ``old()`` give the same run, and return the
+    new one.  With ``record`` the two must also draw the same duals from the
+    same plans, and every draw must have positive probability in its plan."""
+    if not record:
+        new_run = new()
+        assert_same_run(new_run, old())
+        return new_run
+    log = request.getfixturevalue("draw_log")
+    new_run = new()
+    new_log = log[:]
+    del log[:]
+    assert_same_run(new_run, old())
+    assert len(new_log) == len(log)
+    for (new_plan, new_draws), (old_plan, old_draws) in zip(new_log, log):
+        assert _bits(new_plan.p) == _bits(old_plan.p)
+        assert new_draws.tobytes() == old_draws.tobytes()
+        assert np.all(new_plan.p[new_draws] > 0)
+    return new_run
+
+
+# the options of a comparison: whether it records the draws
+PLAIN, RECORDED = {"record_draws": False}, {"record_draws": True}
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("a,cfg", [(1, VariantConfig()),
-                                   (2, VariantConfig(refresh_every=5, record_draws=True)),
-                                   (5, VariantConfig(record_draws=True))])
-def test_ovsspdc_matches_reference(mid, budget, a, cfg):
+@pytest.mark.parametrize("a,cfg", [(1, PLAIN), (2, RECORDED), (5, RECORDED)])
+def test_ovsspdc_matches_reference(request, mid, budget, a, cfg):
     ds, spec = mid
-    new = run_ovsspdc(ds, spec, a, cfg, budget, _rng(), timing=False)
-    old = ref.reference_run_ovsspdc(ds, spec, a, cfg, budget, _rng(), timing=False)
-    assert_same_run(new, old)
+    _compare(request, cfg["record_draws"],
+             lambda: run_ovsspdc(ds, spec, a, budget, _rng(), timing=False),
+             lambda: ref.reference_run_ovsspdc(ds, spec, a, budget, _rng(), timing=False))
 
 
-def test_ovsspdc_uniform_fallback_matches_reference(optimal):
+def test_ovsspdc_uniform_fallback_matches_reference(request, optimal):
     ds, spec, state0 = optimal
     budget = Budget(gap_tol=-1.0, max_epochs=3.4)
-    cfg = VariantConfig(refresh_every=3, record_draws=True)
-    new = run_ovsspdc(ds, spec, 1, cfg, budget, _rng(), timing=False, state0=state0)
-    old = ref.reference_run_ovsspdc(ds, spec, 1, cfg, budget, _rng(), timing=False,
-                                    state0=state0)
+    new = _compare(request, True,
+                   lambda: run_ovsspdc(ds, spec, 1, budget, _rng(), timing=False,
+                                       state0=state0),
+                   lambda: ref.reference_run_ovsspdc(ds, spec, 1, budget, _rng(),
+                                                     timing=False, state0=state0))
     assert new.counters["uniform_fallbacks"] >= 1
-    assert_same_run(new, old)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("record", [False, True])
-def test_ovs_exact_matches_reference(tiny, budget, record):
+def test_ovs_exact_matches_reference(request, tiny, budget, record):
     ds, spec = tiny
-    cfg = VariantConfig(record_draws=record)
-    new = run_ovs_exact(ds, spec, cfg, budget, _rng(), timing=False)
-    old = ref.reference_run_ovs_exact(ds, spec, cfg, budget, _rng(), timing=False)
-    assert_same_run(new, old)
+    _compare(request, record,
+             lambda: run_ovs_exact(ds, spec, budget, _rng(), timing=False),
+             lambda: ref.reference_run_ovs_exact(ds, spec, budget, _rng(), timing=False))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("record", [False, True])
-def test_ovs_exact_settles_like_reference(seed, record):
+def test_ovs_exact_settles_like_reference(request, seed, record):
     # with gamma = 0.1 the duals settle exactly long before the weights, so
     # most iterations only flush the primal (they draw nothing and take no
     # checkpoint) until the run stops at the exact optimum
     ds = make_dataset(12, 4, seed=seed, density=0.8)
     spec = ProblemSpec(gamma=0.1, lam=0.8 * lambda_max(ds))
     budget = Budget(gap_tol=-1.0, max_epochs=200)
-    cfg = VariantConfig(record_draws=record)
-    new = run_ovs_exact(ds, spec, cfg, budget, _rng(), timing=False)
-    old = ref.reference_run_ovs_exact(ds, spec, cfg, budget, _rng(), timing=False)
+    new = _compare(request, record,
+                   lambda: run_ovs_exact(ds, spec, budget, _rng(), timing=False),
+                   lambda: ref.reference_run_ovs_exact(ds, spec, budget, _rng(),
+                                                       timing=False))
     assert new.counters["optimal_exit"]
     assert new.counters["iterations"] > 10 * new.counters["duals_drawn"]
-    assert_same_run(new, old)
 
 
 def test_ovs_exact_optimal_start_matches_reference(optimal):
     ds, spec, state0 = optimal
     budget = Budget(gap_tol=-1.0, max_epochs=50)
-    new = run_ovs_exact(ds, spec, VariantConfig(), budget, _rng(), timing=False,
-                        state0=state0)
-    old = ref.reference_run_ovs_exact(ds, spec, VariantConfig(), budget, _rng(),
-                                      timing=False, state0=state0)
+    new = run_ovs_exact(ds, spec, budget, _rng(), timing=False, state0=state0)
+    old = ref.reference_run_ovs_exact(ds, spec, budget, _rng(), timing=False,
+                                      state0=state0)
     assert new.counters["optimal_exit"]
     assert_same_run(new, old)
 
@@ -255,18 +275,15 @@ SNAPSHOT_RUNNERS = [(run_ovsspdc_plus, False), (run_ovsspdc_plusplus, True)]
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("a,cfg", [(1, VariantConfig()),
-                                   (1, VariantConfig(gap_check_every=1)),
-                                   (2, VariantConfig(gap_check_every=3, record_draws=True)),
-                                   (7, VariantConfig(record_draws=True))])
+@pytest.mark.parametrize("a,cfg", [(1, PLAIN), (1, RECORDED), (2, RECORDED), (7, RECORDED)])
 @pytest.mark.parametrize("runner,restrict", SNAPSHOT_RUNNERS)
-def test_snapshot_matches_reference(mid, budget, a, cfg, runner, restrict):
+def test_snapshot_matches_reference(request, mid, budget, a, cfg, runner, restrict):
     # a = 7 > sqrt(30) sweeps with the thm15 steps
     ds, spec = mid
-    new = runner(ds, spec, a, cfg, budget, _rng(), timing=False)
-    old = ref.reference_run_snapshot(ds, spec, a, cfg, budget, _rng(),
-                                     restrict_primal=restrict, timing=False)
-    assert_same_run(new, old)
+    _compare(request, cfg["record_draws"],
+             lambda: runner(ds, spec, a, budget, _rng(), timing=False),
+             lambda: ref.reference_run_snapshot(ds, spec, a, budget, _rng(),
+                                                restrict_primal=restrict, timing=False))
 
 
 @pytest.mark.parametrize("runner,restrict", SNAPSHOT_RUNNERS)
@@ -275,10 +292,18 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
     # sweep of either variant leaves on ``mid`` at this seed
     ds, spec = mid
     budget = Budget(gap_tol=0.2765596451434991, max_epochs=400)
-    new = runner(ds, spec, 1, VariantConfig(), budget, _rng(), timing=False)
-    old = ref.reference_run_snapshot(ds, spec, 1, VariantConfig(), budget, _rng(),
+    new = runner(ds, spec, 1, budget, _rng(), timing=False)
+    old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
                                      restrict_primal=restrict, timing=False)
     assert new.converged and new.counters["inner_rounds"] == len(new.trace) - 2
+    assert_same_run(new, old)
+    # an inner iterate that reaches the tolerance: the one accepted at the end
+    # of the 20th round
+    budget = Budget(gap_tol=0.16911786969625514, max_epochs=400)
+    new = runner(ds, spec, 1, budget, _rng(), timing=False)
+    old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
+                                     restrict_primal=restrict, timing=False)
+    assert new.converged and new.counters["inner_rounds"] == len(new.trace) - 1 == 20
     assert_same_run(new, old)
     # and one that finds the exact optimum
     # gamma < 1 clamps the duals onto their optimum, alpha = y, in finitely
@@ -286,8 +311,8 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
     ds = optimal[0]
     spec = ProblemSpec(gamma=0.5, lam=1.1 * lambda_max(ds))
     budget = Budget(gap_tol=-1.0, max_epochs=50)
-    new = runner(ds, spec, 1, VariantConfig(), budget, _rng(), timing=False)
-    old = ref.reference_run_snapshot(ds, spec, 1, VariantConfig(), budget, _rng(),
+    new = runner(ds, spec, 1, budget, _rng(), timing=False)
+    old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
                                      restrict_primal=restrict, timing=False)
     assert new.counters["optimal_exit"]
     assert_same_run(new, old)

@@ -56,6 +56,11 @@ class TestAlias:
             alias_build([1.5, -0.5])
         with pytest.raises(ValueError, match="sums"):
             alias_build([0.4, 0.4])
+        # nan fails every comparison, so it would slip past both tests above
+        with pytest.raises(ValueError, match="NaN"):
+            alias_build([np.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match="sums"):
+            alias_build([np.inf, 0.5, 0.5])
 
     def test_fixed_seed_reproducible(self):
         p = [0.2, 0.3, 0.5]

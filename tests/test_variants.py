@@ -19,7 +19,6 @@ from spdc.objective import (
 from spdc.sampling import build_restricted, build_uniform
 from spdc.variants import (
     Budget,
-    VariantConfig,
     run_fixed,
     run_ovs_exact,
     run_ovsspdc,
@@ -49,7 +48,7 @@ def mid():
 class TestOvsSpdc:
     def test_converges_and_refreshes(self, mid):
         ds, spec = mid
-        res = run_ovsspdc(ds, spec, 2, VariantConfig(), Budget(1e-9, 3000),
+        res = run_ovsspdc(ds, spec, 2, Budget(1e-9, 3000),
                           np.random.default_rng(0))
         assert res.converged
         assert res.counters["refreshes"] > 1
@@ -58,7 +57,7 @@ class TestOvsSpdc:
     def test_batch_cap(self, mid):
         ds, spec = mid
         with pytest.raises(ScheduleError, match="sqrt"):
-            run_ovsspdc(ds, spec, 10, VariantConfig(), Budget(), np.random.default_rng(0))
+            run_ovsspdc(ds, spec, 10, Budget(), np.random.default_rng(0))
 
     def test_uniform_fallback_at_optimum(self):
         ds = make_dataset(25, 6, seed=21)
@@ -66,7 +65,7 @@ class TestOvsSpdc:
         state0 = optimal_zero_state(ds, spec)
         assert np.all(dual_violations(state0.w, state0.alpha, ds, spec) == 0.0)
         # unreachable tolerance keeps the loop running through the fallback path
-        res = run_ovsspdc(ds, spec, 1, VariantConfig(), Budget(gap_tol=-1.0, max_epochs=3.0),
+        res = run_ovsspdc(ds, spec, 1, Budget(gap_tol=-1.0, max_epochs=3.0),
                           np.random.default_rng(1), state0=state0)
         assert res.counters["uniform_fallbacks"] >= 1
         # the run continued but never moved off the optimum
@@ -81,7 +80,7 @@ class TestOvsSpdc:
         plan = build_uniform(ds.n, 1)
         params = schedule_thm5(ds, spec, plan)
         base = run_fixed(ds, spec, plan, params, 1, budget, np.random.default_rng(2))
-        ovs = run_ovsspdc(ds, spec, 1, VariantConfig(), budget, np.random.default_rng(3))
+        ovs = run_ovsspdc(ds, spec, 1, budget, np.random.default_rng(3))
         assert base.converged and ovs.converged
         p_base = primal_objective(base.state.w, ds, spec)
         p_ovs = primal_objective(ovs.state.w, ds, spec)
@@ -91,24 +90,23 @@ class TestOvsSpdc:
 class TestOvsExact:
     def test_converges_tiny(self, tiny):
         ds, spec = tiny
-        res = run_ovs_exact(ds, spec, VariantConfig(), Budget(1e-10, 4000),
+        res = run_ovs_exact(ds, spec, Budget(1e-10, 4000),
                             np.random.default_rng(4))
         assert res.converged
         assert res.trace[-1].gap <= 1e-10
 
-    def test_zero_probability_never_sampled(self, tiny):
+    def test_zero_probability_never_sampled(self, tiny, draw_log):
         ds, spec = tiny
-        res = run_ovs_exact(ds, spec, VariantConfig(record_draws=True),
-                            Budget(1e-10, 4000), np.random.default_rng(5))
-        assert res.counters["draw_log"]
-        for draws, active in zip(res.counters["draw_log"], res.counters["active_log"]):
-            assert np.all(np.isin(draws, active))
+        run_ovs_exact(ds, spec, Budget(1e-10, 4000), np.random.default_rng(5))
+        assert draw_log
+        for plan, draws in draw_log:
+            assert plan.kind == "restricted" and np.all(plan.p[draws] > 0)
 
     def test_matches_refresh_variant_objective(self, tiny):
         ds, spec = tiny
-        exact = run_ovs_exact(ds, spec, VariantConfig(), Budget(1e-10, 4000),
+        exact = run_ovs_exact(ds, spec, Budget(1e-10, 4000),
                               np.random.default_rng(6))
-        ovs = run_ovsspdc(ds, spec, 1, VariantConfig(), Budget(1e-10, 4000),
+        ovs = run_ovsspdc(ds, spec, 1, Budget(1e-10, 4000),
                           np.random.default_rng(7))
         p1 = primal_objective(exact.state.w, ds, spec)
         p2 = primal_objective(ovs.state.w, ds, spec)
@@ -118,7 +116,7 @@ class TestOvsExact:
         ds = make_dataset(15, 5, seed=22)
         spec = ProblemSpec(gamma=1.0, lam=1.1 * lambda_max(ds))
         state0 = optimal_zero_state(ds, spec)
-        res = run_ovs_exact(ds, spec, VariantConfig(), Budget(gap_tol=-1.0, max_epochs=50),
+        res = run_ovs_exact(ds, spec, Budget(gap_tol=-1.0, max_epochs=50),
                             np.random.default_rng(8), state0=state0)
         assert res.counters["optimal_exit"]
         assert res.counters["duals_drawn"] == 0
@@ -128,36 +126,23 @@ class TestSnapshotVariants:
     def test_committed_gaps_strictly_decreasing(self, mid):
         ds, spec = mid
         for runner in (run_ovsspdc_plus, run_ovsspdc_plusplus):
-            res = runner(ds, spec, 1, VariantConfig(), Budget(1e-9, 3000),
+            res = runner(ds, spec, 1, Budget(1e-9, 3000),
                          np.random.default_rng(9))
             gaps = res.counters["committed_gaps"]
             assert res.converged
             assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_zero_kappa_never_drawn(self, mid):
+    def test_zero_kappa_never_drawn(self, mid, draw_log):
         ds, spec = mid
-        res = run_ovsspdc_plus(ds, spec, 1, VariantConfig(record_draws=True),
-                               Budget(1e-9, 3000), np.random.default_rng(10))
-        assert res.counters["draw_log"]
-        for draws, active in zip(res.counters["draw_log"], res.counters["active_log"]):
-            assert np.all(np.isin(draws, active))
-
-    def test_frequent_gap_checks_commit_at_least_as_often(self, mid):
-        ds, spec = mid
-        budget = Budget(1e-9, 3000)
-        lazy = run_ovsspdc_plus(ds, spec, 1, VariantConfig(), budget,
-                                np.random.default_rng(15))
-        eager = run_ovsspdc_plus(ds, spec, 1, VariantConfig(gap_check_every=10),
-                                 budget, np.random.default_rng(15))
-        assert lazy.converged and eager.converged
-        assert eager.counters["accepts"] >= lazy.counters["accepts"]
-        gaps = eager.counters["committed_gaps"]
-        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        run_ovsspdc_plus(ds, spec, 1, Budget(1e-9, 3000), np.random.default_rng(10))
+        assert any(np.any(plan.p == 0.0) for plan, _ in draw_log)
+        for plan, draws in draw_log:
+            assert plan.kind == "restricted" and np.all(plan.p[draws] > 0)
 
     def test_inner_loop_length_scales_with_active_set(self, mid):
         ds, spec = mid
         # inner loops run ceil(n'/a) iterations over the n' live duals
-        res = run_ovsspdc_plus(ds, spec, 3, VariantConfig(), Budget(1e-9, 3000),
+        res = run_ovsspdc_plus(ds, spec, 3, Budget(1e-9, 3000),
                                np.random.default_rng(14))
         sizes = res.counters["active_sizes"]
         lengths = res.counters["inner_lengths"]
@@ -169,9 +154,9 @@ class TestSnapshotVariants:
         ds = make_dataset(60, 10, seed=26, density=0.9)
         spec = ProblemSpec(gamma=1.0, lam=3e-4 * lambda_max(ds))
         budget = Budget(gap_tol=1e-15, max_epochs=0.5)  # exactly one outer round
-        r1 = run_ovsspdc_plus(ds, spec, 1, VariantConfig(), budget,
+        r1 = run_ovsspdc_plus(ds, spec, 1, budget,
                               np.random.default_rng(11))
-        r2 = run_ovsspdc_plusplus(ds, spec, 1, VariantConfig(), budget,
+        r2 = run_ovsspdc_plusplus(ds, spec, 1, budget,
                                   np.random.default_rng(11))
         # precondition: no coordinate was skipped, so the loops did identical work
         assert r2.counters["primal_writes"] == r1.counters["primal_writes"]
@@ -182,9 +167,9 @@ class TestSnapshotVariants:
         ds = make_dataset(120, 40, seed=23, density=0.25)
         spec = ProblemSpec(gamma=1.0, lam=0.3 * lambda_max(ds))  # strongly sparse w*
         budget = Budget(1e-9, 4000)
-        plus = run_ovsspdc_plus(ds, spec, 1, VariantConfig(), budget,
+        plus = run_ovsspdc_plus(ds, spec, 1, budget,
                                 np.random.default_rng(12))
-        pp = run_ovsspdc_plusplus(ds, spec, 1, VariantConfig(), budget,
+        pp = run_ovsspdc_plusplus(ds, spec, 1, budget,
                                   np.random.default_rng(12))
         assert plus.converged and pp.converged
         assert pp.counters["primal_writes"] < plus.counters["primal_writes"]
@@ -213,7 +198,7 @@ class TestDeterminism:
     def test_same_seed_identical_trace(self, mid):
         ds, spec = mid
         runs = [
-            run_ovsspdc(ds, spec, 2, VariantConfig(), Budget(1e-8, 2000),
+            run_ovsspdc(ds, spec, 2, Budget(1e-8, 2000),
                         np.random.default_rng(55), timing=False)
             for _ in range(2)
         ]
@@ -230,9 +215,9 @@ class TestCrossSolverAgreementSmall:
         params = schedule_thm5(ds, spec, plan)
         runs = {
             "uniform": run_fixed(ds, spec, plan, params, 1, budget, np.random.default_rng(30)),
-            "ovs": run_ovsspdc(ds, spec, 1, VariantConfig(), budget, np.random.default_rng(31)),
-            "plus": run_ovsspdc_plus(ds, spec, 1, VariantConfig(), budget, np.random.default_rng(32)),
-            "pp": run_ovsspdc_plusplus(ds, spec, 1, VariantConfig(), budget, np.random.default_rng(33)),
+            "ovs": run_ovsspdc(ds, spec, 1, budget, np.random.default_rng(31)),
+            "plus": run_ovsspdc_plus(ds, spec, 1, budget, np.random.default_rng(32)),
+            "pp": run_ovsspdc_plusplus(ds, spec, 1, budget, np.random.default_rng(33)),
         }
         values = {k: primal_objective(r.state.w, ds, spec) for k, r in runs.items()}
         ref = values["uniform"]
