@@ -102,6 +102,8 @@ class RunConfig:
             raise ConfigError("gap-tol must be a number, got nan")
         if not math.isfinite(self.max_epochs):
             raise ConfigError(f"max-epochs must be finite, got {self.max_epochs}")
+        if self.max_epochs < 0:
+            raise ConfigError(f"max-epochs must be >= 0, got {self.max_epochs}")
         accepted = dict.fromkeys(("auto", *RULES.get(self.algo, ())))
         if self.schedule not in accepted:
             raise ConfigError(f"algo {self.algo!r} takes schedule {' or '.join(accepted)}, "

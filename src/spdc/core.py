@@ -17,6 +17,10 @@ formula over the plan's support, :func:`_support_rule`.
 ``verify_lemma3`` / ``verify_lemma14`` / ``verify_thm20`` evaluate the
 feasibility inequalities that certify geometric contraction of the potential
 ``delta_t`` for the emitted parameters.
+
+From d = ``_LAZY_MIN_D`` on, the primal pass costs O(row nnz), not O(d): it
+keeps each weight as an anchor with a closed-form law (:class:`_Anchors`)
+and re-anchors only those whose dual image changed or whose phase may end.
 """
 
 from __future__ import annotations
@@ -75,70 +79,196 @@ class StepParams:
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
 
 
-@dataclass
-class _PrimalMemo:
-    """What the last primal pass ran with: its parameters, the state arrays
-    it left behind (compared by identity so that a rebound attribute shows)
-    and ``moved``, the coordinates where it left ``w`` and ``w_prev`` with
-    different bits.
+class _Anchors:
+    """Each weight of a large state as an anchor: its value ``B`` at the
+    iteration it was anchored at and the law it follows from there.
 
-    ``v_seen`` holds, per weight coordinate, the ``v_cache`` value its last
-    primal prox read, or NaN where that prox result is not known to still
-    hold."""
+    While ``v_cache_j``, ``tau`` and ``lam`` stay fixed, the prox of weight j
+    is affine in each phase of ``s = v_j + w/tau``: above ``lam``,
+    ``w' = c w + (1-c) W`` with ``c = 1/(1 + tau lam)``, ``W = v_j/lam - 1``,
+    and ``w' > 0``; below ``-lam`` the mirror image; in the dead zone 0.  So
+    k steps on, weight j reads ``W + c^k (B - W)`` clipped at 0 on its
+    phase's side (the sign of ``t0``, the anchor iteration plus one), and
+    one whose ``W`` lies across 0 stays at 0 as the dead zone does.  A
+    dead-zone anchor's ``W = -B (1 + 1/(tau lam))`` clips to 0 in one step.
+    Other laws end on ``W = soft(v_j/lam, 1)``, where the whole-vector
+    prox's keep rule freezes a weight, bit for bit once ``c^k |B - W|`` is
+    below half an ulp.  A restricted selection freezes the others: ``W = B``.
 
-    tau: float
-    lam: float
-    theta: float
-    arrays: tuple
-    moved: np.ndarray
-    v_seen: np.ndarray
+    A pass re-anchors the weights whose dual image changed (the settled and
+    drawn rows' supports, which :meth:`prepare` evaluates for the dual pass,
+    or those ``touched`` by a settle outside one) and the ``watch``, laws
+    that may leave their phase at the next step: a live one whose ``W`` lies
+    beyond ``lam`` across 0, a nonzero dead-zone one whose ``v_j`` lies
+    outside the dead zone.  No law is read past its phase, and reads change
+    nothing, so they cannot change a run.
+    """
 
-    def holds(self, state: "SolverState", tau: float, lam: float, theta: float) -> bool:
-        return (self.tau == tau and self.lam == lam and self.theta == theta
-                and all(a is b for a, b in zip(self.arrays, _pass_arrays(state))))
+    def __init__(self, w, v_cache, t: int, tau: float, lam: float, theta: float,
+                 primal_coords):
+        d = v_cache.size
+        self.params, self.v = (tau, lam, theta), v_cache
+        # numpy scalars: their arithmetic with small arrays costs less
+        self.tau, self.lam, self.theta = np.float64(tau), np.float64(lam), np.float64(theta)
+        self.c = np.float64(1.0 / (1.0 + tau * lam))
+        self.kill = np.float64(-1.0 - 1.0 / (tau * lam))
+        self.frozen = None if primal_coords is None else np.ones(d, dtype=bool)
+        if self.frozen is not None:
+            self.frozen[primal_coords] = False
+        self.B, self.W, self.t0 = np.array(w, dtype=np.float64), np.empty(d), np.empty(d, np.int32)
+        self.touched, self.watch, self.prepared, self.cached = [], [], [], {}
+        for lo in range(0, d, _CHUNK):
+            self._anchor(slice(lo, lo + _CHUNK), self.B[lo:lo + _CHUNK], t)
+
+    def advance(self, t: int) -> None:
+        """The pass from iteration t.  The drawn rows' supports need no watch:
+        they stay ``touched``, so the next pass re-anchors them after the
+        next iteration settles them, whether or not a dual pass runs."""
+        rest = self.touched + self._watched()
+        idx, val, fresh = [], [], 0
+        if rest:
+            idx.append(np.concatenate(rest))
+            val.append(self._law(idx[0], t)[0])
+        for cols, w, fresh in self.prepared:
+            idx.append(cols)
+            val.append(w)
+        self.touched = [idx[-1][idx[-1].size - fresh:]] if fresh else []
+        self.prepared, self.cached = [], {}
+        if idx:
+            self._anchor(np.concatenate(idx), np.concatenate(val), t, fresh)
+
+    def _watched(self) -> list:
+        watch, self.watch = self.watch, []
+        return [np.unique(np.concatenate(watch))] if watch else []
+
+    def view(self, t: int, slot: int) -> np.ndarray:
+        """``w``, ``w_prev`` or ``w_bar`` (slot 0, 1, 2) at iteration t: a new
+        array, the same for every read at t, made ``_CHUNK`` weights at a time."""
+        if self.cached.get("t") != t:
+            self.cached = {"t": t}
+        if slot not in self.cached:
+            slots = (0,) if slot == 0 else (0, 1, 2)
+            out = [np.empty(self.B.size) for _ in slots]
+            for lo in range(0, self.B.size, _CHUNK):
+                for o, x in zip(out, self._law(slice(lo, lo + _CHUNK), t, bar=slot != 0)):
+                    o[lo:lo + _CHUNK] = x
+            self.cached.update(zip(slots, out))
+        return self.cached[slot]
+
+    def prepare(self, indptr, indices, settled: list, drawn: list, t: int) -> dict:
+        """For the dual pass at iteration t: ``w_bar`` on each drawn row's
+        support, and the weights at t that the primal pass re-anchors: the
+        watched ones and the settled and drawn rows' supports, which cover
+        ``touched``."""
+        drawn = list(dict.fromkeys(drawn))
+        cols = self._watched() + [indices[indptr[i]:indptr[i + 1]] for i in settled + drawn]
+        self.touched = []
+        idx = np.concatenate(cols)
+        w, _, w_bar = self._law(idx, t, bar=True)
+        out, hi = {}, idx.size
+        for i in reversed(drawn):
+            out[i] = w_bar[hi - (indptr[i + 1] - indptr[i]):hi]
+            hi -= out[i].size
+        self.prepared.append((idx, w, idx.size - hi))
+        return out
+
+    def _law(self, idx, t: int, bar: bool = False):
+        """The weights at iteration t of the coordinates ``idx``, anchored
+        before t; with ``bar``, also at t-1 and the extrapolation."""
+        t0 = self.t0[idx]
+        up = t0 > _ZERO32
+        e = np.abs(t0)
+        np.subtract(np.int32(t + 1), e, out=e)
+        W, B = self.W[idx], self.B[idx]
+        step = self.c ** e * (B - W)
+        w = step + W
+        w *= np.signbit(w) != up  # 0 once the law has crossed 0
+        if not bar:
+            return (w,)
+        w_prev = step / self.c + W
+        w_prev *= np.signbit(w_prev) != up
+        np.copyto(w_prev, B, where=e == _ONE32)
+        return w, w_prev, (w - w_prev) * self.theta + w
+
+    def _anchor(self, idx, val, t: int, fresh: int = 0) -> None:
+        """Anchor ``idx`` at iteration t on the values ``val`` and the current
+        ``v_cache``; watch those but the last ``fresh`` that may change phase."""
+        lam = self.lam
+        u = self.v[idx]
+        s = val / self.tau + u
+        live = np.abs(s) > lam
+        # the side of 0 the law keeps to: the phase's, or a dead-zone weight's
+        side = np.sign(np.where(live, s, val))
+        W = np.where(live, u / lam - side, val * self.kill)
+        # a live law with W beyond lam across 0, or a nonzero dead-zone weight
+        # with |u| > lam (it then has the sign of -u), may change phase next
+        flip = side * u < -lam
+        flip[flip.size - fresh:] = False
+        up, down = np.int32(t + 1), np.int32(-t - 1)
+        t0 = np.where(side < 0.0, down, up)
+        if self.frozen is not None:
+            frozen = self.frozen[idx]
+            np.copyto(W, val, where=frozen)
+            np.copyto(t0, np.where(val < 0.0, down, up), where=frozen)
+            flip &= ~frozen
+        self.B[idx], self.W[idx], self.t0[idx] = val, W, t0
+        if np.count_nonzero(flip):
+            self.watch.append(np.flatnonzero(flip) + idx.start if isinstance(idx, slice)
+                              else idx[flip])
 
 
-@dataclass
+_ZERO32, _ONE32 = np.int32(0), np.int32(1)
+_CHUNK = 2048  # weights per block when all are anchored or read: bounds temporaries
+
+
+def _weights(slot: int) -> property:
+    """A stored weight vector, or the anchors' evaluation; assigning stores all."""
+    attr = ("_w", "_w_prev", "_w_bar")[slot]
+
+    def put(self, value):
+        self._materialize()
+        setattr(self, attr, value)
+
+    return property(lambda self: getattr(self, attr) if self._anchors is None
+                    else self._anchors.view(self.iter, slot), put)
+
+
 class SolverState:
     """Mutable iterate: weights, duals, extrapolations, and the dual-image cache.
 
     ``v_cache`` tracks ``(1/n) X^T alpha_bar`` incrementally; ``last_batch``
     remembers which dual coordinates carry extrapolation so the next step can
-    settle them in O(batch * row nnz).
-
-    The private ``_memo`` lets :func:`_primal_pass` skip the coordinates the
-    prox would leave bitwise unchanged; it stays None while d is too small
-    for skipping to pay, and a copy starts without it.  The pass writes
-    ``w_bar`` in place and reuses the old ``w_prev`` array as the new ``w``.
-    Code outside the solver that edits ``w``, ``w_prev``, ``w_bar`` or
-    ``v_cache`` assigns a new float64 array to the attribute rather than
-    writing into it; the next pass then sees the change and proxes every
-    coordinate, as the first pass of a copy does.
+    settle them in O(batch * row nnz).  For d >= ``_LAZY_MIN_D`` the weights
+    are kept as anchors (:class:`_Anchors`) and ``w``, ``w_prev``, ``w_bar``
+    are evaluated when read, as new arrays, the same for every read at one
+    iteration; a copy holds them and starts without anchors.  Code outside
+    the solver that edits ``w``, ``w_prev``, ``w_bar`` or ``v_cache``
+    assigns a new float64 array rather than writing into it.
     """
 
-    w: np.ndarray
-    w_prev: np.ndarray
-    alpha: np.ndarray
-    w_bar: np.ndarray
-    alpha_bar: np.ndarray
-    v_cache: np.ndarray
-    iter: int = 0
-    last_batch: list = field(default_factory=list)
-    last_draws: np.ndarray | None = None
-    _memo: _PrimalMemo | None = field(default=None, init=False, repr=False, compare=False)
+    w, w_prev, w_bar = _weights(0), _weights(1), _weights(2)
+
+    def __init__(self, w, w_prev, alpha, w_bar, alpha_bar, v_cache, iter: int = 0,
+                 last_batch: list | None = None, last_draws: np.ndarray | None = None):
+        self._w, self._w_prev, self._w_bar = w, w_prev, w_bar
+        self.alpha, self.alpha_bar, self.v_cache, self.iter = alpha, alpha_bar, v_cache, iter
+        self.last_batch = [] if last_batch is None else last_batch
+        self.last_draws = last_draws
+        self._anchors: _Anchors | None = None
+        self._coords = None  # the primal selection of the last pass
+
+    def _materialize(self) -> None:
+        """Store the weights as arrays and drop the anchors."""
+        if self._anchors is not None:
+            self._w, self._w_prev, self._w_bar = (self._anchors.view(self.iter, k)
+                                                  for k in range(3))
+            self._anchors = None
 
     def copy(self) -> "SolverState":
         return SolverState(
-            w=self.w.copy(),
-            w_prev=self.w_prev.copy(),
-            alpha=self.alpha.copy(),
-            w_bar=self.w_bar.copy(),
-            alpha_bar=self.alpha_bar.copy(),
-            v_cache=self.v_cache.copy(),
-            iter=self.iter,
-            last_batch=list(self.last_batch),
-            last_draws=None if self.last_draws is None else self.last_draws.copy(),
-        )
+            self.w.copy(), self.w_prev.copy(), self.alpha.copy(), self.w_bar.copy(),
+            self.alpha_bar.copy(), self.v_cache.copy(), self.iter, list(self.last_batch),
+            None if self.last_draws is None else self.last_draws.copy())
 
     def cache_error(self, ds) -> float:
         """Relative deviation of v_cache from a fresh (1/n) X^T alpha_bar."""
@@ -149,14 +279,9 @@ class SolverState:
 
 def init_state(ds) -> SolverState:
     """Zero-initialized state (dual-feasible: y_i * 0 = 0 in [0, 1])."""
-    return SolverState(
-        w=np.zeros(ds.d),
-        w_prev=np.zeros(ds.d),
-        alpha=np.zeros(ds.n),
-        w_bar=np.zeros(ds.d),
-        alpha_bar=np.zeros(ds.n),
-        v_cache=np.zeros(ds.d),
-    )
+    d, n = ds.d, ds.n
+    return SolverState(np.zeros(d), np.zeros(d), np.zeros(n), np.zeros(d), np.zeros(n),
+                       np.zeros(d))
 
 
 @dataclass(frozen=True)
@@ -435,13 +560,17 @@ def _settle_alpha_bar(state: SolverState, ds) -> None:
     n = ds.n
     indptr, indices, data = ds.csr_arrays()
     alpha, alpha_bar = state.alpha, state.alpha_bar
+    touched = None if state._anchors is None else state._anchors.touched
     for i in state.last_batch:
         a_i = alpha.item(i)
         delta = a_i - alpha_bar.item(i)
         if delta != 0.0:
             lo, hi = indptr[i], indptr[i + 1]
-            state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
+            cols = indices[lo:hi]
+            state.v_cache[cols] += (delta / n) * data[lo:hi]
             alpha_bar[i] = a_i
+            if touched is not None:
+                touched.append(cols)
     state.last_batch = []
 
 
@@ -453,31 +582,30 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     the value left by the earlier draw.  The extrapolation applies the net
     per-coordinate change amplified against the sampling probability,
     ``alpha_bar_i = alpha_i + (net change)/(a p_i)``, which makes the dual
-    image fed to the primal prox unbiased for a full synchronous pass.
+    image fed to the primal prox unbiased for a full synchronous pass.  An
+    anchored state evaluates the drawn rows' ``w_bar`` (:meth:`_Anchors.prepare`).
 
     The scalar arithmetic runs on Python floats, which round as numpy's
     float64 scalars do, at a fraction of their per-operation cost.
     """
-    n = ds.n
-    n_eff = params.n_eff
-    gamma = spec.gamma
-    alpha = state.alpha
-    alpha_bar = state.alpha_bar
-    w_bar = state.w_bar
-    p = plan.p
-    sigma = params.sigma
+    n, n_eff, gamma = ds.n, params.n_eff, spec.gamma
+    alpha, alpha_bar, w_bar = state.alpha, state.alpha_bar, state._w_bar
+    p, sigma, labels = plan.p, params.sigma, ds.labels
     indptr, indices, data = ds.csr_arrays()
-    labels = ds.labels
 
+    settled = state.last_batch
     _settle_alpha_bar(state, ds)
     draws = draw_batch(plan, rng)
+    anchors = state._anchors
+    bars = None if anchors is None else anchors.prepare(indptr, indices, settled,
+                                                        draws.tolist(), state.iter)
     start_vals: dict[int, float] = {}
     for i in draws.tolist():
         old = alpha.item(i)
         if i not in start_vals:
             start_vals[i] = old
         lo, hi = indptr[i], indptr[i + 1]
-        s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]]))
+        s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]] if bars is None else bars[i]))
         q = p.item(i) * n_eff / sigma.item(i)
         alpha[i] = dual_prox(s, old, q, labels.item(i), gamma)
 
@@ -530,9 +658,10 @@ def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
     n = ds.n
     indptr, indices, data = ds.csr_arrays()
     alpha, alpha_bar = state.alpha, state.alpha_bar
+    state._materialize()  # the sweep changes the whole cache: the next pass anchors anew
     for lo in range(0, n, _SWEEP_ROWS):
         hi = min(lo + _SWEEP_ROWS, n)
-        s = _row_dots(indptr, indices, data, lo, hi, state.w_bar)
+        s = _row_dots(indptr, indices, data, lo, hi, state._w_bar)
         old = alpha[lo:hi]
         new = dual_prox_array(s, old, 1.0 / sigma[lo:hi], ds.labels[lo:hi], spec.gamma)
         delta = new - old
@@ -549,116 +678,48 @@ def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
         np.add.at(state.v_cache, indices[p0:p1][keep], step[keep])
 
 
-def _pass_arrays(state: SolverState) -> tuple:
-    return state.w, state.w_prev, state.w_bar, state.v_cache
-
-
-# The skipping pass makes a dozen more numpy calls than the whole-vector pass
-# and saves work per skipped coordinate.  Timed alone on one core of a 2-core
-# Xeon VM (numpy 2.4): below d=1000 it never wins, from d=3000 it wins while
-# at most a quarter of the coordinates move.
-_SKIP_MIN_D = 2000
-_SKIP_MAX_SHARE = 0.25
+# Anchored vs whole-vector pass, per iteration (median of 7 runs of 2000, CPU
+# time, 2-core Xeon VM, numpy 2.4; synth n=500, 20 nonzeros a row, adaspdc
+# a=1): d=500 102/62 us, 1000 121/93, 2000 96/102, 3000 119/159, 5000 117/257.
+# Anchoring makes a few dozen numpy calls, the whole pass a handful over d.
+_LAZY_MIN_D = 2000
 
 
 def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
                  primal_coords=None) -> None:
     """Prox the selected weight coordinates, then extrapolate the full vector.
 
-    The result is bitwise that of proxing every selected coordinate, but for
-    large d only the moving coordinates are computed.  A coordinate is
-    skipped when ``w_j`` and ``w_prev_j`` have equal bits, ``v_cache_j``
-    equals ``v_seen_j`` (or the coordinate is not selected), and ``tau``,
-    ``lam``, ``theta`` and the state arrays are the ones the previous pass
-    used.  The prox is a pure function of ``(v_cache_j, w_j, tau, lam)`` whose
-    last call returned ``w_j`` itself, so the whole-vector pass would rewrite
-    ``w_j``, ``w_prev_j`` and ``w_bar_j`` unchanged; exact fixed points stay
-    frozen.  The coordinates where ``w`` and ``w_prev`` differ are carried
-    from pass to pass, so only the ``v_cache`` test scans the vector.  When
-    the parameters or arrays differ, more than a quarter of the coordinates
-    move, or d is below ``_SKIP_MIN_D``, the whole vector is proxed.
+    From d = ``_LAZY_MIN_D`` on, the weights are re-anchored instead
+    (:class:`_Anchors`); new ``tau``, ``lam``, ``theta`` or cache array
+    re-anchor all.  A selection that changes from pass to pass (a dspdc
+    block smaller than d) takes the whole-vector pass, as d below it does.
     """
-    d = state.w.size
+    d = state.v_cache.size
     if primal_coords is not None and len(primal_coords) == d:
         primal_coords = None  # a block spanning every coordinate is the full pass
-    memo = state._memo
-    if memo is not None and memo.holds(state, tau, lam, theta):
-        moving, prox = _moving_coords(state, memo, primal_coords)
-        if moving.size <= _SKIP_MAX_SHARE * d:
-            _sparse_primal_pass(state, tau, lam, theta, moving, prox)
-            return
-    _dense_primal_pass(state, tau, lam, theta, primal_coords)
-
-
-def _moving_coords(state: SolverState, memo: _PrimalMemo, primal_coords):
-    """Coordinates the pass must write, each once: ``memo.moved`` and the
-    selected ones whose ``v_cache`` changed since their last prox.  Also which
-    of them it must prox: a mask over them, or None for all of them."""
-    v, v_seen = state.v_cache, memo.v_seen
-    if primal_coords is None:
-        hits = (v != v_seen).nonzero()[0]
-    else:
-        coords = np.asarray(primal_coords)
-        hits = coords[v[coords] != v_seen[coords]]
-    # a hit whose w and w_prev differ is in ``moved`` already
-    hits = hits[state.w.view(np.int64)[hits] == state.w_prev.view(np.int64)[hits]]
-    moving = np.concatenate((memo.moved, hits))
-    if primal_coords is None:
-        return moving, None
-    selected = np.zeros(v.size, dtype=bool)
-    selected[coords] = True
-    return moving, selected[moving]
-
-
-def _sparse_primal_pass(state: SolverState, tau, lam, theta, moving, prox) -> None:
-    w_old, w_new = state.w, state.w_prev  # w_prev equals w off ``moving``
-    old = w_old[moving]
-    u = state.v_cache[moving]
-    if prox is None:
-        new = primal_prox(u, old, tau, lam)
-        seen = u
-    else:
-        new = old.copy()
-        new[prox] = primal_prox(u[prox], old[prox], tau, lam)
-        # a moving coordinate left unproxed has no prox result that still holds
-        seen = np.full(moving.size, np.nan)
-        seen[prox] = u[prox]
-    memo = state._memo
-    w_new[moving] = new
-    state.w_bar[moving] = new + theta * (new - old)
-    memo.v_seen[moving] = seen
-    state.w_prev = w_old
-    state.w = w_new
-    state.iter += 1
-    memo.arrays = _pass_arrays(state)
-    memo.moved = moving[new.view(np.int64) != old.view(np.int64)]
-
-
-def _dense_primal_pass(state: SolverState, tau, lam, theta, primal_coords) -> None:
-    w_old = state.w
-    v = state.v_cache
-    if primal_coords is None:
-        w_new = primal_prox(v, w_old, tau, lam)
-    else:
-        w_new = w_old.copy()
-        w_new[primal_coords] = primal_prox(v[primal_coords], w_old[primal_coords], tau, lam)
-    state.w_prev = w_old
-    state.w = w_new
-    state.w_bar = w_new + theta * (w_new - w_old)
-    state.iter += 1
-    # set up the next pass to skip, when it is large and few weights moved
-    state._memo = None
-    d = w_new.size
-    if d < _SKIP_MIN_D or w_old.dtype != np.float64:
-        return
-    moved = (w_new.view(np.int64) != w_old.view(np.int64)).nonzero()[0]
-    if moved.size <= _SKIP_MAX_SHARE * d:
-        if primal_coords is None:
-            v_seen = v.copy()
+    anchors = state._anchors
+    if d >= _LAZY_MIN_D and primal_coords is state._coords:
+        if anchors is not None and anchors.params == (tau, lam, theta) \
+                and anchors.v is state.v_cache:
+            anchors.advance(state.iter)
         else:
-            v_seen = np.full(d, np.nan)
-            v_seen[primal_coords] = v[primal_coords]
-        state._memo = _PrimalMemo(tau, lam, theta, _pass_arrays(state), moved, v_seen)
+            state._materialize()
+            w, state._w, state._w_prev, state._w_bar = state._w, None, None, None
+            state._anchors = _Anchors(w, state.v_cache, state.iter, tau, lam, theta,
+                                      primal_coords)
+    else:
+        state._materialize()
+        w_old, v = state._w, state.v_cache
+        if primal_coords is None:
+            w_new = primal_prox(v, w_old, tau, lam)
+        else:
+            w_new = w_old.copy()
+            w_new[primal_coords] = primal_prox(v[primal_coords], w_old[primal_coords], tau,
+                                               lam)
+        state._w_prev, state._w = w_old, w_new
+        state._w_bar = w_new + theta * (w_new - w_old)
+    state._coords = primal_coords
+    state.iter += 1
 
 
 def adaspdc_step(state: SolverState, params: StepParams, plan: SamplingPlan, ds,

@@ -192,6 +192,7 @@ class TestRun:
         (["--refresh-every", "5"], "unrecognized arguments: --refresh-every"),
         (["--gap-check-every", "5"], "unrecognized arguments: --gap-check-every"),
         (["--dspdc-q", "0.5,0.5"], "unrecognized arguments: --dspdc-q"),
+        (["--max-epochs", "-1"], "max-epochs must be >= 0"),
     ])
     def test_out_of_range_flags_exit_2(self, small_file, capsys, flags, fragment):
         assert cli("run", "--data", small_file, *flags) == 2

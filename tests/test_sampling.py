@@ -90,7 +90,9 @@ def probability_vectors(draw):
         at = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         rest = p[~at].sum()
         if rest > 0.0:
-            p[~at] *= (1.0 - at.sum() / n) / rest
+            # divide first: with a subnormal rest, (1 - k/n) / rest overflows
+            # to inf and turns the vector into NaNs and infs
+            p[~at] = p[~at] / rest * (1.0 - at.sum() / n)
         p[at] = 1.0 / n
     return p
 
