@@ -95,13 +95,13 @@ class _Anchors:
     prox's keep rule freezes a weight, bit for bit once ``c^k |B - W|`` is
     below half an ulp.  A restricted selection freezes the others: ``W = B``.
 
-    A pass re-anchors the weights whose dual image changed (the settled and
-    drawn rows' supports, which :meth:`prepare` evaluates for the dual pass,
-    or those ``touched`` by a settle outside one) and the ``watch``, laws
-    that may leave their phase at the next step: a live one whose ``W`` lies
-    beyond ``lam`` across 0, a nonzero dead-zone one whose ``v_j`` lies
-    outside the dead zone.  No law is read past its phase, and reads change
-    nothing, so they cannot change a run.
+    A pass re-anchors the weights whose dual image changed (the supports of
+    the rows the last step settled, recorded in ``touched``, and of the
+    drawn rows, which :meth:`prepare` evaluates for the dual pass) and the
+    ``watch``, laws that may leave their phase at the next step: a live one
+    whose ``W`` lies beyond ``lam`` across 0, a nonzero dead-zone one whose
+    ``v_j`` lies outside the dead zone.  No law is read past its phase, and
+    reads change nothing, so they cannot change a run.
     """
 
     def __init__(self, w, v_cache, t: int, tau: float, lam: float, theta: float,
@@ -122,8 +122,8 @@ class _Anchors:
 
     def advance(self, t: int) -> None:
         """The pass from iteration t.  The drawn rows' supports need no watch:
-        they stay ``touched``, so the next pass re-anchors them after the
-        next iteration settles them, whether or not a dual pass runs."""
+        the step's settle records them in ``touched``, so the next pass
+        re-anchors them, whether or not a dual pass runs."""
         rest = self.touched + self._watched()
         idx, val, fresh = [], [], 0
         if rest:
@@ -132,8 +132,7 @@ class _Anchors:
         for cols, w, fresh in self.prepared:
             idx.append(cols)
             val.append(w)
-        self.touched = [idx[-1][idx[-1].size - fresh:]] if fresh else []
-        self.prepared, self.cached = [], {}
+        self.touched, self.prepared, self.cached = [], [], {}
         if idx:
             self._anchor(np.concatenate(idx), np.concatenate(val), t, fresh)
 
@@ -155,13 +154,13 @@ class _Anchors:
             self.cached.update(zip(slots, out))
         return self.cached[slot]
 
-    def prepare(self, indptr, indices, settled: list, drawn: list, t: int) -> dict:
+    def prepare(self, indptr, indices, drawn: list, t: int) -> dict:
         """For the dual pass at iteration t: ``w_bar`` on each drawn row's
         support, and the weights at t that the primal pass re-anchors: the
-        watched ones and the settled and drawn rows' supports, which cover
-        ``touched``."""
+        watched and ``touched`` ones and the drawn rows' supports."""
         drawn = list(dict.fromkeys(drawn))
-        cols = self._watched() + [indices[indptr[i]:indptr[i + 1]] for i in settled + drawn]
+        cols = (self._watched() + self.touched
+                + [indices[indptr[i]:indptr[i + 1]] for i in drawn])
         self.touched = []
         idx = np.concatenate(cols)
         w, _, w_bar = self._law(idx, t, bar=True)
@@ -234,13 +233,15 @@ def _weights(slot: int) -> property:
 
 
 class SolverState:
-    """Mutable iterate: weights, duals, extrapolations, and the dual-image cache.
+    """Mutable iterate: weights, duals, extrapolated weights, and the dual-image cache.
 
-    ``v_cache`` tracks ``(1/n) X^T alpha_bar`` incrementally; ``last_batch``
-    remembers which dual coordinates carry extrapolation so the next step can
-    settle them in O(batch * row nnz).  For d >= ``_LAZY_MIN_D`` the weights
-    are kept as anchors (:class:`_Anchors`) and ``w``, ``w_prev``, ``w_bar``
-    are evaluated when read, as new arrays, the same for every read at one
+    Between steps ``v_cache`` is ``(1/n) X^T alpha``, kept incrementally.
+    Within a step the dual pass extrapolates its drawn rows into it, keeping
+    their extrapolated duals in ``last_batch`` (``{row: bar}``), and the
+    step's :func:`_settle` takes them out after the primal pass, in
+    O(batch * row nnz).  For d >= ``_LAZY_MIN_D`` the weights are kept as
+    anchors (:class:`_Anchors`) and ``w``, ``w_prev``, ``w_bar`` are
+    evaluated when read, as new arrays, the same for every read at one
     iteration; a copy holds them and starts without anchors.  Code outside
     the solver that edits ``w``, ``w_prev``, ``w_bar`` or ``v_cache``
     assigns a new float64 array rather than writing into it.
@@ -248,11 +249,11 @@ class SolverState:
 
     w, w_prev, w_bar = _weights(0), _weights(1), _weights(2)
 
-    def __init__(self, w, w_prev, alpha, w_bar, alpha_bar, v_cache, iter: int = 0,
-                 last_batch: list | None = None, last_draws: np.ndarray | None = None):
+    def __init__(self, w, w_prev, alpha, w_bar, v_cache, iter: int = 0,
+                 last_draws: np.ndarray | None = None):
         self._w, self._w_prev, self._w_bar = w, w_prev, w_bar
-        self.alpha, self.alpha_bar, self.v_cache, self.iter = alpha, alpha_bar, v_cache, iter
-        self.last_batch = [] if last_batch is None else last_batch
+        self.alpha, self.v_cache, self.iter = alpha, v_cache, iter
+        self.last_batch: dict[int, float] = {}
         self.last_draws = last_draws
         self._anchors: _Anchors | None = None
         self._coords = None  # the primal selection of the last pass
@@ -267,12 +268,12 @@ class SolverState:
     def copy(self) -> "SolverState":
         return SolverState(
             self.w.copy(), self.w_prev.copy(), self.alpha.copy(), self.w_bar.copy(),
-            self.alpha_bar.copy(), self.v_cache.copy(), self.iter, list(self.last_batch),
+            self.v_cache.copy(), self.iter,
             None if self.last_draws is None else self.last_draws.copy())
 
     def cache_error(self, ds) -> float:
-        """Relative deviation of v_cache from a fresh (1/n) X^T alpha_bar."""
-        fresh = ds.rmatvec(self.alpha_bar) / ds.n
+        """Relative deviation of v_cache from a fresh (1/n) X^T alpha."""
+        fresh = ds.rmatvec(self.alpha) / ds.n
         scale = max(1.0, float(np.max(np.abs(fresh))))
         return float(np.max(np.abs(self.v_cache - fresh))) / scale
 
@@ -280,8 +281,7 @@ class SolverState:
 def init_state(ds) -> SolverState:
     """Zero-initialized state (dual-feasible: y_i * 0 = 0 in [0, 1])."""
     d, n = ds.d, ds.n
-    return SolverState(np.zeros(d), np.zeros(d), np.zeros(n), np.zeros(d), np.zeros(n),
-                       np.zeros(d))
+    return SolverState(np.zeros(d), np.zeros(d), np.zeros(n), np.zeros(d), np.zeros(d))
 
 
 @dataclass(frozen=True)
@@ -555,25 +555,6 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
     return failing is None, failing, margins
 
 
-def _settle_alpha_bar(state: SolverState, ds) -> None:
-    """Collapse the previous step's dual extrapolation back onto alpha."""
-    n = ds.n
-    indptr, indices, data = ds.csr_arrays()
-    alpha, alpha_bar = state.alpha, state.alpha_bar
-    touched = None if state._anchors is None else state._anchors.touched
-    for i in state.last_batch:
-        a_i = alpha.item(i)
-        delta = a_i - alpha_bar.item(i)
-        if delta != 0.0:
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            state.v_cache[cols] += (delta / n) * data[lo:hi]
-            alpha_bar[i] = a_i
-            if touched is not None:
-                touched.append(cols)
-    state.last_batch = []
-
-
 def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
                spec: ProblemSpec, a: int, rng: np.random.Generator) -> None:
     """Sample and prox ``a`` dual coordinates, then extrapolate them into the cache.
@@ -581,24 +562,24 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     Draws are processed sequentially in draw order, so a repeated index sees
     the value left by the earlier draw.  The extrapolation applies the net
     per-coordinate change amplified against the sampling probability,
-    ``alpha_bar_i = alpha_i + (net change)/(a p_i)``, which makes the dual
-    image fed to the primal prox unbiased for a full synchronous pass.  An
-    anchored state evaluates the drawn rows' ``w_bar`` (:meth:`_Anchors.prepare`).
+    ``bar_i = a0_i + (alpha_i - a0_i)/(a p_i)`` from the row's value
+    ``a0_i`` before the pass, which makes the dual image fed to the primal
+    prox unbiased for a full synchronous pass.  ``state.last_batch`` keeps
+    each drawn row's ``bar_i`` for the step's :func:`_settle`.  An anchored
+    state evaluates the drawn rows' ``w_bar`` (:meth:`_Anchors.prepare`).
 
     The scalar arithmetic runs on Python floats, which round as numpy's
     float64 scalars do, at a fraction of their per-operation cost.
     """
     n, n_eff, gamma = ds.n, params.n_eff, spec.gamma
-    alpha, alpha_bar, w_bar = state.alpha, state.alpha_bar, state._w_bar
+    alpha, w_bar = state.alpha, state._w_bar
     p, sigma, labels = plan.p, params.sigma, ds.labels
     indptr, indices, data = ds.csr_arrays()
 
-    settled = state.last_batch
-    _settle_alpha_bar(state, ds)
     draws = draw_batch(plan, rng)
     anchors = state._anchors
-    bars = None if anchors is None else anchors.prepare(indptr, indices, settled,
-                                                        draws.tolist(), state.iter)
+    bars = None if anchors is None else anchors.prepare(indptr, indices, draws.tolist(),
+                                                        state.iter)
     start_vals: dict[int, float] = {}
     for i in draws.tolist():
         old = alpha.item(i)
@@ -609,15 +590,33 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
         q = p.item(i) * n_eff / sigma.item(i)
         alpha[i] = dual_prox(s, old, q, labels.item(i), gamma)
 
+    batch = state.last_batch = {}
     for i, a0 in start_vals.items():
         bar = a0 + (alpha.item(i) - a0) / (a * p.item(i))
-        delta = bar - alpha_bar.item(i)
+        delta = bar - a0
         if delta != 0.0:
             lo, hi = indptr[i], indptr[i + 1]
             state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
-        alpha_bar[i] = bar
-    state.last_batch = list(start_vals)
+        batch[i] = bar
     state.last_draws = draws
+
+
+def _settle(state: SolverState, ds) -> None:
+    """End a step: take its dual extrapolation out of the cache, adding
+    ``(alpha_i - bar_i)/n x_i`` for each row of ``last_batch``, which it
+    empties.  Every such row's support goes to the anchors' ``touched``,
+    moved or not: the primal pass anchored it without a watch."""
+    indptr, indices, data = ds.csr_arrays()
+    touched = None if state._anchors is None else state._anchors.touched
+    for i, bar in state.last_batch.items():
+        lo, hi = indptr[i], indptr[i + 1]
+        cols = indices[lo:hi]
+        delta = state.alpha.item(i) - bar
+        if delta != 0.0:
+            state.v_cache[cols] += (delta / ds.n) * data[lo:hi]
+        if touched is not None:
+            touched.append(cols)
+    state.last_batch = {}
 
 
 # rows per block of the bulk dual sweep: bounds its gathered arrays, and so
@@ -646,8 +645,8 @@ def _row_dots(indptr, indices, data, lo: int, hi: int, w) -> np.ndarray:
 
 def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
     """Prox every dual coordinate once, in index order, with ``q_i = 1/sigma_i``
-    against ``w_bar``, writing each change into ``alpha``, ``alpha_bar`` and
-    the cache unextrapolated.
+    against ``w_bar``, writing each change into ``alpha`` and the cache
+    unextrapolated.
 
     ``w_bar`` is fixed during the sweep, so the rows are independent and run
     in blocks of ``_SWEEP_ROWS``: one grouped dot, one array prox and one
@@ -657,7 +656,7 @@ def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
     """
     n = ds.n
     indptr, indices, data = ds.csr_arrays()
-    alpha, alpha_bar = state.alpha, state.alpha_bar
+    alpha = state.alpha
     state._materialize()  # the sweep changes the whole cache: the next pass anchors anew
     for lo in range(0, n, _SWEEP_ROWS):
         hi = min(lo + _SWEEP_ROWS, n)
@@ -669,7 +668,6 @@ def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
         if not changed.any():
             continue
         np.copyto(old, new, where=changed)
-        np.copyto(alpha_bar[lo:hi], new, where=changed)
         # rows whose delta is zero add nothing: adding 0.0 would turn -0.0 into 0.0
         lengths = np.diff(indptr[lo:hi + 1])
         keep = np.repeat(changed, lengths)
@@ -728,6 +726,7 @@ def adaspdc_step(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     """One iteration with per-instance dual step sizes."""
     _dual_pass(state, params, plan, ds, spec, a, rng)
     _primal_pass(state, params.tau, spec.lam, params.theta, primal_coords)
+    _settle(state, ds)
     return state
 
 
@@ -750,6 +749,7 @@ def dspdc_step(state, params, plan, cfg: DspdcConfig, ds, spec, a,
     block = cfg.blocks[h]
     tau_eff = params.tau * (block.size / (cfg.q[h] * ds.d))
     _primal_pass(state, tau_eff, spec.lam, params.theta, primal_coords=block)
+    _settle(state, ds)
     return state
 
 

@@ -162,7 +162,8 @@ def primal_prox(u, w_old, tau, lam):
 
     Minimizes ``lam*(|v| + v^2/2) - u*v + (v - w_old)^2 / (2*tau)``; the
     solution is ``soft(u + w_old/tau, lam) / (lam + 1/tau)``.  ``u`` is the
-    coordinate of ``(1/n) X^T alpha_bar``.
+    coordinate of the dual image ``(1/n) X^T alpha``, with the iteration's
+    sampled duals extrapolated.
 
     Coordinates whose primal optimality violation against ``u`` is exactly
     zero and whose tentative update keeps the same sign are returned

@@ -258,13 +258,12 @@ def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
         try:
             plan = build_restricted(kappa_bar, 1)
         except ZeroViolations:
-            psi = primal_violations(state.w, state.alpha_bar, ds, spec)
+            psi = primal_violations(state.w, state.alpha, ds, spec)
             if np.all(psi == 0.0):
                 raise _Optimum(0) from None
             # dual side settled; flush the primal and re-check next iteration
             if run.params is None:
                 run.params = core.schedule_thm5(ds, spec, build_uniform(ds.n, 1))
-            core._settle_alpha_bar(state, ds)
             w_before = state.w.copy()
             core._primal_pass(state, run.params.tau, spec.lam, run.params.theta)
             if np.array_equal(state.w, w_before):
@@ -288,7 +287,6 @@ def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) ->
     evaluated in bulk (:func:`core._dual_sweep`), bit for bit as the sweep
     that proxes one row at a time.
     """
-    core._settle_alpha_bar(state, ds)
     core._dual_sweep(state, ds, spec, params.sigma)
     core._primal_pass(state, params.tau, spec.lam, params.theta)
 

@@ -26,6 +26,15 @@ def make_dataset(n, d, seed, density=0.6, norm_range=(0.7, 1.6),
     return SparseDataset(sp.csr_matrix(M), y)
 
 
+def assert_settled(state, ds):
+    """The state between steps: no row carries extrapolation and the cache
+    is ``(1/n) X^T alpha`` within the checkpoint's bound."""
+    assert state.last_batch == {}
+    fresh = ds.rmatvec(state.alpha) / ds.n
+    scale = max(1.0, float(np.max(np.abs(fresh))))
+    assert float(np.max(np.abs(state.v_cache - fresh))) / scale <= 1e-9
+
+
 def solve_to_fixed_point(ds, spec, seed=0, max_epochs=3000):
     """Run the uniform-sampling solver until the iterate freezes bitwise.
 

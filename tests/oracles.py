@@ -233,7 +233,6 @@ def reference_full_pass(state, ds, spec, params):
     in index order against ``w_bar``, then the full primal pass."""
     n = ds.n
     indptr, indices, data = ds.csr_arrays()
-    core._settle_alpha_bar(state, ds)
     alpha = state.alpha
     w_bar = state.w_bar
     for i in range(n):
@@ -245,7 +244,6 @@ def reference_full_pass(state, ds, spec, params):
         if delta != 0.0:
             state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
             alpha[i] = new
-            state.alpha_bar[i] = new
     core._primal_pass(state, params.tau, spec.lam, params.theta)
 
 

@@ -312,14 +312,13 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
         try:
             plan = build_restricted(kappa_bar, a)
         except ZeroViolations:
-            psi = primal_violations(state.w, state.alpha_bar, ds, spec)
+            psi = primal_violations(state.w, state.alpha, ds, spec)
             if np.all(psi == 0.0):
                 optimal = True
                 break
             # dual side settled; flush the primal and re-check next iteration
             if params is None:
                 params = reference_schedule_thm5(ds, spec, build_uniform(n, a))
-            core._settle_alpha_bar(state, ds)
             w_before = state.w.copy()
             core._primal_pass(state, params.tau, spec.lam, params.theta)
             it += 1

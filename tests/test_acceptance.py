@@ -7,11 +7,13 @@ lines; the suite asserts every criterion at its stated tolerance.
 import math
 import statistics
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from spdc import core
 from spdc.cli import RunConfig, main as cli_main, synth
 from spdc.core import (
     adaspdc_step,
@@ -183,11 +185,19 @@ def test_criterion_5_update_skip_predicates():
     state = init_state(ds)
     rng = np.random.default_rng(56)
     gamma, lam, tau = spec.gamma, spec.lam, params.tau
+    seen = []  # the dual image each primal pass reads, before the step settles it
+    primal_pass = core._primal_pass
+
+    def recording(state, *args):
+        seen.append(state.v_cache.copy())
+        primal_pass(state, *args)
+
     for _ in range(2500):
         w_bar0 = state.w_bar.copy()
         alpha0 = state.alpha.copy()
         w0 = state.w.copy()
-        adaspdc_step(state, params, plan, ds, spec, 1, rng)
+        with mock.patch.object(core, "_primal_pass", recording):
+            adaspdc_step(state, params, plan, ds, spec, 1, rng)
         i = int(state.last_draws[0])
         idx, vals = ds.row(i)
         s = float(np.dot(vals, w_bar0[idx]))
@@ -198,7 +208,7 @@ def test_criterion_5_update_skip_predicates():
             dual_skips += 1
             if state.alpha[i] != alpha0[i]:
                 violations += 1
-        u = state.v_cache
+        u = seen.pop()
         psi = np.abs(w0 - elastic_net_conj_grad(u / lam))
         tentative = soft_threshold(u + w0 / tau, lam) / (lam + 1.0 / tau)
         skip = (psi == 0.0) & (np.sign(tentative) == np.sign(w0))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from spdc import core
 from spdc.core import (
     DspdcConfig,
     adaspdc_step,
@@ -24,12 +25,12 @@ from spdc.core import (
     verify_lemma14,
     verify_thm20,
 )
-from spdc.datamat import SparseDataset
+from spdc.datamat import SparseDataset, lambda_max
 from spdc.errors import ScheduleError
 from spdc.objective import ProblemSpec
 from spdc.sampling import build_ovs, build_uniform
 
-from conftest import make_dataset, solve_to_fixed_point
+from conftest import assert_settled, make_dataset, solve_to_fixed_point
 from oracles import reference_block_norms_sq
 
 
@@ -225,10 +226,13 @@ class TestSteps:
         assert params.theta == pytest.approx(2 / 3, rel=1e-15)
         state = init_state(ds)
         rng = np.random.default_rng(0)
-        adaspdc_step(state, params, plan, ds, spec, 1, rng)
+        # the first step, pass by pass
+        core._dual_pass(state, params, plan, ds, spec, 1, rng)
         assert state.alpha[0] == 0.2
-        assert state.alpha_bar[0] == 0.2
+        assert state.last_batch == {0: 0.2}
         assert state.v_cache[0] == 0.4
+        core._primal_pass(state, params.tau, spec.lam, params.theta)
+        core._settle(state, ds)
         assert state.w[0] == 0.0 and state.w_bar[0] == 0.0
         adaspdc_step(state, params, plan, ds, spec, 1, rng)
         assert state.alpha[0] == pytest.approx(0.36, rel=1e-15)
@@ -301,14 +305,32 @@ class TestSteps:
         params = StepParams(tau=0.25, sigma=np.array([0.25]), theta=0.5,
                             schedule="manual", r_under=0.5, n_eff=1)
         state = init_state(ds)
-        adaspdc_step(state, params, plan, ds, spec, 2, np.random.default_rng(0))
+        core._dual_pass(state, params, plan, ds, spec, 2, np.random.default_rng(0))
         # two sequential proxes from 0 with q = p*n/sigma = 4, against w_bar = 0
         q = 4.0
         a1 = (1.0 + q * 0.0) / (1.0 + q)
         a2 = (1.0 + q * a1) / (1.0 + q)
         assert state.alpha[0] == pytest.approx(a2, rel=1e-15)
-        # net change extrapolated once: alpha_bar = 0 + (a2 - 0)/(a p n) with a=2
-        assert state.alpha_bar[0] == pytest.approx(a2 / 2, rel=1e-15)
+        # net change extrapolated once: bar = 0 + (a2 - 0)/(a p n) with a=2
+        assert list(state.last_batch) == [0]
+        assert state.last_batch[0] == pytest.approx(a2 / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [12, core._LAZY_MIN_D])  # whole-vector, anchored pass
+def test_every_step_ends_settled(d):
+    ds = make_dataset(50, d, seed=7, density=min(0.5, 10 / d))
+    spec = ProblemSpec(gamma=1.0, lam=1e-2 * lambda_max(ds))
+    plan = build_uniform(ds.n, 3)
+    params = schedule_thm5(ds, spec, plan)
+    cfgs = (DspdcConfig.build(d, d), DspdcConfig.build(d, d // 3))
+    rng = np.random.default_rng(9)
+    state = init_state(ds)
+    for k in range(60):
+        if k % 3 == 0:
+            adaspdc_step(state, params, plan, ds, spec, 3, rng)
+        else:
+            dspdc_step(state, params, plan, cfgs[k % 3 - 1], ds, spec, 3, rng)
+        assert_settled(state, ds)
 
 
 class TestDspdc:

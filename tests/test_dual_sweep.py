@@ -13,7 +13,7 @@ from spdc.sampling import build_uniform
 
 from oracles import reference_full_pass
 
-ARRAYS = ("alpha", "alpha_bar", "v_cache", "w", "w_prev", "w_bar")
+ARRAYS = ("alpha", "v_cache", "w", "w_prev", "w_bar")
 # the last columns each belong to one length-1 row held at an exact fixed point
 OWN_COLUMNS = 3
 

@@ -18,6 +18,11 @@ mid-epoch and each runner's stopping rule shows in the trace: the fixed-plan
 runners test the budget between epochs only, ``ovsspdc`` and ``ovs-exact``
 after every iteration with a partial last checkpoint, and the snapshot
 variants once per round.
+
+One golden lies outside that grid (``tests/golden/anchored-batch/``):
+``ovsspdc -a 2`` on ``highd-sparse`` at a tenth of its lambda for 100
+epochs.  Its anchored mini-batch steps settle rows whose extrapolation left
+them where they were, whose weights must be re-anchored all the same.
 """
 
 import hashlib
@@ -30,6 +35,7 @@ from spdc.cli import main, synth
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EDGE_DIR = GOLDEN_DIR / "budget-edge"
+BATCH_DIR = GOLDEN_DIR / "anchored-batch"
 
 DATASETS = {
     "highd-sparse": {
@@ -49,8 +55,12 @@ ALGOS = ("spdc", "adaspdc", "dspdc", "ovsspdc", "ovs-exact", "ovsspdc-plus",
 
 CASES = [(name, algo) for name in DATASETS for algo in ALGOS]
 
+# (dataset, algorithm, flags that override the grid's) of the anchored-batch golden
+ANCHORED_BATCH = ("highd-sparse", "ovsspdc",
+                  ["-a", "2", "--lambda-scale", "1e-2", "--max-epochs", "100"])
 
-def _argv(data_path, name, algo, trace_path, budget_edge=False):
+
+def _argv(data_path, name, algo, trace_path, budget_edge=False, extra=()):
     spec = DATASETS[name]
     argv = ["run", "--data", str(data_path), "--normalize", "--algo", algo,
             *spec["flags"], "--gap-tol", "1e-6", "--seed", "1", "--no-timing",
@@ -65,7 +75,7 @@ def _argv(data_path, name, algo, trace_path, budget_edge=False):
     # dspdc runs at b=d, the only block size thm20 admits here
     if algo == "dspdc":
         argv += ["--dspdc-b", str(spec["synth"]["d"])]
-    return argv
+    return argv + list(extra)  # the last value of a flag wins
 
 
 def _write_dataset(name, directory):
@@ -104,16 +114,29 @@ def test_budget_edge_trace_matches_golden(datasets, tmp_path, name, algo):
     assert trace.read_bytes() == _golden(name, algo, budget_edge=True).read_bytes()
 
 
+def test_anchored_batch_trace_matches_golden(datasets, tmp_path):
+    name, algo, flags = ANCHORED_BATCH
+    trace = tmp_path / "trace.csv"
+    assert main(_argv(datasets[name], name, algo, trace, extra=flags)) == 0
+    assert trace.read_bytes() == (BATCH_DIR / f"{name}-{algo}.csv").read_bytes()
+
+
 def _regenerate(directory):
     EDGE_DIR.mkdir(parents=True, exist_ok=True)
+    BATCH_DIR.mkdir(parents=True, exist_ok=True)
+    paths = {}
     for name in DATASETS:
-        path = _write_dataset(name, directory)
+        paths[name] = path = _write_dataset(name, directory)
         print(name, hashlib.sha256(path.read_bytes()).hexdigest())
         for algo in ALGOS:
             for edge in (False, True):
                 trace = _golden(name, algo, budget_edge=edge)
                 if main(_argv(path, name, algo, trace, budget_edge=edge)) != 0:
                     sys.exit(f"{name}/{algo} failed")
+    name, algo, flags = ANCHORED_BATCH
+    if main(_argv(paths[name], name, algo, BATCH_DIR / f"{name}-{algo}.csv",
+                  extra=flags)) != 0:
+        sys.exit(f"{name}/{algo} {' '.join(flags)} failed")
 
 
 if __name__ == "__main__":

@@ -121,7 +121,7 @@ def assert_same_run(new, old):
     assert sorted(new.counters) == sorted(old.counters)
     for key, value in old.counters.items():
         assert _same_value(new.counters[key], value), key
-    for name in ("w", "w_prev", "alpha", "w_bar", "alpha_bar", "v_cache"):
+    for name in ("w", "w_prev", "alpha", "w_bar", "v_cache"):
         assert _bits(getattr(new.state, name)) == _bits(getattr(old.state, name)), name
     assert new.state.iter == old.state.iter
     assert (new.params is None) == (old.params is None)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdc import variants
-from spdc.core import adaspdc_step, init_state, schedule_thm4, schedule_thm5
+from spdc.core import DspdcConfig, adaspdc_step, init_state, schedule_thm4, schedule_thm5
 from spdc.datamat import lambda_max
 from spdc.errors import ScheduleError
 from spdc.objective import (
@@ -26,15 +26,14 @@ from spdc.variants import (
     run_ovsspdc_plusplus,
 )
 
-from conftest import make_dataset
+from conftest import assert_settled, make_dataset
 
 
 def optimal_zero_state(ds, spec):
     """Exactly optimal state for lam > lambda_max: w = 0, alpha = y."""
     state = init_state(ds)
     state.alpha = ds.labels.copy()
-    state.alpha_bar = ds.labels.copy()
-    state.v_cache = ds.rmatvec(state.alpha_bar) / ds.n
+    state.v_cache = ds.rmatvec(state.alpha) / ds.n
     return state
 
 
@@ -43,6 +42,28 @@ def mid():
     """n=80, d=16 problem, moderately regularized."""
     ds = make_dataset(80, 16, seed=20, density=0.5)
     return ds, ProblemSpec(gamma=1.0, lam=1e-2 * lambda_max(ds))
+
+
+@pytest.mark.parametrize("runner", ["adaspdc", "dspdc", "dspdc-block", "ovsspdc",
+                                    "ovs-exact", "plus", "plusplus"])
+def test_runners_return_settled_states(mid, runner):
+    # the budget runs out mid-epoch, after a sampled step
+    ds, spec = mid
+    budget, rng = Budget(gap_tol=1e-12, max_epochs=2.5), np.random.default_rng(3)
+    plan = build_uniform(ds.n, 2)
+    blocks = {"adaspdc": None, "dspdc": ds.d, "dspdc-block": 5}
+    if runner in blocks:
+        cfg = None if blocks[runner] is None else DspdcConfig.build(ds.d, blocks[runner])
+        res = run_fixed(ds, spec, plan, schedule_thm5(ds, spec, plan), 2, budget, rng,
+                        dspdc_cfg=cfg)
+    elif runner == "ovs-exact":
+        res = run_ovs_exact(ds, spec, budget, rng)
+    else:
+        run = {"ovsspdc": run_ovsspdc, "plus": run_ovsspdc_plus,
+               "plusplus": run_ovsspdc_plusplus}[runner]
+        res = run(ds, spec, 2, budget, rng)
+    assert res.state.iter > 0
+    assert_settled(res.state, ds)
 
 
 class TestOvsSpdc:
