@@ -238,9 +238,8 @@ def run(cfg: RunConfig) -> int:
         "wall_seconds": wall,
         "schedule_params": None,
         "conditions": _condition_report(result, ds, spec, cfg, extra),
-        # the scalar counters; the lists of gaps and set sizes stay with the RunResult
-        "counters": {k: v for k, v in result.counters.items()
-                     if isinstance(v, (bool, int, float))},
+        # every counter but the committed gaps, which stay with the RunResult
+        "counters": {k: v for k, v in result.counters.items() if k != "committed_gaps"},
     }
     if result.params is not None:
         summary["schedule_params"] = {

@@ -333,9 +333,7 @@ def _check_cap(p: np.ndarray, cap: float, what: str) -> None:
     bad = np.flatnonzero(p > cap * (1.0 + _RTOL))
     if bad.size:
         i = int(bad[0])
-        raise ScheduleError(
-            f"{what}: p[{i}]={p[i]:.6g} exceeds the cap {cap:.6g}"
-        )
+        raise ScheduleError(f"{what}: p[{i}]={p[i]:.6g} exceeds the cap {cap:.6g}")
     if np.any(p <= 0.0):
         i = int(np.flatnonzero(p <= 0.0)[0])
         raise ScheduleError(f"{what}: p[{i}] is not strictly positive")
@@ -512,14 +510,9 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
     """
     if theta_bar is None:
         theta_bar = params.theta
-    n = ds.n
-    d = ds.d
-    tau = params.tau
-    theta = params.theta
+    n, d, tau, theta = ds.n, ds.d, params.tau, params.theta
+    q, lam, gamma = cfg.q, spec.lam, spec.gamma
     sizes = np.array([len(b) for b in cfg.blocks], dtype=np.float64)
-    q = cfg.q
-    lam = spec.lam
-    gamma = spec.gamma
 
     a_blk = d / (2.0 * tau * sizes)
     clause1 = float(np.max((a_blk + lam * (1.0 - q) / q) / (a_blk + lam / q)))
@@ -530,8 +523,7 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
     clause2 = float(np.max(dual_num / dual_den))
 
     qmax = float(np.max(q))
-    clause3 = theta * qmax
-    clause4 = theta * qmax
+    clause3 = clause4 = theta * qmax
 
     qmin = float(np.min(q))
     lhs5 = 1.0 / (2.0 * a * sigma) - (
@@ -547,11 +539,7 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
         "clause5_step_product": clause5,
     }
     tol = _RTOL * max(1.0, abs(theta_bar))
-    failing = None
-    for name, margin in margins.items():
-        if margin < -tol:
-            failing = name
-            break
+    failing = next((name for name, margin in margins.items() if margin < -tol), None)
     return failing is None, failing, margins
 
 
@@ -564,9 +552,9 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     per-coordinate change amplified against the sampling probability,
     ``bar_i = a0_i + (alpha_i - a0_i)/(a p_i)`` from the row's value
     ``a0_i`` before the pass, which makes the dual image fed to the primal
-    prox unbiased for a full synchronous pass.  ``state.last_batch`` keeps
-    each drawn row's ``bar_i`` for the step's :func:`_settle`.  An anchored
-    state evaluates the drawn rows' ``w_bar`` (:meth:`_Anchors.prepare`).
+    prox unbiased for a full synchronous pass; one :func:`_scatter` adds it.
+    ``state.last_batch`` keeps each drawn row's ``bar_i`` for :func:`_settle`.
+    An anchored state evaluates the drawn rows' ``w_bar`` (:meth:`_Anchors.prepare`).
 
     The scalar arithmetic runs on Python floats, which round as numpy's
     float64 scalars do, at a fraction of their per-operation cost.
@@ -583,40 +571,53 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     start_vals: dict[int, float] = {}
     for i in draws.tolist():
         old = alpha.item(i)
-        if i not in start_vals:
-            start_vals[i] = old
+        start_vals.setdefault(i, old)
         lo, hi = indptr[i], indptr[i + 1]
         s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]] if bars is None else bars[i]))
         q = p.item(i) * n_eff / sigma.item(i)
         alpha[i] = dual_prox(s, old, q, labels.item(i), gamma)
 
-    batch = state.last_batch = {}
+    batch, cols, vals = {}, [], []
     for i, a0 in start_vals.items():
-        bar = a0 + (alpha.item(i) - a0) / (a * p.item(i))
+        bar = batch[i] = a0 + (alpha.item(i) - a0) / (a * p.item(i))
         delta = bar - a0
         if delta != 0.0:
-            lo, hi = indptr[i], indptr[i + 1]
-            state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
-        batch[i] = bar
-    state.last_draws = draws
+            lo, hi = indptr.item(i), indptr.item(i + 1)
+            cols.append(indices[lo:hi])
+            vals.append((delta / n) * data[lo:hi])
+    _scatter(state.v_cache, cols, vals)
+    state.last_batch, state.last_draws = batch, draws
 
 
 def _settle(state: SolverState, ds) -> None:
-    """End a step: take its dual extrapolation out of the cache, adding
-    ``(alpha_i - bar_i)/n x_i`` for each row of ``last_batch``, which it
-    empties.  Every such row's support goes to the anchors' ``touched``,
-    moved or not: the primal pass anchored it without a watch."""
+    """End a step: one :func:`_scatter` of ``(alpha_i - bar_i)/n x_i`` over ``last_batch``
+    takes its extrapolation out of the cache, and empties it.  Every such row's support goes
+    to the anchors' ``touched``, moved or not: the primal pass anchored it without a watch."""
     indptr, indices, data = ds.csr_arrays()
     touched = None if state._anchors is None else state._anchors.touched
+    cols, vals = [], []
     for i, bar in state.last_batch.items():
-        lo, hi = indptr[i], indptr[i + 1]
-        cols = indices[lo:hi]
+        lo, hi = indptr.item(i), indptr.item(i + 1)
+        row = indices[lo:hi]
         delta = state.alpha.item(i) - bar
         if delta != 0.0:
-            state.v_cache[cols] += (delta / ds.n) * data[lo:hi]
+            cols.append(row)
+            vals.append((delta / ds.n) * data[lo:hi])
         if touched is not None:
-            touched.append(cols)
+            touched.append(row)
+    _scatter(state.v_cache, cols, vals)
     state.last_batch = {}
+
+
+def _scatter(v, cols: list, vals: list) -> None:
+    """Add rows' scaled supports into the dual image ``v`` in one ordered ``np.add.at``:
+    ``vals[k]`` at ``cols[k]``, one entry at a time in list order, the scalar adds of
+    ``v[cols] += vals`` row after row (a row's columns are distinct), so the same bits.
+    Callers leave out rows whose delta is 0.0: adding 0.0 would turn -0.0 into 0.0."""
+    if len(cols) > 1:
+        cols, vals = [np.concatenate(cols)], [np.concatenate(vals)]
+    if cols:
+        np.add.at(v, cols[0], vals[0])
 
 
 # rows per block of the bulk dual sweep: bounds its gathered arrays, and so
@@ -650,8 +651,8 @@ def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
 
     ``w_bar`` is fixed during the sweep, so the rows are independent and run
     in blocks of ``_SWEEP_ROWS``: one grouped dot, one array prox and one
-    scatter of the changed rows in row order, which adds into each cache
-    entry in the order of the row-at-a-time sweep.  The result is that
+    :func:`_scatter` of the block's rows in row order, which adds into each
+    cache entry in the order of the row-at-a-time sweep.  The result is that
     sweep's, bit for bit.
     """
     n = ds.n
@@ -673,7 +674,7 @@ def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
         keep = np.repeat(changed, lengths)
         p0, p1 = indptr[lo], indptr[hi]
         step = np.repeat(delta / n, lengths) * data[p0:p1]
-        np.add.at(state.v_cache, indices[p0:p1][keep], step[keep])
+        _scatter(state.v_cache, [indices[p0:p1][keep]], [step[keep]])
 
 
 # Anchored vs whole-vector pass, per iteration (median of 7 runs of 2000, CPU

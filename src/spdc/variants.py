@@ -315,7 +315,7 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
     else:
         outer_params = core.schedule_thm15(ds, spec, a)
     run = _new_run(ds, None, primal_writes=0, accepts=0, inner_rounds=0,
-                   optimal_exit=False, committed_gaps=[])
+                   optimal_exit=False, committed_gaps=[], active_sizes=[], inner_lengths=[])
     counters = run.counters
     gaps = counters["committed_gaps"]  # gaps[-1] is the best committed gap
 
@@ -343,8 +343,8 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
             primal_coords = np.flatnonzero(psi != 0.0)
         n_active = plan.active.size
         inner_len = math.ceil(n_active / a)
-        counters.setdefault("active_sizes", []).append(n_active)
-        counters.setdefault("inner_lengths", []).append(inner_len)
+        counters["active_sizes"].append(n_active)
+        counters["inner_lengths"].append(inner_len)
         inner = state.copy()
         for _ in range(inner_len):
             adaspdc_step(inner, params, plan, ds, spec, a, rng, primal_coords=primal_coords)

@@ -372,6 +372,8 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: n
         "accepts": 0,
         "inner_rounds": 0,
         "optimal_exit": False,
+        "active_sizes": [],
+        "inner_lengths": [],
     }
     plan = params = None
     ckpt = 0
@@ -401,8 +403,8 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: n
             primal_coords = np.flatnonzero(psi != 0.0)
         n_active = plan.active.size
         inner_len = math.ceil(n_active / a)
-        counters.setdefault("active_sizes", []).append(n_active)
-        counters.setdefault("inner_lengths", []).append(inner_len)
+        counters["active_sizes"].append(n_active)
+        counters["inner_lengths"].append(inner_len)
         inner = state.copy()
         accepted = None
         for u in range(1, inner_len + 1):

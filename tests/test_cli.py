@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -227,8 +228,14 @@ class TestRun:
         assert run(cfg) == 0
         counters = json.loads(summary.read_text())["counters"]
         assert set(counters) == {"iterations", "duals_drawn", "accepts", "inner_rounds",
-                                 "primal_writes", "optimal_exit"}
+                                 "primal_writes", "optimal_exit", "active_sizes",
+                                 "inner_lengths"}
         assert counters["duals_drawn"] > 0 and counters["inner_rounds"] > 0
+        # one entry per inner round, each inner loop ceil(n'/a) iterations long
+        sizes, lengths = counters["active_sizes"], counters["inner_lengths"]
+        assert len(sizes) == len(lengths) == counters["inner_rounds"]
+        assert lengths == [math.ceil(s / cfg.a) for s in sizes]
+        assert all(isinstance(s, int) and 1 <= s for s in sizes)
 
     def test_numerical_failure_exits_4(self, data_file, monkeypatch):
         import spdc.cli as cli_mod

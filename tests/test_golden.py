@@ -23,6 +23,12 @@ One golden lies outside that grid (``tests/golden/anchored-batch/``):
 ``ovsspdc -a 2`` on ``highd-sparse`` at a tenth of its lambda for 100
 epochs.  Its anchored mini-batch steps settle rows whose extrapolation left
 them where they were, whose weights must be re-anchored all the same.
+
+Another runs the benchmarked mini-batch regime at small d for a long run
+(``tests/golden/long-batch/``): ``ovsspdc -a 8`` on ``dual-skewed`` to a gap
+of 0, which it reaches after 79 epochs.  Each of its steps scatters eight
+rows into the dual image twice, and rounding differences compound over the
+run, so a scatter that adds in another order shows here.
 """
 
 import hashlib
@@ -36,6 +42,7 @@ from spdc.cli import main, synth
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EDGE_DIR = GOLDEN_DIR / "budget-edge"
 BATCH_DIR = GOLDEN_DIR / "anchored-batch"
+LONG_DIR = GOLDEN_DIR / "long-batch"
 
 DATASETS = {
     "highd-sparse": {
@@ -58,6 +65,10 @@ CASES = [(name, algo) for name in DATASETS for algo in ALGOS]
 # (dataset, algorithm, flags that override the grid's) of the anchored-batch golden
 ANCHORED_BATCH = ("highd-sparse", "ovsspdc",
                   ["-a", "2", "--lambda-scale", "1e-2", "--max-epochs", "100"])
+# the same for the long-batch golden, and its file name
+LONG_BATCH = ("dual-skewed", "ovsspdc",
+              ["-a", "8", "--lambda-scale", "1e-2", "--gap-tol", "0", "--max-epochs", "100"])
+LONG_GOLDEN = LONG_DIR / "dual-skewed-ovsspdc-a8.csv"
 
 
 def _argv(data_path, name, algo, trace_path, budget_edge=False, extra=()):
@@ -121,9 +132,17 @@ def test_anchored_batch_trace_matches_golden(datasets, tmp_path):
     assert trace.read_bytes() == (BATCH_DIR / f"{name}-{algo}.csv").read_bytes()
 
 
+def test_long_batch_trace_matches_golden(datasets, tmp_path):
+    name, algo, flags = LONG_BATCH
+    trace = tmp_path / "trace.csv"
+    assert main(_argv(datasets[name], name, algo, trace, extra=flags)) == 0
+    assert trace.read_bytes() == LONG_GOLDEN.read_bytes()
+
+
 def _regenerate(directory):
     EDGE_DIR.mkdir(parents=True, exist_ok=True)
     BATCH_DIR.mkdir(parents=True, exist_ok=True)
+    LONG_DIR.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name in DATASETS:
         paths[name] = path = _write_dataset(name, directory)
@@ -133,10 +152,10 @@ def _regenerate(directory):
                 trace = _golden(name, algo, budget_edge=edge)
                 if main(_argv(path, name, algo, trace, budget_edge=edge)) != 0:
                     sys.exit(f"{name}/{algo} failed")
-    name, algo, flags = ANCHORED_BATCH
-    if main(_argv(paths[name], name, algo, BATCH_DIR / f"{name}-{algo}.csv",
-                  extra=flags)) != 0:
-        sys.exit(f"{name}/{algo} {' '.join(flags)} failed")
+    for (name, algo, flags), trace in ((ANCHORED_BATCH, BATCH_DIR / "highd-sparse-ovsspdc.csv"),
+                                       (LONG_BATCH, LONG_GOLDEN)):
+        if main(_argv(paths[name], name, algo, trace, extra=flags)) != 0:
+            sys.exit(f"{name}/{algo} {' '.join(flags)} failed")
 
 
 if __name__ == "__main__":

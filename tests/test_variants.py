@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdc import variants
+from spdc import core, variants
 from spdc.core import DspdcConfig, adaspdc_step, init_state, schedule_thm4, schedule_thm5
 from spdc.datamat import lambda_max
 from spdc.errors import ScheduleError
@@ -64,6 +64,30 @@ def test_runners_return_settled_states(mid, runner):
         res = run(ds, spec, 2, budget, rng)
     assert res.state.iter > 0
     assert_settled(res.state, ds)
+
+
+def test_cache_does_not_drift_over_2000_epochs(monkeypatch):
+    # Every step adds its extrapolation into v_cache and takes it out again,
+    # so rounding could pile up.  At lam = 1e-6 lam_max the run is still
+    # moving after 2000 epochs (gap about 9e-10), and the largest cache_error
+    # measured over its 2001 checkpoints is about 2e-19.
+    ds = make_dataset(64, 16, seed=5, normalize=True)
+    spec = ProblemSpec(gamma=1.0, lam=1e-6 * lambda_max(ds))
+    plan = build_uniform(ds.n, 4)
+    errors = []
+    cache_error = core.SolverState.cache_error
+
+    def recorded(state, ds):
+        errors.append(cache_error(state, ds))
+        return errors[-1]
+
+    monkeypatch.setattr(core.SolverState, "cache_error", recorded)
+    res = run_fixed(ds, spec, plan, schedule_thm5(ds, spec, plan), 4,
+                    Budget(gap_tol=0.0, max_epochs=2000), np.random.default_rng(1),
+                    timing=False)
+    assert len(res.trace) == len(errors) == 2001 and res.trace[-1].epoch == 2000
+    assert res.trace[-1].gap > 0.0 and res.trace[-1].primal != res.trace[-2].primal
+    assert max(errors) < 1e-15  # the checkpoint fails a run at 1e-9
 
 
 class TestOvsSpdc:
