@@ -127,14 +127,14 @@ class _Anchors:
         rest = self.touched + self._watched()
         idx, val, fresh = [], [], 0
         if rest:
-            idx.append(np.concatenate(rest))
+            idx.append(_cat(rest))
             val.append(self._law(idx[0], t)[0])
         for cols, w, fresh in self.prepared:
             idx.append(cols)
             val.append(w)
         self.touched, self.prepared, self.cached = [], [], {}
         if idx:
-            self._anchor(np.concatenate(idx), np.concatenate(val), t, fresh)
+            self._anchor(_cat(idx), _cat(val), t, fresh)
 
     def _watched(self) -> list:
         watch, self.watch = self.watch, []
@@ -584,7 +584,7 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
         if delta != 0.0:
             lo, hi = indptr.item(i), indptr.item(i + 1)
             cols.append(indices[lo:hi])
-            vals.append((delta / n) * data[lo:hi])
+            vals.append(np.multiply(data[lo:hi], delta / n))
     _scatter(state.v_cache, cols, vals)
     state.last_batch, state.last_draws = batch, draws
 
@@ -602,7 +602,7 @@ def _settle(state: SolverState, ds) -> None:
         delta = state.alpha.item(i) - bar
         if delta != 0.0:
             cols.append(row)
-            vals.append((delta / ds.n) * data[lo:hi])
+            vals.append(np.multiply(data[lo:hi], delta / ds.n))
         if touched is not None:
             touched.append(row)
     _scatter(state.v_cache, cols, vals)
@@ -612,12 +612,14 @@ def _settle(state: SolverState, ds) -> None:
 def _scatter(v, cols: list, vals: list) -> None:
     """Add rows' scaled supports into the dual image ``v`` in one ordered ``np.add.at``:
     ``vals[k]`` at ``cols[k]``, one entry at a time in list order, the scalar adds of
-    ``v[cols] += vals`` row after row (a row's columns are distinct), so the same bits.
-    Callers leave out rows whose delta is 0.0: adding 0.0 would turn -0.0 into 0.0."""
-    if len(cols) > 1:
-        cols, vals = [np.concatenate(cols)], [np.concatenate(vals)]
+    ``v[cols] += vals`` row after row (datasets sum duplicates, so a row's columns are
+    distinct): the same bits.  Callers leave out rows of delta 0.0: +0.0 turns -0.0 to 0.0."""
     if cols:
-        np.add.at(v, cols[0], vals[0])
+        np.add.at(v, _cat(cols), _cat(vals))
+
+
+def _cat(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 # rows per block of the bulk dual sweep: bounds its gathered arrays, and so

@@ -34,7 +34,9 @@ class SparseDataset:
     Parameters
     ----------
     matrix : scipy.sparse matrix, shape (n, d)
-        The design matrix X whose i-th row is the i-th instance.
+        The design matrix X whose i-th row is the i-th instance; duplicate
+        entries are summed.  Its index arrays are kept as ``np.intp``, 4 bytes an
+        entry more than int32: numpy casts others on every fancy-index call.
     labels : ndarray, shape (n,)
         Targets, +-1 for the hinge-type losses the solvers use; this
         constructor does not check them (``load_libsvm`` does).
@@ -51,8 +53,9 @@ class SparseDataset:
 
     def __init__(self, matrix, labels):
         csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+        csr.indptr, csr.indices = csr.indptr.astype(np.intp), csr.indices.astype(np.intp)
+        csr.sum_duplicates()  # sorts the indices too
         csr.eliminate_zeros()
-        csr.sort_indices()
         labels = np.asarray(labels, dtype=np.float64).copy()
         if labels.shape != (csr.shape[0],):
             raise DataError(
@@ -263,6 +266,7 @@ def load_libsvm(path, normalize: bool = False) -> SparseDataset:
     if not sum(block[0].size for block in blocks):
         raise DataError(f"{path}: no data lines found")
     labels, lengths, indices, values = (np.concatenate(parts) for parts in zip(*blocks))
+    del blocks
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     if normalize:
         values *= np.repeat(1.0 / _row_norms(indptr, values), lengths)

@@ -188,13 +188,12 @@ def primal_prox(u, w_old, tau, lam):
     np.maximum(v, 0.0, out=v)
     v *= np.sign(s, out=s)
     v /= lam + 1.0 / tau
+    # the fixed point soft(t, 1) is t - clip(t, -1, 1) but for the sign of 0, which == ignores
     t = np.divide(u, lam, out=s)
-    r = np.abs(t)
-    r -= 1.0
-    np.maximum(r, 0.0, out=r)
-    r *= np.sign(t, out=t)
-    np.subtract(w_old, r, out=r)
-    keep = r == 0.0
+    r = np.minimum(t, 1.0)
+    np.maximum(r, -1.0, out=r)
+    np.subtract(t, r, out=r)
+    keep = r == w_old
     keep &= np.sign(v, out=s) == np.sign(w_old, out=r)
     np.copyto(v, w_old, where=keep)
     return float(v[0]) if scalar else v

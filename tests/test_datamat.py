@@ -164,10 +164,12 @@ def write_lines(path, lines, seed):
 
 
 def assert_same_dataset(ds, ref):
-    """n, d and every array of the dataset equal the reference bit for bit."""
+    """n, d and every array of the dataset equal the reference bit for bit; the
+    index arrays are the reference's values as ``np.intp``, whatever its dtype."""
     assert (ds.n, ds.d) == (ref.n, ref.d)
     pairs = [(ds.labels, ref.labels), (ds.row_norms, ref.row_norms)]
-    pairs += [(ds._csr.indptr, ref.csr.indptr), (ds._csr.indices, ref.csr.indices),
+    pairs += [(ds._csr.indptr, ref.csr.indptr.astype(np.intp)),
+              (ds._csr.indices, ref.csr.indices.astype(np.intp)),
               (ds._csr.data, ref.csr.data)]
     for mine, theirs in pairs:
         assert mine.dtype == theirs.dtype
@@ -317,6 +319,56 @@ class TestRowColDuality:
             _, vals = ds.row(i)
             ref = np.linalg.norm(vals)
             assert abs(ds.row_norms[i] - ref) <= 1e-12 * ref
+
+
+def _int64_csr(matrix):
+    csr = sp.csr_matrix(matrix)
+    csr.indptr, csr.indices = csr.indptr.astype(np.int64), csr.indices.astype(np.int64)
+    assert csr.indices.dtype == csr.indptr.dtype == np.int64  # scipy >= 1.10 keeps them
+    return csr
+
+
+class TestIndexArrays:
+    """Read-only ``np.intp`` index arrays from every input, and summed duplicates."""
+
+    @pytest.mark.parametrize("make", [sp.csr_matrix, _int64_csr, sp.coo_matrix, np.asarray],
+                             ids=["int32 csr", "int64 csr", "coo", "dense"])
+    def test_constructor_inputs(self, make):
+        dense = np.array([[0.0, 2.5, 0.0, -1.0], [3.0, 0.0, 0.0, 0.0], [0.0, 0.5, 4.0, 0.0]])
+        ds = SparseDataset(make(dense), np.ones(3))
+        self._check(ds)
+        assert np.array_equal(ds._csr.toarray(), dense)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_loader(self, tmp_path, normalize):
+        self._check(load_libsvm(write(tmp_path, "+1 2:2.5 4:-1\n-1 1:3\n+1 2:0.5 3:4\n"),
+                                normalize=normalize))
+
+    @staticmethod
+    def _check(ds):
+        indptr, indices, _ = ds.csr_arrays()
+        assert indptr is ds._csr.indptr and indices is ds._csr.indices
+        for arr in (indptr, indices):
+            assert arr.dtype == np.intp and not arr.flags.writeable
+        for i in range(ds.n):
+            cols, _ = ds.row(i)
+            assert cols.dtype == np.intp and not cols.flags.writeable
+            assert np.shares_memory(cols, indices)
+
+    def test_duplicate_entries_are_summed(self):
+        matrix = sp.csr_matrix((np.array([3.0, 4.0, 1.0]), np.array([0, 0, 1]),
+                                np.array([0, 2, 3])), shape=(2, 2))
+        ds = SparseDataset(matrix, np.ones(2))
+        assert ds.nnz == 2
+        cols, vals = ds.row(0)
+        assert cols.tolist() == [0] and vals.tolist() == [7.0]
+        assert ds.row_norms[0] == ds.matvec(np.array([1.0, 0.0]))[0] == 7.0
+
+    def test_duplicates_summing_to_zero_empty_the_row(self):
+        matrix = sp.csr_matrix((np.array([3.0, -3.0, 1.0]), np.array([0, 0, 1]),
+                                np.array([0, 2, 3])), shape=(2, 2))
+        with pytest.raises(DataError, match="instance 0 has zero norm"):
+            SparseDataset(matrix, np.ones(2))
 
 
 class TestLambdaMax:

@@ -238,6 +238,22 @@ def _bits(x):
 @example(case=(np.array([-0.0, 1.0]), np.array([-5e-324, 0.5]), 10.0, 1.0))
 # a fixed point whose update is NaN (1/tau overflows): the sign test rejects it
 @example(case=(np.array([2.0, 0.5]), np.array([1.0, 0.0]), 5e-324, 1.0))
+# u/lam at +-1 and one ulp to either side, with w_old at the fixed point
+@example(case=(np.array([1.0, -1.0, 1.0 + 2**-52, 1.0 - 2**-53, -1.0 - 2**-52, -1.0 + 2**-53]),
+               np.array([0.0, 0.0, 2**-52, 0.0, -2**-52, 0.0]), 1.0, 1.0))
+@example(case=(np.array([0.3, -0.3, 0.3]), np.array([0.0, -0.0, 1e-300]), 2.0, 0.3))
+# fixed points beyond +-1 whose update rounds away from them: only the keep rule holds them
+@example(case=(np.array([-2.004558644518718, 2.004558644518718]),
+               np.array([-1.0045586445187178, 1.0045586445187178]), 10.0, 1.0))
+# signed zeros in u and w_old
+@example(case=(np.array([0.0, 0.0, -0.0, -0.0]), np.array([0.0, -0.0, 0.0, -0.0]), 1.0, 1.0))
+# dead-zone fixed points of u/lam < 0: soft gives -0.0, t - clip(t, -1, 1) gives +0.0
+@example(case=(np.array([-0.5, -0.5, -1.0]), np.array([-0.0, 0.0, 0.0]), 0.5, 1.0))
+# infinite w_old, also where u/lam overflows to the same infinity
+@example(case=(np.array([1.0, -1.0, 3.0, 0.0]), np.array([np.inf, -np.inf, np.inf, -np.inf]),
+               1.0, 1.0))
+@example(case=(np.array([1e308, -1e308, 2.0]), np.array([np.inf, -np.inf, np.inf]), 1.0,
+               1e-4))
 def test_primal_prox_matches_frozen_reference_bitwise(case):
     u, w, tau, lam = case
     assert _bits(primal_prox(u, w, tau, lam)) == _bits(reference_primal_prox(u, w, tau, lam))
