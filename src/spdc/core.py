@@ -20,7 +20,8 @@ feasibility inequalities that certify geometric contraction of the potential
 
 From d = ``_LAZY_MIN_D`` on, the primal pass costs O(row nnz), not O(d): it
 keeps each weight as an anchor with a closed-form law (:class:`_Anchors`)
-and re-anchors only those whose dual image changed or whose phase may end.
+and re-anchors only those whose dual image changed or whose phase may end,
+and :func:`iterate` runs blocks of draws with disjoint supports in one go.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "verify_lemma3",
     "verify_lemma14",
     "verify_thm20",
+    "iterate",
     "adaspdc_step",
     "vanilla_spdc_step",
     "dspdc_step",
@@ -95,13 +97,17 @@ class _Anchors:
     prox's keep rule freezes a weight, bit for bit once ``c^k |B - W|`` is
     below half an ulp.  A restricted selection freezes the others: ``W = B``.
 
-    A pass re-anchors the weights whose dual image changed (the supports of
-    the rows the last step settled, recorded in ``touched``, and of the
-    drawn rows, which :meth:`prepare` evaluates for the dual pass) and the
-    ``watch``, laws that may leave their phase at the next step: a live one
-    whose ``W`` lies beyond ``lam`` across 0, a nonzero dead-zone one whose
-    ``v_j`` lies outside the dead zone.  No law is read past its phase, and
-    reads change nothing, so they cannot change a run.
+    Each weight is re-anchored at the iteration it is ``due`` at: an
+    iteration's drawn supports at it, and again at the next on the settled
+    cache, and a law that may leave its phase at the next iteration: a live
+    one whose ``W`` lies beyond ``lam`` across 0, a nonzero dead-zone one
+    whose ``v_j`` lies outside the dead zone.  No law is read past its
+    phase, and reads change nothing, so they cannot change a run.
+
+    Iterations run in blocks, a phase per pass (:meth:`prepare`,
+    :meth:`advance`, :meth:`settle`) whose later draws' supports miss the
+    block's draws and due weights: each weight gets the law and anchor
+    evaluations of the iterations one at a time, a phase's in one call.
     """
 
     def __init__(self, w, v_cache, t: int, tau: float, lam: float, theta: float,
@@ -116,29 +122,84 @@ class _Anchors:
         if self.frozen is not None:
             self.frozen[primal_coords] = False
         self.B, self.W, self.t0 = np.array(w, dtype=np.float64), np.empty(d), np.empty(d, np.int32)
-        self.touched, self.watch, self.prepared, self.cached = [], [], [], {}
+        # due: (weights, the iteration each is due at); block: the prepared
+        # block; pending: a draw that met the block, which opens the next one
+        self.due, self.cached, self.block, self.pending = [], {}, None, None
         for lo in range(0, d, _CHUNK):
-            self._anchor(slice(lo, lo + _CHUNK), self.B[lo:lo + _CHUNK], t)
+            self._anchor(slice(lo, lo + _CHUNK), self.B[lo:lo + _CHUNK], np.int32(t))
 
-    def advance(self, t: int) -> None:
-        """The pass from iteration t.  The drawn rows' supports need no watch:
-        the step's settle records them in ``touched``, so the next pass
-        re-anchors them, whether or not a dual pass runs."""
-        rest = self.touched + self._watched()
-        idx, val, fresh = [], [], 0
-        if rest:
-            idx.append(_cat(rest))
-            val.append(self._law(idx[0], t)[0])
-        for cols, w, fresh in self.prepared:
-            idx.append(cols)
-            val.append(w)
-        self.touched, self.prepared, self.cached = [], [], {}
-        if idx:
-            self._anchor(_cat(idx), _cat(val), t, fresh)
+    def prepare(self, indptr, indices, draw, k: int, t: int):
+        """The dual pass's phase from iteration t: up to k draws of ``draw()``,
+        and the first round's weights, the due ones at t and each drawn
+        support at its iteration.  Returns the draws and ``{row: w_bar}``."""
+        parts, self.due = [i for i, _ in self.due], []
+        if len(parts) > 1:  # a weight may be due twice over: watched and settled
+            parts = [np.unique(np.concatenate(parts))]
+        first = size = sum(map(len, parts))
+        claimed = set(_cat(parts).tolist()) if parts and k > 1 else set()
+        draws, spans, ends = [], [], []
+        while len(draws) < k:
+            batch, self.pending = draw() if self.pending is None else self.pending, None
+            rows = list(dict.fromkeys(batch.tolist()))
+            cols = [indices[indptr[i]:indptr[i + 1]] for i in rows]
+            if k > 1:
+                new = _cat(cols).tolist()
+                if draws and not claimed.isdisjoint(new):
+                    self.pending = batch
+                    break
+                claimed.update(new)
+            for i, c in zip(rows, cols):
+                spans.append((i, size, size + c.size))
+                size += c.size
+            draws.append(batch)
+            parts += cols
+            ends.append(size)
+        idx, m = _cat(parts), len(draws)
+        its = np.int32(t) if m == 1 else np.repeat(np.arange(t, t + m, dtype=np.int32),
+                                                   [b - a for a, b in zip([0] + ends, ends)])
+        w, _, w_bar = self._law(idx, its, bar=True)
+        self.block = (idx, w, its, first, ends[-2] if m > 1 else first, m)
+        return _cat(draws), {i: w_bar[lo:hi] for i, lo, hi in spans}
 
-    def _watched(self) -> list:
-        watch, self.watch = self.watch, []
-        return [np.unique(np.concatenate(watch))] if watch else []
+    def advance(self, t: int) -> int:
+        """The primal pass's phase: anchor the first round, watching all but the
+        drawn supports, or with no block the weights due at t.  Returns its length."""
+        self.cached = {}
+        if self.block is None:
+            self._chain(np.int32(t + 1))
+            return 1
+        idx, w, its, first, _, m = self.block
+        self._anchor(idx, w, its, idx.size - first)
+        return m
+
+    def settle(self, rows: list, t: int) -> None:
+        """The settle's phase at the block's end t, on the settled cache: each
+        drawn support falls due one iteration on, and the weights due before
+        t are re-anchored.  With no block, the settled ``rows`` fall due at t."""
+        block, self.block, self.cached = self.block, None, {}
+        if block is not None:
+            idx, _, its, first, last, m = block
+            if m > 1:
+                self.due.append((idx[first:last], its[first:last] + _ONE32))
+                self._chain(np.int32(t))
+            rows = [idx[last:]]
+        if rows:
+            idx = _cat(rows)
+            self.due.append((idx, np.full(idx.size, t, dtype=np.int32)))
+
+    def _chain(self, end) -> None:
+        """Re-anchor each due weight at its iteration, while that is before
+        ``end``; a re-anchor may make it due one iteration later.  A weight's
+        entries share one due iteration, so each round takes all that are due."""
+        while self.due:
+            idx = _cat([i for i, _ in self.due])
+            due = _cat([u for _, u in self.due])
+            now = due < end
+            if not now.any():
+                return
+            self.due = [] if now.all() else [(idx[~now], due[~now])]
+            idx, due = idx[now], due[now]
+            self._anchor(idx, self._law(idx, due)[0], due)
 
     def view(self, t: int, slot: int) -> np.ndarray:
         """``w``, ``w_prev`` or ``w_bar`` (slot 0, 1, 2) at iteration t: a new
@@ -149,35 +210,19 @@ class _Anchors:
             slots = (0,) if slot == 0 else (0, 1, 2)
             out = [np.empty(self.B.size) for _ in slots]
             for lo in range(0, self.B.size, _CHUNK):
-                for o, x in zip(out, self._law(slice(lo, lo + _CHUNK), t, bar=slot != 0)):
+                for o, x in zip(out, self._law(slice(lo, lo + _CHUNK), np.int32(t), slot != 0)):
                     o[lo:lo + _CHUNK] = x
             self.cached.update(zip(slots, out))
         return self.cached[slot]
 
-    def prepare(self, indptr, indices, drawn: list, t: int) -> dict:
-        """For the dual pass at iteration t: ``w_bar`` on each drawn row's
-        support, and the weights at t that the primal pass re-anchors: the
-        watched and ``touched`` ones and the drawn rows' supports."""
-        drawn = list(dict.fromkeys(drawn))
-        cols = (self._watched() + self.touched
-                + [indices[indptr[i]:indptr[i + 1]] for i in drawn])
-        self.touched = []
-        idx = np.concatenate(cols)
-        w, _, w_bar = self._law(idx, t, bar=True)
-        out, hi = {}, idx.size
-        for i in reversed(drawn):
-            out[i] = w_bar[hi - (indptr[i + 1] - indptr[i]):hi]
-            hi -= out[i].size
-        self.prepared.append((idx, w, idx.size - hi))
-        return out
-
-    def _law(self, idx, t: int, bar: bool = False):
-        """The weights at iteration t of the coordinates ``idx``, anchored
-        before t; with ``bar``, also at t-1 and the extrapolation."""
+    def _law(self, idx, t, bar: bool = False):
+        """The weights of the coordinates ``idx`` at iteration t (an int32,
+        or one per entry), anchored before it; with ``bar``, also at t-1 and
+        the extrapolation."""
         t0 = self.t0[idx]
         up = t0 > _ZERO32
         e = np.abs(t0)
-        np.subtract(np.int32(t + 1), e, out=e)
+        np.subtract(t + _ONE32, e, out=e)
         W, B = self.W[idx], self.B[idx]
         step = self.c ** e * (B - W)
         w = step + W
@@ -189,9 +234,10 @@ class _Anchors:
         np.copyto(w_prev, B, where=e == _ONE32)
         return w, w_prev, (w - w_prev) * self.theta + w
 
-    def _anchor(self, idx, val, t: int, fresh: int = 0) -> None:
-        """Anchor ``idx`` at iteration t on the values ``val`` and the current
-        ``v_cache``; watch those but the last ``fresh`` that may change phase."""
+    def _anchor(self, idx, val, t, fresh: int = 0) -> None:
+        """Anchor ``idx`` at iteration t (an int32, or one per entry) on the
+        values ``val`` and the current ``v_cache``; those but the last
+        ``fresh`` that may change phase fall due one iteration on."""
         lam = self.lam
         u = self.v[idx]
         s = val / self.tau + u
@@ -203,21 +249,21 @@ class _Anchors:
         # with |u| > lam (it then has the sign of -u), may change phase next
         flip = side * u < -lam
         flip[flip.size - fresh:] = False
-        up, down = np.int32(t + 1), np.int32(-t - 1)
-        t0 = np.where(side < 0.0, down, up)
+        up = t + _ONE32
+        t0 = np.where(side < 0.0, -up, up)
         if self.frozen is not None:
             frozen = self.frozen[idx]
             np.copyto(W, val, where=frozen)
-            np.copyto(t0, np.where(val < 0.0, down, up), where=frozen)
+            np.copyto(t0, np.where(val < 0.0, -up, up), where=frozen)
             flip &= ~frozen
         self.B[idx], self.W[idx], self.t0[idx] = val, W, t0
         if np.count_nonzero(flip):
-            self.watch.append(np.flatnonzero(flip) + idx.start if isinstance(idx, slice)
-                              else idx[flip])
+            self.due.append((np.flatnonzero(flip) + idx.start if isinstance(idx, slice)
+                             else idx[flip], np.broadcast_to(up, flip.shape)[flip]))
 
 
 _ZERO32, _ONE32 = np.int32(0), np.int32(1)
-_CHUNK = 2048  # weights per block when all are anchored or read: bounds temporaries
+_CHUNK = 2048  # weights per chunk when all are anchored or read: bounds temporaries
 
 
 def _weights(slot: int) -> property:
@@ -236,15 +282,15 @@ class SolverState:
     """Mutable iterate: weights, duals, extrapolated weights, and the dual-image cache.
 
     Between steps ``v_cache`` is ``(1/n) X^T alpha``, kept incrementally.
-    Within a step the dual pass extrapolates its drawn rows into it, keeping
-    their extrapolated duals in ``last_batch`` (``{row: bar}``), and the
-    step's :func:`_settle` takes them out after the primal pass, in
-    O(batch * row nnz).  For d >= ``_LAZY_MIN_D`` the weights are kept as
+    Within a step, or an anchored block of steps, the dual pass extrapolates
+    its drawn rows into it, keeping their extrapolated duals in
+    ``last_batch`` (``{row: bar}``), and :func:`_settle` takes them out after
+    the primal pass.  For d >= ``_LAZY_MIN_D`` the weights are kept as
     anchors (:class:`_Anchors`) and ``w``, ``w_prev``, ``w_bar`` are
     evaluated when read, as new arrays, the same for every read at one
-    iteration; a copy holds them and starts without anchors.  Code outside
-    the solver that edits ``w``, ``w_prev``, ``w_bar`` or ``v_cache``
-    assigns a new float64 array rather than writing into it.
+    iteration between calls; a copy holds them and starts without anchors.
+    Code outside the solver that edits ``w``, ``w_prev``, ``w_bar`` or
+    ``v_cache`` assigns a new float64 array rather than writing into it.
     """
 
     w, w_prev, w_bar = _weights(0), _weights(1), _weights(2)
@@ -544,7 +590,8 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
 
 
 def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
-               spec: ProblemSpec, a: int, rng: np.random.Generator) -> None:
+               spec: ProblemSpec, a: int, rng: np.random.Generator, k: int = 1,
+               block_draw: bool = False) -> None:
     """Sample and prox ``a`` dual coordinates, then extrapolate them into the cache.
 
     Draws are processed sequentially in draw order, so a repeated index sees
@@ -554,7 +601,9 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     ``a0_i`` before the pass, which makes the dual image fed to the primal
     prox unbiased for a full synchronous pass; one :func:`_scatter` adds it.
     ``state.last_batch`` keeps each drawn row's ``bar_i`` for :func:`_settle`.
-    An anchored state evaluates the drawn rows' ``w_bar`` (:meth:`_Anchors.prepare`).
+    With ``block_draw``, dspdc's primal block is drawn after each draw.  An
+    anchored state runs up to ``k`` iterations' draws with disjoint supports
+    as one (:meth:`_Anchors.prepare`); ``last_draws`` holds them all.
 
     The scalar arithmetic runs on Python floats, which round as numpy's
     float64 scalars do, at a fraction of their per-operation cost.
@@ -564,10 +613,17 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     p, sigma, labels = plan.p, params.sigma, ds.labels
     indptr, indices, data = ds.csr_arrays()
 
-    draws = draw_batch(plan, rng)
+    def draw():
+        draws = draw_batch(plan, rng)
+        if block_draw:
+            rng.random()  # the one block there is
+        return draws
+
     anchors = state._anchors
-    bars = None if anchors is None else anchors.prepare(indptr, indices, draws.tolist(),
-                                                        state.iter)
+    if anchors is None:
+        draws, bars = draw(), None
+    else:
+        draws, bars = anchors.prepare(indptr, indices, draw, k, state.iter)
     start_vals: dict[int, float] = {}
     for i in draws.tolist():
         old = alpha.item(i)
@@ -590,23 +646,23 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
 
 
 def _settle(state: SolverState, ds) -> None:
-    """End a step: one :func:`_scatter` of ``(alpha_i - bar_i)/n x_i`` over ``last_batch``
-    takes its extrapolation out of the cache, and empties it.  Every such row's support goes
-    to the anchors' ``touched``, moved or not: the primal pass anchored it without a watch."""
+    """End a step or block: one :func:`_scatter` of ``(alpha_i - bar_i)/n x_i`` over
+    ``last_batch`` takes its extrapolation out of the cache, and empties it.  Anchors then
+    re-anchor the supports on the settled cache (:meth:`_Anchors.settle`)."""
     indptr, indices, data = ds.csr_arrays()
-    touched = None if state._anchors is None else state._anchors.touched
-    cols, vals = [], []
+    cols, vals, rows = [], [], []
     for i, bar in state.last_batch.items():
         lo, hi = indptr.item(i), indptr.item(i + 1)
         row = indices[lo:hi]
+        rows.append(row)
         delta = state.alpha.item(i) - bar
         if delta != 0.0:
             cols.append(row)
             vals.append(np.multiply(data[lo:hi], delta / ds.n))
-        if touched is not None:
-            touched.append(row)
     _scatter(state.v_cache, cols, vals)
     state.last_batch = {}
+    if state._anchors is not None:
+        state._anchors.settle(rows, state.iter)
 
 
 def _scatter(v, cols: list, vals: list) -> None:
@@ -686,30 +742,35 @@ def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
 _LAZY_MIN_D = 2000
 
 
+def _continues(state: SolverState, tau: float, lam: float, theta: float,
+               primal_coords) -> bool:
+    """Whether a primal pass keeps the anchors: the same parameters, cache and selection."""
+    anchors = state._anchors
+    return (anchors is not None and anchors.params == (tau, lam, theta)
+            and anchors.v is state.v_cache and primal_coords is state._coords)
+
+
 def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
                  primal_coords=None) -> None:
-    """Prox the selected weight coordinates, then extrapolate the full vector.
+    """Prox the selected weight coordinates (all for None), then extrapolate
+    the full vector.
 
     From d = ``_LAZY_MIN_D`` on, the weights are re-anchored instead
-    (:class:`_Anchors`); new ``tau``, ``lam``, ``theta`` or cache array
-    re-anchor all.  A selection that changes from pass to pass (a dspdc
-    block smaller than d) takes the whole-vector pass, as d below it does.
+    (:class:`_Anchors`) and ``iter`` advances by the dual pass's block.
+    New ``tau``, ``lam``, ``theta``, cache array or selection re-anchor all;
+    one that changes from pass to pass (a dspdc block smaller than d) takes
+    the whole-vector pass, as d below it does.
     """
     d = state.v_cache.size
-    if primal_coords is not None and len(primal_coords) == d:
-        primal_coords = None  # a block spanning every coordinate is the full pass
-    anchors = state._anchors
+    if _continues(state, tau, lam, theta, primal_coords):
+        state.iter += state._anchors.advance(state.iter)
+        return
+    state._materialize()
     if d >= _LAZY_MIN_D and primal_coords is state._coords:
-        if anchors is not None and anchors.params == (tau, lam, theta) \
-                and anchors.v is state.v_cache:
-            anchors.advance(state.iter)
-        else:
-            state._materialize()
-            w, state._w, state._w_prev, state._w_bar = state._w, None, None, None
-            state._anchors = _Anchors(w, state.v_cache, state.iter, tau, lam, theta,
-                                      primal_coords)
+        w, state._w, state._w_prev, state._w_bar = state._w, None, None, None
+        state._anchors = _Anchors(w, state.v_cache, state.iter, tau, lam, theta,
+                                  primal_coords)
     else:
-        state._materialize()
         w_old, v = state._w, state.v_cache
         if primal_coords is None:
             w_new = primal_prox(v, w_old, tau, lam)
@@ -723,14 +784,43 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
     state.iter += 1
 
 
+def iterate(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
+            spec: ProblemSpec, a: int, rng: np.random.Generator, k: int,
+            primal_coords=None, cfg: DspdcConfig | None = None) -> SolverState:
+    """k iterations of :func:`adaspdc_step`, or with ``cfg`` of :func:`dspdc_step`.
+
+    An anchored state runs them in blocks of draws with disjoint supports
+    (:class:`_Anchors`), bit for bit the iterations one at a time: a block
+    ends at the first draw that meets it, which opens the next, or at k.
+    """
+    tau, lam, theta = params.tau, spec.lam, params.theta
+    block_draw = cfg is not None and len(cfg.blocks) == 1
+    if block_draw:  # the one block spans every coordinate: the full primal step
+        cfg = None
+    if primal_coords is not None and len(primal_coords) == ds.d:
+        primal_coords = None  # a selection spanning every coordinate is the full pass
+    while k > 0:
+        t = state.iter
+        if cfg is None:
+            block = k if k > 1 and _continues(state, tau, lam, theta, primal_coords) else 1
+            _dual_pass(state, params, plan, ds, spec, a, rng, block, block_draw)
+            _primal_pass(state, tau, lam, theta, primal_coords)
+        else:
+            _dual_pass(state, params, plan, ds, spec, a, rng)
+            h = min(int(np.searchsorted(cfg.cum_q, rng.random(), side="right")),
+                    len(cfg.blocks) - 1)
+            blk = cfg.blocks[h]
+            _primal_pass(state, tau * (blk.size / (cfg.q[h] * ds.d)), lam, theta, blk)
+        _settle(state, ds)
+        k -= state.iter - t
+    return state
+
+
 def adaspdc_step(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
                  spec: ProblemSpec, a: int, rng: np.random.Generator,
                  primal_coords=None) -> SolverState:
     """One iteration with per-instance dual step sizes."""
-    _dual_pass(state, params, plan, ds, spec, a, rng)
-    _primal_pass(state, params.tau, spec.lam, params.theta, primal_coords)
-    _settle(state, ds)
-    return state
+    return iterate(state, params, plan, ds, spec, a, rng, 1, primal_coords)
 
 
 # one iteration with a shared scalar dual step size: the shared-sigma rules
@@ -746,14 +836,7 @@ def dspdc_step(state, params, plan, cfg: DspdcConfig, ds, spec, a,
     ``tau * |M_h| / (q_h * d)``; other coordinates are unchanged.  Weight
     extrapolation spans the full vector.
     """
-    _dual_pass(state, params, plan, ds, spec, a, rng)
-    h = int(np.searchsorted(cfg.cum_q, rng.random(), side="right"))
-    h = min(h, len(cfg.blocks) - 1)
-    block = cfg.blocks[h]
-    tau_eff = params.tau * (block.size / (cfg.q[h] * ds.d))
-    _primal_pass(state, tau_eff, spec.lam, params.theta, primal_coords=block)
-    _settle(state, ds)
-    return state
+    return iterate(state, params, plan, ds, spec, a, rng, 1, cfg=cfg)
 
 
 def complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, a: int,

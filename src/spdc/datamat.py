@@ -63,6 +63,9 @@ class SparseDataset:
             )
         norms = _row_norms(csr.indptr, csr.data)
         self._csr = csr
+        # X^T on the CSR's own arrays, assigned as above so that scipy keeps them intp
+        self._csc_t = t = sp.csc_matrix((csr.shape[1], csr.shape[0]))
+        t.data, t.indices, t.indptr = csr.data, csr.indices, csr.indptr
         self.n, self.d = csr.shape
         self.labels = labels
         self.row_norms = norms
@@ -86,7 +89,7 @@ class SparseDataset:
 
     def rmatvec(self, alpha):
         """X.T @ alpha, computed from the row layout."""
-        return self._csr.T @ alpha
+        return self._csc_t @ alpha
 
     def csr_arrays(self):
         """Raw (indptr, indices, data) of the row layout, for tight solver loops."""

@@ -180,12 +180,7 @@ def run_fixed(ds, spec: ProblemSpec, plan: SamplingPlan, params: StepParams,
     per_epoch = math.ceil(ds.n / a)
 
     def epoch(_):
-        state = run.state
-        for _ in range(per_epoch):
-            if dspdc_cfg is None:
-                adaspdc_step(state, params, plan, ds, spec, a, rng)
-            else:
-                core.dspdc_step(state, params, plan, dspdc_cfg, ds, spec, a, rng)
+        core.iterate(run.state, params, plan, ds, spec, a, rng, per_epoch, cfg=dspdc_cfg)
         return per_epoch * a
 
     return _drive(ds, spec, budget, run, epoch, 1, timing)
@@ -345,9 +340,8 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
         inner_len = math.ceil(n_active / a)
         counters["active_sizes"].append(n_active)
         counters["inner_lengths"].append(inner_len)
-        inner = state.copy()
-        for _ in range(inner_len):
-            adaspdc_step(inner, params, plan, ds, spec, a, rng, primal_coords=primal_coords)
+        inner = core.iterate(state.copy(), params, plan, ds, spec, a, rng, inner_len,
+                             primal_coords)
         g = primal_objective(inner.w, ds, spec) - dual_objective(inner.alpha, ds, spec)
         if g < gaps[-1]:
             gaps.append(g)

@@ -13,6 +13,12 @@ The CLI's checks of which rules an algorithm may run are frozen here too,
 as they were before one table of rules per algorithm replaced them:
 ``reference_validate`` (``RunConfig.validate``) and
 ``reference_pick_schedule`` (``cli._pick_schedule``).
+
+So is the anchored iteration (d >= ``core._LAZY_MIN_D``) as it ran one step
+at a time, before iterations ran in blocks of draws with disjoint supports:
+``ReferenceAnchors`` and ``reference_adaspdc_step``/``reference_dspdc_step``.
+A k-iteration call of the library must leave the state, the anchors and the
+generator as k of these steps do.
 """
 
 from __future__ import annotations
@@ -24,7 +30,14 @@ import numpy as np
 from spdc import core, variants
 from spdc.core import StepParams, _check_cap, _r_under, adaspdc_step, init_state
 from spdc.errors import ConfigError, ScheduleError, ZeroViolations
-from spdc.objective import dual_objective, dual_violations, primal_objective, primal_violations
+from spdc.objective import (
+    dual_objective,
+    dual_prox,
+    dual_violations,
+    primal_objective,
+    primal_prox,
+    primal_violations,
+)
 from spdc.sampling import build_ovs, build_restricted, build_uniform
 from spdc.variants import RunResult
 
@@ -504,3 +517,204 @@ def reference_pick_schedule(cfg, ds) -> str:
             f"a={cfg.a} > sqrt(n) admits only uniform sampling (schedule {large})"
         )
     return large
+
+
+# The anchored iteration as it ran one step at a time, before iterations ran
+# in blocks: the anchors with their per-step dual and primal halves
+# (``prepare``, ``advance``) and the step's three passes.  The dual prox,
+# the primal prox, the scatter and the draws are the library's.
+
+_REF_ZERO32, _REF_ONE32 = np.int32(0), np.int32(1)
+
+
+class ReferenceAnchors:
+    """``core._Anchors`` as it was when every step re-anchored on its own."""
+
+    def __init__(self, w, v_cache, t: int, tau: float, lam: float, theta: float,
+                 primal_coords):
+        d = v_cache.size
+        self.params, self.v = (tau, lam, theta), v_cache
+        self.tau, self.lam, self.theta = np.float64(tau), np.float64(lam), np.float64(theta)
+        self.c = np.float64(1.0 / (1.0 + tau * lam))
+        self.kill = np.float64(-1.0 - 1.0 / (tau * lam))
+        self.frozen = None if primal_coords is None else np.ones(d, dtype=bool)
+        if self.frozen is not None:
+            self.frozen[primal_coords] = False
+        self.B, self.W, self.t0 = np.array(w, dtype=np.float64), np.empty(d), np.empty(d, np.int32)
+        self.touched, self.watch, self.prepared, self.cached = [], [], [], {}
+        for lo in range(0, d, core._CHUNK):
+            self._anchor(slice(lo, lo + core._CHUNK), self.B[lo:lo + core._CHUNK], t)
+
+    def advance(self, t: int) -> None:
+        rest = self.touched + self._watched()
+        idx, val, fresh = [], [], 0
+        if rest:
+            idx.append(core._cat(rest))
+            val.append(self._law(idx[0], t)[0])
+        for cols, w, fresh in self.prepared:
+            idx.append(cols)
+            val.append(w)
+        self.touched, self.prepared, self.cached = [], [], {}
+        if idx:
+            self._anchor(core._cat(idx), core._cat(val), t, fresh)
+
+    def _watched(self) -> list:
+        watch, self.watch = self.watch, []
+        return [np.unique(np.concatenate(watch))] if watch else []
+
+    def view(self, t: int, slot: int) -> np.ndarray:
+        if self.cached.get("t") != t:
+            self.cached = {"t": t}
+        if slot not in self.cached:
+            slots = (0,) if slot == 0 else (0, 1, 2)
+            out = [np.empty(self.B.size) for _ in slots]
+            for lo in range(0, self.B.size, core._CHUNK):
+                for o, x in zip(out, self._law(slice(lo, lo + core._CHUNK), t,
+                                               bar=slot != 0)):
+                    o[lo:lo + core._CHUNK] = x
+            self.cached.update(zip(slots, out))
+        return self.cached[slot]
+
+    def prepare(self, indptr, indices, drawn: list, t: int) -> dict:
+        drawn = list(dict.fromkeys(drawn))
+        cols = (self._watched() + self.touched
+                + [indices[indptr[i]:indptr[i + 1]] for i in drawn])
+        self.touched = []
+        idx = np.concatenate(cols)
+        w, _, w_bar = self._law(idx, t, bar=True)
+        out, hi = {}, idx.size
+        for i in reversed(drawn):
+            out[i] = w_bar[hi - (indptr[i + 1] - indptr[i]):hi]
+            hi -= out[i].size
+        self.prepared.append((idx, w, idx.size - hi))
+        return out
+
+    def _law(self, idx, t: int, bar: bool = False):
+        t0 = self.t0[idx]
+        up = t0 > _REF_ZERO32
+        e = np.abs(t0)
+        np.subtract(np.int32(t + 1), e, out=e)
+        W, B = self.W[idx], self.B[idx]
+        step = self.c ** e * (B - W)
+        w = step + W
+        w *= np.signbit(w) != up
+        if not bar:
+            return (w,)
+        w_prev = step / self.c + W
+        w_prev *= np.signbit(w_prev) != up
+        np.copyto(w_prev, B, where=e == _REF_ONE32)
+        return w, w_prev, (w - w_prev) * self.theta + w
+
+    def _anchor(self, idx, val, t: int, fresh: int = 0) -> None:
+        lam = self.lam
+        u = self.v[idx]
+        s = val / self.tau + u
+        live = np.abs(s) > lam
+        side = np.sign(np.where(live, s, val))
+        W = np.where(live, u / lam - side, val * self.kill)
+        flip = side * u < -lam
+        flip[flip.size - fresh:] = False
+        up, down = np.int32(t + 1), np.int32(-t - 1)
+        t0 = np.where(side < 0.0, down, up)
+        if self.frozen is not None:
+            frozen = self.frozen[idx]
+            np.copyto(W, val, where=frozen)
+            np.copyto(t0, np.where(val < 0.0, down, up), where=frozen)
+            flip &= ~frozen
+        self.B[idx], self.W[idx], self.t0[idx] = val, W, t0
+        if np.count_nonzero(flip):
+            self.watch.append(np.flatnonzero(flip) + idx.start if isinstance(idx, slice)
+                              else idx[flip])
+
+
+def reference_dual_pass(state, params, plan, ds, spec, a, rng) -> None:
+    n, n_eff, gamma = ds.n, params.n_eff, spec.gamma
+    alpha, w_bar = state.alpha, state._w_bar
+    p, sigma, labels = plan.p, params.sigma, ds.labels
+    indptr, indices, data = ds.csr_arrays()
+    draws = core.draw_batch(plan, rng)
+    anchors = state._anchors
+    bars = None if anchors is None else anchors.prepare(indptr, indices, draws.tolist(),
+                                                        state.iter)
+    start_vals = {}
+    for i in draws.tolist():
+        old = alpha.item(i)
+        start_vals.setdefault(i, old)
+        lo, hi = indptr[i], indptr[i + 1]
+        s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]] if bars is None else bars[i]))
+        q = p.item(i) * n_eff / sigma.item(i)
+        alpha[i] = dual_prox(s, old, q, labels.item(i), gamma)
+    batch, cols, vals = {}, [], []
+    for i, a0 in start_vals.items():
+        bar = batch[i] = a0 + (alpha.item(i) - a0) / (a * p.item(i))
+        delta = bar - a0
+        if delta != 0.0:
+            lo, hi = indptr.item(i), indptr.item(i + 1)
+            cols.append(indices[lo:hi])
+            vals.append(np.multiply(data[lo:hi], delta / n))
+    core._scatter(state.v_cache, cols, vals)
+    state.last_batch, state.last_draws = batch, draws
+
+
+def reference_settle(state, ds) -> None:
+    indptr, indices, data = ds.csr_arrays()
+    touched = None if state._anchors is None else state._anchors.touched
+    cols, vals = [], []
+    for i, bar in state.last_batch.items():
+        lo, hi = indptr.item(i), indptr.item(i + 1)
+        row = indices[lo:hi]
+        delta = state.alpha.item(i) - bar
+        if delta != 0.0:
+            cols.append(row)
+            vals.append(np.multiply(data[lo:hi], delta / ds.n))
+        if touched is not None:
+            touched.append(row)
+    core._scatter(state.v_cache, cols, vals)
+    state.last_batch = {}
+
+
+def reference_primal_pass(state, tau, lam, theta, primal_coords=None) -> None:
+    d = state.v_cache.size
+    if primal_coords is not None and len(primal_coords) == d:
+        primal_coords = None
+    anchors = state._anchors
+    if d >= core._LAZY_MIN_D and primal_coords is state._coords:
+        if anchors is not None and anchors.params == (tau, lam, theta) \
+                and anchors.v is state.v_cache:
+            anchors.advance(state.iter)
+        else:
+            state._materialize()
+            w, state._w, state._w_prev, state._w_bar = state._w, None, None, None
+            state._anchors = ReferenceAnchors(w, state.v_cache, state.iter, tau, lam, theta,
+                                              primal_coords)
+    else:
+        state._materialize()
+        w_old, v = state._w, state.v_cache
+        if primal_coords is None:
+            w_new = primal_prox(v, w_old, tau, lam)
+        else:
+            w_new = w_old.copy()
+            w_new[primal_coords] = primal_prox(v[primal_coords], w_old[primal_coords], tau,
+                                               lam)
+        state._w_prev, state._w = w_old, w_new
+        state._w_bar = w_new + theta * (w_new - w_old)
+    state._coords = primal_coords
+    state.iter += 1
+
+
+def reference_adaspdc_step(state, params, plan, ds, spec, a, rng, primal_coords=None):
+    reference_dual_pass(state, params, plan, ds, spec, a, rng)
+    reference_primal_pass(state, params.tau, spec.lam, params.theta, primal_coords)
+    reference_settle(state, ds)
+    return state
+
+
+def reference_dspdc_step(state, params, plan, cfg, ds, spec, a, rng):
+    reference_dual_pass(state, params, plan, ds, spec, a, rng)
+    h = int(np.searchsorted(cfg.cum_q, rng.random(), side="right"))
+    h = min(h, len(cfg.blocks) - 1)
+    block = cfg.blocks[h]
+    tau_eff = params.tau * (block.size / (cfg.q[h] * ds.d))
+    reference_primal_pass(state, tau_eff, spec.lam, params.theta, primal_coords=block)
+    reference_settle(state, ds)
+    return state

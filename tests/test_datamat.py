@@ -355,6 +355,21 @@ class TestIndexArrays:
             assert cols.dtype == np.intp and not cols.flags.writeable
             assert np.shares_memory(cols, indices)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rmatvec_reads_the_row_layout(self, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.normal(size=(30, 12)) * (rng.random((30, 12)) < 0.4)
+        dense[np.arange(30), rng.integers(12, size=30)] = 1.5  # no empty row
+        ds = SparseDataset(sp.csr_matrix(dense), np.ones(30))
+        # the transpose holds the CSR's own intp arrays: nothing is cast per call
+        for mine, theirs in zip((ds._csc_t.data, ds._csc_t.indices, ds._csc_t.indptr),
+                                ds.csr_arrays()[::-1]):
+            assert mine is theirs or np.shares_memory(mine, theirs)
+        assert ds._csc_t.indices.dtype == ds._csc_t.indptr.dtype == np.intp
+        alpha = rng.normal(size=30) * (rng.random(30) < 0.5)  # with exact zeros
+        assert ds.rmatvec(alpha).tobytes() == (ds._csr.T @ alpha).tobytes()
+        assert ds._csc_t.indices.dtype == np.intp
+
     def test_duplicate_entries_are_summed(self):
         matrix = sp.csr_matrix((np.array([3.0, 4.0, 1.0]), np.array([0, 0, 1]),
                                 np.array([0, 2, 3])), shape=(2, 2))

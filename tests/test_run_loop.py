@@ -178,6 +178,26 @@ def test_fixed_matches_reference(mid, budget, algo, a):
     assert_same_run(new, old)
 
 
+@pytest.mark.parametrize("algo", ["adaspdc", "dspdc"])
+def test_fixed_anchored_matches_reference(algo):
+    # d >= _LAZY_MIN_D: an epoch runs as one call, in blocks of iterations
+    d = max(2400, core._LAZY_MIN_D)
+    ds = make_dataset(40, d, seed=11, density=5 / d)
+    spec = ProblemSpec(gamma=1.0, lam=0.1 * lambda_max(ds))
+    plan = build_uniform(ds.n, 1)
+    if algo == "adaspdc":
+        params, dcfg = core.schedule_thm5(ds, spec, plan), None
+    else:
+        params = core.schedule_vanilla(ds, spec, plan, "cor19")
+        dcfg = core.DspdcConfig.build(ds.d, ds.d)
+    budget = Budget(1e-12, 6.0)
+    new = run_fixed(ds, spec, plan, params, 1, budget, _rng(), dspdc_cfg=dcfg, timing=False)
+    old = ref.reference_run_fixed(ds, spec, plan, params, 1, budget, _rng(), stepper=algo,
+                                  dspdc_cfg=dcfg, timing=False)
+    assert new.state._anchors is not None
+    assert_same_run(new, old)
+
+
 def test_fixed_warm_start_matches_reference(mid):
     ds, spec = mid
     plan = build_uniform(ds.n, 2)
