@@ -55,7 +55,6 @@ from .core import (
     schedule_thm15,
     schedule_vanilla,
     theta_of,
-    vanilla_spdc_step,
     verify_lemma3,
     verify_lemma14,
     verify_thm20,

@@ -171,35 +171,35 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
         # the module's globals when called (the benchmark patches them)
         runner = globals()["run_" + cfg.algo.replace("-", "_")]
         return runner(ds, spec, cfg.a, budget, rng, timing=cfg.timing), extra
-    plan = (build_uniform(ds.n, cfg.a) if cfg.prob == "uniform"
-            else build_data_driven(ds, spec, cfg.a, cfg.prob))
     schedule = _pick_schedule(cfg, ds)
-    if schedule == "thm4":
-        params = core.schedule_thm4(ds, spec, plan)
-    elif schedule == "thm5":
-        params = core.schedule_thm5(ds, spec, plan)
-    elif schedule == "thm15":
+    if schedule == "thm15":  # on the uniform plan it builds itself
         params = core.schedule_thm15(ds, spec, cfg.a)
     else:
-        params = core.schedule_vanilla(ds, spec, plan, schedule)
+        plan = (build_uniform(ds.n, cfg.a) if cfg.prob == "uniform"
+                else build_data_driven(ds, spec, cfg.a, cfg.prob))
+        if schedule == "thm4":
+            params = core.schedule_thm4(ds, spec, plan)
+        elif schedule == "thm5":
+            params = core.schedule_thm5(ds, spec, plan)
+        else:
+            params = core.schedule_vanilla(ds, spec, plan, schedule)
     dcfg = None
     if cfg.algo == "dspdc":
         dcfg = core.DspdcConfig.build(ds.d, cfg.dspdc_b)
-        ok, failing, margins = core.verify_thm20(params, plan, dcfg, ds, spec, cfg.a)
+        ok, failing, margins = core.verify_thm20(params, dcfg, ds, spec)
         if not ok:
             raise ScheduleError(f"dspdc parameter check failed at {failing}")
-        # the run keeps these params and this plan, so the verdict is the run's
+        # the run keeps these params, so the verdict is the run's
         extra["thm20"] = {"ok": bool(ok), "failing": failing, "margins": margins}
-    result = run_fixed(ds, spec, plan, params, cfg.a, budget, rng, dspdc_cfg=dcfg,
-                       timing=cfg.timing)
+    result = run_fixed(ds, spec, params, budget, rng, dspdc_cfg=dcfg, timing=cfg.timing)
     return result, extra
 
 
 def _condition_report(result: RunResult, ds, spec, cfg: RunConfig, extra: dict) -> dict:
-    if result.params is None or result.plan is None:
+    if result.params is None:
         return {}
-    ok3, margin3 = core.verify_lemma3(result.params, result.plan, ds, cfg.a)
-    ok14 = core.verify_lemma14(result.params, result.plan, ds, cfg.a)
+    ok3, margin3 = core.verify_lemma3(result.params, ds)
+    ok14 = core.verify_lemma14(result.params, ds)
     report = {
         "lemma3": {"ok": bool(ok3), "worst_margin": margin3},
         "lemma14": {"ok": bool(ok14)},

@@ -12,7 +12,9 @@ spec's schedule tokens:
 
 All of them, and the restricted rule of the violation-gated runners, are one
 formula, :func:`_steps`; all but ``thm15`` are also one assembly of that
-formula over the plan's support, :func:`_support_rule`.
+formula over the plan's support, :func:`_support_rule`.  A rule's
+:class:`StepParams` carry the plan they were derived for, so the iterations
+draw from it and everything else reads its ``p`` and batch size ``a`` there.
 
 ``verify_lemma3`` / ``verify_lemma14`` / ``verify_thm20`` evaluate the
 feasibility inequalities that certify geometric contraction of the potential
@@ -50,7 +52,6 @@ __all__ = [
     "verify_thm20",
     "iterate",
     "adaspdc_step",
-    "vanilla_spdc_step",
     "dspdc_step",
     "complexity_estimate",
     "delta_t",
@@ -65,9 +66,11 @@ _RTOL = 1e-12
 class StepParams:
     """Solver step sizes: primal step tau, dual steps sigma_i, momentum theta.
 
-    ``r_under`` is ``min_i p_i / ||x_i||``; ``n_eff`` is the instance count the
-    rule was built for (smaller than n when sampling is restricted to an
-    active subset).
+    ``plan`` is the sampling they were derived for, its probabilities and
+    batch size ``a``: the iterations draw from it and the conditions are
+    checked on it.  ``r_under`` is ``min_i p_i / ||x_i||``; ``n_eff`` is the
+    instance count the rule was built for (smaller than n when sampling is
+    restricted to an active subset).
     """
 
     tau: float
@@ -76,6 +79,7 @@ class StepParams:
     schedule: str
     r_under: float
     n_eff: int
+    plan: SamplingPlan
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
@@ -418,15 +422,16 @@ def _theta(spec: ProblemSpec, tau: float, a: int, n: int, p, sigma) -> float:
     return max(t1, float(t2))
 
 
-def theta_of(params: StepParams, plan: SamplingPlan, spec: ProblemSpec, n: int) -> float:
+def theta_of(params: StepParams, spec: ProblemSpec, n: int) -> float:
     """Momentum factor: the slower of the primal and dual contraction rates.
 
     ``theta = max(1 - 1/(1 + 1/(2 tau lam)),
                   1 - 1/max_i(1/(a p_i) + n/(2 a sigma_i gamma)))``,
-    always in (0, 1).  Entries with zero probability are excluded.
+    always in (0, 1), on the plan of ``params``.  Entries with zero
+    probability are excluded.
     """
-    p, sigma = _supported(plan, params.sigma)
-    return _theta(spec, params.tau, plan.batch, n, p, sigma)
+    p, sigma = _supported(params.plan, params.sigma)
+    return _theta(spec, params.tau, params.plan.batch, n, p, sigma)
 
 
 # rules on a given plan: schedule -> (sqrt(n)-boosted, shared scalar sigma)
@@ -443,20 +448,20 @@ def _plan_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan) -> Step
         _check_cap(plan.p, 1.0 / (a * math.sqrt(n)), schedule)
     else:
         _check_cap(plan.p, 1.0 / a, schedule)
-    return _support_rule(schedule, ds, spec, plan, a)
+    return _support_rule(schedule, ds, spec, plan)
 
 
-def _support_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan,
-                  a: int) -> StepParams:
+def _support_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
     """The plan rule ``schedule`` over the plan's support: its n' instances
     with nonzero probability stand in for the n instances, the batch is
-    ``min(a, n')``, and the duals that are never drawn get sigma 1.  On a
-    restricted plan this is the restricted rule of the violation-gated runners.
+    ``min(a, n')`` for the plan's ``a``, and the duals that are never drawn
+    get sigma 1.  On a restricted plan this is the restricted rule of the
+    violation-gated runners.
     """
     boosted, shared = _PLAN_RULES[schedule]
     active = plan.active
     n = active.size
-    a = min(a, n)
+    a = min(plan.batch, n)
     p, norms = plan.p[active], ds.row_norms[active]
     ru = _r_under(p, norms)
     tau, sig = _steps(spec, n if boosted else 1, a * ru / 2.0,
@@ -465,7 +470,7 @@ def _support_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan,
     sigma[active] = sig
     theta = _theta(spec, tau, a, n, p, sigma[active])
     return StepParams(tau=tau, sigma=sigma, theta=theta, schedule=schedule, r_under=ru,
-                      n_eff=n)
+                      n_eff=n, plan=plan)
 
 
 def schedule_thm4(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
@@ -487,7 +492,7 @@ def schedule_thm5(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
 
 
 def schedule_thm15(ds, spec: ProblemSpec, a: int) -> StepParams:
-    """Large-batch uniform rule: ``a >= sqrt(n)``.
+    """Large-batch uniform rule: ``a >= sqrt(n)``, on the uniform plan of batch ``a``.
 
     ``tau = (1/(2R)) sqrt(gamma/lam)`` with ``R = max_i ||x_i||``,
     ``sigma_i = (n / (2 a ||x_i||)) sqrt(lam/gamma)``.
@@ -499,7 +504,8 @@ def schedule_thm15(ds, spec: ProblemSpec, a: int) -> StepParams:
     big_r = float(np.max(ds.row_norms))
     tau, sigma = _steps(spec, 1, 1.0 / (2.0 * big_r), n / (2.0 * a * ds.row_norms))
     return StepParams(tau=tau, sigma=sigma, theta=_theta(spec, tau, a, n, plan.p, sigma),
-                      schedule="thm15", r_under=_r_under(plan.p, ds.row_norms), n_eff=n)
+                      schedule="thm15", r_under=_r_under(plan.p, ds.row_norms), n_eff=n,
+                      plan=plan)
 
 
 def schedule_vanilla(ds, spec: ProblemSpec, plan: SamplingPlan, scheme: str) -> StepParams:
@@ -514,15 +520,15 @@ def schedule_vanilla(ds, spec: ProblemSpec, plan: SamplingPlan, scheme: str) -> 
     return _plan_rule(scheme, ds, spec, plan)
 
 
-def verify_lemma3(params: StepParams, plan: SamplingPlan, ds, a: int):
-    """Check the contraction inequality for every instance.
+def verify_lemma3(params: StepParams, ds):
+    """Check the contraction inequality for every instance of the plan of ``params``.
 
     ``1/(2 a sigma_k) - tau ||x_k||^2 ((1 - a p_k)^2 + theta) / (a p_k n)^2 >= 0``.
 
     Returns (ok, worst margin); zero-probability coordinates are skipped.
     """
-    n = params.n_eff
-    p, sigma, norms = _supported(plan, params.sigma, ds.row_norms)
+    n, a = params.n_eff, params.plan.batch
+    p, sigma, norms = _supported(params.plan, params.sigma, ds.row_norms)
     lhs = 1.0 / (2.0 * a * sigma) - (
         params.tau * norms**2 * ((1.0 - a * p) ** 2 + params.theta) / (a * p * n) ** 2
     )
@@ -530,14 +536,14 @@ def verify_lemma3(params: StepParams, plan: SamplingPlan, ds, a: int):
     return worst >= -_RTOL, worst
 
 
-def verify_lemma14(params: StepParams, plan: SamplingPlan, ds, a: int) -> bool:
-    """Check both step-size product bounds for every instance.
+def verify_lemma14(params: StepParams, ds) -> bool:
+    """Check both step-size product bounds for every instance of the plan of ``params``.
 
     ``tau sigma_i <= a (p_i n)^2 / (4 ||x_i||^2)`` (squared-norm reading) and
     ``(sum_k ||x_k||^2) / (n^2 / tau) <= 1/(4 a sigma_i)``.
     """
-    n = params.n_eff
-    p, sigma, norms = _supported(plan, params.sigma, ds.row_norms)
+    n, a = params.n_eff, params.plan.batch
+    p, sigma, norms = _supported(params.plan, params.sigma, ds.row_norms)
     bound1 = a * (p * n) ** 2 / (4.0 * norms**2)
     ok1 = np.all(params.tau * sigma <= bound1 * (1.0 + _RTOL))
     lhs2 = float(np.sum(norms**2)) / (n * n / params.tau)
@@ -545,8 +551,8 @@ def verify_lemma14(params: StepParams, plan: SamplingPlan, ds, a: int) -> bool:
     return bool(ok1 and ok2)
 
 
-def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
-                 spec: ProblemSpec, a: int, theta_bar: float | None = None):
+def verify_thm20(params: StepParams, cfg: DspdcConfig, ds, spec: ProblemSpec,
+                 theta_bar: float | None = None):
     """Evaluate the five feasibility clauses of the doubly stochastic loop.
 
     ``theta_bar`` defaults to the momentum factor.  Returns
@@ -556,14 +562,14 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
     """
     if theta_bar is None:
         theta_bar = params.theta
-    n, d, tau, theta = ds.n, ds.d, params.tau, params.theta
+    n, d, tau, theta, a = ds.n, ds.d, params.tau, params.theta, params.plan.batch
     q, lam, gamma = cfg.q, spec.lam, spec.gamma
     sizes = np.array([len(b) for b in cfg.blocks], dtype=np.float64)
 
     a_blk = d / (2.0 * tau * sizes)
     clause1 = float(np.max((a_blk + lam * (1.0 - q) / q) / (a_blk + lam / q)))
 
-    p, sigma, lam_k = _supported(plan, params.sigma, cfg.block_norms_sq(ds))
+    p, sigma, lam_k = _supported(params.plan, params.sigma, cfg.block_norms_sq(ds))
     dual_num = 1.0 / (2.0 * sigma) + (1.0 - a * p) * gamma / (p * n)
     dual_den = 1.0 / (2.0 * sigma) + gamma / (p * n)
     clause2 = float(np.max(dual_num / dual_den))
@@ -589,10 +595,10 @@ def verify_thm20(params: StepParams, plan: SamplingPlan, cfg: DspdcConfig, ds,
     return failing is None, failing, margins
 
 
-def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
-               spec: ProblemSpec, a: int, rng: np.random.Generator, k: int = 1,
-               block_draw: bool = False) -> None:
-    """Sample and prox ``a`` dual coordinates, then extrapolate them into the cache.
+def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
+               rng: np.random.Generator, k: int = 1, block_draw: bool = False) -> None:
+    """Sample and prox the ``a`` dual coordinates of a draw from the plan of
+    ``params``, then extrapolate them into the cache.
 
     Draws are processed sequentially in draw order, so a repeated index sees
     the value left by the earlier draw.  The extrapolation applies the net
@@ -610,7 +616,8 @@ def _dual_pass(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     """
     n, n_eff, gamma = ds.n, params.n_eff, spec.gamma
     alpha, w_bar = state.alpha, state._w_bar
-    p, sigma, labels = plan.p, params.sigma, ds.labels
+    plan, sigma, labels = params.plan, params.sigma, ds.labels
+    p, a = plan.p, plan.batch
     indptr, indices, data = ds.csr_arrays()
 
     def draw():
@@ -784,9 +791,9 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
     state.iter += 1
 
 
-def iterate(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
-            spec: ProblemSpec, a: int, rng: np.random.Generator, k: int,
-            primal_coords=None, cfg: DspdcConfig | None = None) -> SolverState:
+def iterate(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
+            rng: np.random.Generator, k: int, primal_coords=None,
+            cfg: DspdcConfig | None = None) -> SolverState:
     """k iterations of :func:`adaspdc_step`, or with ``cfg`` of :func:`dspdc_step`.
 
     An anchored state runs them in blocks of draws with disjoint supports
@@ -803,10 +810,10 @@ def iterate(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
         t = state.iter
         if cfg is None:
             block = k if k > 1 and _continues(state, tau, lam, theta, primal_coords) else 1
-            _dual_pass(state, params, plan, ds, spec, a, rng, block, block_draw)
+            _dual_pass(state, params, ds, spec, rng, block, block_draw)
             _primal_pass(state, tau, lam, theta, primal_coords)
         else:
-            _dual_pass(state, params, plan, ds, spec, a, rng)
+            _dual_pass(state, params, ds, spec, rng)
             h = min(int(np.searchsorted(cfg.cum_q, rng.random(), side="right")),
                     len(cfg.blocks) - 1)
             blk = cfg.blocks[h]
@@ -816,19 +823,14 @@ def iterate(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
     return state
 
 
-def adaspdc_step(state: SolverState, params: StepParams, plan: SamplingPlan, ds,
-                 spec: ProblemSpec, a: int, rng: np.random.Generator,
-                 primal_coords=None) -> SolverState:
-    """One iteration with per-instance dual step sizes."""
-    return iterate(state, params, plan, ds, spec, a, rng, 1, primal_coords)
+def adaspdc_step(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
+                 rng: np.random.Generator, primal_coords=None) -> SolverState:
+    """One iteration with per-instance dual step sizes (plain SPDC's shared
+    step is the case where the rule makes every sigma_i equal)."""
+    return iterate(state, params, ds, spec, rng, 1, primal_coords)
 
 
-# one iteration with a shared scalar dual step size: the shared-sigma rules
-# make every sigma_i equal, so it is the per-instance iteration
-vanilla_spdc_step = adaspdc_step
-
-
-def dspdc_step(state, params, plan, cfg: DspdcConfig, ds, spec, a,
+def dspdc_step(state, params, cfg: DspdcConfig, ds, spec,
                rng: np.random.Generator) -> SolverState:
     """Doubly stochastic iteration: dual update plus one random primal block.
 
@@ -836,14 +838,12 @@ def dspdc_step(state, params, plan, cfg: DspdcConfig, ds, spec, a,
     ``tau * |M_h| / (q_h * d)``; other coordinates are unchanged.  Weight
     extrapolation spans the full vector.
     """
-    return iterate(state, params, plan, ds, spec, a, rng, 1, cfg=cfg)
+    return iterate(state, params, ds, spec, rng, 1, cfg=cfg)
 
 
-def complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, a: int,
-                        schedule: str) -> float:
+def complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, schedule: str) -> float:
     """Dominant iteration-count factor for the given rule and plan."""
-    n = ds.n
-    p = plan.p
+    n, p, a = ds.n, plan.p, plan.batch
     norms = ds.row_norms
     lg = spec.lam * spec.gamma
     if schedule == "thm15":
@@ -857,8 +857,8 @@ def complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, a: int,
     return float(np.max(1.0 / (a * p) + norms / (p * a * root)))
 
 
-def delta_t(state: SolverState, ref_w, ref_alpha, params: StepParams,
-            plan: SamplingPlan, ds, spec: ProblemSpec, a: int) -> float:
+def delta_t(state: SolverState, ref_w, ref_alpha, params: StepParams, ds,
+            spec: ProblemSpec) -> float:
     """Potential combining primal/dual distances to a reference optimum.
 
     ``(1/(2 tau) + lam) |w - w*|^2
@@ -868,14 +868,14 @@ def delta_t(state: SolverState, ref_w, ref_alpha, params: StepParams,
 
     A valid schedule contracts its expectation by the momentum factor per step.
     """
-    n = params.n_eff
+    n, plan = params.n_eff, params.plan
     active = plan.p > 0.0
     dw = state.w - ref_w
     da = state.alpha - ref_alpha
     dprev = state.w - state.w_prev
     coeff = 1.0 / (2.0 * params.sigma[active]) + spec.gamma / (n * plan.p[active])
     val = (1.0 / (2.0 * params.tau) + spec.lam) * float(np.dot(dw, dw))
-    val += float(np.sum(coeff * da[active] ** 2)) / a
+    val += float(np.sum(coeff * da[active] ** 2)) / plan.batch
     val += float(np.dot(dprev, dprev)) / (4.0 * params.tau)
     val -= float(np.dot(da, ds.matvec(dprev))) / ds.n
     return val

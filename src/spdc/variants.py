@@ -62,15 +62,14 @@ class Budget:
 
 @dataclass
 class RunResult:
-    """A run's state, trace and bookkeeping counters, with the last plan and
-    step sizes it used; :func:`_drive` fills it in."""
+    """A run's state, trace and bookkeeping counters, with the last step
+    sizes it used (their plan is ``params.plan``); :func:`_drive` fills it in."""
 
     state: SolverState
     trace: list
     converged: bool
     counters: dict = field(default_factory=dict)
     params: StepParams | None = None
-    plan: SamplingPlan | None = None
 
 
 class _Clock:
@@ -126,7 +125,7 @@ def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
 
     ``advance(units)`` is the solver's policy: it runs the iterations
     between two budget tests on ``run.state`` (it may replace the state and
-    set ``run.plan``/``run.params``), is told how many units ran before it
+    set ``run.params``), is told how many units ran before it
     and returns the number of duals it drew, or raises :class:`_Optimum`.
     Checkpoint 0 comes first; the budget is tested before every unit; a
     unit that drew duals and ends a multiple of ``every`` units is
@@ -164,23 +163,23 @@ def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
     return run
 
 
-def run_fixed(ds, spec: ProblemSpec, plan: SamplingPlan, params: StepParams,
-              a: int, budget: Budget, rng: np.random.Generator,
-              dspdc_cfg: DspdcConfig | None = None, timing: bool = True,
-              state0: SolverState | None = None) -> RunResult:
-    """Run a solver with a fixed plan and fixed step sizes to the budget.
+def run_fixed(ds, spec: ProblemSpec, params: StepParams, budget: Budget,
+              rng: np.random.Generator, dspdc_cfg: DspdcConfig | None = None,
+              timing: bool = True, state0: SolverState | None = None) -> RunResult:
+    """Run a solver with fixed step sizes, and so their fixed plan, to the budget.
 
-    Each iteration proxes sampled duals with the steps of ``params`` (the
-    shared-sigma rules make them equal: plain SPDC) and then the whole
-    primal, or with ``dspdc_cfg`` one random primal block.  The budget is
-    tested between epochs.  ``state0`` warm-starts the run (it is copied).
+    Each iteration proxes a draw from ``params.plan`` with the steps of
+    ``params`` (the shared-sigma rules make them equal: plain SPDC) and then
+    the whole primal, or with ``dspdc_cfg`` one random primal block.  The
+    budget is tested between epochs.  ``state0`` warm-starts the run (it is
+    copied).
     """
     run = _new_run(ds, state0)
-    run.plan, run.params = plan, params
+    run.params, a = params, params.plan.batch
     per_epoch = math.ceil(ds.n / a)
 
     def epoch(_):
-        core.iterate(run.state, params, plan, ds, spec, a, rng, per_epoch, cfg=dspdc_cfg)
+        core.iterate(run.state, params, ds, spec, rng, per_epoch, cfg=dspdc_cfg)
         return per_epoch * a
 
     return _drive(ds, spec, budget, run, epoch, 1, timing)
@@ -199,6 +198,8 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     tested after every iteration.
     """
     n = ds.n
+    if a < 1:
+        raise ValueError(f"batch size {a} must lie in [1, {n}]")
     if a * a > n:
         raise ScheduleError(f"violation-weighted sampling requires a <= sqrt(n); got a={a}")
     per_epoch = math.ceil(n / a)
@@ -211,25 +212,25 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
             kappa = dual_violations(state.w, state.alpha, ds, spec)
             kappa = np.where(kappa > 0.0, kappa, 0.0)
             try:
-                run.plan = build_ovs(kappa, ds.row_norms, a, n)
+                plan = build_ovs(kappa, ds.row_norms, a, n)
             except ZeroViolations:
-                run.plan = build_uniform(n, a)
+                plan = build_uniform(n, a)
                 counters["uniform_fallbacks"] += 1
-            run.params = core.schedule_thm5(ds, spec, run.plan)
+            run.params = core.schedule_thm5(ds, spec, plan)
             counters["refreshes"] += 1
-        adaspdc_step(state, run.params, run.plan, ds, spec, a, rng)
+        adaspdc_step(state, run.params, ds, spec, rng)
         return a
 
     return _drive(ds, spec, budget, run, iteration, per_epoch, timing)
 
 
-def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan, a: int) -> StepParams:
+def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
     """Step sizes for a plan restricted to its n' active coordinates: the plan
     rule over the plan's support (:func:`core._support_rule`), ``thm5`` when
-    ``min(a, n')^2 <= n'`` and ``thm4`` otherwise."""
+    ``min(a, n')^2 <= n'`` for the plan's batch ``a`` and ``thm4`` otherwise."""
     n_eff = plan.active.size
-    boosted = min(a, n_eff) ** 2 <= n_eff
-    return core._support_rule("thm5" if boosted else "thm4", ds, spec, plan, a)
+    boosted = min(plan.batch, n_eff) ** 2 <= n_eff
+    return core._support_rule("thm5" if boosted else "thm4", ds, spec, plan)
 
 
 def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
@@ -265,9 +266,8 @@ def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
                 # the primal map has frozen too: a genuine fixed point
                 raise _Optimum(0) from None
             return 0  # drew nothing, so takes no checkpoint
-        run.plan = plan
-        run.params = _restricted_schedule(ds, spec, plan, 1)
-        adaspdc_step(state, run.params, plan, ds, spec, 1, rng)
+        run.params = _restricted_schedule(ds, spec, plan)
+        adaspdc_step(state, run.params, ds, spec, rng)
         return 1
 
     return _drive(ds, spec, budget, run, iteration, ds.n, timing)
@@ -329,8 +329,7 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
             plan = build_restricted(kappa, a)
         except ZeroViolations:
             raise _Optimum(n) from None
-        run.plan = plan
-        run.params = params = _restricted_schedule(ds, spec, plan, a)
+        run.params = params = _restricted_schedule(ds, spec, plan)
         primal_coords = None
         if restrict_primal:
             psi = primal_violations(state.w, state.alpha, ds, spec)
@@ -340,8 +339,7 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
         inner_len = math.ceil(n_active / a)
         counters["active_sizes"].append(n_active)
         counters["inner_lengths"].append(inner_len)
-        inner = core.iterate(state.copy(), params, plan, ds, spec, a, rng, inner_len,
-                             primal_coords)
+        inner = core.iterate(state.copy(), params, ds, spec, rng, inner_len, primal_coords)
         g = primal_objective(inner.w, ds, spec) - dual_objective(inner.alpha, ds, spec)
         if g < gaps[-1]:
             gaps.append(g)

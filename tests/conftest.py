@@ -49,7 +49,7 @@ def solve_to_fixed_point(ds, spec, seed=0, max_epochs=3000):
         w_prev = state.w.copy()
         a_prev = state.alpha.copy()
         for _ in range(ds.n):
-            adaspdc_step(state, params, plan, ds, spec, 1, rng)
+            adaspdc_step(state, params, ds, spec, rng)
         if np.array_equal(state.w, w_prev) and np.array_equal(state.alpha, a_prev):
             break
     return state, plan, params

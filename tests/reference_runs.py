@@ -71,7 +71,8 @@ def reference_schedule_thm4(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepPa
     ru = _r_under(plan.p, ds.row_norms)
     tau = (a * ru / 2.0) * math.sqrt(spec.gamma / spec.lam)
     sigma = (n * plan.p / (2.0 * ds.row_norms)) * math.sqrt(spec.lam / spec.gamma)
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm4", r_under=ru, n_eff=n)
+    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm4", r_under=ru, n_eff=n,
+                        plan=plan)
     params.theta = reference_theta_of(params, plan, spec, n)
     return params
 
@@ -90,7 +91,8 @@ def reference_schedule_thm5(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepPa
     ru = _r_under(plan.p, ds.row_norms)
     tau = (a * ru / 2.0) * math.sqrt(n * spec.gamma / spec.lam)
     sigma = (n * plan.p / (2.0 * ds.row_norms)) * math.sqrt(n * spec.lam / spec.gamma)
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm5", r_under=ru, n_eff=n)
+    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm5", r_under=ru, n_eff=n,
+                        plan=plan)
     params.theta = reference_theta_of(params, plan, spec, n)
     return params
 
@@ -109,7 +111,8 @@ def reference_schedule_thm15(ds, spec: ProblemSpec, a: int) -> StepParams:
     sigma = (n / (2.0 * a * ds.row_norms)) * math.sqrt(spec.lam / spec.gamma)
     plan = build_uniform(n, a)
     ru = _r_under(plan.p, ds.row_norms)
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm15", r_under=ru, n_eff=n)
+    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule="thm15", r_under=ru, n_eff=n,
+                        plan=plan)
     params.theta = reference_theta_of(params, plan, spec, n)
     return params
 
@@ -138,7 +141,8 @@ def reference_schedule_vanilla(ds, spec: ProblemSpec, plan: SamplingPlan,
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     sigma = np.full(n, sigma_val)
-    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule=scheme, r_under=ru, n_eff=n)
+    params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule=scheme, r_under=ru, n_eff=n,
+                        plan=plan)
     params.theta = reference_theta_of(params, plan, spec, n)
     return params
 
@@ -164,10 +168,10 @@ def reference_complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, a: 
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
-def reference_run_fixed(ds, spec: ProblemSpec, plan: SamplingPlan, params: StepParams,
-                        a: int, budget: Budget, rng: np.random.Generator,
-                        stepper: str = "adaspdc", dspdc_cfg: DspdcConfig | None = None,
-                        timing: bool = True, state0: SolverState | None = None) -> RunResult:
+def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budget: Budget,
+                        rng: np.random.Generator, stepper: str = "adaspdc",
+                        dspdc_cfg: DspdcConfig | None = None, timing: bool = True,
+                        state0: SolverState | None = None) -> RunResult:
     """Run a solver with a fixed plan and fixed step sizes to the budget.
 
     ``stepper`` selects the iteration: 'adaspdc' (per-instance dual steps),
@@ -185,9 +189,9 @@ def reference_run_fixed(ds, spec: ProblemSpec, plan: SamplingPlan, params: StepP
     while not converged and duals_drawn / ds.n < budget.max_epochs:
         for _ in range(per_epoch):
             if stepper == "dspdc":
-                core.dspdc_step(state, params, plan, dspdc_cfg, ds, spec, a, rng)
+                core.dspdc_step(state, params, dspdc_cfg, ds, spec, rng)
             else:
-                adaspdc_step(state, params, plan, ds, spec, a, rng)
+                adaspdc_step(state, params, ds, spec, rng)
             duals_drawn += a
         ckpt += 1
         rec = variants._checkpoint(records, ckpt, duals_drawn / ds.n, clock, state, ds, spec)
@@ -198,7 +202,6 @@ def reference_run_fixed(ds, spec: ProblemSpec, plan: SamplingPlan, params: StepP
         converged=converged,
         counters={"iterations": state.iter, "duals_drawn": duals_drawn},
         params=params,
-        plan=plan,
     )
 
 
@@ -237,7 +240,7 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
                 fallbacks += 1
             params = reference_schedule_thm5(ds, spec, plan)
             refreshes += 1
-        adaspdc_step(state, params, plan, ds, spec, a, rng)
+        adaspdc_step(state, params, ds, spec, rng)
         duals_drawn += a
         it += 1
         if it % per_epoch == 0:
@@ -253,7 +256,7 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
         "refreshes": refreshes,
         "uniform_fallbacks": fallbacks,
     }
-    return RunResult(state, records, converged, counters, params, plan)
+    return RunResult(state, records, converged, counters, params)
 
 
 def reference_restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan,
@@ -287,7 +290,7 @@ def reference_restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan,
     sigma = np.ones(ds.n)
     sigma[active] = sig_act
     params = StepParams(tau=tau, sigma=sigma, theta=0.5, schedule=schedule,
-                        r_under=ru, n_eff=n_eff)
+                        r_under=ru, n_eff=n_eff, plan=plan)
     t1 = 1.0 - 1.0 / (1.0 + 1.0 / (2.0 * tau * spec.lam))
     t2 = 1.0 - 1.0 / float(
         np.max(1.0 / (a_eff * p_act) + n_eff / (2.0 * a_eff * sig_act * spec.gamma))
@@ -341,7 +344,7 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
                 break
             continue
         params = reference_restricted_schedule(ds, spec, plan, a)
-        adaspdc_step(state, params, plan, ds, spec, a, rng)
+        adaspdc_step(state, params, ds, spec, rng)
         duals_drawn += a
         it += 1
         if it % n == 0:
@@ -353,7 +356,7 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
         converged = rec.gap <= budget.gap_tol
     counters = {"iterations": state.iter, "duals_drawn": duals_drawn,
                 "optimal_exit": optimal}
-    return RunResult(state, records, converged or optimal, counters, params, plan)
+    return RunResult(state, records, converged or optimal, counters, params)
 
 
 def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: np.random.Generator,
@@ -421,7 +424,7 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: n
         inner = state.copy()
         accepted = None
         for u in range(1, inner_len + 1):
-            adaspdc_step(inner, params, plan, ds, spec, a, rng,
+            adaspdc_step(inner, params, ds, spec, rng,
                          primal_coords=primal_coords)
             counters["duals_drawn"] += a
             counters["primal_writes"] += ds.d if primal_coords is None else len(primal_coords)
@@ -447,7 +450,7 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: n
     counters["iterations"] = state.iter
     counters["committed_gaps"] = committed_gaps
     return RunResult(state, records, converged or counters["optimal_exit"],
-                     counters, params, plan)
+                     counters, params)
 
 
 REFERENCE_ALGOS = ("spdc", "adaspdc", "dspdc", "ovsspdc", "ovs-exact", "ovsspdc-plus",

@@ -103,14 +103,13 @@ def test_criterion_2_monte_carlo_contraction():
     results = []
     for burn in (0, 5, 20):  # states after 0, 5, and 25 steps
         for _ in range(burn):
-            adaspdc_step(state, params, plan, ds, spec, 1, walker)
-        d0 = delta_t(state, ref.w, ref.alpha, params, plan, ds, spec, 1)
+            adaspdc_step(state, params, ds, spec, walker)
+        d0 = delta_t(state, ref.w, ref.alpha, params, ds, spec)
         vals = np.empty(2000)
         for r in range(2000):
             trial = state.copy()
-            adaspdc_step(trial, params, plan, ds, spec, 1,
-                         np.random.default_rng(500_000 + 97 * r))
-            vals[r] = delta_t(trial, ref.w, ref.alpha, params, plan, ds, spec, 1)
+            adaspdc_step(trial, params, ds, spec, np.random.default_rng(500_000 + 97 * r))
+            vals[r] = delta_t(trial, ref.w, ref.alpha, params, ds, spec)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         results.append((vals.mean(), params.theta * d0 + 3 * se, d0))
     elapsed = time.perf_counter() - t0
@@ -136,21 +135,20 @@ def test_criterion_3_condition_verification():
         if a_big * a_big < n:
             a_big += 1
         plan_s = build_uniform(n, a_small)
-        plan_b = build_uniform(n, a_big)
         cases = [
-            (schedule_thm4(ds, spec, plan_s), plan_s, a_small),
-            (schedule_thm5(ds, spec, plan_s), plan_s, a_small),
-            (schedule_thm15(ds, spec, a_big), plan_b, a_big),
-            (schedule_vanilla(ds, spec, plan_s, "cor18"), plan_s, a_small),
-            (schedule_vanilla(ds, spec, plan_s, "cor19"), plan_s, a_small),
+            schedule_thm4(ds, spec, plan_s),
+            schedule_thm5(ds, spec, plan_s),
+            schedule_thm15(ds, spec, a_big),
+            schedule_vanilla(ds, spec, plan_s, "cor18"),
+            schedule_vanilla(ds, spec, plan_s, "cor19"),
         ]
-        for params, plan, a in cases:
-            ok3, _ = verify_lemma3(params, plan, ds, a)
-            ok14 = verify_lemma14(params, plan, ds, a)
+        for params in cases:
+            ok3, _ = verify_lemma3(params, ds)
+            ok14 = verify_lemma14(params, ds)
             if not (ok3 and ok14):
                 all_ok = False
         # tightness of the boosted rule's step-size product at its bound
-        p5 = cases[1][0]
+        p5 = cases[1]
         bound = a_small * (plan_s.p * n) ** 2 / (4.0 * ds.row_norms**2)
         rel = np.abs(p5.tau * p5.sigma / bound - 1.0)
         tight_worst = max(tight_worst, float(np.min(rel)))
@@ -168,7 +166,7 @@ def test_criterion_4_complexity_identity():
         spec = ProblemSpec(gamma=float(rng.uniform(0.2, 3.0)),
                            lam=float(rng.uniform(1e-5, 2.0)))
         plan = build_uniform(n, 1)
-        got = complexity_estimate(ds, spec, plan, 1, "thm5")
+        got = complexity_estimate(ds, spec, plan, "thm5")
         expected = n + math.sqrt(n / (spec.lam * spec.gamma)) * float(np.max(ds.row_norms))
         worst = max(worst, abs(got - expected) / expected)
     report(4, worst <= 1e-12, f"max relative deviation {worst:.1e}")
@@ -197,7 +195,7 @@ def test_criterion_5_update_skip_predicates():
         alpha0 = state.alpha.copy()
         w0 = state.w.copy()
         with mock.patch.object(core, "_primal_pass", recording):
-            adaspdc_step(state, params, plan, ds, spec, 1, rng)
+            adaspdc_step(state, params, ds, spec, rng)
         i = int(state.last_draws[0])
         idx, vals = ds.row(i)
         s = float(np.dot(vals, w_bar0[idx]))
@@ -230,12 +228,12 @@ def test_criterion_6_cross_solver_agreement(bench_file):
     budget = Budget(gap_tol=1e-8 * p0, max_epochs=6000)
     plan = build_uniform(ds.n, 1)
     runs = {}
-    runs["adaspdc"] = run_fixed(ds, spec, plan, schedule_thm5(ds, spec, plan), 1,
+    runs["adaspdc"] = run_fixed(ds, spec, schedule_thm5(ds, spec, plan),
                                 budget, np.random.default_rng(61), timing=False)
-    runs["spdc"] = run_fixed(ds, spec, plan, schedule_vanilla(ds, spec, plan, "cor19"),
-                             1, budget, np.random.default_rng(62), timing=False)
-    runs["dspdc"] = run_fixed(ds, spec, plan, schedule_vanilla(ds, spec, plan, "cor19"),
-                              1, budget, np.random.default_rng(63),
+    runs["spdc"] = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"),
+                             budget, np.random.default_rng(62), timing=False)
+    runs["dspdc"] = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"),
+                              budget, np.random.default_rng(63),
                               dspdc_cfg=DspdcConfig.build(ds.d, ds.d), timing=False)
     runs["ovsspdc"] = run_ovsspdc(ds, spec, 1, budget,
                                   np.random.default_rng(64), timing=False)
@@ -270,7 +268,7 @@ def test_criterion_7_violation_sampling_speedup(tmp_path):
         for seed in range(5):
             plan = build_uniform(ds.n, a)
             params = schedule_thm5(ds, spec, plan)
-            base = run_fixed(ds, spec, plan, params, a, budget,
+            base = run_fixed(ds, spec, params, budget,
                              np.random.default_rng(100 + seed), timing=False)
             ovs = run_ovsspdc(ds, spec, a, budget,
                               np.random.default_rng(200 + seed), timing=False)
@@ -301,7 +299,7 @@ def test_criterion_8_minibatch_scaling(tmp_path):
     for a in (1, 4, 16):
         plan = build_uniform(n, a)
         params = schedule_thm5(ds, spec, plan)
-        res = run_fixed(ds, spec, plan, params, a, Budget(gap_tol=1e-6, max_epochs=4000),
+        res = run_fixed(ds, spec, params, Budget(gap_tol=1e-6, max_epochs=4000),
                         np.random.default_rng(80 + a), timing=False)
         assert res.converged
         iters[a] = res.counters["iterations"]

@@ -140,7 +140,7 @@ def _setup(highd, a, restricted=False, coords=False, dspdc=False):
     if restricted:
         kappa = np.where(np.arange(ds.n) % 5 == 0, 0.0, 1.0 + np.arange(ds.n) % 3)
         plan = build_restricted(kappa, a)
-        params = variants._restricted_schedule(ds, spec, plan, a)
+        params = variants._restricted_schedule(ds, spec, plan)
     else:
         plan = build_uniform(ds.n, a)
         params = schedule_thm5(ds, spec, plan)
@@ -166,7 +166,7 @@ def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
     near = np.setdiff1d(indices[indptr[ds.n // 2]:indptr[ds.n // 2 + ds.n // 10]], far)
     for _ in range(6):
         for chunk in CHUNKS:
-            core.iterate(new, params, plan, ds, spec, a, rng_new, chunk, primal, cfg)
+            core.iterate(new, params, ds, spec, rng_new, chunk, primal, cfg)
             for _ in range(chunk):
                 if cfg is None:
                     ref.reference_adaspdc_step(old, params, plan, ds, spec, a, rng_old,
@@ -189,20 +189,20 @@ def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
 
 def test_one_iteration_is_a_block_of_one(highd, monkeypatch):
     ds, spec = highd
-    plan, params, _, _ = _setup(highd, 1)
+    _, params, _, _ = _setup(highd, 1)
     spy = _Spy(monkeypatch)
     state, rng = init_state(ds), np.random.default_rng(0)
     for _ in range(300):
-        core.adaspdc_step(state, params, plan, ds, spec, 1, rng)
+        core.adaspdc_step(state, params, ds, spec, rng)
     assert set(spy.lengths) == {1}
     assert spy.lengths[1] == 300 - 1  # the first pass anchors every weight anew
 
 
 def test_a_block_ends_at_the_first_draw_that_meets_it(highd, monkeypatch):
     ds, spec = highd
-    plan, params, _, _ = _setup(highd, 1)
+    _, params, _, _ = _setup(highd, 1)
     state, rng = init_state(ds), np.random.default_rng(1)
-    core.iterate(state, params, plan, ds, spec, 1, rng, 5)
+    core.iterate(state, params, ds, spec, rng, 5)
     indptr, indices, _ = ds.csr_arrays()
     blocks = []
     real = core._Anchors.prepare
@@ -213,7 +213,7 @@ def test_a_block_ends_at_the_first_draw_that_meets_it(highd, monkeypatch):
         blocks.append((claimed, draws.tolist(), anchors.pending))
         return draws, bars
     monkeypatch.setattr(core._Anchors, "prepare", recorded)
-    core.iterate(state, params, plan, ds, spec, 1, rng, 400)
+    core.iterate(state, params, ds, spec, rng, 400)
     assert sum(len(draws) for _, draws, _ in blocks) == 400
     for k, (claimed, draws, pending) in enumerate(blocks):
         supports = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in draws]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spdc import core
+from spdc import core, variants
 from spdc.core import (
     DspdcConfig,
     adaspdc_step,
@@ -20,7 +20,6 @@ from spdc.core import (
     schedule_thm15,
     schedule_vanilla,
     theta_of,
-    vanilla_spdc_step,
     verify_lemma3,
     verify_lemma14,
     verify_thm20,
@@ -28,7 +27,7 @@ from spdc.core import (
 from spdc.datamat import SparseDataset, lambda_max
 from spdc.errors import ScheduleError
 from spdc.objective import ProblemSpec
-from spdc.sampling import build_ovs, build_uniform
+from spdc.sampling import build_ovs, build_restricted, build_uniform
 
 from conftest import assert_settled, make_dataset, solve_to_fixed_point
 from oracles import reference_block_norms_sq
@@ -62,7 +61,7 @@ class TestSchedules:
             spec = ProblemSpec(gamma=1.0, lam=0.3)
             plan = build_uniform(ds.n, 1)
             params = schedule_thm4(ds, spec, plan)
-            assert verify_lemma14(params, plan, ds, 1)
+            assert verify_lemma14(params, ds)
 
     def test_thm4_norm_homogeneity(self, four):
         ds, spec, plan = four
@@ -135,6 +134,20 @@ class TestSchedules:
         assert p5.tau == p4.tau
         assert np.array_equal(p5.sigma, p4.sigma)
 
+    def test_params_carry_the_plan_they_were_derived_for(self, small):
+        ds, spec = small
+        plan = build_uniform(ds.n, 2)
+        for params in (schedule_thm4(ds, spec, plan), schedule_thm5(ds, spec, plan),
+                       schedule_vanilla(ds, spec, plan, "cor18"),
+                       schedule_vanilla(ds, spec, plan, "cor19")):
+            assert params.plan is plan, params.schedule
+        restricted = build_restricted(np.arange(ds.n) % 3, 2)
+        assert variants._restricted_schedule(ds, spec, restricted).plan is restricted
+        # thm15 builds its own plan: the uniform one of its batch
+        own = schedule_thm15(ds, spec, 8).plan
+        assert own.kind == "uniform" and own.batch == 8
+        assert np.array_equal(own.p, build_uniform(ds.n, 8).p)
+
 
 class TestTheta:
     def test_hand_value(self, four):
@@ -168,7 +181,7 @@ class TestVerifyConditions:
     def test_lemma3_hand_margin(self, four):
         ds, spec, plan = four
         params = schedule_thm5(ds, spec, plan)
-        ok, worst = verify_lemma3(params, plan, ds, 1)
+        ok, worst = verify_lemma3(params, ds)
         assert ok
         assert worst == pytest.approx(29 / 192, rel=1e-12)
 
@@ -177,20 +190,20 @@ class TestVerifyConditions:
         params = schedule_thm5(ds, spec, plan)
         bad = copy.deepcopy(params)
         bad.tau *= 10
-        ok, worst = verify_lemma3(bad, plan, ds, 1)
+        ok, worst = verify_lemma3(bad, ds)
         assert not ok and worst < 0
 
     def test_lemma14_boundary_true(self, four):
         ds, spec, plan = four
         params = schedule_thm5(ds, spec, plan)
-        assert verify_lemma14(params, plan, ds, 1)
+        assert verify_lemma14(params, ds)
 
     def test_lemma14_fails_with_inflated_sigma(self, four):
         ds, spec, plan = four
         params = schedule_thm5(ds, spec, plan)
         bad = copy.deepcopy(params)
         bad.sigma = bad.sigma * 10
-        assert not verify_lemma14(bad, plan, ds, 1)
+        assert not verify_lemma14(bad, ds)
 
     def test_all_schedules_pass_on_random_data(self):
         rng = np.random.default_rng(12)
@@ -207,13 +220,9 @@ class TestVerifyConditions:
                 schedule_vanilla(ds, spec, plan, "cor19"),
                 schedule_thm15(ds, spec, int(math.isqrt(n - 1)) + 1),
             ):
-                use_plan = plan if params.schedule != "thm15" else build_uniform(
-                    n, int(math.isqrt(n - 1)) + 1
-                )
-                a = use_plan.batch
-                ok, _ = verify_lemma3(params, use_plan, ds, a)
+                ok, _ = verify_lemma3(params, ds)
                 assert ok, params.schedule
-                assert verify_lemma14(params, use_plan, ds, a), params.schedule
+                assert verify_lemma14(params, ds), params.schedule
 
 
 class TestSteps:
@@ -227,14 +236,14 @@ class TestSteps:
         state = init_state(ds)
         rng = np.random.default_rng(0)
         # the first step, pass by pass
-        core._dual_pass(state, params, plan, ds, spec, 1, rng)
+        core._dual_pass(state, params, ds, spec, rng)
         assert state.alpha[0] == 0.2
         assert state.last_batch == {0: 0.2}
         assert state.v_cache[0] == 0.4
         core._primal_pass(state, params.tau, spec.lam, params.theta)
         core._settle(state, ds)
         assert state.w[0] == 0.0 and state.w_bar[0] == 0.0
-        adaspdc_step(state, params, plan, ds, spec, 1, rng)
+        adaspdc_step(state, params, ds, spec, rng)
         assert state.alpha[0] == pytest.approx(0.36, rel=1e-15)
         assert state.w[0] == 0.0
 
@@ -251,22 +260,9 @@ class TestSteps:
             state.w_bar = state.w.copy()
             before_w = state.w.copy()
             before_a = state.alpha.copy()
-            adaspdc_step(state, params, plan, ds, spec, 1, np.random.default_rng(5))
+            adaspdc_step(state, params, ds, spec, np.random.default_rng(5))
             assert np.max(np.abs(state.w - before_w)) <= 1e-10
             assert np.max(np.abs(state.alpha - before_a)) <= 1e-10
-
-    def test_vanilla_matches_adaspdc_bitwise_with_equal_sigma(self, small):
-        ds, spec = small
-        plan = build_uniform(ds.n, 3)
-        params = schedule_vanilla(ds, spec, plan, "cor19")
-        s1, s2 = init_state(ds), init_state(ds)
-        r1, r2 = np.random.default_rng(21), np.random.default_rng(21)
-        for _ in range(50):
-            adaspdc_step(s1, params, plan, ds, spec, 3, r1)
-            vanilla_spdc_step(s2, params, plan, ds, spec, 3, r2)
-        assert np.array_equal(s1.w, s2.w)
-        assert np.array_equal(s1.alpha, s2.alpha)
-        assert np.array_equal(s1.w_bar, s2.w_bar)
 
     def test_cache_integrity_after_1000_random_steps(self, small):
         ds, spec = small
@@ -279,7 +275,7 @@ class TestSteps:
                 kappa = np.abs(rng.normal(size=ds.n))
                 plan = build_ovs(kappa, ds.row_norms, 2, ds.n)
                 params = schedule_thm5(ds, spec, plan)
-            adaspdc_step(state, params, plan, ds, spec, 2, rng)
+            adaspdc_step(state, params, ds, spec, rng)
         assert state.cache_error(ds) <= 1e-9
 
     def test_dual_feasibility_preserved(self, small):
@@ -289,7 +285,7 @@ class TestSteps:
         params = schedule_thm5(ds, spec, plan)
         rng = np.random.default_rng(14)
         for _ in range(300):
-            adaspdc_step(state, params, plan, ds, spec, 4, rng)
+            adaspdc_step(state, params, ds, spec, rng)
             prod = ds.labels * state.alpha
             assert np.all((prod >= 0.0) & (prod <= 1.0))
 
@@ -303,9 +299,9 @@ class TestSteps:
         p = np.array([1.0])
         plan = SamplingPlan(p=p, alias=alias_build(p), batch=2, kind="manual")
         params = StepParams(tau=0.25, sigma=np.array([0.25]), theta=0.5,
-                            schedule="manual", r_under=0.5, n_eff=1)
+                            schedule="manual", r_under=0.5, n_eff=1, plan=plan)
         state = init_state(ds)
-        core._dual_pass(state, params, plan, ds, spec, 2, np.random.default_rng(0))
+        core._dual_pass(state, params, ds, spec, np.random.default_rng(0))
         # two sequential proxes from 0 with q = p*n/sigma = 4, against w_bar = 0
         q = 4.0
         a1 = (1.0 + q * 0.0) / (1.0 + q)
@@ -327,9 +323,9 @@ def test_every_step_ends_settled(d):
     state = init_state(ds)
     for k in range(60):
         if k % 3 == 0:
-            adaspdc_step(state, params, plan, ds, spec, 3, rng)
+            adaspdc_step(state, params, ds, spec, rng)
         else:
-            dspdc_step(state, params, plan, cfgs[k % 3 - 1], ds, spec, 3, rng)
+            dspdc_step(state, params, cfgs[k % 3 - 1], ds, spec, rng)
         assert_settled(state, ds)
 
 
@@ -373,8 +369,8 @@ class TestDspdc:
         params = schedule_vanilla(ds, spec, plan, "cor19")
         cfg = DspdcConfig.build(ds.d, ds.d)
         s1, s2 = init_state(ds), init_state(ds)
-        vanilla_spdc_step(s1, params, plan, ds, spec, 1, np.random.default_rng(3))
-        dspdc_step(s2, params, plan, cfg, ds, spec, 1, np.random.default_rng(3))
+        adaspdc_step(s1, params, ds, spec, np.random.default_rng(3))
+        dspdc_step(s2, params, cfg, ds, spec, np.random.default_rng(3))
         assert np.array_equal(s1.w, s2.w)
         assert np.array_equal(s1.alpha, s2.alpha)
         assert np.array_equal(s1.w_bar, s2.w_bar)
@@ -388,7 +384,7 @@ class TestDspdc:
         state.w_prev = state.w.copy()
         state.w_bar = state.w.copy()
         before = state.w.copy(), state.alpha.copy()
-        dspdc_step(state, params, plan, cfg, ds, spec, 1, np.random.default_rng(4))
+        dspdc_step(state, params, cfg, ds, spec, np.random.default_rng(4))
         assert np.max(np.abs(state.w - before[0])) <= 1e-10
         assert np.max(np.abs(state.alpha - before[1])) <= 1e-10
 
@@ -405,7 +401,7 @@ class TestDspdc:
         saw_change = False
         for _ in range(20):
             w_before = state.w.copy()
-            dspdc_step(state, params, plan, cfg, ds, spec, 1, rng)
+            dspdc_step(state, params, cfg, ds, spec, rng)
             changed = np.flatnonzero(state.w != w_before)
             if changed.size:
                 saw_change = True
@@ -438,7 +434,7 @@ class TestDspdc:
         plan = build_uniform(ds.n, 1)
         params = schedule_vanilla(ds, spec, plan, "cor19")
         cfg = DspdcConfig.build(ds.d, ds.d)
-        ok, failing, margins = verify_thm20(params, plan, cfg, ds, spec, 1)
+        ok, failing, margins = verify_thm20(params, cfg, ds, spec)
         assert ok, (failing, margins)
 
     def test_verify_thm20_small_theta_bar_fails_cross_clause(self, small):
@@ -448,7 +444,7 @@ class TestDspdc:
         cfg = DspdcConfig.build(ds.d, 3)
         qmax = float(np.max(cfg.q))
         ok, failing, margins = verify_thm20(
-            params, plan, cfg, ds, spec, 1, theta_bar=params.theta * qmax * 0.5
+            params, cfg, ds, spec, theta_bar=params.theta * qmax * 0.5
         )
         assert not ok
         assert margins["clause3_cross_term"] < 0
@@ -459,7 +455,7 @@ class TestDspdc:
         plan = build_uniform(ds.n, 1)
         params = schedule_vanilla(ds, spec, plan, "cor18")
         cfg = DspdcConfig.build(ds.d, 4)
-        _, _, margins = verify_thm20(params, plan, cfg, ds, spec, 1)
+        _, _, margins = verify_thm20(params, cfg, ds, spec)
         assert set(margins) == {
             "clause1_primal_rate",
             "clause2_dual_rate",
@@ -477,21 +473,21 @@ class TestComplexity:
             ds = make_dataset(n, 5, seed=500 + k)
             spec = ProblemSpec(gamma=float(rng.uniform(0.2, 2)), lam=float(rng.uniform(1e-4, 2)))
             plan = build_uniform(n, 1)
-            got = complexity_estimate(ds, spec, plan, 1, "thm5")
+            got = complexity_estimate(ds, spec, plan, "thm5")
             expected = n + math.sqrt(n / (spec.lam * spec.gamma)) * float(np.max(ds.row_norms))
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_thm15_identity(self):
         ds = unit_norm_ds(9)
         spec = ProblemSpec(gamma=1.0, lam=1.0)
-        got = complexity_estimate(ds, spec, build_uniform(9, 3), 3, "thm15")
+        got = complexity_estimate(ds, spec, build_uniform(9, 3), "thm15")
         assert got == pytest.approx(9 / 3 + 1.0, rel=1e-15)
 
     def test_thm5_uniform_halves_with_doubled_batch(self):
         ds = make_dataset(64, 6, seed=16, normalize=True)
         spec = ProblemSpec(gamma=1.0, lam=0.01)
-        c1 = complexity_estimate(ds, spec, build_uniform(64, 1), 1, "thm5")
-        c2 = complexity_estimate(ds, spec, build_uniform(64, 2), 2, "thm5")
+        c1 = complexity_estimate(ds, spec, build_uniform(64, 1), "thm5")
+        c2 = complexity_estimate(ds, spec, build_uniform(64, 2), "thm5")
         assert c1 / c2 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -502,7 +498,7 @@ class TestDeltaT:
         params = schedule_thm5(ds, spec, plan)
         state = tiny_ref.copy()
         state.w_prev = state.w.copy()
-        assert delta_t(state, state.w, state.alpha, params, plan, ds, spec, 1) == 0.0
+        assert delta_t(state, state.w, state.alpha, params, ds, spec) == 0.0
 
     def test_scalar_hand_value(self):
         ds = SparseDataset(sp.csr_matrix(np.array([[2.0]])), [1.0])
@@ -513,7 +509,7 @@ class TestDeltaT:
         state.w = np.array([0.5])
         state.w_prev = np.array([0.3])
         state.alpha = np.array([0.2])
-        val = delta_t(state, np.array([0.1]), np.array([0.4]), params, plan, ds, spec, 1)
+        val = delta_t(state, np.array([0.1]), np.array([0.4]), params, ds, spec)
         # 3*(0.4)^2*... = 3*0.16 + 3*0.04 + 1*0.04 + 0.08
         assert val == pytest.approx(0.72, rel=1e-12)
 
@@ -525,13 +521,13 @@ class TestDeltaT:
         state = init_state(ds)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            adaspdc_step(state, params, plan, ds, spec, 1, rng)
-        d0 = delta_t(state, ref.w, ref.alpha, params, plan, ds, spec, 1)
+            adaspdc_step(state, params, ds, spec, rng)
+        d0 = delta_t(state, ref.w, ref.alpha, params, ds, spec)
         reps = 800
         vals = np.empty(reps)
         for r in range(reps):
             trial = state.copy()
-            adaspdc_step(trial, params, plan, ds, spec, 1, np.random.default_rng(10_000 + r))
-            vals[r] = delta_t(trial, ref.w, ref.alpha, params, plan, ds, spec, 1)
+            adaspdc_step(trial, params, ds, spec, np.random.default_rng(10_000 + r))
+            vals[r] = delta_t(trial, ref.w, ref.alpha, params, ds, spec)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert vals.mean() <= params.theta * d0 + 3 * se

@@ -79,7 +79,7 @@ def prepared_state(ds, spec, seed):
     params = schedule_thm5(ds, spec, plan)
     state = init_state(ds)
     for _ in range(max(3, ds.n // 4)):
-        adaspdc_step(state, params, plan, ds, spec, 1, rng)
+        adaspdc_step(state, params, ds, spec, rng)
     indptr, indices, data = ds.csr_arrays()
     fixed = rng.random(ds.n) < 1.0 / 3.0
     if ds.n >= 5:

@@ -78,29 +78,29 @@ OPS = st.one_of(
 def _replay(problem, ops, seed):
     """Apply ``ops`` to a fresh state; returns, after every op, the number of
     iterations so far and copies of the state's arrays."""
-    ds, spec, plan, params, cfgs = problem
+    ds, spec, _, params, cfgs = problem
     rng = np.random.default_rng(seed)
     state = init_state(ds)
     snapshots = []
     for op, arg in ops:
         if op == "step":
             for _ in range(STEPS_PER_OP):
-                adaspdc_step(state, params[arg], plan, ds, spec, 1, rng)
+                adaspdc_step(state, params[arg], ds, spec, rng)
         elif op == "dspdc":
             for _ in range(STEPS_PER_OP):
-                dspdc_step(state, params[0], plan, cfgs[arg], ds, spec, 1, rng)
+                dspdc_step(state, params[0], cfgs[arg], ds, spec, rng)
         elif op == "restrict":
             # the restricted primal updates of ovsspdc-plusplus
             coords = np.flatnonzero(np.arange(ds.d) % 4 != arg)
             frozen = state.w[arg::4].copy()
             for _ in range(STEPS_PER_OP):
-                adaspdc_step(state, params[0], plan, ds, spec, 1, rng, primal_coords=coords)
+                adaspdc_step(state, params[0], ds, spec, rng, primal_coords=coords)
             assert np.array_equal(state.w[arg::4], frozen)
         elif op in ("flush", "primal"):
             if op == "flush":
                 # the exact runner: a step (under new parameters, it
                 # re-anchors every weight), then primal passes
-                adaspdc_step(state, params[arg], plan, ds, spec, 1, rng)
+                adaspdc_step(state, params[arg], ds, spec, rng)
             for _ in range(STEPS_PER_OP):
                 core._primal_pass(state, params[arg].tau, spec.lam, params[arg].theta)
         elif op == "copy":
@@ -245,7 +245,7 @@ def test_reads_never_change_a_run(runner):
         with _read_every_pass(read):
             if runner == "fixed":
                 plan = build_uniform(ds.n, 1)
-                res = run_fixed(ds, spec, plan, schedule_thm5(ds, spec, plan), 1, budget,
+                res = run_fixed(ds, spec, schedule_thm5(ds, spec, plan), budget,
                                 rng, timing=False)
             else:
                 res = run_ovsspdc(ds, spec, 1, budget, rng, timing=False)
@@ -285,7 +285,7 @@ def test_new_parameters_reanchor_every_weight(tau_scale, lam_scale):
 
 
 def test_dspdc_takes_the_anchored_pass_at_full_block_only(highd):
-    ds, spec, plan, params, cfgs = highd
+    ds, spec, _, params, cfgs = highd
     small, full = cfgs
     assert len(full.blocks) == 1 and full.q[0] == 1.0
     # a block spanning all d coordinates leaves the primal step as it is
@@ -293,9 +293,9 @@ def test_dspdc_takes_the_anchored_pass_at_full_block_only(highd):
     state = init_state(ds)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        dspdc_step(state, params[0], plan, full, ds, spec, 1, rng)
+        dspdc_step(state, params[0], full, ds, spec, rng)
     assert state._anchors is not None
-    dspdc_step(state, params[0], plan, small, ds, spec, 1, rng)
+    dspdc_step(state, params[0], small, ds, spec, rng)
     assert state._anchors is None and state.w is state._w
 
 
@@ -312,12 +312,12 @@ def test_primal_passes_alone_follow_the_reference(highd):
     # after a step, primal passes with no dual pass between them: the last
     # drawn row's weights, which are not watched because the step's settle
     # has them re-anchored, must still change phase where the reference does
-    ds, spec, plan, params, _ = highd
+    ds, spec, _, params, _ = highd
     rng = np.random.default_rng(0)
     state = init_state(ds)
     for _ in range(30 * ds.n):
         # a step, pass by pass, to read the anchors as the primal pass left them
-        core._dual_pass(state, params[0], plan, ds, spec, 1, rng)
+        core._dual_pass(state, params[0], ds, spec, rng)
         core._primal_pass(state, params[0].tau, spec.lam, params[0].theta)
         drawn = ds.row(int(state.last_draws[0]))[0]
         moving = np.any(_may_change_phase(state._anchors, drawn))

@@ -41,7 +41,7 @@ def test_solvers_match_external_optimum(lam_scale):
     budget = Budget(gap_tol=1e-10, max_epochs=5000)
     plan = build_uniform(ds.n, 1)
     params = schedule_thm5(ds, spec, plan)
-    fixed = run_fixed(ds, spec, plan, params, 1, budget, np.random.default_rng(1))
+    fixed = run_fixed(ds, spec, params, budget, np.random.default_rng(1))
     pp = run_ovsspdc_plusplus(ds, spec, 1, budget,
                               np.random.default_rng(2))
     assert fixed.converged and pp.converged

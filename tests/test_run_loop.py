@@ -9,6 +9,7 @@ before any iteration.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,14 +93,14 @@ def test_rules_match_reference(problem, data):
             assert (_outcome(core.schedule_vanilla, ds, spec, plan, scheme)
                     == _outcome(ref.reference_schedule_vanilla, ds, spec, plan, scheme))
         for schedule in ("thm4", "thm5", "thm15", "cor18", "cor19", "bogus"):
-            assert (_outcome(core.complexity_estimate, ds, spec, plan, plan.batch, schedule)
+            assert (_outcome(core.complexity_estimate, ds, spec, plan, schedule)
                     == _outcome(ref.reference_complexity_estimate, ds, spec, plan,
                                 plan.batch, schedule))
         params = core.schedule_thm4(ds, spec, build_uniform(n, 1))
-        assert (_outcome(core.theta_of, params, plan, spec, n)
+        assert (_outcome(core.theta_of, replace(params, plan=plan), spec, n)
                 == _outcome(ref.reference_theta_of, params, plan, spec, n))
         if plan.kind == "restricted":
-            assert (_outcome(variants._restricted_schedule, ds, spec, plan, a)
+            assert (_outcome(variants._restricted_schedule, ds, spec, plan)
                     == _outcome(ref.reference_restricted_schedule, ds, spec, plan, a))
     assert (_outcome(core.schedule_thm15, ds, spec, a)
             == _outcome(ref.reference_schedule_thm15, ds, spec, a))
@@ -127,9 +128,8 @@ def assert_same_run(new, old):
     assert (new.params is None) == (old.params is None)
     if old.params is not None:
         assert _outcome(lambda: new.params) == _outcome(lambda: old.params)
-    assert (new.plan is None) == (old.plan is None)
-    if old.plan is not None:
-        assert _bits(new.plan.p) == _bits(old.plan.p) and new.plan.batch == old.plan.batch
+        new_plan, old_plan = new.params.plan, old.params.plan
+        assert _bits(new_plan.p) == _bits(old_plan.p) and new_plan.batch == old_plan.batch
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +171,8 @@ def test_fixed_matches_reference(mid, budget, algo, a):
         params = core.schedule_vanilla(ds, spec, plan, "cor19")
     if algo == "dspdc":
         dcfg = core.DspdcConfig.build(ds.d, 3)
-    new = run_fixed(ds, spec, plan, params, a, budget, _rng(), dspdc_cfg=dcfg, timing=False)
-    old = ref.reference_run_fixed(ds, spec, plan, params, a, budget, _rng(),
+    new = run_fixed(ds, spec, params, budget, _rng(), dspdc_cfg=dcfg, timing=False)
+    old = ref.reference_run_fixed(ds, spec, params, a, budget, _rng(),
                                   stepper="dspdc" if dcfg else "adaspdc",
                                   dspdc_cfg=dcfg, timing=False)
     assert_same_run(new, old)
@@ -191,8 +191,8 @@ def test_fixed_anchored_matches_reference(algo):
         params = core.schedule_vanilla(ds, spec, plan, "cor19")
         dcfg = core.DspdcConfig.build(ds.d, ds.d)
     budget = Budget(1e-12, 6.0)
-    new = run_fixed(ds, spec, plan, params, 1, budget, _rng(), dspdc_cfg=dcfg, timing=False)
-    old = ref.reference_run_fixed(ds, spec, plan, params, 1, budget, _rng(), stepper=algo,
+    new = run_fixed(ds, spec, params, budget, _rng(), dspdc_cfg=dcfg, timing=False)
+    old = ref.reference_run_fixed(ds, spec, params, 1, budget, _rng(), stepper=algo,
                                   dspdc_cfg=dcfg, timing=False)
     assert new.state._anchors is not None
     assert_same_run(new, old)
@@ -202,10 +202,10 @@ def test_fixed_warm_start_matches_reference(mid):
     ds, spec = mid
     plan = build_uniform(ds.n, 2)
     params = core.schedule_thm5(ds, spec, plan)
-    state0 = run_fixed(ds, spec, plan, params, 2, Budget(1e-12, 1.3), _rng()).state
-    new = run_fixed(ds, spec, plan, params, 2, BUDGETS[0], _rng(), timing=False,
+    state0 = run_fixed(ds, spec, params, Budget(1e-12, 1.3), _rng()).state
+    new = run_fixed(ds, spec, params, BUDGETS[0], _rng(), timing=False,
                     state0=state0)
-    old = ref.reference_run_fixed(ds, spec, plan, params, 2, BUDGETS[0], _rng(),
+    old = ref.reference_run_fixed(ds, spec, params, 2, BUDGETS[0], _rng(),
                                   timing=False, state0=state0)
     assert_same_run(new, old)
 

@@ -87,9 +87,9 @@ def test_settle_matches_row_at_a_time_adds_bitwise(problem):
     assert _bits(state.v_cache) == _bits(want) and state.last_batch == {}
 
 
-def _extrapolation_matches(state, params, plan, ds, spec, a, seed):
+def _extrapolation_matches(state, params, ds, spec, seed):
     alpha0, v0 = state.alpha.copy(), state.v_cache.copy()
-    core._dual_pass(state, params, plan, ds, spec, a, np.random.default_rng(seed))
+    core._dual_pass(state, params, ds, spec, np.random.default_rng(seed))
     rows = list(state.last_batch)
     want = sequential(v0, ds, rows, [state.last_batch[i] - alpha0[i] for i in rows])
     assert _bits(state.v_cache) == _bits(want)
@@ -104,10 +104,10 @@ def test_dual_pass_extrapolation_matches_row_at_a_time_adds_bitwise():
     state, rng = init_state(ds), np.random.default_rng(2)
     for seed in range(30):
         state.v_cache[seed % ds.d] = -0.0  # the pass only adds to the cache
-        _extrapolation_matches(state, params, plan, ds, spec, 6, seed)
+        _extrapolation_matches(state, params, ds, spec, seed)
         core._primal_pass(state, params.tau, spec.lam, params.theta)
         core._settle(state, ds)
-        adaspdc_step(state, params, plan, ds, spec, 6, rng)
+        adaspdc_step(state, params, ds, spec, rng)
 
 
 def test_fixed_point_draws_leave_negative_zero_cache_entries():
@@ -115,10 +115,10 @@ def test_fixed_point_draws_leave_negative_zero_cache_entries():
     # changes, not even a -0.0 one
     ds = make_dataset(20, 5, seed=42, density=0.8)
     spec = ProblemSpec(gamma=1.0, lam=1.0)
-    state, plan, params = solve_to_fixed_point(ds, spec)
+    state, _, params = solve_to_fixed_point(ds, spec)
     state.v_cache = np.where(np.arange(ds.d) % 2 == 0, -0.0, state.v_cache)
     for seed in range(10):
-        rows, alpha0 = _extrapolation_matches(state, params, plan, ds, spec, 1, seed)
+        rows, alpha0 = _extrapolation_matches(state, params, ds, spec, seed)
         assert all(state.last_batch[i] == alpha0[i] for i in rows)
         assert np.signbit(state.v_cache[::2]).all() and not state.v_cache[::2].any()
         core._settle(state, ds)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spdc import core, variants
 from spdc.core import DspdcConfig, adaspdc_step, init_state, schedule_thm4, schedule_thm5
-from spdc.datamat import lambda_max
+from spdc.datamat import example_path, lambda_max, load_libsvm
 from spdc.errors import ScheduleError
 from spdc.objective import (
     ProblemSpec,
@@ -54,7 +54,7 @@ def test_runners_return_settled_states(mid, runner):
     blocks = {"adaspdc": None, "dspdc": ds.d, "dspdc-block": 5}
     if runner in blocks:
         cfg = None if blocks[runner] is None else DspdcConfig.build(ds.d, blocks[runner])
-        res = run_fixed(ds, spec, plan, schedule_thm5(ds, spec, plan), 2, budget, rng,
+        res = run_fixed(ds, spec, schedule_thm5(ds, spec, plan), budget, rng,
                         dspdc_cfg=cfg)
     elif runner == "ovs-exact":
         res = run_ovs_exact(ds, spec, budget, rng)
@@ -82,7 +82,7 @@ def test_cache_does_not_drift_over_2000_epochs(monkeypatch):
         return errors[-1]
 
     monkeypatch.setattr(core.SolverState, "cache_error", recorded)
-    res = run_fixed(ds, spec, plan, schedule_thm5(ds, spec, plan), 4,
+    res = run_fixed(ds, spec, schedule_thm5(ds, spec, plan),
                     Budget(gap_tol=0.0, max_epochs=2000), np.random.default_rng(1),
                     timing=False)
     assert len(res.trace) == len(errors) == 2001 and res.trace[-1].epoch == 2000
@@ -124,7 +124,7 @@ class TestOvsSpdc:
         budget = Budget(1e-9, 4000)
         plan = build_uniform(ds.n, 1)
         params = schedule_thm5(ds, spec, plan)
-        base = run_fixed(ds, spec, plan, params, 1, budget, np.random.default_rng(2))
+        base = run_fixed(ds, spec, params, budget, np.random.default_rng(2))
         ovs = run_ovsspdc(ds, spec, 1, budget, np.random.default_rng(3))
         assert base.converged and ovs.converged
         p_base = primal_objective(base.state.w, ds, spec)
@@ -229,13 +229,13 @@ class TestSnapshotVariants:
         state = init_state(ds)
         rng = np.random.default_rng(13)
         for _ in range(40):
-            adaspdc_step(state, params, plan, ds, spec, 1, rng)
+            adaspdc_step(state, params, ds, spec, rng)
         psi = primal_violations(state.w, state.alpha, ds, spec)
         live = np.flatnonzero(psi != 0.0)
         frozen = np.setdiff1d(np.arange(ds.d), live)
         w_frozen = state.w[frozen].copy()
         for _ in range(30):
-            adaspdc_step(state, params, plan, ds, spec, 1, rng, primal_coords=live)
+            adaspdc_step(state, params, ds, spec, rng, primal_coords=live)
         assert np.array_equal(state.w[frozen], w_frozen)
 
 
@@ -259,7 +259,7 @@ class TestCrossSolverAgreementSmall:
         plan = build_uniform(ds.n, 1)
         params = schedule_thm5(ds, spec, plan)
         runs = {
-            "uniform": run_fixed(ds, spec, plan, params, 1, budget, np.random.default_rng(30)),
+            "uniform": run_fixed(ds, spec, params, budget, np.random.default_rng(30)),
             "ovs": run_ovsspdc(ds, spec, 1, budget, np.random.default_rng(31)),
             "plus": run_ovsspdc_plus(ds, spec, 1, budget, np.random.default_rng(32)),
             "pp": run_ovsspdc_plusplus(ds, spec, 1, budget, np.random.default_rng(33)),
@@ -286,7 +286,7 @@ def test_restricted_rule_on_full_support_is_the_plan_rule(n, d, seed, density, g
     spec = ProblemSpec(gamma=gamma, lam=scale * lmax)
     a = data.draw(st.integers(1, n))
     kappa = np.array(data.draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n)))
-    got = variants._restricted_schedule(ds, spec, build_restricted(kappa, a), a)
+    got = variants._restricted_schedule(ds, spec, build_restricted(kappa, a))
     rule = schedule_thm5 if a * a <= n else schedule_thm4
     want = rule(ds, spec, build_uniform(n, a))
 
@@ -296,3 +296,42 @@ def test_restricted_rule_on_full_support_is_the_plan_rule(n, d, seed, density, g
                 params.schedule, params.n_eff)
 
     assert bits(got) == bits(want)
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """The dataset shipped with the package: n=40, d=10."""
+    ds = load_libsvm(example_path(), normalize=True)
+    return ds, ProblemSpec(gamma=1.0, lam=1e-2 * lambda_max(ds))
+
+
+@pytest.mark.parametrize("runner", [run_ovsspdc, run_ovsspdc_plus, run_ovsspdc_plusplus])
+@pytest.mark.parametrize("a", [0, -2])
+def test_batch_below_one_is_rejected(bundled, runner, a):
+    ds, spec = bundled
+    with pytest.raises(ValueError, match=rf"batch size {a} must lie in \[1, {ds.n}\]"):
+        runner(ds, spec, a, Budget(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rule,a", [("thm5", 3), ("thm15", 7), ("ovsspdc", 2)])
+def test_runs_draw_the_batch_of_their_plan(bundled, monkeypatch, rule, a):
+    ds, spec = bundled
+    sizes = []  # the duals each step drew (d < core._LAZY_MIN_D: a pass is a step)
+    dual_pass = core._dual_pass
+
+    def recorded(state, *args, **kwargs):
+        dual_pass(state, *args, **kwargs)
+        sizes.append(len(state.last_draws))
+
+    monkeypatch.setattr(core, "_dual_pass", recorded)
+    budget, rng = Budget(gap_tol=1e-12, max_epochs=2.0), np.random.default_rng(5)
+    if rule == "thm5":
+        res = run_fixed(ds, spec, schedule_thm5(ds, spec, build_uniform(ds.n, a)), budget, rng)
+    elif rule == "thm15":
+        res = run_fixed(ds, spec, core.schedule_thm15(ds, spec, a), budget, rng)
+    else:
+        res = run_ovsspdc(ds, spec, a, budget, rng)
+    batch = res.params.plan.batch
+    assert batch == a
+    assert res.counters["duals_drawn"] == res.counters["iterations"] * batch
+    assert len(sizes) == res.counters["iterations"] > 0 and set(sizes) == {batch}
