@@ -45,16 +45,13 @@ from .core import (
     DspdcConfig,
     SolverState,
     StepParams,
-    adaspdc_step,
     complexity_estimate,
     delta_t,
-    dspdc_step,
     init_state,
     schedule_thm4,
     schedule_thm5,
     schedule_thm15,
     schedule_vanilla,
-    theta_of,
     verify_lemma3,
     verify_lemma14,
     verify_thm20,

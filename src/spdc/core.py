@@ -46,13 +46,10 @@ __all__ = [
     "schedule_thm5",
     "schedule_thm15",
     "schedule_vanilla",
-    "theta_of",
     "verify_lemma3",
     "verify_lemma14",
     "verify_thm20",
     "iterate",
-    "adaspdc_step",
-    "dspdc_step",
     "complexity_estimate",
     "delta_t",
 ]
@@ -417,21 +414,12 @@ def _steps(spec: ProblemSpec, k: int, tau_half, sigma_half):
 
 
 def _theta(spec: ProblemSpec, tau: float, a: int, n: int, p, sigma) -> float:
+    """Momentum factor: the slower of the primal and dual contraction rates,
+    ``max(1 - 1/(1 + 1/(2 tau lam)), 1 - 1/max_i(1/(a p_i) + n/(2 a sigma_i gamma)))``
+    over the entries of ``p`` and ``sigma``; always in (0, 1)."""
     t1 = 1.0 - 1.0 / (1.0 + 1.0 / (2.0 * tau * spec.lam))
     t2 = 1.0 - 1.0 / np.max(1.0 / (a * p) + n / (2.0 * a * sigma * spec.gamma))
     return max(t1, float(t2))
-
-
-def theta_of(params: StepParams, spec: ProblemSpec, n: int) -> float:
-    """Momentum factor: the slower of the primal and dual contraction rates.
-
-    ``theta = max(1 - 1/(1 + 1/(2 tau lam)),
-                  1 - 1/max_i(1/(a p_i) + n/(2 a sigma_i gamma)))``,
-    always in (0, 1), on the plan of ``params``.  Entries with zero
-    probability are excluded.
-    """
-    p, sigma = _supported(params.plan, params.sigma)
-    return _theta(spec, params.tau, params.plan.batch, n, p, sigma)
 
 
 # rules on a given plan: schedule -> (sqrt(n)-boosted, shared scalar sigma)
@@ -794,7 +782,13 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
 def iterate(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
             rng: np.random.Generator, k: int, primal_coords=None,
             cfg: DspdcConfig | None = None) -> SolverState:
-    """k iterations of :func:`adaspdc_step`, or with ``cfg`` of :func:`dspdc_step`.
+    """k iterations: each proxes a draw from ``params.plan`` with per-instance
+    dual steps (plain SPDC's shared step is the case where the rule makes every
+    sigma_i equal), then the primal, or only ``primal_coords`` of it.
+
+    With ``cfg`` the iteration is doubly stochastic: the primal prox runs only
+    on one random block ``M_h``, with effective step ``tau |M_h| / (q_h d)``;
+    the weight extrapolation spans the full vector.
 
     An anchored state runs them in blocks of draws with disjoint supports
     (:class:`_Anchors`), bit for bit the iterations one at a time: a block
@@ -821,24 +815,6 @@ def iterate(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
         _settle(state, ds)
         k -= state.iter - t
     return state
-
-
-def adaspdc_step(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
-                 rng: np.random.Generator, primal_coords=None) -> SolverState:
-    """One iteration with per-instance dual step sizes (plain SPDC's shared
-    step is the case where the rule makes every sigma_i equal)."""
-    return iterate(state, params, ds, spec, rng, 1, primal_coords)
-
-
-def dspdc_step(state, params, cfg: DspdcConfig, ds, spec,
-               rng: np.random.Generator) -> SolverState:
-    """Doubly stochastic iteration: dual update plus one random primal block.
-
-    The primal prox runs only on the drawn block ``M_h`` with effective step
-    ``tau * |M_h| / (q_h * d)``; other coordinates are unchanged.  Weight
-    extrapolation spans the full vector.
-    """
-    return iterate(state, params, ds, spec, rng, 1, cfg=cfg)
 
 
 def complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, schedule: str) -> float:

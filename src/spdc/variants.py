@@ -3,15 +3,13 @@ and the snapshot/acceptance heuristics that restrict updates to violated
 coordinates.
 
 Every runner is one run loop, :func:`_drive`, and a small policy that
-picks the plan and step sizes.  The loop emits one trace record per
-epoch-equivalent of sampled dual coordinates and stops when the duality gap
-reaches the budget tolerance or the epoch budget is spent (budget exhaustion
-returns the final state, it is not an error).  It tests the budget between
-the policy's units, so the three kinds of run stop differently: a fixed-plan
-run tests it between epochs and ends on a whole epoch; ``ovsspdc`` and
-``ovs-exact`` test it after every iteration and close with a partial
-checkpoint; the snapshot variants test it once per round.  Runs are strictly
-sequential; distinct runs over the same dataset may execute in parallel.
+runs one unit: an epoch-equivalent of sampled dual coordinates, or one
+snapshot round.  The loop emits one trace record per unit and stops when the
+duality gap reaches the budget tolerance or the epoch budget is spent (budget
+exhaustion returns the final state, it is not an error).  It tests the
+budget before every unit, so every run ends on a whole unit: a budget that
+runs out mid-epoch lets the epoch finish.  Runs are strictly sequential;
+distinct runs over the same dataset may execute in parallel.
 """
 
 from __future__ import annotations
@@ -23,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import (
-    DspdcConfig,
-    SolverState,
-    StepParams,
-    adaspdc_step,
-    init_state,
-)
+from .core import DspdcConfig, SolverState, StepParams, init_state
 from .errors import NumericalFailure, ScheduleError, ZeroViolations
 from .objective import (
     ProblemSpec,
@@ -120,20 +112,17 @@ def _new_run(ds, state0: SolverState | None, **counters) -> RunResult:
 
 
 def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
-           every: int, timing: bool, start=None) -> RunResult:
+           timing: bool, start=None) -> RunResult:
     """The run loop of every solver.
 
-    ``advance(units)`` is the solver's policy: it runs the iterations
-    between two budget tests on ``run.state`` (it may replace the state and
-    set ``run.params``), is told how many units ran before it
-    and returns the number of duals it drew, or raises :class:`_Optimum`.
-    Checkpoint 0 comes first; the budget is tested before every unit; a
-    unit that drew duals and ends a multiple of ``every`` units is
+    ``advance()`` is the solver's policy: it runs one unit on ``run.state``
+    (it may replace the state and set ``run.params``) and returns the number
+    of duals it drew, or raises :class:`_Optimum`.  Checkpoint 0 comes
+    first; the budget is tested before every unit, and every unit is
     checkpointed.  The run ends when a checkpoint's gap reaches the
     tolerance, the budget is spent or the policy finds an exact optimum; an
-    optimum or a unit off the cadence gets a last checkpoint, once the state
-    has iterated.  ``start``, if given, is called with the gap of
-    checkpoint 0.
+    optimum gets a last checkpoint, once the state has iterated.  ``start``,
+    if given, is called with the gap of checkpoint 0.
     """
     n = ds.n
     clock = _Clock(timing)
@@ -142,23 +131,18 @@ def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
     converged = rec.gap <= budget.gap_tol
     if start is not None:
         start(rec.gap)
-    drawn = units = 0
-    optimal = False
+    drawn = 0
     try:
         while not converged and drawn / n < budget.max_epochs:
-            k = advance(units)
-            drawn += k
-            units += 1
-            if k and units % every == 0:
-                rec = _checkpoint(records, len(records), drawn / n, clock, run.state, ds, spec)
-                converged = rec.gap <= budget.gap_tol
+            drawn += advance()
+            rec = _checkpoint(records, len(records), drawn / n, clock, run.state, ds, spec)
+            converged = rec.gap <= budget.gap_tol
     except _Optimum as exc:
         drawn += exc.args[0]
-        optimal = run.counters["optimal_exit"] = True
-    if run.state.iter > 0 and (optimal or units % every != 0):
-        rec = _checkpoint(records, len(records), drawn / n, clock, run.state, ds, spec)
-        converged = rec.gap <= budget.gap_tol
-    run.converged = converged or optimal
+        converged = run.counters["optimal_exit"] = True
+        if run.state.iter > 0:
+            _checkpoint(records, len(records), drawn / n, clock, run.state, ds, spec)
+    run.converged = converged
     run.counters.update(iterations=run.state.iter, duals_drawn=drawn)
     return run
 
@@ -170,19 +154,19 @@ def run_fixed(ds, spec: ProblemSpec, params: StepParams, budget: Budget,
 
     Each iteration proxes a draw from ``params.plan`` with the steps of
     ``params`` (the shared-sigma rules make them equal: plain SPDC) and then
-    the whole primal, or with ``dspdc_cfg`` one random primal block.  The
-    budget is tested between epochs.  ``state0`` warm-starts the run (it is
-    copied).
+    the whole primal, or with ``dspdc_cfg`` one random primal block.  A
+    unit is one epoch, ceil(n/a) iterations.  ``state0`` warm-starts the run
+    (it is copied).
     """
     run = _new_run(ds, state0)
     run.params, a = params, params.plan.batch
     per_epoch = math.ceil(ds.n / a)
 
-    def epoch(_):
+    def epoch():
         core.iterate(run.state, params, ds, spec, rng, per_epoch, cfg=dspdc_cfg)
         return per_epoch * a
 
-    return _drive(ds, spec, budget, run, epoch, 1, timing)
+    return _drive(ds, spec, budget, run, epoch, timing)
 
 
 def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
@@ -190,12 +174,12 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
                 state0: SolverState | None = None) -> RunResult:
     """Violation-weighted sampling with a probability refresh once per epoch.
 
-    At the start of every epoch-equivalent, ceil(n/a) iterations, the dual
-    violations are recomputed at the current iterate, the capped
+    A unit is one epoch-equivalent, ceil(n/a) iterations.  At its start the
+    dual violations are recomputed at the current iterate, the capped
     violation-weighted plan is rebuilt, and the sqrt(n)-boosted step sizes and
-    momentum are rederived from it.  When every violation is zero the refresh
-    falls back to the uniform plan and the run continues.  The budget is
-    tested after every iteration.
+    momentum are rederived from it; the epoch then runs as one call of
+    :func:`core.iterate`.  When every violation is zero the refresh falls back
+    to the uniform plan and the run continues.
     """
     n = ds.n
     if a < 1:
@@ -206,22 +190,21 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     run = _new_run(ds, state0, refreshes=0, uniform_fallbacks=0)
     counters = run.counters
 
-    def iteration(it):
+    def epoch():
         state = run.state
-        if it % per_epoch == 0:
-            kappa = dual_violations(state.w, state.alpha, ds, spec)
-            kappa = np.where(kappa > 0.0, kappa, 0.0)
-            try:
-                plan = build_ovs(kappa, ds.row_norms, a, n)
-            except ZeroViolations:
-                plan = build_uniform(n, a)
-                counters["uniform_fallbacks"] += 1
-            run.params = core.schedule_thm5(ds, spec, plan)
-            counters["refreshes"] += 1
-        adaspdc_step(state, run.params, ds, spec, rng)
-        return a
+        kappa = dual_violations(state.w, state.alpha, ds, spec)
+        kappa = np.where(kappa > 0.0, kappa, 0.0)
+        try:
+            plan = build_ovs(kappa, ds.row_norms, a, n)
+        except ZeroViolations:
+            plan = build_uniform(n, a)
+            counters["uniform_fallbacks"] += 1
+        run.params = core.schedule_thm5(ds, spec, plan)
+        counters["refreshes"] += 1
+        core.iterate(state, run.params, ds, spec, rng, per_epoch)
+        return per_epoch * a
 
-    return _drive(ds, spec, budget, run, iteration, per_epoch, timing)
+    return _drive(ds, spec, budget, run, epoch, timing)
 
 
 def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
@@ -242,35 +225,40 @@ def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
     Violations are evaluated against the extrapolated weights, which is the
     quantity the dual prox actually sees, so gated coordinates are exact
     fixed points.  Costs O(nnz) per iteration; intended for small problems.
+    A unit is n draws; an iteration that finds the duals settled flushes the
+    primal instead, draws nothing and does not count toward the unit.
     Terminates early when every dual and primal violation is exactly zero.
-    The budget is tested after every iteration.
     """
+    n = ds.n
     run = _new_run(ds, state0, optimal_exit=False)
 
-    def iteration(_):
+    def epoch():
         state = run.state
-        kappa_bar = dual_violations(state.w_bar, state.alpha, ds, spec)
-        kappa_bar = np.where(kappa_bar > 0.0, kappa_bar, 0.0)
-        try:
-            plan = build_restricted(kappa_bar, 1)
-        except ZeroViolations:
-            psi = primal_violations(state.w, state.alpha, ds, spec)
-            if np.all(psi == 0.0):
-                raise _Optimum(0) from None
-            # dual side settled; flush the primal and re-check next iteration
-            if run.params is None:
-                run.params = core.schedule_thm5(ds, spec, build_uniform(ds.n, 1))
-            w_before = state.w.copy()
-            core._primal_pass(state, run.params.tau, spec.lam, run.params.theta)
-            if np.array_equal(state.w, w_before):
-                # the primal map has frozen too: a genuine fixed point
-                raise _Optimum(0) from None
-            return 0  # drew nothing, so takes no checkpoint
-        run.params = _restricted_schedule(ds, spec, plan)
-        adaspdc_step(state, run.params, ds, spec, rng)
-        return 1
+        drawn = 0
+        while drawn < n:
+            kappa_bar = dual_violations(state.w_bar, state.alpha, ds, spec)
+            kappa_bar = np.where(kappa_bar > 0.0, kappa_bar, 0.0)
+            try:
+                plan = build_restricted(kappa_bar, 1)
+            except ZeroViolations:
+                psi = primal_violations(state.w, state.alpha, ds, spec)
+                if np.all(psi == 0.0):
+                    raise _Optimum(drawn) from None
+                # dual side settled; flush the primal and re-check next iteration
+                if run.params is None:
+                    run.params = core.schedule_thm5(ds, spec, build_uniform(n, 1))
+                w_before = state.w.copy()
+                core._primal_pass(state, run.params.tau, spec.lam, run.params.theta)
+                if np.array_equal(state.w, w_before):
+                    # the primal map has frozen too: a genuine fixed point
+                    raise _Optimum(drawn) from None
+                continue
+            run.params = _restricted_schedule(ds, spec, plan)
+            core.iterate(state, run.params, ds, spec, rng, 1)
+            drawn += 1
+        return n
 
-    return _drive(ds, spec, budget, run, iteration, ds.n, timing)
+    return _drive(ds, spec, budget, run, epoch, timing)
 
 
 def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) -> None:
@@ -289,8 +277,7 @@ def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) ->
 def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
                           rng: np.random.Generator,
                           restrict_primal: bool, timing: bool = True) -> RunResult:
-    """Shared body of the snapshot/acceptance heuristics; the budget is
-    tested once per round.
+    """Shared body of the snapshot/acceptance heuristics; a unit is one round.
 
     A round is one deterministic full sweep, violation recomputation, then
     an inner loop of ceil(n'/a) sampled iterations over the restricted plan
@@ -314,7 +301,7 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
     counters = run.counters
     gaps = counters["committed_gaps"]  # gaps[-1] is the best committed gap
 
-    def round_(_):
+    def round_():
         state = run.state
         _full_pass(state, ds, spec, outer_params)
         counters["primal_writes"] += ds.d
@@ -350,7 +337,7 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
                                                   else len(primal_coords))
         return n + inner_len * a
 
-    return _drive(ds, spec, budget, run, round_, 1, timing, start=gaps.append)
+    return _drive(ds, spec, budget, run, round_, timing, start=gaps.append)
 
 
 def run_ovsspdc_plus(ds, spec: ProblemSpec, a: int, budget: Budget,

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from spdc import core
-from spdc.core import adaspdc_step, init_state, schedule_thm5
+from spdc.core import init_state, schedule_thm5
 from spdc.datamat import SparseDataset
 from spdc.objective import ProblemSpec
 from spdc.sampling import build_uniform
@@ -49,7 +49,7 @@ def solve_to_fixed_point(ds, spec, seed=0, max_epochs=3000):
         w_prev = state.w.copy()
         a_prev = state.alpha.copy()
         for _ in range(ds.n):
-            adaspdc_step(state, params, ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1)
         if np.array_equal(state.w, w_prev) and np.array_equal(state.alpha, a_prev):
             break
     return state, plan, params

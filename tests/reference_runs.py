@@ -7,7 +7,10 @@ draws and final states.  Only the old ``violation_tol`` knob (always 0.0) is
 written as its value; the checkpoint, clock, full sweep and iteration steps
 are the library's, which the change left as they were.  The runners' knobs
 that were later removed (the refresh and acceptance-test cadences, and the
-logs of draws) are written as their one remaining value too.
+logs of draws) are written as their one remaining value too.  The copies of
+``ovsspdc`` and ``ovs-exact`` test the budget between epochs, as the run
+loop does since every runner's unit became an epoch, and close with no
+partial checkpoint; they still step one iteration at a time.
 
 The CLI's checks of which rules an algorithm may run are frozen here too,
 as they were before one table of rules per algorithm replaced them:
@@ -28,7 +31,7 @@ import math
 import numpy as np
 
 from spdc import core, variants
-from spdc.core import StepParams, _check_cap, _r_under, adaspdc_step, init_state
+from spdc.core import StepParams, _check_cap, _r_under, init_state
 from spdc.errors import ConfigError, ScheduleError, ZeroViolations
 from spdc.objective import (
     dual_objective,
@@ -189,9 +192,9 @@ def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budge
     while not converged and duals_drawn / ds.n < budget.max_epochs:
         for _ in range(per_epoch):
             if stepper == "dspdc":
-                core.dspdc_step(state, params, dspdc_cfg, ds, spec, rng)
+                core.iterate(state, params, ds, spec, rng, 1, cfg=dspdc_cfg)
             else:
-                adaspdc_step(state, params, ds, spec, rng)
+                core.iterate(state, params, ds, spec, rng, 1)
             duals_drawn += a
         ckpt += 1
         rec = variants._checkpoint(records, ckpt, duals_drawn / ds.n, clock, state, ds, spec)
@@ -213,7 +216,8 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     Every epoch-equivalent the dual violations are recomputed at the current
     iterate, the capped violation-weighted plan is rebuilt, and the
     sqrt(n)-boosted step sizes and momentum are rederived from it.  When every violation is zero the refresh
-    falls back to the uniform plan and the run continues.
+    falls back to the uniform plan and the run continues.  The budget is
+    tested between epochs, so the run ends on a whole epoch.
     """
     n = ds.n
     if a * a > n:
@@ -228,27 +232,21 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     refreshes = fallbacks = 0
     duals_drawn = 0
     ckpt = 0
-    it = 0
     while not converged and duals_drawn / n < budget.max_epochs:
-        if it % per_epoch == 0:
-            kappa = dual_violations(state.w, state.alpha, ds, spec)
-            kappa = np.where(kappa > 0.0, kappa, 0.0)
-            try:
-                plan = build_ovs(kappa, ds.row_norms, a, n)
-            except ZeroViolations:
-                plan = build_uniform(n, a)
-                fallbacks += 1
-            params = reference_schedule_thm5(ds, spec, plan)
-            refreshes += 1
-        adaspdc_step(state, params, ds, spec, rng)
-        duals_drawn += a
-        it += 1
-        if it % per_epoch == 0:
-            ckpt += 1
-            rec = variants._checkpoint(records, ckpt, duals_drawn / n, clock, state, ds, spec)
-            converged = rec.gap <= budget.gap_tol
-    if it % per_epoch != 0:
-        rec = variants._checkpoint(records, ckpt + 1, duals_drawn / n, clock, state, ds, spec)
+        kappa = dual_violations(state.w, state.alpha, ds, spec)
+        kappa = np.where(kappa > 0.0, kappa, 0.0)
+        try:
+            plan = build_ovs(kappa, ds.row_norms, a, n)
+        except ZeroViolations:
+            plan = build_uniform(n, a)
+            fallbacks += 1
+        params = reference_schedule_thm5(ds, spec, plan)
+        refreshes += 1
+        for _ in range(per_epoch):
+            core.iterate(state, params, ds, spec, rng, 1)
+            duals_drawn += a
+        ckpt += 1
+        rec = variants._checkpoint(records, ckpt, duals_drawn / n, clock, state, ds, spec)
         converged = rec.gap <= budget.gap_tol
     counters = {
         "iterations": state.iter,
@@ -309,6 +307,8 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
     quantity the dual prox actually sees, so gated coordinates are exact
     fixed points.  Costs O(nnz) per iteration; intended for small problems.
     Terminates early when every dual and primal violation is exactly zero.
+    The budget is tested between epochs of n draws (a primal flush draws
+    nothing), so the run ends on a whole epoch or at the optimum.
     """
     n = ds.n
     a = 1
@@ -321,37 +321,36 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
     optimal = False
     duals_drawn = 0
     ckpt = 0
-    it = 0
     while not converged and not optimal and duals_drawn / n < budget.max_epochs:
-        kappa_bar = dual_violations(state.w_bar, state.alpha, ds, spec)
-        kappa_bar = np.where(kappa_bar > 0.0, kappa_bar, 0.0)
-        try:
-            plan = build_restricted(kappa_bar, a)
-        except ZeroViolations:
-            psi = primal_violations(state.w, state.alpha, ds, spec)
-            if np.all(psi == 0.0):
-                optimal = True
-                break
-            # dual side settled; flush the primal and re-check next iteration
-            if params is None:
-                params = reference_schedule_thm5(ds, spec, build_uniform(n, a))
-            w_before = state.w.copy()
-            core._primal_pass(state, params.tau, spec.lam, params.theta)
-            it += 1
-            if np.array_equal(state.w, w_before):
-                # the primal map has frozen too: a genuine fixed point
-                optimal = True
-                break
-            continue
-        params = reference_restricted_schedule(ds, spec, plan, a)
-        adaspdc_step(state, params, ds, spec, rng)
-        duals_drawn += a
-        it += 1
-        if it % n == 0:
+        epoch_end = duals_drawn + n
+        while duals_drawn < epoch_end:
+            kappa_bar = dual_violations(state.w_bar, state.alpha, ds, spec)
+            kappa_bar = np.where(kappa_bar > 0.0, kappa_bar, 0.0)
+            try:
+                plan = build_restricted(kappa_bar, a)
+            except ZeroViolations:
+                psi = primal_violations(state.w, state.alpha, ds, spec)
+                if np.all(psi == 0.0):
+                    optimal = True
+                    break
+                # dual side settled; flush the primal and re-check next iteration
+                if params is None:
+                    params = reference_schedule_thm5(ds, spec, build_uniform(n, a))
+                w_before = state.w.copy()
+                core._primal_pass(state, params.tau, spec.lam, params.theta)
+                if np.array_equal(state.w, w_before):
+                    # the primal map has frozen too: a genuine fixed point
+                    optimal = True
+                    break
+                continue
+            params = reference_restricted_schedule(ds, spec, plan, a)
+            core.iterate(state, params, ds, spec, rng, 1)
+            duals_drawn += a
+        if not optimal:
             ckpt += 1
             rec = variants._checkpoint(records, ckpt, duals_drawn / n, clock, state, ds, spec)
             converged = rec.gap <= budget.gap_tol
-    if state.iter > 0 and (optimal or it % n != 0):
+    if state.iter > 0 and optimal:
         rec = variants._checkpoint(records, ckpt + 1, duals_drawn / n, clock, state, ds, spec)
         converged = rec.gap <= budget.gap_tol
     counters = {"iterations": state.iter, "duals_drawn": duals_drawn,
@@ -424,7 +423,7 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: n
         inner = state.copy()
         accepted = None
         for u in range(1, inner_len + 1):
-            adaspdc_step(inner, params, ds, spec, rng,
+            core.iterate(inner, params, ds, spec, rng, 1,
                          primal_coords=primal_coords)
             counters["duals_drawn"] += a
             counters["primal_writes"] += ds.d if primal_coords is None else len(primal_coords)

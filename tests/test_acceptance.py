@@ -16,7 +16,6 @@ import scipy.stats
 from spdc import core
 from spdc.cli import RunConfig, main as cli_main, synth
 from spdc.core import (
-    adaspdc_step,
     complexity_estimate,
     delta_t,
     init_state,
@@ -103,12 +102,12 @@ def test_criterion_2_monte_carlo_contraction():
     results = []
     for burn in (0, 5, 20):  # states after 0, 5, and 25 steps
         for _ in range(burn):
-            adaspdc_step(state, params, ds, spec, walker)
+            core.iterate(state, params, ds, spec, walker, 1)
         d0 = delta_t(state, ref.w, ref.alpha, params, ds, spec)
         vals = np.empty(2000)
         for r in range(2000):
             trial = state.copy()
-            adaspdc_step(trial, params, ds, spec, np.random.default_rng(500_000 + 97 * r))
+            core.iterate(trial, params, ds, spec, np.random.default_rng(500_000 + 97 * r), 1)
             vals[r] = delta_t(trial, ref.w, ref.alpha, params, ds, spec)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         results.append((vals.mean(), params.theta * d0 + 3 * se, d0))
@@ -195,7 +194,7 @@ def test_criterion_5_update_skip_predicates():
         alpha0 = state.alpha.copy()
         w0 = state.w.copy()
         with mock.patch.object(core, "_primal_pass", recording):
-            adaspdc_step(state, params, ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1)
         i = int(state.last_draws[0])
         idx, vals = ds.row(i)
         s = float(np.dot(vals, w_bar0[idx]))

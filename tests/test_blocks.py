@@ -193,7 +193,7 @@ def test_one_iteration_is_a_block_of_one(highd, monkeypatch):
     spy = _Spy(monkeypatch)
     state, rng = init_state(ds), np.random.default_rng(0)
     for _ in range(300):
-        core.adaspdc_step(state, params, ds, spec, rng)
+        core.iterate(state, params, ds, spec, rng, 1)
     assert set(spy.lengths) == {1}
     assert spy.lengths[1] == 300 - 1  # the first pass anchors every weight anew
 

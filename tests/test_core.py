@@ -10,16 +10,13 @@ import scipy.sparse as sp
 from spdc import core, variants
 from spdc.core import (
     DspdcConfig,
-    adaspdc_step,
     complexity_estimate,
     delta_t,
-    dspdc_step,
     init_state,
     schedule_thm4,
     schedule_thm5,
     schedule_thm15,
     schedule_vanilla,
-    theta_of,
     verify_lemma3,
     verify_lemma14,
     verify_thm20,
@@ -243,7 +240,7 @@ class TestSteps:
         core._primal_pass(state, params.tau, spec.lam, params.theta)
         core._settle(state, ds)
         assert state.w[0] == 0.0 and state.w_bar[0] == 0.0
-        adaspdc_step(state, params, ds, spec, rng)
+        core.iterate(state, params, ds, spec, rng, 1)
         assert state.alpha[0] == pytest.approx(0.36, rel=1e-15)
         assert state.w[0] == 0.0
 
@@ -260,7 +257,7 @@ class TestSteps:
             state.w_bar = state.w.copy()
             before_w = state.w.copy()
             before_a = state.alpha.copy()
-            adaspdc_step(state, params, ds, spec, np.random.default_rng(5))
+            core.iterate(state, params, ds, spec, np.random.default_rng(5), 1)
             assert np.max(np.abs(state.w - before_w)) <= 1e-10
             assert np.max(np.abs(state.alpha - before_a)) <= 1e-10
 
@@ -275,7 +272,7 @@ class TestSteps:
                 kappa = np.abs(rng.normal(size=ds.n))
                 plan = build_ovs(kappa, ds.row_norms, 2, ds.n)
                 params = schedule_thm5(ds, spec, plan)
-            adaspdc_step(state, params, ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1)
         assert state.cache_error(ds) <= 1e-9
 
     def test_dual_feasibility_preserved(self, small):
@@ -285,7 +282,7 @@ class TestSteps:
         params = schedule_thm5(ds, spec, plan)
         rng = np.random.default_rng(14)
         for _ in range(300):
-            adaspdc_step(state, params, ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1)
             prod = ds.labels * state.alpha
             assert np.all((prod >= 0.0) & (prod <= 1.0))
 
@@ -323,9 +320,9 @@ def test_every_step_ends_settled(d):
     state = init_state(ds)
     for k in range(60):
         if k % 3 == 0:
-            adaspdc_step(state, params, ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1)
         else:
-            dspdc_step(state, params, cfgs[k % 3 - 1], ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1, cfg=cfgs[k % 3 - 1])
         assert_settled(state, ds)
 
 
@@ -369,8 +366,8 @@ class TestDspdc:
         params = schedule_vanilla(ds, spec, plan, "cor19")
         cfg = DspdcConfig.build(ds.d, ds.d)
         s1, s2 = init_state(ds), init_state(ds)
-        adaspdc_step(s1, params, ds, spec, np.random.default_rng(3))
-        dspdc_step(s2, params, cfg, ds, spec, np.random.default_rng(3))
+        core.iterate(s1, params, ds, spec, np.random.default_rng(3), 1)
+        core.iterate(s2, params, ds, spec, np.random.default_rng(3), 1, cfg=cfg)
         assert np.array_equal(s1.w, s2.w)
         assert np.array_equal(s1.alpha, s2.alpha)
         assert np.array_equal(s1.w_bar, s2.w_bar)
@@ -384,7 +381,7 @@ class TestDspdc:
         state.w_prev = state.w.copy()
         state.w_bar = state.w.copy()
         before = state.w.copy(), state.alpha.copy()
-        dspdc_step(state, params, cfg, ds, spec, np.random.default_rng(4))
+        core.iterate(state, params, ds, spec, np.random.default_rng(4), 1, cfg=cfg)
         assert np.max(np.abs(state.w - before[0])) <= 1e-10
         assert np.max(np.abs(state.alpha - before[1])) <= 1e-10
 
@@ -401,7 +398,7 @@ class TestDspdc:
         saw_change = False
         for _ in range(20):
             w_before = state.w.copy()
-            dspdc_step(state, params, cfg, ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1, cfg=cfg)
             changed = np.flatnonzero(state.w != w_before)
             if changed.size:
                 saw_change = True
@@ -521,13 +518,13 @@ class TestDeltaT:
         state = init_state(ds)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            adaspdc_step(state, params, ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1)
         d0 = delta_t(state, ref.w, ref.alpha, params, ds, spec)
         reps = 800
         vals = np.empty(reps)
         for r in range(reps):
             trial = state.copy()
-            adaspdc_step(trial, params, ds, spec, np.random.default_rng(10_000 + r))
+            core.iterate(trial, params, ds, spec, np.random.default_rng(10_000 + r), 1)
             vals[r] = delta_t(trial, ref.w, ref.alpha, params, ds, spec)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert vals.mean() <= params.theta * d0 + 3 * se

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from spdc import core, variants
-from spdc.core import adaspdc_step, init_state, schedule_thm5, schedule_thm15
+from spdc.core import init_state, schedule_thm5, schedule_thm15
 from spdc.datamat import SparseDataset, lambda_max
 from spdc.objective import ProblemSpec, smoothed_hinge_grad
 from spdc.sampling import build_uniform
@@ -79,7 +79,7 @@ def prepared_state(ds, spec, seed):
     params = schedule_thm5(ds, spec, plan)
     state = init_state(ds)
     for _ in range(max(3, ds.n // 4)):
-        adaspdc_step(state, params, ds, spec, rng)
+        core.iterate(state, params, ds, spec, rng, 1)
     indptr, indices, data = ds.csr_arrays()
     fixed = rng.random(ds.n) < 1.0 / 3.0
     if ds.n >= 5:

@@ -14,10 +14,12 @@ violation-based samplers and their snapshot acceptance tests.
 
 The budget-edge set (``tests/golden/budget-edge/``) runs every algorithm at
 ``-a 7 --max-epochs 2.5`` (``-a 1`` for ``ovs-exact``), so the budget runs out
-mid-epoch and each runner's stopping rule shows in the trace: the fixed-plan
-runners test the budget between epochs only, ``ovsspdc`` and ``ovs-exact``
-after every iteration with a partial last checkpoint, and the snapshot
-variants once per round.
+mid-epoch and the stopping rule shows in the trace: every runner tests the
+budget before each of its units and ends on a whole one, an epoch (3.01 for
+the fixed-plan runners and ``ovsspdc``, 3 for ``ovs-exact``) or a snapshot
+round.  So each budget-edge trace is a prefix of the trace of the same run
+with more epochs: the ``ovs-exact`` ones are the first four rows of its
+6-epoch golden.
 
 One golden lies outside that grid (``tests/golden/anchored-batch/``):
 ``ovsspdc -a 2`` on ``highd-sparse`` at a tenth of its lambda for 100

@@ -20,8 +20,6 @@ from spdc import core
 from spdc.core import (
     DspdcConfig,
     SolverState,
-    adaspdc_step,
-    dspdc_step,
     init_state,
     schedule_thm4,
     schedule_thm5,
@@ -85,22 +83,22 @@ def _replay(problem, ops, seed):
     for op, arg in ops:
         if op == "step":
             for _ in range(STEPS_PER_OP):
-                adaspdc_step(state, params[arg], ds, spec, rng)
+                core.iterate(state, params[arg], ds, spec, rng, 1)
         elif op == "dspdc":
             for _ in range(STEPS_PER_OP):
-                dspdc_step(state, params[0], cfgs[arg], ds, spec, rng)
+                core.iterate(state, params[0], ds, spec, rng, 1, cfg=cfgs[arg])
         elif op == "restrict":
             # the restricted primal updates of ovsspdc-plusplus
             coords = np.flatnonzero(np.arange(ds.d) % 4 != arg)
             frozen = state.w[arg::4].copy()
             for _ in range(STEPS_PER_OP):
-                adaspdc_step(state, params[0], ds, spec, rng, primal_coords=coords)
+                core.iterate(state, params[0], ds, spec, rng, 1, primal_coords=coords)
             assert np.array_equal(state.w[arg::4], frozen)
         elif op in ("flush", "primal"):
             if op == "flush":
                 # the exact runner: a step (under new parameters, it
                 # re-anchors every weight), then primal passes
-                adaspdc_step(state, params[arg], ds, spec, rng)
+                core.iterate(state, params[arg], ds, spec, rng, 1)
             for _ in range(STEPS_PER_OP):
                 core._primal_pass(state, params[arg].tau, spec.lam, params[arg].theta)
         elif op == "copy":
@@ -293,9 +291,9 @@ def test_dspdc_takes_the_anchored_pass_at_full_block_only(highd):
     state = init_state(ds)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        dspdc_step(state, params[0], full, ds, spec, rng)
+        core.iterate(state, params[0], ds, spec, rng, 1, cfg=full)
     assert state._anchors is not None
-    dspdc_step(state, params[0], small, ds, spec, rng)
+    core.iterate(state, params[0], ds, spec, rng, 1, cfg=small)
     assert state._anchors is None and state.w is state._w
 
 

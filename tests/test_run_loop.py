@@ -3,13 +3,13 @@ the loops and rules they replaced (``tests/reference_runs.py``).
 
 The rules must give bitwise the same step sizes, momentum and complexity
 factors, or raise the same error; every runner must give the same trace,
-counters, draws, final state, plan and step sizes, including runs that stop
-on the budget mid-epoch, at an exact optimum, on a converged full sweep or
-before any iteration.
+counters, draws, final state, plan and step sizes, including runs whose
+budget runs out mid-epoch, that stop at an exact optimum, on a converged
+full sweep or before any iteration.  A run with a smaller epoch budget must
+give a prefix of the trace of one with a larger budget.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,7 +97,8 @@ def test_rules_match_reference(problem, data):
                     == _outcome(ref.reference_complexity_estimate, ds, spec, plan,
                                 plan.batch, schedule))
         params = core.schedule_thm4(ds, spec, build_uniform(n, 1))
-        assert (_outcome(core.theta_of, replace(params, plan=plan), spec, n)
+        p, sigma = core._supported(plan, params.sigma)
+        assert (_outcome(core._theta, spec, params.tau, plan.batch, n, p, sigma)
                 == _outcome(ref.reference_theta_of, params, plan, spec, n))
         if plan.kind == "restricted":
             assert (_outcome(variants._restricted_schedule, ds, spec, plan)
@@ -336,3 +337,38 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
                                      restrict_primal=restrict, timing=False)
     assert new.counters["optimal_exit"]
     assert_same_run(new, old)
+
+
+# one runner of each kind on ``mid`` (n=30): a fixed plan (a=4 gives units
+# of 32/30 epochs), a dspdc block, the refresh at a = 1 and 2, the exact
+# gate and both snapshot variants
+PREFIX_RUNNERS = {
+    "adaspdc": lambda ds, spec, budget: run_fixed(
+        ds, spec, core.schedule_thm5(ds, spec, build_uniform(ds.n, 4)), budget, _rng(),
+        timing=False),
+    "dspdc": lambda ds, spec, budget: run_fixed(
+        ds, spec, core.schedule_vanilla(ds, spec, build_uniform(ds.n, 1), "cor19"), budget,
+        _rng(), dspdc_cfg=core.DspdcConfig.build(ds.d, 3), timing=False),
+    "ovsspdc a=1": lambda ds, spec, budget: run_ovsspdc(ds, spec, 1, budget, _rng(),
+                                                        timing=False),
+    "ovsspdc a=2": lambda ds, spec, budget: run_ovsspdc(ds, spec, 2, budget, _rng(),
+                                                        timing=False),
+    "ovs-exact": lambda ds, spec, budget: run_ovs_exact(ds, spec, budget, _rng(),
+                                                        timing=False),
+    "ovsspdc-plus": lambda ds, spec, budget: run_ovsspdc_plus(ds, spec, 2, budget, _rng(),
+                                                              timing=False),
+    "ovsspdc-plusplus": lambda ds, spec, budget: run_ovsspdc_plusplus(ds, spec, 2, budget,
+                                                                      _rng(), timing=False),
+}
+
+
+@pytest.mark.parametrize("name", list(PREFIX_RUNNERS))
+def test_budget_gives_a_trace_prefix(mid, name):
+    # every run ends on a whole unit, so a smaller epoch budget cuts the
+    # trace of a larger one at the first unit end past it
+    ds, spec = mid
+    short, long = (PREFIX_RUNNERS[name](ds, spec, Budget(-1.0, cap)) for cap in (2.5, 6.0))
+    rows = [r.csv_row() for r in short.trace]
+    assert rows == [r.csv_row() for r in long.trace][:len(rows)]
+    assert short.trace[-2].epoch < 2.5 <= short.trace[-1].epoch
+    assert not short.counters.get("optimal_exit")

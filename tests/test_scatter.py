@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdc import core
-from spdc.core import adaspdc_step, init_state, schedule_thm5
+from spdc.core import init_state, schedule_thm5
 from spdc.datamat import SparseDataset, lambda_max
 from spdc.objective import ProblemSpec
 from spdc.sampling import build_uniform
@@ -107,7 +107,7 @@ def test_dual_pass_extrapolation_matches_row_at_a_time_adds_bitwise():
         _extrapolation_matches(state, params, ds, spec, seed)
         core._primal_pass(state, params.tau, spec.lam, params.theta)
         core._settle(state, ds)
-        adaspdc_step(state, params, ds, spec, rng)
+        core.iterate(state, params, ds, spec, rng, 1)
 
 
 def test_fixed_point_draws_leave_negative_zero_cache_entries():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdc import core, variants
-from spdc.core import DspdcConfig, adaspdc_step, init_state, schedule_thm4, schedule_thm5
+from spdc.core import DspdcConfig, init_state, schedule_thm4, schedule_thm5
 from spdc.datamat import example_path, lambda_max, load_libsvm
 from spdc.errors import ScheduleError
 from spdc.objective import (
@@ -229,13 +229,13 @@ class TestSnapshotVariants:
         state = init_state(ds)
         rng = np.random.default_rng(13)
         for _ in range(40):
-            adaspdc_step(state, params, ds, spec, rng)
+            core.iterate(state, params, ds, spec, rng, 1)
         psi = primal_violations(state.w, state.alpha, ds, spec)
         live = np.flatnonzero(psi != 0.0)
         frozen = np.setdiff1d(np.arange(ds.d), live)
         w_frozen = state.w[frozen].copy()
         for _ in range(30):
-            adaspdc_step(state, params, ds, spec, rng, primal_coords=live)
+            core.iterate(state, params, ds, spec, rng, 1, primal_coords=live)
         assert np.array_equal(state.w[frozen], w_frozen)
 
 
