@@ -46,7 +46,6 @@ from .core import (
     SolverState,
     StepParams,
     complexity_estimate,
-    delta_t,
     init_state,
     schedule_thm4,
     schedule_thm5,

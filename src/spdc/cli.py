@@ -151,8 +151,9 @@ def _problem(cfg: RunConfig, ds):
 
 
 def _pick_schedule(cfg: RunConfig, ds) -> str:
-    """Resolve schedule=auto: the large-batch rule for a > sqrt(n) (the plan is
-    uniform there, as cor16 and cor17 need a=1), else the boosted or, for cor16, base rule."""
+    """The step rule of a fixed-plan run; schedule=auto resolves to the
+    large-batch rule for a > sqrt(n) (the plan is uniform there, as cor16 and
+    cor17 need a=1), else the boosted or, for cor16, base rule."""
     if cfg.schedule != "auto":
         return cfg.schedule
     base, boosted, large = RULES[cfg.algo]
@@ -165,24 +166,19 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
               rng: np.random.Generator) -> tuple[RunResult, dict]:
     extra: dict = {}
     if cfg.algo == "ovs-exact":
-        return run_ovs_exact(ds, spec, budget, rng, timing=cfg.timing), extra
+        return run_ovs_exact(ds, spec, budget, rng), extra
     if cfg.algo in VARIANTS:
         # run_ovsspdc, run_ovsspdc_plus or run_ovsspdc_plusplus, read from
         # the module's globals when called (the benchmark patches them)
         runner = globals()["run_" + cfg.algo.replace("-", "_")]
-        return runner(ds, spec, cfg.a, budget, rng, timing=cfg.timing), extra
+        return runner(ds, spec, cfg.a, budget, rng), extra
     schedule = _pick_schedule(cfg, ds)
-    if schedule == "thm15":  # on the uniform plan it builds itself
-        params = core.schedule_thm15(ds, spec, cfg.a)
-    else:
-        plan = (build_uniform(ds.n, cfg.a) if cfg.prob == "uniform"
-                else build_data_driven(ds, spec, cfg.a, cfg.prob))
-        if schedule == "thm4":
-            params = core.schedule_thm4(ds, spec, plan)
-        elif schedule == "thm5":
-            params = core.schedule_thm5(ds, spec, plan)
-        else:
-            params = core.schedule_vanilla(ds, spec, plan, schedule)
+    plan = (build_uniform(ds.n, cfg.a) if cfg.prob == "uniform"
+            else build_data_driven(ds, spec, cfg.a, cfg.prob))
+    if schedule in ("cor18", "cor19"):
+        params = core.schedule_vanilla(ds, spec, plan, schedule)
+    else:  # looked up in core when called, as the benchmark wraps the rules there
+        params = getattr(core, "schedule_" + schedule)(ds, spec, plan)
     dcfg = None
     if cfg.algo == "dspdc":
         dcfg = core.DspdcConfig.build(ds.d, cfg.dspdc_b)
@@ -191,7 +187,7 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
             raise ScheduleError(f"dspdc parameter check failed at {failing}")
         # the run keeps these params, so the verdict is the run's
         extra["thm20"] = {"ok": bool(ok), "failing": failing, "margins": margins}
-    result = run_fixed(ds, spec, params, budget, rng, dspdc_cfg=dcfg, timing=cfg.timing)
+    result = run_fixed(ds, spec, params, budget, rng, dspdc_cfg=dcfg)
     return result, extra
 
 
@@ -251,7 +247,8 @@ def run(cfg: RunConfig) -> int:
         }
     if cfg.trace:
         with _writing(cfg.trace):
-            write_trace_csv(result.trace, cfg.trace)
+            write_trace_csv(result.trace if cfg.timing else
+                            [replace(r, seconds=0.0) for r in result.trace], cfg.trace)
     if cfg.summary:
         with _writing(cfg.summary), open(cfg.summary, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

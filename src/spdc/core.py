@@ -10,15 +10,16 @@ spec's schedule tokens:
 * ``thm15`` - uniform p with large batches ``a >= sqrt(n)``.
 * ``cor18``/``cor19`` - shared scalar dual step (plain SPDC), base / boosted.
 
-All of them, and the restricted rule of the violation-gated runners, are one
+Every rule takes a sampling plan for the dataset's n instances.  All of
+them, and the restricted rule of the violation-gated runners, are one
 formula, :func:`_steps`; all but ``thm15`` are also one assembly of that
 formula over the plan's support, :func:`_support_rule`.  A rule's
-:class:`StepParams` carry the plan they were derived for, so the iterations
-draw from it and everything else reads its ``p`` and batch size ``a`` there.
+:class:`StepParams` carry the plan, so the iterations draw from it and
+everything else reads its ``p`` and batch size ``a`` there.
 
 ``verify_lemma3`` / ``verify_lemma14`` / ``verify_thm20`` evaluate the
-feasibility inequalities that certify geometric contraction of the potential
-``delta_t`` for the emitted parameters.
+feasibility inequalities that certify geometric contraction of the paper's
+primal-dual potential for the emitted parameters.
 
 From d = ``_LAZY_MIN_D`` on, the primal pass costs O(row nnz), not O(d): it
 keeps each weight as an anchor with a closed-form law (:class:`_Anchors`)
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ScheduleError
 from .objective import ProblemSpec, dual_prox, dual_prox_array, primal_prox
-from .sampling import SamplingPlan, build_uniform, draw_batch
+from .sampling import SamplingPlan, draw_batch
 
 __all__ = [
     "StepParams",
@@ -51,7 +52,6 @@ __all__ = [
     "verify_thm20",
     "iterate",
     "complexity_estimate",
-    "delta_t",
 ]
 
 # boundary-tight schedules may land exactly on their bounds; comparisons get
@@ -356,6 +356,12 @@ class DspdcConfig:
         blocks = np.array_split(np.arange(d), n_blocks)
         return DspdcConfig(q=np.full(n_blocks, 1.0 / n_blocks), blocks=tuple(blocks))
 
+    def check_partition(self, d: int) -> None:
+        """Raise ``ValueError`` unless the blocks hold each of ``d`` weights once."""
+        cover = np.concatenate(self.blocks)
+        if cover.size != d or np.any(np.bincount(cover, minlength=d) != 1):
+            raise ValueError(f"dspdc blocks must hold each of the {d} weights once")
+
     def block_norms_sq(self, ds) -> np.ndarray:
         """Per instance, the max over blocks of the squared row norm within the block.
 
@@ -384,6 +390,12 @@ def _check_cap(p: np.ndarray, cap: float, what: str) -> None:
     if np.any(p <= 0.0):
         i = int(np.flatnonzero(p <= 0.0)[0])
         raise ScheduleError(f"{what}: p[{i}] is not strictly positive")
+
+
+def _check_size(plan: SamplingPlan, ds, what: str) -> None:
+    if plan.p.size != ds.n:
+        raise ScheduleError(f"{what}: the plan covers {plan.p.size} instances, "
+                            f"the dataset has {ds.n}")
 
 
 def _supported(plan: SamplingPlan, *arrays):
@@ -446,6 +458,7 @@ def _support_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan) -> S
     get sigma 1.  On a restricted plan this is the restricted rule of the
     violation-gated runners.
     """
+    _check_size(plan, ds, schedule)
     boosted, shared = _PLAN_RULES[schedule]
     active = plan.active
     n = active.size
@@ -479,16 +492,18 @@ def schedule_thm5(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
     return _plan_rule("thm5", ds, spec, plan)
 
 
-def schedule_thm15(ds, spec: ProblemSpec, a: int) -> StepParams:
-    """Large-batch uniform rule: ``a >= sqrt(n)``, on the uniform plan of batch ``a``.
+def schedule_thm15(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
+    """Large-batch rule for the uniform plan with batch ``a >= sqrt(n)``.
 
     ``tau = (1/(2R)) sqrt(gamma/lam)`` with ``R = max_i ||x_i||``,
     ``sigma_i = (n / (2 a ||x_i||)) sqrt(lam/gamma)``.
     """
-    n = ds.n
+    n, a = ds.n, plan.batch
+    _check_size(plan, ds, "thm15")
     if a * a < n:
         raise ScheduleError(f"thm15 requires a >= sqrt(n); got a={a}, n={n}")
-    plan = build_uniform(n, a)
+    if np.any(plan.p != 1.0 / n):
+        raise ScheduleError(f"thm15 requires the uniform plan, not a {plan.kind} one")
     big_r = float(np.max(ds.row_norms))
     tau, sigma = _steps(spec, 1, 1.0 / (2.0 * big_r), n / (2.0 * a * ds.row_norms))
     return StepParams(tau=tau, sigma=sigma, theta=_theta(spec, tau, a, n, plan.p, sigma),
@@ -548,6 +563,7 @@ def verify_thm20(params: StepParams, cfg: DspdcConfig, ds, spec: ProblemSpec,
     is ``theta_bar - value`` for the first four clauses and the worst
     left-hand side for the fifth.
     """
+    cfg.check_partition(ds.d)
     if theta_bar is None:
         theta_bar = params.theta
     n, d, tau, theta, a = ds.n, ds.d, params.tau, params.theta, params.plan.batch
@@ -831,27 +847,3 @@ def complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, schedule: str
     if shared:
         return float(np.max(1.0 / (a * p))) + 1.0 / (_r_under(p, norms) * a * root)
     return float(np.max(1.0 / (a * p) + norms / (p * a * root)))
-
-
-def delta_t(state: SolverState, ref_w, ref_alpha, params: StepParams, ds,
-            spec: ProblemSpec) -> float:
-    """Potential combining primal/dual distances to a reference optimum.
-
-    ``(1/(2 tau) + lam) |w - w*|^2
-      + sum_i (1/(2 sigma_i) + gamma/(n p_i)) (alpha_i - alpha_i*)^2 / a
-      + |w - w_prev|^2 / (4 tau)
-      - (alpha - alpha*)^T X (w - w_prev) / n``.
-
-    A valid schedule contracts its expectation by the momentum factor per step.
-    """
-    n, plan = params.n_eff, params.plan
-    active = plan.p > 0.0
-    dw = state.w - ref_w
-    da = state.alpha - ref_alpha
-    dprev = state.w - state.w_prev
-    coeff = 1.0 / (2.0 * params.sigma[active]) + spec.gamma / (n * plan.p[active])
-    val = (1.0 / (2.0 * params.tau) + spec.lam) * float(np.dot(dw, dw))
-    val += float(np.sum(coeff * da[active] ** 2)) / plan.batch
-    val += float(np.dot(dprev, dprev)) / (4.0 * params.tau)
-    val -= float(np.dot(da, ds.matvec(dprev))) / ds.n
-    return val

@@ -159,8 +159,9 @@ def build_data_driven(ds, spec, a: int, scheme: str) -> SamplingPlan:
     return _finalize(p, a, kind)
 
 
-def build_ovs(kappa, row_norms, a: int, n: int) -> SamplingPlan:
-    """Violation-weighted plan with entries capped at ``1/(a*sqrt(n))``.
+def build_ovs(kappa, row_norms, a: int) -> SamplingPlan:
+    """Violation-weighted plan over the ``n = len(kappa)`` instances with
+    entries capped at ``1/(a*sqrt(n))``.
 
     Weights are ``rho_i = kappa_i + min nonzero kappa`` times the instance
     norm, normalized.  If the raw maximum exceeds the cap, the plan is the
@@ -176,8 +177,9 @@ def build_ovs(kappa, row_norms, a: int, n: int) -> SamplingPlan:
     """
     kappa = np.asarray(kappa, dtype=np.float64)
     row_norms = np.asarray(row_norms, dtype=np.float64)
+    n = kappa.size
     if kappa.shape != (n,) or row_norms.shape != (n,):
-        raise ValueError("kappa and row_norms must both have length n")
+        raise ValueError("kappa and row_norms must be vectors of one length")
     if a * a > n:
         raise ValueError(f"a={a} exceeds sqrt(n)={math.sqrt(n):.6g}")
     nonzero = kappa[kappa != 0.0]

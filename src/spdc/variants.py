@@ -4,12 +4,13 @@ coordinates.
 
 Every runner is one run loop, :func:`_drive`, and a small policy that
 runs one unit: an epoch-equivalent of sampled dual coordinates, or one
-snapshot round.  The loop emits one trace record per unit and stops when the
-duality gap reaches the budget tolerance or the epoch budget is spent (budget
-exhaustion returns the final state, it is not an error).  It tests the
-budget before every unit, so every run ends on a whole unit: a budget that
-runs out mid-epoch lets the epoch finish.  Runs are strictly sequential;
-distinct runs over the same dataset may execute in parallel.
+snapshot round.  The loop emits one trace record per unit, stamped with the
+wall seconds since the run began, and stops when the duality gap reaches the
+budget tolerance or the epoch budget is spent (budget exhaustion returns the
+final state, it is not an error).  It tests the budget before every unit, so
+every run ends on a whole unit: a budget that runs out mid-epoch lets the
+epoch finish.  Runs are strictly sequential; distinct runs over the same
+dataset may execute in parallel.
 """
 
 from __future__ import annotations
@@ -64,18 +65,8 @@ class RunResult:
     params: StepParams | None = None
 
 
-class _Clock:
-    """Wall-clock stopwatch; frozen at zero when timing is disabled."""
-
-    def __init__(self, timing: bool = True):
-        self.timing = timing
-        self._t0 = time.perf_counter()
-
-    def read(self) -> float:
-        return time.perf_counter() - self._t0 if self.timing else 0.0
-
-
-def _checkpoint(records, idx, epoch, clock, state, ds, spec) -> TraceRecord:
+def _checkpoint(records, idx, epoch, t0, state, ds, spec) -> TraceRecord:
+    """Append and return the record of ``state`` at ``perf_counter() - t0`` seconds."""
     p_val = primal_objective(state.w, ds, spec)
     d_val = dual_objective(state.alpha, ds, spec)
     if not (np.isfinite(p_val) and np.isfinite(d_val)):
@@ -88,7 +79,7 @@ def _checkpoint(records, idx, epoch, clock, state, ds, spec) -> TraceRecord:
     rec = TraceRecord(
         checkpoint=idx,
         epoch=epoch,
-        seconds=clock.read(),
+        seconds=time.perf_counter() - t0,
         primal=p_val,
         dual=d_val,
         gap=p_val - d_val,
@@ -112,7 +103,7 @@ def _new_run(ds, state0: SolverState | None, **counters) -> RunResult:
 
 
 def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
-           timing: bool, start=None) -> RunResult:
+           start=None) -> RunResult:
     """The run loop of every solver.
 
     ``advance()`` is the solver's policy: it runs one unit on ``run.state``
@@ -125,9 +116,9 @@ def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
     if given, is called with the gap of checkpoint 0.
     """
     n = ds.n
-    clock = _Clock(timing)
+    t0 = time.perf_counter()
     records = run.trace
-    rec = _checkpoint(records, 0, 0.0, clock, run.state, ds, spec)
+    rec = _checkpoint(records, 0, 0.0, t0, run.state, ds, spec)
     converged = rec.gap <= budget.gap_tol
     if start is not None:
         start(rec.gap)
@@ -135,13 +126,13 @@ def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
     try:
         while not converged and drawn / n < budget.max_epochs:
             drawn += advance()
-            rec = _checkpoint(records, len(records), drawn / n, clock, run.state, ds, spec)
+            rec = _checkpoint(records, len(records), drawn / n, t0, run.state, ds, spec)
             converged = rec.gap <= budget.gap_tol
     except _Optimum as exc:
         drawn += exc.args[0]
         converged = run.counters["optimal_exit"] = True
         if run.state.iter > 0:
-            _checkpoint(records, len(records), drawn / n, clock, run.state, ds, spec)
+            _checkpoint(records, len(records), drawn / n, t0, run.state, ds, spec)
     run.converged = converged
     run.counters.update(iterations=run.state.iter, duals_drawn=drawn)
     return run
@@ -149,15 +140,17 @@ def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
 
 def run_fixed(ds, spec: ProblemSpec, params: StepParams, budget: Budget,
               rng: np.random.Generator, dspdc_cfg: DspdcConfig | None = None,
-              timing: bool = True, state0: SolverState | None = None) -> RunResult:
+              state0: SolverState | None = None) -> RunResult:
     """Run a solver with fixed step sizes, and so their fixed plan, to the budget.
 
     Each iteration proxes a draw from ``params.plan`` with the steps of
     ``params`` (the shared-sigma rules make them equal: plain SPDC) and then
     the whole primal, or with ``dspdc_cfg`` one random primal block.  A
     unit is one epoch, ceil(n/a) iterations.  ``state0`` warm-starts the run
-    (it is copied).
+    (it is copied).  Blocks that miss or repeat a weight raise ``ValueError``.
     """
+    if dspdc_cfg is not None:
+        dspdc_cfg.check_partition(ds.d)
     run = _new_run(ds, state0)
     run.params, a = params, params.plan.batch
     per_epoch = math.ceil(ds.n / a)
@@ -166,11 +159,11 @@ def run_fixed(ds, spec: ProblemSpec, params: StepParams, budget: Budget,
         core.iterate(run.state, params, ds, spec, rng, per_epoch, cfg=dspdc_cfg)
         return per_epoch * a
 
-    return _drive(ds, spec, budget, run, epoch, timing)
+    return _drive(ds, spec, budget, run, epoch)
 
 
 def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
-                rng: np.random.Generator, timing: bool = True,
+                rng: np.random.Generator,
                 state0: SolverState | None = None) -> RunResult:
     """Violation-weighted sampling with a probability refresh once per epoch.
 
@@ -195,7 +188,7 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
         kappa = dual_violations(state.w, state.alpha, ds, spec)
         kappa = np.where(kappa > 0.0, kappa, 0.0)
         try:
-            plan = build_ovs(kappa, ds.row_norms, a, n)
+            plan = build_ovs(kappa, ds.row_norms, a)
         except ZeroViolations:
             plan = build_uniform(n, a)
             counters["uniform_fallbacks"] += 1
@@ -204,7 +197,7 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
         core.iterate(state, run.params, ds, spec, rng, per_epoch)
         return per_epoch * a
 
-    return _drive(ds, spec, budget, run, epoch, timing)
+    return _drive(ds, spec, budget, run, epoch)
 
 
 def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
@@ -217,7 +210,7 @@ def _restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParam
 
 
 def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
-                  rng: np.random.Generator, timing: bool = True,
+                  rng: np.random.Generator,
                   state0: SolverState | None = None) -> RunResult:
     """Exact violation gating: recompute violations every iteration, sample
     only violated duals (zero probability elsewhere).
@@ -258,7 +251,7 @@ def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
             drawn += 1
         return n
 
-    return _drive(ds, spec, budget, run, epoch, timing)
+    return _drive(ds, spec, budget, run, epoch)
 
 
 def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) -> None:
@@ -276,7 +269,7 @@ def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) ->
 
 def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
                           rng: np.random.Generator,
-                          restrict_primal: bool, timing: bool = True) -> RunResult:
+                          restrict_primal: bool) -> RunResult:
     """Shared body of the snapshot/acceptance heuristics; a unit is one round.
 
     A round is one deterministic full sweep, violation recomputation, then
@@ -292,10 +285,8 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
     with nonzero primal violations.
     """
     n = ds.n
-    if a * a <= n:
-        outer_params = core.schedule_thm5(ds, spec, build_uniform(n, a))
-    else:
-        outer_params = core.schedule_thm15(ds, spec, a)
+    outer_rule = core.schedule_thm5 if a * a <= n else core.schedule_thm15
+    outer_params = outer_rule(ds, spec, build_uniform(n, a))
     run = _new_run(ds, None, primal_writes=0, accepts=0, inner_rounds=0,
                    optimal_exit=False, committed_gaps=[], active_sizes=[], inner_lengths=[])
     counters = run.counters
@@ -337,19 +328,18 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
                                                   else len(primal_coords))
         return n + inner_len * a
 
-    return _drive(ds, spec, budget, run, round_, timing, start=gaps.append)
+    return _drive(ds, spec, budget, run, round_, start=gaps.append)
 
 
 def run_ovsspdc_plus(ds, spec: ProblemSpec, a: int, budget: Budget,
-                     rng: np.random.Generator, timing: bool = True) -> RunResult:
+                     rng: np.random.Generator) -> RunResult:
     """Snapshot/acceptance heuristic restricting dual sampling to violated
     coordinates; full primal updates."""
-    return _run_snapshot_variant(ds, spec, a, budget, rng,
-                                 restrict_primal=False, timing=timing)
+    return _run_snapshot_variant(ds, spec, a, budget, rng, restrict_primal=False)
 
 
 def run_ovsspdc_plusplus(ds, spec: ProblemSpec, a: int, budget: Budget,
-                         rng: np.random.Generator, timing: bool = True) -> RunResult:
+                         rng: np.random.Generator) -> RunResult:
     """Snapshot/acceptance heuristic restricting both dual sampling and inner
     primal updates to coordinates with nonzero violations.
 
@@ -357,5 +347,4 @@ def run_ovsspdc_plusplus(ds, spec: ProblemSpec, a: int, budget: Budget,
     cache still tracks every coordinate, so skipped coordinates resume
     seamlessly once their violation reappears.
     """
-    return _run_snapshot_variant(ds, spec, a, budget, rng,
-                                 restrict_primal=True, timing=timing)
+    return _run_snapshot_variant(ds, spec, a, budget, rng, restrict_primal=True)

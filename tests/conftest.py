@@ -1,5 +1,7 @@
 """Shared fixtures: random datasets, a tiny problem, and its frozen optimum."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +26,12 @@ def make_dataset(n, d, seed, density=0.6, norm_range=(0.7, 1.6),
     M *= (targets / norms)[:, None]
     y = np.where(M @ rng.normal(size=d) > 0, 1.0, -1.0)
     return SparseDataset(sp.csr_matrix(M), y)
+
+
+def untimed(trace):
+    """The CSV rows of ``trace`` with the clock column at 0.0, as the CLI
+    writes them without timing: two runs' rows then compare in full."""
+    return [replace(r, seconds=0.0).csv_row() for r in trace]
 
 
 def assert_settled(state, ds):

@@ -7,6 +7,8 @@ quadratic piece is that piece's exact extremum up to rounding, which beats
 the ~sqrt(eps) plateau a value-comparison grid bottoms out at.
 ``lbfgs_optimum`` is the whole problem's oracle: the primal minimum found by
 a quasi-Newton method that shares no code with the coordinate solvers.
+``delta_t`` is the paper's primal-dual potential, which a valid step rule
+contracts in expectation.
 
 The ``reference_*`` functions and ``dense_primal_pass`` are the exceptions:
 they are frozen copies of code the library has replaced by faster code that
@@ -323,3 +325,26 @@ def lbfgs_optimum(ds, spec):
                    options={"ftol": 1e-16, "gtol": 1e-13, "maxiter": 10_000})
     w = res.x[:d] - res.x[d:]
     return float(smooth(w)[0] + lam * np.abs(w).sum())
+
+
+def delta_t(state, ref_w, ref_alpha, params, ds, spec) -> float:
+    """Potential combining primal/dual distances to a reference optimum.
+
+    ``(1/(2 tau) + lam) |w - w*|^2
+      + sum_i (1/(2 sigma_i) + gamma/(n p_i)) (alpha_i - alpha_i*)^2 / a
+      + |w - w_prev|^2 / (4 tau)
+      - (alpha - alpha*)^T X (w - w_prev) / n``.
+
+    A valid schedule contracts its expectation by the momentum factor per step.
+    """
+    n, plan = params.n_eff, params.plan
+    active = plan.p > 0.0
+    dw = state.w - ref_w
+    da = state.alpha - ref_alpha
+    dprev = state.w - state.w_prev
+    coeff = 1.0 / (2.0 * params.sigma[active]) + spec.gamma / (n * plan.p[active])
+    val = (1.0 / (2.0 * params.tau) + spec.lam) * float(np.dot(dw, dw))
+    val += float(np.sum(coeff * da[active] ** 2)) / plan.batch
+    val += float(np.dot(dprev, dprev)) / (4.0 * params.tau)
+    val -= float(np.dot(da, ds.matvec(dprev))) / ds.n
+    return val

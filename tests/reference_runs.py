@@ -4,8 +4,8 @@ every rule became one formula and every runner one run loop.
 The library's rules and runners must reproduce these bit for bit: the same
 step sizes, momentum and complexity factors, and the same traces, counters,
 draws and final states.  Only the old ``violation_tol`` knob (always 0.0) is
-written as its value; the checkpoint, clock, full sweep and iteration steps
-are the library's, which the change left as they were.  The runners' knobs
+written as its value; the checkpoint, full sweep and iteration steps are
+the library's, which the change left as they were.  The runners' knobs
 that were later removed (the refresh and acceptance-test cadences, and the
 logs of draws) are written as their one remaining value too.  The copies of
 ``ovsspdc`` and ``ovs-exact`` test the budget between epochs, as the run
@@ -27,6 +27,7 @@ generator as k of these steps do.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -173,7 +174,7 @@ def reference_complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, a: 
 
 def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budget: Budget,
                         rng: np.random.Generator, stepper: str = "adaspdc",
-                        dspdc_cfg: DspdcConfig | None = None, timing: bool = True,
+                        dspdc_cfg: DspdcConfig | None = None,
                         state0: SolverState | None = None) -> RunResult:
     """Run a solver with a fixed plan and fixed step sizes to the budget.
 
@@ -182,10 +183,10 @@ def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budge
     ``dspdc_cfg``).  ``state0`` warm-starts the run (the state is copied).
     """
     state = init_state(ds) if state0 is None else state0.copy()
-    clock = variants._Clock(timing)
+    t0 = time.perf_counter()
     records: list[TraceRecord] = []
     per_epoch = math.ceil(ds.n / a)
-    rec = variants._checkpoint(records, 0, 0.0, clock, state, ds, spec)
+    rec = variants._checkpoint(records, 0, 0.0, t0, state, ds, spec)
     converged = rec.gap <= budget.gap_tol
     duals_drawn = 0
     ckpt = 0
@@ -197,7 +198,7 @@ def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budge
                 core.iterate(state, params, ds, spec, rng, 1)
             duals_drawn += a
         ckpt += 1
-        rec = variants._checkpoint(records, ckpt, duals_drawn / ds.n, clock, state, ds, spec)
+        rec = variants._checkpoint(records, ckpt, duals_drawn / ds.n, t0, state, ds, spec)
         converged = rec.gap <= budget.gap_tol
     return RunResult(
         state=state,
@@ -209,7 +210,7 @@ def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budge
 
 
 def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
-                          rng: np.random.Generator, timing: bool = True,
+                          rng: np.random.Generator,
                           state0: SolverState | None = None) -> RunResult:
     """Violation-weighted sampling with periodic probability refresh.
 
@@ -224,9 +225,9 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
         raise ScheduleError(f"violation-weighted sampling requires a <= sqrt(n); got a={a}")
     per_epoch = math.ceil(n / a)
     state = init_state(ds) if state0 is None else state0.copy()
-    clock = variants._Clock(timing)
+    t0 = time.perf_counter()
     records: list[TraceRecord] = []
-    rec = variants._checkpoint(records, 0, 0.0, clock, state, ds, spec)
+    rec = variants._checkpoint(records, 0, 0.0, t0, state, ds, spec)
     converged = rec.gap <= budget.gap_tol
     plan = params = None
     refreshes = fallbacks = 0
@@ -236,7 +237,7 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
         kappa = dual_violations(state.w, state.alpha, ds, spec)
         kappa = np.where(kappa > 0.0, kappa, 0.0)
         try:
-            plan = build_ovs(kappa, ds.row_norms, a, n)
+            plan = build_ovs(kappa, ds.row_norms, a)
         except ZeroViolations:
             plan = build_uniform(n, a)
             fallbacks += 1
@@ -246,7 +247,7 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
             core.iterate(state, params, ds, spec, rng, 1)
             duals_drawn += a
         ckpt += 1
-        rec = variants._checkpoint(records, ckpt, duals_drawn / n, clock, state, ds, spec)
+        rec = variants._checkpoint(records, ckpt, duals_drawn / n, t0, state, ds, spec)
         converged = rec.gap <= budget.gap_tol
     counters = {
         "iterations": state.iter,
@@ -298,7 +299,7 @@ def reference_restricted_schedule(ds, spec: ProblemSpec, plan: SamplingPlan,
 
 
 def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
-                            rng: np.random.Generator, timing: bool = True,
+                            rng: np.random.Generator,
                             state0: SolverState | None = None) -> RunResult:
     """Exact violation gating: recompute violations every iteration, sample
     only violated duals (zero probability elsewhere).
@@ -313,9 +314,9 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
     n = ds.n
     a = 1
     state = init_state(ds) if state0 is None else state0.copy()
-    clock = variants._Clock(timing)
+    t0 = time.perf_counter()
     records: list[TraceRecord] = []
-    rec = variants._checkpoint(records, 0, 0.0, clock, state, ds, spec)
+    rec = variants._checkpoint(records, 0, 0.0, t0, state, ds, spec)
     converged = rec.gap <= budget.gap_tol
     plan = params = None
     optimal = False
@@ -348,10 +349,10 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
             duals_drawn += a
         if not optimal:
             ckpt += 1
-            rec = variants._checkpoint(records, ckpt, duals_drawn / n, clock, state, ds, spec)
+            rec = variants._checkpoint(records, ckpt, duals_drawn / n, t0, state, ds, spec)
             converged = rec.gap <= budget.gap_tol
     if state.iter > 0 and optimal:
-        rec = variants._checkpoint(records, ckpt + 1, duals_drawn / n, clock, state, ds, spec)
+        rec = variants._checkpoint(records, ckpt + 1, duals_drawn / n, t0, state, ds, spec)
         converged = rec.gap <= budget.gap_tol
     counters = {"iterations": state.iter, "duals_drawn": duals_drawn,
                 "optimal_exit": optimal}
@@ -359,7 +360,7 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
 
 
 def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: np.random.Generator,
-                           restrict_primal: bool, timing: bool = True) -> RunResult:
+                           restrict_primal: bool) -> RunResult:
     """Shared body of the snapshot/acceptance heuristics.
 
     Outer rounds: one deterministic full sweep, violation recomputation, then
@@ -371,9 +372,9 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: n
     """
     n = ds.n
     state = init_state(ds)
-    clock = variants._Clock(timing)
+    t0 = time.perf_counter()
     records: list[TraceRecord] = []
-    rec = variants._checkpoint(records, 0, 0.0, clock, state, ds, spec)
+    rec = variants._checkpoint(records, 0, 0.0, t0, state, ds, spec)
     ref_gap = rec.gap
     converged = ref_gap <= budget.gap_tol
     if a * a <= n:
@@ -440,10 +441,10 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: n
             state = accepted
         counters["inner_rounds"] += 1
         ckpt += 1
-        rec = variants._checkpoint(records, ckpt, counters["duals_drawn"] / n, clock, state, ds, spec)
+        rec = variants._checkpoint(records, ckpt, counters["duals_drawn"] / n, t0, state, ds, spec)
         converged = rec.gap <= budget.gap_tol
     if counters["optimal_exit"] or (converged and records[-1].gap > budget.gap_tol):
-        rec = variants._checkpoint(records, ckpt + 1, counters["duals_drawn"] / n, clock,
+        rec = variants._checkpoint(records, ckpt + 1, counters["duals_drawn"] / n, t0,
                           state, ds, spec)
         converged = rec.gap <= budget.gap_tol or counters["optimal_exit"]
     counters["iterations"] = state.iter

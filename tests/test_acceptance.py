@@ -17,7 +17,6 @@ from spdc import core
 from spdc.cli import RunConfig, main as cli_main, synth
 from spdc.core import (
     complexity_estimate,
-    delta_t,
     init_state,
     schedule_thm4,
     schedule_thm5,
@@ -47,7 +46,7 @@ from spdc.variants import (
 )
 
 from conftest import make_dataset
-from oracles import dual_prox_oracle, primal_prox_oracle
+from oracles import delta_t, dual_prox_oracle, primal_prox_oracle
 
 
 def report(num, ok, detail=""):
@@ -137,7 +136,7 @@ def test_criterion_3_condition_verification():
         cases = [
             schedule_thm4(ds, spec, plan_s),
             schedule_thm5(ds, spec, plan_s),
-            schedule_thm15(ds, spec, a_big),
+            schedule_thm15(ds, spec, build_uniform(n, a_big)),
             schedule_vanilla(ds, spec, plan_s, "cor18"),
             schedule_vanilla(ds, spec, plan_s, "cor19"),
         ]
@@ -228,18 +227,18 @@ def test_criterion_6_cross_solver_agreement(bench_file):
     plan = build_uniform(ds.n, 1)
     runs = {}
     runs["adaspdc"] = run_fixed(ds, spec, schedule_thm5(ds, spec, plan),
-                                budget, np.random.default_rng(61), timing=False)
+                                budget, np.random.default_rng(61))
     runs["spdc"] = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"),
-                             budget, np.random.default_rng(62), timing=False)
+                             budget, np.random.default_rng(62))
     runs["dspdc"] = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"),
                               budget, np.random.default_rng(63),
-                              dspdc_cfg=DspdcConfig.build(ds.d, ds.d), timing=False)
+                              dspdc_cfg=DspdcConfig.build(ds.d, ds.d))
     runs["ovsspdc"] = run_ovsspdc(ds, spec, 1, budget,
-                                  np.random.default_rng(64), timing=False)
+                                  np.random.default_rng(64))
     runs["plus"] = run_ovsspdc_plus(ds, spec, 1, budget,
-                                    np.random.default_rng(65), timing=False)
+                                    np.random.default_rng(65))
     runs["plusplus"] = run_ovsspdc_plusplus(ds, spec, 1, budget,
-                                            np.random.default_rng(66), timing=False)
+                                            np.random.default_rng(66))
     elapsed = time.perf_counter() - t0
     objectives = {k: primal_objective(r.state.w, ds, spec) for k, r in runs.items()}
     ref = objectives["adaspdc"]
@@ -268,9 +267,9 @@ def test_criterion_7_violation_sampling_speedup(tmp_path):
             plan = build_uniform(ds.n, a)
             params = schedule_thm5(ds, spec, plan)
             base = run_fixed(ds, spec, params, budget,
-                             np.random.default_rng(100 + seed), timing=False)
+                             np.random.default_rng(100 + seed))
             ovs = run_ovsspdc(ds, spec, a, budget,
-                              np.random.default_rng(200 + seed), timing=False)
+                              np.random.default_rng(200 + seed))
             assert base.converged and ovs.converged
             uni_epochs.append(base.trace[-1].epoch)
             ovs_epochs.append(ovs.trace[-1].epoch)
@@ -278,7 +277,7 @@ def test_criterion_7_violation_sampling_speedup(tmp_path):
     # verify the dataset really is dual-sparse at the optimum
     spec = ProblemSpec(gamma=1.0, lam=1e-3 * lmax)
     probe = run_ovsspdc(ds, spec, a, Budget(gap_tol=1e-10, max_epochs=6000),
-                        np.random.default_rng(799), timing=False)
+                        np.random.default_rng(799))
     zero_frac = np.mean(probe.state.alpha == 0.0)
     ok = zero_frac >= 0.7 and all(o <= u for o, u in results.values())
     detail = ", ".join(
@@ -299,7 +298,7 @@ def test_criterion_8_minibatch_scaling(tmp_path):
         plan = build_uniform(n, a)
         params = schedule_thm5(ds, spec, plan)
         res = run_fixed(ds, spec, params, Budget(gap_tol=1e-6, max_epochs=4000),
-                        np.random.default_rng(80 + a), timing=False)
+                        np.random.default_rng(80 + a))
         assert res.converged
         iters[a] = res.counters["iterations"]
     r14 = iters[1] / iters[4]
@@ -324,7 +323,7 @@ def test_criterion_9_sampler_fidelity():
             kappa[int(rng.integers(n))] = 1.0
         norms = rng.uniform(0.2, 3.0, size=n)
         cap = 1.0 / (a * math.sqrt(n))
-        plan = build_ovs(kappa, norms, a, n)
+        plan = build_ovs(kappa, norms, a)
         rho = kappa + kappa[kappa != 0.0].min()
         raw = rho * norms / np.sum(rho * norms)
         if raw.max() <= cap:
@@ -334,7 +333,7 @@ def test_criterion_9_sampler_fidelity():
         if not (np.all(plan.p > 0.0) and np.all(plan.p <= cap)
                 and abs(plan.p.sum() - 1.0) <= 1e-12):
             bounds_ok = False
-    hand = build_ovs([0.0, 0.0, 0.001, 100.0], np.ones(4), 1, 4)
+    hand = build_ovs([0.0, 0.0, 0.001, 100.0], np.ones(4), 1)
     hand_ok = hand.p.max() == 0.5 and abs(hand.p.sum() - 1.0) <= 1e-12
     ok = pvalue > 0.001 and bounds_ok and raw_cases > 50 and mix_cases > 50 and hand_ok
     report(9, ok, f"chi-square p={pvalue:.3f}, {raw_cases} raw / {mix_cases} mixture "

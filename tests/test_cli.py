@@ -488,6 +488,35 @@ def test_console_entry_point_runs():
     assert "spdc-bench" in proc.stdout
 
 
+@pytest.mark.parametrize("flags,rule", [
+    (["--schedule", "thm4"], "thm4"),
+    (["--schedule", "thm5"], "thm5"),
+    (["--schedule", "thm15", "-a", "7"], "thm15"),
+    (["--algo", "spdc", "--schedule", "cor18"], "vanilla"),
+    (["--algo", "spdc", "--schedule", "cor19"], "vanilla"),
+    (["--algo", "ovsspdc"], "thm5"),
+    (["--algo", "ovsspdc-plus", "-a", "7"], "thm15"),  # its sweep steps, as 7 > sqrt(40)
+])
+def test_step_rules_are_looked_up_when_called(monkeypatch, flags, rule):
+    # the benchmark times the rules by replacing core's attributes: a run
+    # that held on to the functions themselves would escape its wrappers
+    from spdc import core
+    from spdc.datamat import example_path
+
+    calls = dict.fromkeys(("thm4", "thm5", "thm15", "vanilla"), 0)
+    for name in calls:
+        real = getattr(core, "schedule_" + name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(core, "schedule_" + name, counted)
+    assert cli("run", "--data", example_path(), "--normalize", "--max-epochs", "1",
+               "--no-timing", *flags) == 0
+    assert calls[rule] > 0, calls
+
+
 def test_bundled_dataset_end_to_end(tmp_path):
     from spdc.datamat import example_path
 

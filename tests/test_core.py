@@ -11,7 +11,6 @@ from spdc import core, variants
 from spdc.core import (
     DspdcConfig,
     complexity_estimate,
-    delta_t,
     init_state,
     schedule_thm4,
     schedule_thm5,
@@ -27,7 +26,7 @@ from spdc.objective import ProblemSpec
 from spdc.sampling import build_ovs, build_restricted, build_uniform
 
 from conftest import assert_settled, make_dataset, solve_to_fixed_point
-from oracles import reference_block_norms_sq
+from oracles import delta_t, reference_block_norms_sq
 
 
 def unit_norm_ds(n, d=None, labels=None):
@@ -92,7 +91,7 @@ class TestSchedules:
 
     def test_thm15_hand_values(self):
         ds = unit_norm_ds(4)
-        p = schedule_thm15(ds, ProblemSpec(), 2)
+        p = schedule_thm15(ds, ProblemSpec(), build_uniform(4, 2))
         assert p.tau == 0.5
         assert np.allclose(p.sigma, 1.0, rtol=0)
 
@@ -101,13 +100,20 @@ class TestSchedules:
         M = ds._csr.toarray()
         M[0, 0] = 2.0
         ds2 = SparseDataset(sp.csr_matrix(M), ds.labels)
-        assert schedule_thm15(ds2, ProblemSpec(), 2).tau == pytest.approx(
-            schedule_thm15(ds, ProblemSpec(), 2).tau / 2, rel=1e-12
+        plan = build_uniform(4, 2)
+        assert schedule_thm15(ds2, ProblemSpec(), plan).tau == pytest.approx(
+            schedule_thm15(ds, ProblemSpec(), plan).tau / 2, rel=1e-12
         )
 
     def test_thm15_batch_limit(self):
         with pytest.raises(ScheduleError, match="sqrt"):
-            schedule_thm15(unit_norm_ds(9), ProblemSpec(), 2)
+            schedule_thm15(unit_norm_ds(9), ProblemSpec(), build_uniform(9, 2))
+
+    def test_thm15_needs_the_uniform_plan(self):
+        # batch 2 >= sqrt(4), but instance 2 is never drawn
+        plan = build_restricted(np.array([1.0, 1.0, 0.0, 1.0]), 2)
+        with pytest.raises(ScheduleError, match="uniform plan, not a restricted one"):
+            schedule_thm15(unit_norm_ds(4), ProblemSpec(), plan)
 
     def test_vanilla_hand_values(self, four):
         ds, spec, plan = four
@@ -140,10 +146,32 @@ class TestSchedules:
             assert params.plan is plan, params.schedule
         restricted = build_restricted(np.arange(ds.n) % 3, 2)
         assert variants._restricted_schedule(ds, spec, restricted).plan is restricted
-        # thm15 builds its own plan: the uniform one of its batch
-        own = schedule_thm15(ds, spec, 8).plan
-        assert own.kind == "uniform" and own.batch == 8
-        assert np.array_equal(own.p, build_uniform(ds.n, 8).p)
+        large = build_uniform(ds.n, 8)
+        assert schedule_thm15(ds, spec, large).plan is large
+
+
+# every rule, as a call on a plan over m instances
+RULE_CALLS = {
+    "thm4": lambda ds, spec, m: schedule_thm4(ds, spec, build_uniform(m, 1)),
+    "thm5": lambda ds, spec, m: schedule_thm5(ds, spec, build_uniform(m, 1)),
+    "thm15": lambda ds, spec, m: schedule_thm15(ds, spec, build_uniform(m, 7)),
+    "cor18": lambda ds, spec, m: schedule_vanilla(ds, spec, build_uniform(m, 1), "cor18"),
+    "cor19": lambda ds, spec, m: schedule_vanilla(ds, spec, build_uniform(m, 1), "cor19"),
+    "restricted": lambda ds, spec, m: variants._restricted_schedule(
+        ds, spec, build_restricted(np.arange(m) % 3, 1)),
+}
+
+
+@pytest.mark.parametrize("m", [30, 50])
+@pytest.mark.parametrize("rule", list(RULE_CALLS))
+def test_rules_reject_a_plan_for_another_dataset(rule, m):
+    # a plan over fewer instances would leave the others' duals unmoved, one
+    # over more would index past the dataset's rows
+    ds = make_dataset(40, 6, seed=5)
+    spec = ProblemSpec(gamma=1.0, lam=0.1)
+    with pytest.raises(ScheduleError, match=f"covers {m} instances, the dataset has 40"):
+        RULE_CALLS[rule](ds, spec, m)
+    assert RULE_CALLS[rule](ds, spec, 40).plan.p.size == 40
 
 
 class TestTheta:
@@ -215,7 +243,7 @@ class TestVerifyConditions:
                 schedule_thm5(ds, spec, plan),
                 schedule_vanilla(ds, spec, plan, "cor18"),
                 schedule_vanilla(ds, spec, plan, "cor19"),
-                schedule_thm15(ds, spec, int(math.isqrt(n - 1)) + 1),
+                schedule_thm15(ds, spec, build_uniform(n, int(math.isqrt(n - 1)) + 1)),
             ):
                 ok, _ = verify_lemma3(params, ds)
                 assert ok, params.schedule
@@ -270,7 +298,7 @@ class TestSteps:
         for k in range(1000):
             if k % 100 == 0:  # also survive plan swaps mid-run
                 kappa = np.abs(rng.normal(size=ds.n))
-                plan = build_ovs(kappa, ds.row_norms, 2, ds.n)
+                plan = build_ovs(kappa, ds.row_norms, 2)
                 params = schedule_thm5(ds, spec, plan)
             core.iterate(state, params, ds, spec, rng, 1)
         assert state.cache_error(ds) <= 1e-9
@@ -446,6 +474,22 @@ class TestDspdc:
         assert not ok
         assert margins["clause3_cross_term"] < 0
         assert margins["clause4_momentum_term"] < 0
+
+    @pytest.mark.parametrize("width", [6, 14])
+    def test_blocks_must_partition_the_weights(self, small, width):
+        # blocks over the first 6 of 12 weights would leave the others at
+        # zero; blocks over 14 would index past the weights
+        ds, spec = small
+        params = schedule_vanilla(ds, spec, build_uniform(ds.n, 1), "cor19")
+        cfg = DspdcConfig.build(width, 3)
+        with pytest.raises(ValueError, match="each of the 12 weights once"):
+            verify_thm20(params, cfg, ds, spec)
+        with pytest.raises(ValueError, match="each of the 12 weights once"):
+            variants.run_fixed(ds, spec, params, variants.Budget(), np.random.default_rng(0),
+                               dspdc_cfg=cfg)
+        duplicated = DspdcConfig(q=np.full(2, 0.5), blocks=(np.arange(11), np.arange(1)))
+        with pytest.raises(ValueError, match="each of the 12 weights once"):
+            verify_thm20(params, duplicated, ds, spec)
 
     def test_verify_thm20_reports_all_clauses(self, small):
         ds, spec = small

@@ -102,7 +102,7 @@ def test_full_pass_matches_row_loop_bitwise(n, d, seed, large_batch):
     spec = ProblemSpec(gamma=1.0, lam=1e-2 * lambda_max(ds))
     # the snapshot variants' outer rules: thm5 at a = 1, thm15 at a >= sqrt(n)
     if large_batch:
-        params = schedule_thm15(ds, spec, max(1, int(np.ceil(np.sqrt(n)))))
+        params = schedule_thm15(ds, spec, build_uniform(n, max(1, int(np.ceil(np.sqrt(n))))))
     else:
         params = schedule_thm5(ds, spec, build_uniform(n, 1))
     ours, fixed = prepared_state(ds, spec, seed)

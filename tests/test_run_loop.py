@@ -30,7 +30,7 @@ from spdc.variants import (
 )
 
 import reference_runs as ref
-from conftest import make_dataset
+from conftest import make_dataset, untimed
 from test_variants import optimal_zero_state
 
 
@@ -77,7 +77,7 @@ def test_rules_match_reference(problem, data):
     a = data.draw(st.integers(1, n))
     small = data.draw(st.integers(1, math.isqrt(n)))
     plans = [build_uniform(n, a), build_uniform(n, small),
-             build_ovs(_kappa(data.draw, n), ds.row_norms, small, n),
+             build_ovs(_kappa(data.draw, n), ds.row_norms, small),
              build_restricted(_kappa(data.draw, n), a)]
     for scheme in ("cor16", "cor17"):
         try:
@@ -103,7 +103,7 @@ def test_rules_match_reference(problem, data):
         if plan.kind == "restricted":
             assert (_outcome(variants._restricted_schedule, ds, spec, plan)
                     == _outcome(ref.reference_restricted_schedule, ds, spec, plan, a))
-    assert (_outcome(core.schedule_thm15, ds, spec, a)
+    assert (_outcome(core.schedule_thm15, ds, spec, build_uniform(n, a))
             == _outcome(ref.reference_schedule_thm15, ds, spec, a))
 
 
@@ -118,7 +118,7 @@ def _same_value(x, y):
 
 
 def assert_same_run(new, old):
-    assert [r.csv_row() for r in new.trace] == [r.csv_row() for r in old.trace]
+    assert untimed(new.trace) == untimed(old.trace)
     assert new.converged is old.converged or new.converged == old.converged
     assert sorted(new.counters) == sorted(old.counters)
     for key, value in old.counters.items():
@@ -165,17 +165,17 @@ def test_fixed_matches_reference(mid, budget, algo, a):
     plan = build_uniform(ds.n, a)
     dcfg = None
     if algo == "thm15":
-        params = core.schedule_thm15(ds, spec, a)
+        params = core.schedule_thm15(ds, spec, plan)
     elif algo == "adaspdc":
         params = core.schedule_thm5(ds, spec, plan)
     else:
         params = core.schedule_vanilla(ds, spec, plan, "cor19")
     if algo == "dspdc":
         dcfg = core.DspdcConfig.build(ds.d, 3)
-    new = run_fixed(ds, spec, params, budget, _rng(), dspdc_cfg=dcfg, timing=False)
+    new = run_fixed(ds, spec, params, budget, _rng(), dspdc_cfg=dcfg)
     old = ref.reference_run_fixed(ds, spec, params, a, budget, _rng(),
                                   stepper="dspdc" if dcfg else "adaspdc",
-                                  dspdc_cfg=dcfg, timing=False)
+                                  dspdc_cfg=dcfg)
     assert_same_run(new, old)
 
 
@@ -192,9 +192,9 @@ def test_fixed_anchored_matches_reference(algo):
         params = core.schedule_vanilla(ds, spec, plan, "cor19")
         dcfg = core.DspdcConfig.build(ds.d, ds.d)
     budget = Budget(1e-12, 6.0)
-    new = run_fixed(ds, spec, params, budget, _rng(), dspdc_cfg=dcfg, timing=False)
+    new = run_fixed(ds, spec, params, budget, _rng(), dspdc_cfg=dcfg)
     old = ref.reference_run_fixed(ds, spec, params, 1, budget, _rng(), stepper=algo,
-                                  dspdc_cfg=dcfg, timing=False)
+                                  dspdc_cfg=dcfg)
     assert new.state._anchors is not None
     assert_same_run(new, old)
 
@@ -204,10 +204,9 @@ def test_fixed_warm_start_matches_reference(mid):
     plan = build_uniform(ds.n, 2)
     params = core.schedule_thm5(ds, spec, plan)
     state0 = run_fixed(ds, spec, params, Budget(1e-12, 1.3), _rng()).state
-    new = run_fixed(ds, spec, params, BUDGETS[0], _rng(), timing=False,
+    new = run_fixed(ds, spec, params, BUDGETS[0], _rng(),
                     state0=state0)
-    old = ref.reference_run_fixed(ds, spec, params, 2, BUDGETS[0], _rng(),
-                                  timing=False, state0=state0)
+    old = ref.reference_run_fixed(ds, spec, params, 2, BUDGETS[0], _rng(), state0=state0)
     assert_same_run(new, old)
 
 
@@ -241,18 +240,17 @@ PLAIN, RECORDED = {"record_draws": False}, {"record_draws": True}
 def test_ovsspdc_matches_reference(request, mid, budget, a, cfg):
     ds, spec = mid
     _compare(request, cfg["record_draws"],
-             lambda: run_ovsspdc(ds, spec, a, budget, _rng(), timing=False),
-             lambda: ref.reference_run_ovsspdc(ds, spec, a, budget, _rng(), timing=False))
+             lambda: run_ovsspdc(ds, spec, a, budget, _rng()),
+             lambda: ref.reference_run_ovsspdc(ds, spec, a, budget, _rng()))
 
 
 def test_ovsspdc_uniform_fallback_matches_reference(request, optimal):
     ds, spec, state0 = optimal
     budget = Budget(gap_tol=-1.0, max_epochs=3.4)
     new = _compare(request, True,
-                   lambda: run_ovsspdc(ds, spec, 1, budget, _rng(), timing=False,
+                   lambda: run_ovsspdc(ds, spec, 1, budget, _rng(),
                                        state0=state0),
-                   lambda: ref.reference_run_ovsspdc(ds, spec, 1, budget, _rng(),
-                                                     timing=False, state0=state0))
+                   lambda: ref.reference_run_ovsspdc(ds, spec, 1, budget, _rng(), state0=state0))
     assert new.counters["uniform_fallbacks"] >= 1
 
 
@@ -261,8 +259,8 @@ def test_ovsspdc_uniform_fallback_matches_reference(request, optimal):
 def test_ovs_exact_matches_reference(request, tiny, budget, record):
     ds, spec = tiny
     _compare(request, record,
-             lambda: run_ovs_exact(ds, spec, budget, _rng(), timing=False),
-             lambda: ref.reference_run_ovs_exact(ds, spec, budget, _rng(), timing=False))
+             lambda: run_ovs_exact(ds, spec, budget, _rng()),
+             lambda: ref.reference_run_ovs_exact(ds, spec, budget, _rng()))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -275,9 +273,8 @@ def test_ovs_exact_settles_like_reference(request, seed, record):
     spec = ProblemSpec(gamma=0.1, lam=0.8 * lambda_max(ds))
     budget = Budget(gap_tol=-1.0, max_epochs=200)
     new = _compare(request, record,
-                   lambda: run_ovs_exact(ds, spec, budget, _rng(), timing=False),
-                   lambda: ref.reference_run_ovs_exact(ds, spec, budget, _rng(),
-                                                       timing=False))
+                   lambda: run_ovs_exact(ds, spec, budget, _rng()),
+                   lambda: ref.reference_run_ovs_exact(ds, spec, budget, _rng()))
     assert new.counters["optimal_exit"]
     assert new.counters["iterations"] > 10 * new.counters["duals_drawn"]
 
@@ -285,8 +282,8 @@ def test_ovs_exact_settles_like_reference(request, seed, record):
 def test_ovs_exact_optimal_start_matches_reference(optimal):
     ds, spec, state0 = optimal
     budget = Budget(gap_tol=-1.0, max_epochs=50)
-    new = run_ovs_exact(ds, spec, budget, _rng(), timing=False, state0=state0)
-    old = ref.reference_run_ovs_exact(ds, spec, budget, _rng(), timing=False,
+    new = run_ovs_exact(ds, spec, budget, _rng(), state0=state0)
+    old = ref.reference_run_ovs_exact(ds, spec, budget, _rng(),
                                       state0=state0)
     assert new.counters["optimal_exit"]
     assert_same_run(new, old)
@@ -302,9 +299,9 @@ def test_snapshot_matches_reference(request, mid, budget, a, cfg, runner, restri
     # a = 7 > sqrt(30) sweeps with the thm15 steps
     ds, spec = mid
     _compare(request, cfg["record_draws"],
-             lambda: runner(ds, spec, a, budget, _rng(), timing=False),
+             lambda: runner(ds, spec, a, budget, _rng()),
              lambda: ref.reference_run_snapshot(ds, spec, a, budget, _rng(),
-                                                restrict_primal=restrict, timing=False))
+                                                restrict_primal=restrict))
 
 
 @pytest.mark.parametrize("runner,restrict", SNAPSHOT_RUNNERS)
@@ -313,17 +310,17 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
     # sweep of either variant leaves on ``mid`` at this seed
     ds, spec = mid
     budget = Budget(gap_tol=0.2765596451434991, max_epochs=400)
-    new = runner(ds, spec, 1, budget, _rng(), timing=False)
+    new = runner(ds, spec, 1, budget, _rng())
     old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
-                                     restrict_primal=restrict, timing=False)
+                                     restrict_primal=restrict)
     assert new.converged and new.counters["inner_rounds"] == len(new.trace) - 2
     assert_same_run(new, old)
     # an inner iterate that reaches the tolerance: the one accepted at the end
     # of the 20th round
     budget = Budget(gap_tol=0.16911786969625514, max_epochs=400)
-    new = runner(ds, spec, 1, budget, _rng(), timing=False)
+    new = runner(ds, spec, 1, budget, _rng())
     old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
-                                     restrict_primal=restrict, timing=False)
+                                     restrict_primal=restrict)
     assert new.converged and new.counters["inner_rounds"] == len(new.trace) - 1 == 20
     assert_same_run(new, old)
     # and one that finds the exact optimum
@@ -332,9 +329,9 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
     ds = optimal[0]
     spec = ProblemSpec(gamma=0.5, lam=1.1 * lambda_max(ds))
     budget = Budget(gap_tol=-1.0, max_epochs=50)
-    new = runner(ds, spec, 1, budget, _rng(), timing=False)
+    new = runner(ds, spec, 1, budget, _rng())
     old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
-                                     restrict_primal=restrict, timing=False)
+                                     restrict_primal=restrict)
     assert new.counters["optimal_exit"]
     assert_same_run(new, old)
 
@@ -344,21 +341,16 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
 # gate and both snapshot variants
 PREFIX_RUNNERS = {
     "adaspdc": lambda ds, spec, budget: run_fixed(
-        ds, spec, core.schedule_thm5(ds, spec, build_uniform(ds.n, 4)), budget, _rng(),
-        timing=False),
+        ds, spec, core.schedule_thm5(ds, spec, build_uniform(ds.n, 4)), budget, _rng()),
     "dspdc": lambda ds, spec, budget: run_fixed(
         ds, spec, core.schedule_vanilla(ds, spec, build_uniform(ds.n, 1), "cor19"), budget,
-        _rng(), dspdc_cfg=core.DspdcConfig.build(ds.d, 3), timing=False),
-    "ovsspdc a=1": lambda ds, spec, budget: run_ovsspdc(ds, spec, 1, budget, _rng(),
-                                                        timing=False),
-    "ovsspdc a=2": lambda ds, spec, budget: run_ovsspdc(ds, spec, 2, budget, _rng(),
-                                                        timing=False),
-    "ovs-exact": lambda ds, spec, budget: run_ovs_exact(ds, spec, budget, _rng(),
-                                                        timing=False),
-    "ovsspdc-plus": lambda ds, spec, budget: run_ovsspdc_plus(ds, spec, 2, budget, _rng(),
-                                                              timing=False),
+        _rng(), dspdc_cfg=core.DspdcConfig.build(ds.d, 3)),
+    "ovsspdc a=1": lambda ds, spec, budget: run_ovsspdc(ds, spec, 1, budget, _rng()),
+    "ovsspdc a=2": lambda ds, spec, budget: run_ovsspdc(ds, spec, 2, budget, _rng()),
+    "ovs-exact": lambda ds, spec, budget: run_ovs_exact(ds, spec, budget, _rng()),
+    "ovsspdc-plus": lambda ds, spec, budget: run_ovsspdc_plus(ds, spec, 2, budget, _rng()),
     "ovsspdc-plusplus": lambda ds, spec, budget: run_ovsspdc_plusplus(ds, spec, 2, budget,
-                                                                      _rng(), timing=False),
+                                                                      _rng()),
 }
 
 
@@ -368,7 +360,7 @@ def test_budget_gives_a_trace_prefix(mid, name):
     # trace of a larger one at the first unit end past it
     ds, spec = mid
     short, long = (PREFIX_RUNNERS[name](ds, spec, Budget(-1.0, cap)) for cap in (2.5, 6.0))
-    rows = [r.csv_row() for r in short.trace]
-    assert rows == [r.csv_row() for r in long.trace][:len(rows)]
+    rows = untimed(short.trace)
+    assert rows == untimed(long.trace)[:len(rows)]
     assert short.trace[-2].epoch < 2.5 <= short.trace[-1].epoch
     assert not short.counters.get("optimal_exit")

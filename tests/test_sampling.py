@@ -218,12 +218,12 @@ class TestDataDriven:
 
 class TestOvs:
     def test_hand_raw_branch(self):
-        plan = build_ovs([0.0, 1.0, 3.0], np.ones(3), 1, 3)
+        plan = build_ovs([0.0, 1.0, 3.0], np.ones(3), 1)
         assert np.allclose(plan.p, [1 / 7, 2 / 7, 4 / 7], rtol=1e-15)
         assert plan.kind == "ovs"
 
     def test_hand_mixture_branch(self):
-        plan = build_ovs([0.0, 0.0, 0.001, 100.0], np.ones(4), 1, 4)
+        plan = build_ovs([0.0, 0.0, 0.001, 100.0], np.ones(4), 1)
         cap = 0.5
         assert plan.p.max() == cap  # lands on the cap exactly
         assert abs(plan.p.sum() - 1.0) <= 1e-12
@@ -235,16 +235,16 @@ class TestOvs:
         assert np.allclose(plan.p, (1 - zeta) / 4 + zeta * raw, atol=1e-12)
 
     def test_equal_kappa_equal_norms_uniform(self):
-        plan = build_ovs(np.full(9, 2.5), np.ones(9), 1, 9)
+        plan = build_ovs(np.full(9, 2.5), np.ones(9), 1)
         assert np.allclose(plan.p, 1.0 / 9, rtol=1e-12)
 
     def test_all_zero_raises(self):
         with pytest.raises(ZeroViolations):
-            build_ovs(np.zeros(5), np.ones(5), 1, 5)
+            build_ovs(np.zeros(5), np.ones(5), 1)
 
     def test_large_batch_rejected(self):
         with pytest.raises(ValueError, match="sqrt"):
-            build_ovs(np.ones(4), np.ones(4), 3, 4)
+            build_ovs(np.ones(4), np.ones(4), 3)
 
     def test_invariants_random(self):
         rng = np.random.default_rng(8)
@@ -255,7 +255,7 @@ class TestOvs:
             if not np.any(kappa):
                 kappa[0] = 1.0
             norms = rng.uniform(0.2, 3.0, size=n)
-            plan = build_ovs(kappa, norms, a, n)
+            plan = build_ovs(kappa, norms, a)
             cap = 1.0 / (a * math.sqrt(n))
             assert np.all(plan.p > 0.0)
             assert np.all(plan.p <= cap)
@@ -268,7 +268,7 @@ class TestOvs:
         kappa = np.array([1.0, 1.0, 1.0, s])
         raw = (kappa + 1.0) / (kappa + 1.0).sum()
         assert raw.max() > 0.5
-        plan = build_ovs(kappa, np.ones(4), 1, 4)
+        plan = build_ovs(kappa, np.ones(4), 1)
         assert np.max(np.abs(plan.p - raw)) <= 1e-8
 
 
