@@ -42,7 +42,6 @@ from .sampling import (
     draw_batch,
 )
 from .core import (
-    DspdcConfig,
     SolverState,
     StepParams,
     complexity_estimate,

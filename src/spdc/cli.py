@@ -65,7 +65,8 @@ EXIT_NUMERICAL = 4
 
 @dataclass
 class RunConfig:
-    """One benchmark run.  ``lambda_scale`` sets ``lam = lambda_scale * lam_max``."""
+    """One benchmark run.  ``lambda_scale`` sets ``lam = lambda_scale * lam_max``;
+    ``dspdc_b`` is dspdc's primal block size, None for d."""
 
     data: str
     normalize: bool = False
@@ -115,8 +116,6 @@ class RunConfig:
                 raise ConfigError(f"algo {self.algo!r} does not take prob={self.prob!r}")
         elif self.prob == "ovs":
             raise ConfigError("prob=ovs requires algo=ovsspdc")
-        if self.algo == "dspdc" and self.dspdc_b is None:
-            raise ConfigError("algo=dspdc requires --dspdc-b")
         if self.algo == "ovs-exact" and self.a != 1:
             raise ConfigError("algo=ovs-exact requires a=1")
         if self.prob in ("cor16", "cor17") and self.a != 1:
@@ -126,7 +125,7 @@ class RunConfig:
         """Bounds that depend on the dataset's instance and feature counts."""
         if self.a > n:
             raise ConfigError(f"a={self.a} exceeds the instance count n={n}")
-        if self.algo == "dspdc" and not 1 <= self.dspdc_b <= d:
+        if self.algo == "dspdc" and self.dspdc_b is not None and not 1 <= self.dspdc_b <= d:
             raise ConfigError(f"dspdc-b={self.dspdc_b} must lie in [1, d={d}]")
 
 
@@ -179,15 +178,20 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
         params = core.schedule_vanilla(ds, spec, plan, schedule)
     else:  # looked up in core when called, as the benchmark wraps the rules there
         params = getattr(core, "schedule_" + schedule)(ds, spec, plan)
-    dcfg = None
-    if cfg.algo == "dspdc":
-        dcfg = core.DspdcConfig.build(ds.d, cfg.dspdc_b)
-        ok, failing, margins = core.verify_thm20(params, dcfg, ds, spec)
+    dspdc = cfg.algo == "dspdc"
+    if dspdc:
+        b = cfg.dspdc_b
+        # floor(d/b) >= 2 blocks: thm20 fails every partition the rules here give
+        if b is not None and 2 * b <= ds.d:
+            raise ScheduleError(f"dspdc parameter check failed at block count: "
+                                f"dspdc-b={b} splits d={ds.d} into {ds.d // b} blocks; "
+                                f"only one block (b > d/2) is supported")
+        ok, failing, margins = core.verify_thm20(params, ds, spec)
         if not ok:
             raise ScheduleError(f"dspdc parameter check failed at {failing}")
         # the run keeps these params, so the verdict is the run's
         extra["thm20"] = {"ok": bool(ok), "failing": failing, "margins": margins}
-    result = run_fixed(ds, spec, params, budget, rng, dspdc_cfg=dcfg)
+    result = run_fixed(ds, spec, params, budget, rng, block_draw=dspdc)
     return result, extra
 
 
@@ -389,7 +393,8 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="lambda as a multiple of lambda_max")
     p_run.add_argument("--trace", help="trace CSV output path")
     p_run.add_argument("--summary", help="summary JSON output path")
-    p_run.add_argument("--dspdc-b", type=int, help="primal block size")
+    p_run.add_argument("--dspdc-b", type=int,
+                       help="dspdc primal block size, in (d/2, d]; default d")
 
     # no abbreviations, or --seed would be read as --seeds
     p_sweep = sub.add_parser("sweep", help="grid of runs over one dataset",

@@ -1,9 +1,9 @@
 """Primal-dual coordinate iteration loops, step-size rules, and condition checks.
 
 The iteration alternates prox updates of randomly sampled dual coordinates
-against extrapolated weights with a full (or block) primal prox pass, plus
-momentum extrapolation of the weights.  Step-size rules are named after the
-spec's schedule tokens:
+against extrapolated weights with a primal prox pass over all weights (or a
+selection of them), plus momentum extrapolation of the weights.  Step-size
+rules are named after the spec's schedule tokens:
 
 * ``thm4``  - per-instance dual steps, any proper p with ``p_i <= 1/a``.
 * ``thm5``  - sqrt(n)-boosted variant, ``a <= sqrt(n)`` and ``p_i <= 1/(a*sqrt(n))``.
@@ -19,7 +19,9 @@ everything else reads its ``p`` and batch size ``a`` there.
 
 ``verify_lemma3`` / ``verify_lemma14`` / ``verify_thm20`` evaluate the
 feasibility inequalities that certify geometric contraction of the paper's
-primal-dual potential for the emitted parameters.
+primal-dual potential for the emitted parameters; ``verify_thm20`` is the
+doubly stochastic loop's check for its one primal block, which ``dspdc``
+draws after each dual draw (``iterate``'s ``block_draw``).
 
 From d = ``_LAZY_MIN_D`` on, the primal pass costs O(row nnz), not O(d): it
 keeps each weight as an anchor with a closed-form law (:class:`_Anchors`)
@@ -30,7 +32,7 @@ and :func:`iterate` runs blocks of draws with disjoint supports in one go.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .sampling import SamplingPlan, draw_batch
 __all__ = [
     "StepParams",
     "SolverState",
-    "DspdcConfig",
     "init_state",
     "schedule_thm4",
     "schedule_thm5",
@@ -331,57 +332,6 @@ def init_state(ds) -> SolverState:
     return SolverState(np.zeros(d), np.zeros(d), np.zeros(n), np.zeros(d), np.zeros(d))
 
 
-@dataclass(frozen=True)
-class DspdcConfig:
-    """Primal block partition and block probabilities for the doubly stochastic loop.
-
-    :meth:`build` splits ``[d]`` into ``K = floor(d/b)`` contiguous blocks
-    whose sizes differ by at most one, the larger ones first, and draws each
-    with probability ``1/K``.  ``cum_q`` is
-    ``cumsum(q)``, the table a block draw searches, derived from ``q``.
-    """
-
-    q: np.ndarray
-    blocks: tuple
-    cum_q: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cum_q", np.cumsum(self.q))
-
-    @staticmethod
-    def build(d: int, b: int) -> "DspdcConfig":
-        if not 1 <= b <= d:
-            raise ValueError(f"block size {b} must lie in [1, {d}]")
-        n_blocks = d // b
-        blocks = np.array_split(np.arange(d), n_blocks)
-        return DspdcConfig(q=np.full(n_blocks, 1.0 / n_blocks), blocks=tuple(blocks))
-
-    def check_partition(self, d: int) -> None:
-        """Raise ``ValueError`` unless the blocks hold each of ``d`` weights once."""
-        cover = np.concatenate(self.blocks)
-        if cover.size != d or np.any(np.bincount(cover, minlength=d) != 1):
-            raise ValueError(f"dspdc blocks must hold each of the {d} weights once")
-
-    def block_norms_sq(self, ds) -> np.ndarray:
-        """Per instance, the max over blocks of the squared row norm within the block.
-
-        One ``bincount`` over the occupied (instance, block) pairs adds each
-        pair's squares in row order, as a per-instance ``bincount`` does, so
-        the sums are the same bits; a pair no entry falls in counts as zero.
-        """
-        nb = len(self.blocks)
-        block_id = np.empty(ds.d, dtype=np.intp)
-        for h, blk in enumerate(self.blocks):
-            block_id[blk] = h
-        indptr, indices, data = ds.csr_arrays()
-        keys = np.repeat(np.arange(ds.n), np.diff(indptr)) * nb + block_id[indices]
-        pairs, pair_of = np.unique(keys, return_inverse=True)
-        sums = np.bincount(pair_of.ravel(), weights=data * data, minlength=pairs.size)
-        out = np.zeros(ds.n)
-        np.maximum.at(out, pairs // nb, sums)
-        return out
-
-
 def _check_cap(p: np.ndarray, cap: float, what: str) -> None:
     bad = np.flatnonzero(p > cap * (1.0 + _RTOL))
     if bad.size:
@@ -554,36 +504,38 @@ def verify_lemma14(params: StepParams, ds) -> bool:
     return bool(ok1 and ok2)
 
 
-def verify_thm20(params: StepParams, cfg: DspdcConfig, ds, spec: ProblemSpec,
-                 theta_bar: float | None = None):
-    """Evaluate the five feasibility clauses of the doubly stochastic loop.
+def verify_thm20(params: StepParams, ds, spec: ProblemSpec, theta_bar: float | None = None):
+    """Evaluate the five feasibility clauses of the doubly stochastic loop
+    with its one primal block, all d weights, drawn with probability q = 1.
 
-    ``theta_bar`` defaults to the momentum factor.  Returns
-    (ok, first failing clause name or None, per-clause margins) where a margin
-    is ``theta_bar - value`` for the first four clauses and the worst
-    left-hand side for the fifth.
+    The clauses' block terms then read: block step ``d/(2 tau d)``, and for
+    instance k the squared norm ``lambda_k`` of its row, its squares summed
+    in row order.  With q = 1 the fifth clause is Lemma 3's inequality, and
+    the cross and momentum terms are theta.  ``theta_bar`` defaults to the
+    momentum factor.  Returns (ok, first failing clause name or None,
+    per-clause margins) where a margin is ``theta_bar - value`` for the
+    first four clauses and the worst left-hand side for the fifth.
     """
-    cfg.check_partition(ds.d)
     if theta_bar is None:
         theta_bar = params.theta
     n, d, tau, theta, a = ds.n, ds.d, params.tau, params.theta, params.plan.batch
-    q, lam, gamma = cfg.q, spec.lam, spec.gamma
-    sizes = np.array([len(b) for b in cfg.blocks], dtype=np.float64)
+    lam, gamma = spec.lam, spec.gamma
 
-    a_blk = d / (2.0 * tau * sizes)
-    clause1 = float(np.max((a_blk + lam * (1.0 - q) / q) / (a_blk + lam / q)))
+    a_blk = d / (2.0 * tau * d)  # d/(2 tau |M|), |M| = d: 1/(2 tau) has other bits
+    clause1 = a_blk / (a_blk + lam)
 
-    p, sigma, lam_k = _supported(params.plan, params.sigma, cfg.block_norms_sq(ds))
+    indptr, _, data = ds.csr_arrays()
+    row_sq = np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights=data * data,
+                         minlength=n)
+    p, sigma, lam_k = _supported(params.plan, params.sigma, row_sq)
     dual_num = 1.0 / (2.0 * sigma) + (1.0 - a * p) * gamma / (p * n)
     dual_den = 1.0 / (2.0 * sigma) + gamma / (p * n)
     clause2 = float(np.max(dual_num / dual_den))
 
-    qmax = float(np.max(q))
-    clause3 = clause4 = theta * qmax
+    clause3 = clause4 = theta
 
-    qmin = float(np.min(q))
     lhs5 = 1.0 / (2.0 * a * sigma) - (
-        ((1.0 - a * p) ** 2 / qmin + theta) * tau * lam_k / (a * p * n) ** 2
+        ((1.0 - a * p) ** 2 + theta) * tau * lam_k / (a * p * n) ** 2
     )
     clause5 = float(np.min(lhs5))
 
@@ -611,7 +563,7 @@ def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
     ``a0_i`` before the pass, which makes the dual image fed to the primal
     prox unbiased for a full synchronous pass; one :func:`_scatter` adds it.
     ``state.last_batch`` keeps each drawn row's ``bar_i`` for :func:`_settle`.
-    With ``block_draw``, dspdc's primal block is drawn after each draw.  An
+    With ``block_draw``, dspdc's one primal block is drawn after each draw.  An
     anchored state runs up to ``k`` iterations' draws with disjoint supports
     as one (:meth:`_Anchors.prepare`); ``last_draws`` holds them all.
 
@@ -769,8 +721,9 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
     From d = ``_LAZY_MIN_D`` on, the weights are re-anchored instead
     (:class:`_Anchors`) and ``iter`` advances by the dual pass's block.
     New ``tau``, ``lam``, ``theta``, cache array or selection re-anchor all;
-    one that changes from pass to pass (a dspdc block smaller than d) takes
-    the whole-vector pass, as d below it does.
+    a selection that changes from the last pass's (the first restricted pass
+    of an ``ovsspdc-plusplus`` round) takes the whole-vector pass, as d
+    below it does.
     """
     d = state.v_cache.size
     if _continues(state, tau, lam, theta, primal_coords):
@@ -797,37 +750,27 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
 
 def iterate(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
             rng: np.random.Generator, k: int, primal_coords=None,
-            cfg: DspdcConfig | None = None) -> SolverState:
+            block_draw: bool = False) -> SolverState:
     """k iterations: each proxes a draw from ``params.plan`` with per-instance
     dual steps (plain SPDC's shared step is the case where the rule makes every
     sigma_i equal), then the primal, or only ``primal_coords`` of it.
 
-    With ``cfg`` the iteration is doubly stochastic: the primal prox runs only
-    on one random block ``M_h``, with effective step ``tau |M_h| / (q_h d)``;
-    the weight extrapolation spans the full vector.
+    With ``block_draw`` the iteration is dspdc's with its one primal block:
+    each draw is followed by the block draw, one ``rng.random()``, and the
+    primal step is the full one.
 
     An anchored state runs them in blocks of draws with disjoint supports
     (:class:`_Anchors`), bit for bit the iterations one at a time: a block
     ends at the first draw that meets it, which opens the next, or at k.
     """
     tau, lam, theta = params.tau, spec.lam, params.theta
-    block_draw = cfg is not None and len(cfg.blocks) == 1
-    if block_draw:  # the one block spans every coordinate: the full primal step
-        cfg = None
     if primal_coords is not None and len(primal_coords) == ds.d:
         primal_coords = None  # a selection spanning every coordinate is the full pass
     while k > 0:
         t = state.iter
-        if cfg is None:
-            block = k if k > 1 and _continues(state, tau, lam, theta, primal_coords) else 1
-            _dual_pass(state, params, ds, spec, rng, block, block_draw)
-            _primal_pass(state, tau, lam, theta, primal_coords)
-        else:
-            _dual_pass(state, params, ds, spec, rng)
-            h = min(int(np.searchsorted(cfg.cum_q, rng.random(), side="right")),
-                    len(cfg.blocks) - 1)
-            blk = cfg.blocks[h]
-            _primal_pass(state, tau * (blk.size / (cfg.q[h] * ds.d)), lam, theta, blk)
+        block = k if k > 1 and _continues(state, tau, lam, theta, primal_coords) else 1
+        _dual_pass(state, params, ds, spec, rng, block, block_draw)
+        _primal_pass(state, tau, lam, theta, primal_coords)
         _settle(state, ds)
         k -= state.iter - t
     return state

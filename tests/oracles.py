@@ -19,8 +19,8 @@ must agree with them bit for bit.  ``reference_primal_prox``,
 pass, the per-row norm loop, the line-by-line LIBSVM loader, the
 row-at-a-time dual sweep, the per-instance block norms and the Vose loop on
 numpy arrays; they are the references for the library's fused prox, its
-skipping pass, its grouped row norms, its bulk loader, its bulk sweep, its
-single-``bincount`` block norms and its alias build on Python floats.
+skipping pass, its grouped row norms, its bulk loader, its bulk sweep, the
+one-block norms of ``verify_thm20`` and its alias build on Python floats.
 """
 
 import math

@@ -174,13 +174,12 @@ def reference_complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, a: 
 
 def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budget: Budget,
                         rng: np.random.Generator, stepper: str = "adaspdc",
-                        dspdc_cfg: DspdcConfig | None = None,
                         state0: SolverState | None = None) -> RunResult:
     """Run a solver with a fixed plan and fixed step sizes to the budget.
 
     ``stepper`` selects the iteration: 'adaspdc' (per-instance dual steps),
-    'spdc' (shared scalar step), or 'dspdc' (random primal block, needs
-    ``dspdc_cfg``).  ``state0`` warm-starts the run (the state is copied).
+    'spdc' (shared scalar step), or 'dspdc' (its one primal block drawn
+    after each draw).  ``state0`` warm-starts the run (the state is copied).
     """
     state = init_state(ds) if state0 is None else state0.copy()
     t0 = time.perf_counter()
@@ -192,10 +191,7 @@ def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budge
     ckpt = 0
     while not converged and duals_drawn / ds.n < budget.max_epochs:
         for _ in range(per_epoch):
-            if stepper == "dspdc":
-                core.iterate(state, params, ds, spec, rng, 1, cfg=dspdc_cfg)
-            else:
-                core.iterate(state, params, ds, spec, rng, 1)
+            core.iterate(state, params, ds, spec, rng, 1, block_draw=stepper == "dspdc")
             duals_drawn += a
         ckpt += 1
         rec = variants._checkpoint(records, ckpt, duals_drawn / ds.n, t0, state, ds, spec)
@@ -461,7 +457,10 @@ REFERENCE_SCHEDULES = ("thm4", "thm5", "thm15", "cor18", "cor19", "auto")
 
 
 def reference_validate(self) -> None:
-    """``RunConfig.validate`` before the rule table; ``self`` is a RunConfig."""
+    """``RunConfig.validate`` before the rule table; ``self`` is a RunConfig.
+
+    Its one later change is kept here too: dspdc no longer needs a block
+    size, since a missing one means the one block of all d weights."""
     if self.algo not in REFERENCE_ALGOS:
         raise ConfigError(f"unknown algo {self.algo!r}; choose from {REFERENCE_ALGOS}")
     if self.prob not in REFERENCE_PROBS:
@@ -498,8 +497,6 @@ def reference_validate(self) -> None:
         raise ConfigError(
             f"schedule {self.schedule!r} is a shared-sigma rule; use algo=spdc"
         )
-    if self.algo == "dspdc" and self.dspdc_b is None:
-        raise ConfigError("algo=dspdc requires --dspdc-b")
     if self.algo == "ovs-exact" and self.a != 1:
         raise ConfigError("algo=ovs-exact requires a=1")
     if self.prob in ("cor16", "cor17") and self.a != 1:
@@ -712,12 +709,12 @@ def reference_adaspdc_step(state, params, plan, ds, spec, a, rng, primal_coords=
     return state
 
 
-def reference_dspdc_step(state, params, plan, cfg, ds, spec, a, rng):
+def reference_dspdc_step(state, params, plan, ds, spec, a, rng):
+    """The dspdc step with its one primal block: all d weights, drawn with
+    probability 1 and stepped by ``tau |M_h| / (q_h d)``, which is tau."""
     reference_dual_pass(state, params, plan, ds, spec, a, rng)
-    h = int(np.searchsorted(cfg.cum_q, rng.random(), side="right"))
-    h = min(h, len(cfg.blocks) - 1)
-    block = cfg.blocks[h]
-    tau_eff = params.tau * (block.size / (cfg.q[h] * ds.d))
-    reference_primal_pass(state, tau_eff, spec.lam, params.theta, primal_coords=block)
+    rng.random()  # the block draw
+    tau_eff = params.tau * (ds.d / (1.0 * ds.d))
+    reference_primal_pass(state, tau_eff, spec.lam, params.theta, primal_coords=np.arange(ds.d))
     reference_settle(state, ds)
     return state

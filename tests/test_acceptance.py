@@ -25,7 +25,6 @@ from spdc.core import (
     verify_lemma3,
     verify_lemma14,
 )
-from spdc.core import DspdcConfig
 from spdc.datamat import lambda_max, load_libsvm
 from spdc.objective import (
     ProblemSpec,
@@ -231,8 +230,7 @@ def test_criterion_6_cross_solver_agreement(bench_file):
     runs["spdc"] = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"),
                              budget, np.random.default_rng(62))
     runs["dspdc"] = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"),
-                              budget, np.random.default_rng(63),
-                              dspdc_cfg=DspdcConfig.build(ds.d, ds.d))
+                              budget, np.random.default_rng(63), block_draw=True)
     runs["ovsspdc"] = run_ovsspdc(ds, spec, 1, budget,
                                   np.random.default_rng(64))
     runs["plus"] = run_ovsspdc_plus(ds, spec, 1, budget,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from spdc import core, variants
-from spdc.core import DspdcConfig, init_state, schedule_thm5
+from spdc.core import init_state, schedule_thm5
 from spdc.datamat import lambda_max
 from spdc.objective import ProblemSpec
 from spdc.sampling import build_restricted, build_uniform
@@ -147,15 +147,14 @@ def _setup(highd, a, restricted=False, coords=False, dspdc=False):
     # a small tau lam: a planted weight needs some 20 steps to cross 0
     params = dataclasses.replace(params, tau=0.01 / spec.lam)
     primal = np.flatnonzero(np.arange(ds.d) % 4 != 1) if coords else None
-    cfg = DspdcConfig.build(ds.d, ds.d) if dspdc else None
-    return plan, params, primal, cfg
+    return plan, params, primal, dspdc
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
     ds, spec = highd
     a = CASES[case]["a"]
-    plan, params, primal, cfg = _setup(highd, **CASES[case])
+    plan, params, primal, dspdc = _setup(highd, **CASES[case])
     spy = _Spy(monkeypatch)
     new, old = init_state(ds), init_state(ds)
     rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
@@ -166,13 +165,13 @@ def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
     near = np.setdiff1d(indices[indptr[ds.n // 2]:indptr[ds.n // 2 + ds.n // 10]], far)
     for _ in range(6):
         for chunk in CHUNKS:
-            core.iterate(new, params, ds, spec, rng_new, chunk, primal, cfg)
+            core.iterate(new, params, ds, spec, rng_new, chunk, primal, block_draw=dspdc)
             for _ in range(chunk):
-                if cfg is None:
+                if dspdc:
+                    ref.reference_dspdc_step(old, params, plan, ds, spec, a, rng_old)
+                else:
                     ref.reference_adaspdc_step(old, params, plan, ds, spec, a, rng_old,
                                                primal)
-                else:
-                    ref.reference_dspdc_step(old, params, plan, cfg, ds, spec, a, rng_old)
             assert_same(new, old, rng_new, rng_old)
             if chunk >= 40:
                 for state in (new, old):

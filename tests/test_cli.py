@@ -153,11 +153,46 @@ class TestRun:
             "ok": ok, "failing": failing, "margins": margins}
 
     def test_dspdc_uneven_blocks_exit_with_a_contract_code(self, small_file, capsys):
-        # d=5, b=3: d mod b exceeds d // b
+        # d=5, b=3: floor(d/b) = 1, the one block of all five weights
         rc = cli("run", "--data", small_file, "--algo", "dspdc", "--dspdc-b", "3",
                  "--max-epochs", "1")
-        assert rc in (0, 3)
+        assert rc == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    @staticmethod
+    def _dspdc_outputs(data, folder, *flags):
+        """The untimed trace and the summary of a short dspdc run, less the
+        summary's echo of the output paths and of the block size."""
+        trace, summary = folder / "t.csv", folder / "s.json"
+        assert cli("run", "--data", data, "--normalize", "--algo", "dspdc",
+                   "--lambda-scale", "1e-2", "--max-epochs", "5", "--seed", "2",
+                   "--no-timing", "--trace", str(trace), "--summary", str(summary),
+                   *flags) == 0
+        s = json.loads(summary.read_text())
+        for key in ("trace", "summary", "dspdc_b"):
+            del s["config"][key]
+        return trace.read_bytes(), s
+
+    def test_dspdc_block_sizes_above_half_d_run_the_one_block(self, data_file, tmp_path):
+        # d=25: b=24 and a missing block size are the run of b=d
+        runs = {}
+        for flags in ((), ("--dspdc-b", "24"), ("--dspdc-b", "25")):
+            folder = tmp_path / "-".join(("b",) + flags)
+            folder.mkdir()
+            runs[flags] = self._dspdc_outputs(data_file, folder, *flags)
+        full = runs[("--dspdc-b", "25")]
+        assert full[1]["conditions"]["thm20"]["ok"] is True
+        assert runs[()] == full
+        assert runs[("--dspdc-b", "24")] == full
+
+    @pytest.mark.parametrize("b", ["12", "1"])
+    def test_dspdc_blocks_of_half_d_or_less_exit_3(self, data_file, capsys, b):
+        # d=25: b <= d/2 splits the weights into two or more blocks
+        assert cli("run", "--data", data_file, "--algo", "dspdc", "--dspdc-b", b,
+                   "--max-epochs", "1") == 3
+        err = capsys.readouterr().err
+        assert "dspdc parameter check failed at block count" in err
+        assert "Traceback" not in err
 
     def test_invalid_combination_exits_2(self, data_file):
         rc = cli("run", "--data", data_file, "--algo", "spdc", "--schedule", "thm5")
@@ -194,6 +229,7 @@ class TestRun:
         (["--gap-check-every", "5"], "unrecognized arguments: --gap-check-every"),
         (["--dspdc-q", "0.5,0.5"], "unrecognized arguments: --dspdc-q"),
         (["--max-epochs", "-1"], "max-epochs must be >= 0"),
+        (["--algo", "dspdc", "--dspdc-b", "0"], "dspdc-b=0 must lie in [1, d=5]"),
     ])
     def test_out_of_range_flags_exit_2(self, small_file, capsys, flags, fragment):
         assert cli("run", "--data", small_file, *flags) == 2
@@ -385,6 +421,19 @@ class TestSweep:
         rows = sweep([bad, good])
         assert rows[0]["status"].startswith("error")
         assert rows[1]["status"] == "converged"
+
+    def test_dspdc_row_runs_the_one_block(self, data_file, tmp_path):
+        # sweep has no block-size flag: its dspdc row runs at b=d, as run does
+        table, summary = tmp_path / "table.csv", tmp_path / "s.json"
+        common = ["--data", data_file, "--normalize", "--max-epochs", "5", "--no-timing"]
+        assert cli("sweep", *common, "--algos", "dspdc", "--lambda-scales", "1e-2",
+                   "--out", str(table)) == 0
+        assert cli("run", *common, "--algo", "dspdc", "--lambda-scale", "1e-2",
+                   "--summary", str(summary)) == 0
+        with open(table, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] in ("converged", "budget")
+        assert float(row["final_gap"]) == json.loads(summary.read_text())["final_gap"]
 
     def test_out_of_range_configs_become_error_rows(self, small_file):
         rows = sweep([RunConfig(data=small_file, a=50),

@@ -1,15 +1,16 @@
 """Step-size rules, condition checks, iteration steps, and the potential."""
 
 import copy
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spdc import core, variants
+from spdc import cli, core, variants
 from spdc.core import (
-    DspdcConfig,
     complexity_estimate,
     init_state,
     schedule_thm4,
@@ -20,8 +21,9 @@ from spdc.core import (
     verify_lemma14,
     verify_thm20,
 )
-from spdc.datamat import SparseDataset, lambda_max
-from spdc.errors import ScheduleError
+from spdc.cli import RunConfig, synth
+from spdc.datamat import SparseDataset, example_path, lambda_max, load_libsvm
+from spdc.errors import ConfigError, ScheduleError
 from spdc.objective import ProblemSpec
 from spdc.sampling import build_ovs, build_restricted, build_uniform
 
@@ -343,59 +345,96 @@ def test_every_step_ends_settled(d):
     spec = ProblemSpec(gamma=1.0, lam=1e-2 * lambda_max(ds))
     plan = build_uniform(ds.n, 3)
     params = schedule_thm5(ds, spec, plan)
-    cfgs = (DspdcConfig.build(d, d), DspdcConfig.build(d, d // 3))
     rng = np.random.default_rng(9)
     state = init_state(ds)
     for k in range(60):
         if k % 3 == 0:
             core.iterate(state, params, ds, spec, rng, 1)
-        else:
-            core.iterate(state, params, ds, spec, rng, 1, cfg=cfgs[k % 3 - 1])
+        elif k % 3 == 1:
+            core.iterate(state, params, ds, spec, rng, 1, block_draw=True)
+        else:  # a selection that changes from pass to pass
+            core.iterate(state, params, ds, spec, rng, 1,
+                         primal_coords=np.arange(k // 3 % 3, d, 3))
         assert_settled(state, ds)
+
+
+def _one_block_clauses(params, ds, spec):
+    """Clauses 1 and 5 of thm20 as they were computed for a partition, here
+    of one block: block sizes, probabilities q and per-instance block norms
+    (from the frozen per-instance reference) as arrays."""
+    n, d, tau, theta, a = ds.n, ds.d, params.tau, params.theta, params.plan.batch
+    q, sizes = np.full(1, 1.0), np.array([float(d)])
+    a_blk = d / (2.0 * tau * sizes)
+    clause1 = float(np.max((a_blk + spec.lam * (1.0 - q) / q) / (a_blk + spec.lam / q)))
+    lam_k = reference_block_norms_sq(SimpleNamespace(blocks=(np.arange(d),)), ds)
+    p, sigma = params.plan.p, params.sigma
+    lhs5 = 1.0 / (2.0 * a * sigma) - (
+        ((1.0 - a * p) ** 2 / float(np.min(q)) + theta) * tau * lam_k / (a * p * n) ** 2
+    )
+    return clause1, float(np.min(lhs5))
+
+
+@pytest.fixture(scope="module")
+def thm20_data(tmp_path_factory):
+    """The bundled data and two synthetic sets, d=25 and d=3000, normalized."""
+    root = tmp_path_factory.mktemp("thm20")
+    synth(n=120, d=25, sparsity=0.3, dual_skew=0.6, seed=5, out_path=str(root / "d25.svm"))
+    synth(n=200, d=3000, sparsity=0.005, dual_skew=0.0, seed=0,
+          out_path=str(root / "d3000.svm"))
+    return {name: load_libsvm(path, normalize=True) for name, path in (
+        ("bundled", example_path()), ("d25", root / "d25.svm"), ("d3000", root / "d3000.svm"))}
+
+
+def _dspdc_checks(ds, b):
+    """``cli._dispatch``'s dspdc checks at block size b, before a run of no
+    epochs; returns the thm20 verdict it reports."""
+    cfg = RunConfig(data="unused.svm", algo="dspdc", dspdc_b=b, lambda_scale=0.1,
+                    max_epochs=0.0)
+    cfg.validate()
+    _, extra = cli._dispatch(cfg, ds, *cli._problem(cfg, ds)[1:])
+    return extra["thm20"]
 
 
 class TestDspdc:
     def test_partition_rule(self):
-        cfg = DspdcConfig.build(d=3, b=2)
-        assert [len(b) for b in cfg.blocks] == [3]
-        cfg = DspdcConfig.build(d=10, b=3)
-        assert [len(b) for b in cfg.blocks] == [4, 3, 3]
-        cfg = DspdcConfig.build(d=8, b=4)
-        assert [len(b) for b in cfg.blocks] == [4, 4]
-        flat = np.concatenate(cfg.blocks)
-        assert np.array_equal(np.sort(flat), np.arange(8))
-
-    @staticmethod
-    def _old_partition(d, b):
-        """The rule the partition replaced: ``d mod b`` blocks of ``b+1``, then
-        blocks of ``b``; None where those sizes do not add up to d."""
-        n_big = d % b
-        sizes = [b + 1] * n_big + [b] * (d // b - n_big)
-        if sum(sizes) != d:
-            return None
-        return [np.arange(lo, lo + s) for lo, s in zip(np.cumsum([0] + sizes), sizes)]
+        # floor(d/b) blocks: b > d/2 gives the one block of all d weights,
+        # which runs; two or more blocks are refused before any iteration
+        assert _dspdc_checks(make_dataset(10, 3, seed=1), 2)["ok"]
+        for d, b in ((10, 3), (8, 4)):
+            with pytest.raises(ScheduleError, match=f"into {d // b} blocks"):
+                _dspdc_checks(make_dataset(10, d, seed=1), b)
 
     def test_partition_every_size(self):
         for d in range(1, 65):
+            ds = make_dataset(8, d, seed=d)
             for b in range(1, d + 1):
-                blocks = DspdcConfig.build(d, b).blocks
-                sizes = [len(blk) for blk in blocks]
-                assert len(blocks) == d // b
-                assert max(sizes) - min(sizes) <= 1
-                assert np.array_equal(np.concatenate(blocks), np.arange(d))
-                old = self._old_partition(d, b)
-                if old is not None:
-                    assert len(old) == len(blocks)
-                    assert all(np.array_equal(x, y) for x, y in zip(old, blocks))
+                if 2 * b > d:
+                    assert _dspdc_checks(ds, b)["ok"], (d, b)
+                else:
+                    with pytest.raises(ScheduleError, match="at block count"):
+                        _dspdc_checks(ds, b)
+
+    @pytest.mark.parametrize("width", [6, 14])
+    def test_blocks_must_partition_the_weights(self, small, width):
+        # a block size must give the one block of the 12 weights: 6 splits
+        # them in two, and 14 exceeds them
+        ds, _ = small
+        if width <= ds.d:
+            with pytest.raises(ScheduleError, match="splits d=12 into 2 blocks"):
+                _dspdc_checks(ds, width)
+        else:
+            with pytest.raises(ConfigError, match=r"must lie in \[1, d=12\]"):
+                _dspdc_checks(ds, width)
 
     def test_single_block_step_matches_vanilla(self, small):
+        # the block draw takes one number from the generator after the
+        # dual draw, which the step does not read
         ds, spec = small
         plan = build_uniform(ds.n, 1)
         params = schedule_vanilla(ds, spec, plan, "cor19")
-        cfg = DspdcConfig.build(ds.d, ds.d)
         s1, s2 = init_state(ds), init_state(ds)
         core.iterate(s1, params, ds, spec, np.random.default_rng(3), 1)
-        core.iterate(s2, params, ds, spec, np.random.default_rng(3), 1, cfg=cfg)
+        core.iterate(s2, params, ds, spec, np.random.default_rng(3), 1, block_draw=True)
         assert np.array_equal(s1.w, s2.w)
         assert np.array_equal(s1.alpha, s2.alpha)
         assert np.array_equal(s1.w_bar, s2.w_bar)
@@ -404,99 +443,66 @@ class TestDspdc:
         ds, spec = tiny
         plan = build_uniform(ds.n, 1)
         params = schedule_vanilla(ds, spec, plan, "cor19")
-        cfg = DspdcConfig.build(ds.d, 2)
         state = tiny_ref.copy()
         state.w_prev = state.w.copy()
         state.w_bar = state.w.copy()
         before = state.w.copy(), state.alpha.copy()
-        core.iterate(state, params, ds, spec, np.random.default_rng(4), 1, cfg=cfg)
+        core.iterate(state, params, ds, spec, np.random.default_rng(4), 1, block_draw=True)
         assert np.max(np.abs(state.w - before[0])) <= 1e-10
         assert np.max(np.abs(state.alpha - before[1])) <= 1e-10
 
-    def test_untouched_blocks_unchanged(self, small):
-        ds, spec = small
-        plan = build_uniform(ds.n, 1)
-        params = schedule_vanilla(ds, spec, plan, "cor19")
-        cfg = DspdcConfig.build(ds.d, 3)
-        block_of = np.empty(ds.d, dtype=int)
-        for h, blk in enumerate(cfg.blocks):
-            block_of[blk] = h
-        state = init_state(ds)
-        rng = np.random.default_rng(6)
-        saw_change = False
-        for _ in range(20):
-            w_before = state.w.copy()
-            core.iterate(state, params, ds, spec, rng, 1, cfg=cfg)
-            changed = np.flatnonzero(state.w != w_before)
-            if changed.size:
-                saw_change = True
-                assert len(set(block_of[changed].tolist())) == 1
-        assert saw_change
+    @pytest.mark.parametrize("seed", [1, 6, 7, 8, 23, 70])
+    def test_block_norms_match_frozen_reference_bitwise(self, seed):
+        # the one block's terms keep the bits they had as a partition of one
+        # block: the block step of clause 1, and the per-instance block
+        # norms of clause 5 (the frozen per-instance bincount)
+        ds = make_dataset(45, 70, seed=seed, density=0.3)
+        spec = ProblemSpec(gamma=1.0, lam=1e-2 * lambda_max(ds))
+        params = schedule_vanilla(ds, spec, build_uniform(ds.n, 1 + seed % 2), "cor19")
+        _, _, margins = verify_thm20(params, ds, spec)
+        clause1, clause5 = _one_block_clauses(params, ds, spec)
+        assert margins["clause1_primal_rate"] == params.theta - clause1
+        assert margins["clause5_step_product"] == clause5
 
-    @pytest.mark.parametrize("b", [1, 6, 7, 8, 23, 70])
-    def test_block_norms_match_frozen_reference_bitwise(self, b):
-        # d = 70: b = 1, 7 and 70 split evenly, 6, 8 and 23 leave uneven blocks
-        ds = make_dataset(45, 70, seed=b, density=0.3)
-        cfg = DspdcConfig.build(ds.d, b)
-        got = cfg.block_norms_sq(ds)
-        want = reference_block_norms_sq(cfg, ds)
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-    def test_block_norms_of_scattered_uneven_blocks(self):
-        # blocks that are neither contiguous nor in coordinate order, and a
-        # row with all of its entries in one block
-        ds = make_dataset(30, 12, seed=4, density=0.5)
-        blocks = (np.array([11, 0, 5]), np.array([3, 1]), np.array([2, 4, 6, 7, 8, 9, 10]))
-        cfg = DspdcConfig(q=np.full(3, 1.0 / 3), blocks=blocks)
-        one_block = SparseDataset(sp.csr_matrix(np.eye(1, 12, 2) * 3.0), [1.0])
-        for data in (ds, one_block):
-            got = cfg.block_norms_sq(data)
-            want = reference_block_norms_sq(cfg, data)
-            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    @pytest.mark.parametrize("name", ["bundled", "d25", "d3000"])
+    def test_one_block_thm20_is_lemma3(self, thm20_data, name):
+        # with q = 1, clause 5 is Lemma 3's inequality on the squared row
+        # norms, the cross and momentum terms are theta, the dual rate is
+        # theta's dual term (the larger one for these rules) and the primal
+        # rate is its primal term
+        ds = thm20_data[name]
+        for a, scale in itertools.product((1, 2), (1e-1, 1e-3)):
+            spec = ProblemSpec(gamma=1.0, lam=scale * lambda_max(ds))
+            params = schedule_vanilla(ds, spec, build_uniform(ds.n, a), "cor19")
+            ok, failing, margins = verify_thm20(params, ds, spec)
+            _, worst = verify_lemma3(params, ds)
+            assert margins["clause5_step_product"] == pytest.approx(worst, rel=1e-12)
+            assert margins["clause2_dual_rate"] == pytest.approx(0.0, abs=1e-12)
+            assert margins["clause3_cross_term"] == margins["clause4_momentum_term"] == 0.0
+            assert margins["clause1_primal_rate"] >= 0.0
+            assert ok and failing is None
 
     def test_verify_thm20_single_block_passes(self, small):
         ds, spec = small
         plan = build_uniform(ds.n, 1)
         params = schedule_vanilla(ds, spec, plan, "cor19")
-        cfg = DspdcConfig.build(ds.d, ds.d)
-        ok, failing, margins = verify_thm20(params, cfg, ds, spec)
+        ok, failing, margins = verify_thm20(params, ds, spec)
         assert ok, (failing, margins)
 
     def test_verify_thm20_small_theta_bar_fails_cross_clause(self, small):
         ds, spec = small
         plan = build_uniform(ds.n, 1)
         params = schedule_vanilla(ds, spec, plan, "cor19")
-        cfg = DspdcConfig.build(ds.d, 3)
-        qmax = float(np.max(cfg.q))
-        ok, failing, margins = verify_thm20(
-            params, cfg, ds, spec, theta_bar=params.theta * qmax * 0.5
-        )
+        ok, failing, margins = verify_thm20(params, ds, spec, theta_bar=params.theta * 0.5)
         assert not ok
         assert margins["clause3_cross_term"] < 0
         assert margins["clause4_momentum_term"] < 0
-
-    @pytest.mark.parametrize("width", [6, 14])
-    def test_blocks_must_partition_the_weights(self, small, width):
-        # blocks over the first 6 of 12 weights would leave the others at
-        # zero; blocks over 14 would index past the weights
-        ds, spec = small
-        params = schedule_vanilla(ds, spec, build_uniform(ds.n, 1), "cor19")
-        cfg = DspdcConfig.build(width, 3)
-        with pytest.raises(ValueError, match="each of the 12 weights once"):
-            verify_thm20(params, cfg, ds, spec)
-        with pytest.raises(ValueError, match="each of the 12 weights once"):
-            variants.run_fixed(ds, spec, params, variants.Budget(), np.random.default_rng(0),
-                               dspdc_cfg=cfg)
-        duplicated = DspdcConfig(q=np.full(2, 0.5), blocks=(np.arange(11), np.arange(1)))
-        with pytest.raises(ValueError, match="each of the 12 weights once"):
-            verify_thm20(params, duplicated, ds, spec)
 
     def test_verify_thm20_reports_all_clauses(self, small):
         ds, spec = small
         plan = build_uniform(ds.n, 1)
         params = schedule_vanilla(ds, spec, plan, "cor18")
-        cfg = DspdcConfig.build(ds.d, 4)
-        _, _, margins = verify_thm20(params, cfg, ds, spec)
+        _, _, margins = verify_thm20(params, ds, spec)
         assert set(margins) == {
             "clause1_primal_rate",
             "clause2_dual_rate",

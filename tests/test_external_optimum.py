@@ -42,15 +42,14 @@ def problem(request):
     return ds, spec, lbfgs_optimum(ds, spec)
 
 
-def _fixed(ds, spec, budget, rng, dspdc_cfg=None):
+def _fixed(ds, spec, budget, rng, block_draw=False):
     params = core.schedule_thm5(ds, spec, build_uniform(ds.n, 1))
-    return run_fixed(ds, spec, params, budget, rng, dspdc_cfg=dspdc_cfg)
+    return run_fixed(ds, spec, params, budget, rng, block_draw=block_draw)
 
 
 RUNNERS = {
     "adaspdc": _fixed,
-    "dspdc": lambda ds, spec, budget, rng: _fixed(ds, spec, budget, rng,
-                                                  core.DspdcConfig.build(ds.d, ds.d)),
+    "dspdc": lambda ds, spec, budget, rng: _fixed(ds, spec, budget, rng, block_draw=True),
     "ovsspdc": lambda ds, spec, budget, rng: run_ovsspdc(ds, spec, 2, budget, rng),
     "ovs-exact": run_ovs_exact,
     "ovsspdc-plus": lambda ds, spec, budget, rng: run_ovsspdc_plus(ds, spec, 1, budget, rng),

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from spdc import core
 from spdc.core import (
-    DspdcConfig,
     SolverState,
     init_state,
     schedule_thm4,
@@ -58,8 +57,7 @@ def highd():
     plan = build_uniform(ds.n, 1)
     # two step rules with different tau, as a violation refresh produces
     params = (schedule_thm5(ds, spec, plan), schedule_thm4(ds, spec, plan))
-    cfgs = (DspdcConfig.build(ds.d, 600), DspdcConfig.build(ds.d, ds.d))
-    return ds, spec, plan, params, cfgs
+    return ds, spec, plan, params
 
 
 OPS = st.one_of(
@@ -76,7 +74,7 @@ OPS = st.one_of(
 def _replay(problem, ops, seed):
     """Apply ``ops`` to a fresh state; returns, after every op, the number of
     iterations so far and copies of the state's arrays."""
-    ds, spec, _, params, cfgs = problem
+    ds, spec, _, params = problem
     rng = np.random.default_rng(seed)
     state = init_state(ds)
     snapshots = []
@@ -86,7 +84,7 @@ def _replay(problem, ops, seed):
                 core.iterate(state, params[arg], ds, spec, rng, 1)
         elif op == "dspdc":
             for _ in range(STEPS_PER_OP):
-                core.iterate(state, params[0], ds, spec, rng, 1, cfg=cfgs[arg])
+                core.iterate(state, params[arg], ds, spec, rng, 1, block_draw=True)
         elif op == "restrict":
             # the restricted primal updates of ovsspdc-plusplus
             coords = np.flatnonzero(np.arange(ds.d) % 4 != arg)
@@ -283,17 +281,16 @@ def test_new_parameters_reanchor_every_weight(tau_scale, lam_scale):
 
 
 def test_dspdc_takes_the_anchored_pass_at_full_block_only(highd):
-    ds, spec, _, params, cfgs = highd
-    small, full = cfgs
-    assert len(full.blocks) == 1 and full.q[0] == 1.0
-    # a block spanning all d coordinates leaves the primal step as it is
-    assert params[0].tau * (full.blocks[0].size / (full.q[0] * ds.d)) == params[0].tau
+    # dspdc's one block spans all d weights, so its iterations keep the
+    # anchors; a selection that changes from the last pass's takes the
+    # whole-vector pass
+    ds, spec, _, params = highd
     state = init_state(ds)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        core.iterate(state, params[0], ds, spec, rng, 1, cfg=full)
+        core.iterate(state, params[0], ds, spec, rng, 1, block_draw=True)
     assert state._anchors is not None
-    core.iterate(state, params[0], ds, spec, rng, 1, cfg=small)
+    core.iterate(state, params[0], ds, spec, rng, 1, primal_coords=np.arange(600))
     assert state._anchors is None and state.w is state._w
 
 
@@ -310,7 +307,7 @@ def test_primal_passes_alone_follow_the_reference(highd):
     # after a step, primal passes with no dual pass between them: the last
     # drawn row's weights, which are not watched because the step's settle
     # has them re-anchored, must still change phase where the reference does
-    ds, spec, _, params, _ = highd
+    ds, spec, _, params = highd
     rng = np.random.default_rng(0)
     state = init_state(ds)
     for _ in range(30 * ds.n):

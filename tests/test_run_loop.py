@@ -163,19 +163,15 @@ BUDGETS = [Budget(1e-12, 2.5), Budget(1e-12, 0.0), Budget(1e-6, 400.0),
 def test_fixed_matches_reference(mid, budget, algo, a):
     ds, spec = mid
     plan = build_uniform(ds.n, a)
-    dcfg = None
     if algo == "thm15":
         params = core.schedule_thm15(ds, spec, plan)
     elif algo == "adaspdc":
         params = core.schedule_thm5(ds, spec, plan)
     else:
         params = core.schedule_vanilla(ds, spec, plan, "cor19")
-    if algo == "dspdc":
-        dcfg = core.DspdcConfig.build(ds.d, 3)
-    new = run_fixed(ds, spec, params, budget, _rng(), dspdc_cfg=dcfg)
+    new = run_fixed(ds, spec, params, budget, _rng(), block_draw=algo == "dspdc")
     old = ref.reference_run_fixed(ds, spec, params, a, budget, _rng(),
-                                  stepper="dspdc" if dcfg else "adaspdc",
-                                  dspdc_cfg=dcfg)
+                                  stepper="dspdc" if algo == "dspdc" else "adaspdc")
     assert_same_run(new, old)
 
 
@@ -187,14 +183,12 @@ def test_fixed_anchored_matches_reference(algo):
     spec = ProblemSpec(gamma=1.0, lam=0.1 * lambda_max(ds))
     plan = build_uniform(ds.n, 1)
     if algo == "adaspdc":
-        params, dcfg = core.schedule_thm5(ds, spec, plan), None
+        params = core.schedule_thm5(ds, spec, plan)
     else:
         params = core.schedule_vanilla(ds, spec, plan, "cor19")
-        dcfg = core.DspdcConfig.build(ds.d, ds.d)
     budget = Budget(1e-12, 6.0)
-    new = run_fixed(ds, spec, params, budget, _rng(), dspdc_cfg=dcfg)
-    old = ref.reference_run_fixed(ds, spec, params, 1, budget, _rng(), stepper=algo,
-                                  dspdc_cfg=dcfg)
+    new = run_fixed(ds, spec, params, budget, _rng(), block_draw=algo == "dspdc")
+    old = ref.reference_run_fixed(ds, spec, params, 1, budget, _rng(), stepper=algo)
     assert new.state._anchors is not None
     assert_same_run(new, old)
 
@@ -337,14 +331,14 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
 
 
 # one runner of each kind on ``mid`` (n=30): a fixed plan (a=4 gives units
-# of 32/30 epochs), a dspdc block, the refresh at a = 1 and 2, the exact
+# of 32/30 epochs), dspdc's block draw, the refresh at a = 1 and 2, the exact
 # gate and both snapshot variants
 PREFIX_RUNNERS = {
     "adaspdc": lambda ds, spec, budget: run_fixed(
         ds, spec, core.schedule_thm5(ds, spec, build_uniform(ds.n, 4)), budget, _rng()),
     "dspdc": lambda ds, spec, budget: run_fixed(
         ds, spec, core.schedule_vanilla(ds, spec, build_uniform(ds.n, 1), "cor19"), budget,
-        _rng(), dspdc_cfg=core.DspdcConfig.build(ds.d, 3)),
+        _rng(), block_draw=True),
     "ovsspdc a=1": lambda ds, spec, budget: run_ovsspdc(ds, spec, 1, budget, _rng()),
     "ovsspdc a=2": lambda ds, spec, budget: run_ovsspdc(ds, spec, 2, budget, _rng()),
     "ovs-exact": lambda ds, spec, budget: run_ovs_exact(ds, spec, budget, _rng()),

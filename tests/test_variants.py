@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdc import core, variants
-from spdc.core import DspdcConfig, init_state, schedule_thm4, schedule_thm5
+from spdc.core import init_state, schedule_thm4, schedule_thm5
 from spdc.datamat import example_path, lambda_max, load_libsvm
 from spdc.errors import ScheduleError
 from spdc.objective import (
@@ -44,18 +44,16 @@ def mid():
     return ds, ProblemSpec(gamma=1.0, lam=1e-2 * lambda_max(ds))
 
 
-@pytest.mark.parametrize("runner", ["adaspdc", "dspdc", "dspdc-block", "ovsspdc",
+@pytest.mark.parametrize("runner", ["adaspdc", "dspdc", "ovsspdc",
                                     "ovs-exact", "plus", "plusplus"])
 def test_runners_return_settled_states(mid, runner):
     # the budget runs out mid-epoch, after a sampled step
     ds, spec = mid
     budget, rng = Budget(gap_tol=1e-12, max_epochs=2.5), np.random.default_rng(3)
     plan = build_uniform(ds.n, 2)
-    blocks = {"adaspdc": None, "dspdc": ds.d, "dspdc-block": 5}
-    if runner in blocks:
-        cfg = None if blocks[runner] is None else DspdcConfig.build(ds.d, blocks[runner])
+    if runner in ("adaspdc", "dspdc"):
         res = run_fixed(ds, spec, schedule_thm5(ds, spec, plan), budget, rng,
-                        dspdc_cfg=cfg)
+                        block_draw=runner == "dspdc")
     elif runner == "ovs-exact":
         res = run_ovs_exact(ds, spec, budget, rng)
     else:
