@@ -125,7 +125,9 @@ class RunConfig:
         """Bounds that depend on the dataset's instance and feature counts."""
         if self.a > n:
             raise ConfigError(f"a={self.a} exceeds the instance count n={n}")
-        if self.algo == "dspdc" and self.dspdc_b is not None and not 1 <= self.dspdc_b <= d:
+        if self.dspdc_b is not None and self.algo != "dspdc":
+            raise ConfigError("dspdc-b applies only to algo=dspdc")
+        if self.dspdc_b is not None and not 1 <= self.dspdc_b <= d:
             raise ConfigError(f"dspdc-b={self.dspdc_b} must lie in [1, d={d}]")
 
 
@@ -144,7 +146,11 @@ def _problem(cfg: RunConfig, ds):
     lmax = lambda_max(ds)
     if lmax == 0.0:
         raise ConfigError("lambda_max is zero; the label/feature correlation vanishes")
-    return (lmax, ProblemSpec(gamma=cfg.gamma, lam=cfg.lambda_scale * lmax),
+    lam = cfg.lambda_scale * lmax
+    if lam == 0.0:
+        raise ConfigError(f"lambda-scale={cfg.lambda_scale} times lambda_max={lmax} "
+                          f"underflows to 0")
+    return (lmax, ProblemSpec(gamma=cfg.gamma, lam=lam),
             Budget(gap_tol=cfg.gap_tol, max_epochs=cfg.max_epochs),
             np.random.default_rng(cfg.seed))
 
@@ -178,8 +184,7 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
         params = core.schedule_vanilla(ds, spec, plan, schedule)
     else:  # looked up in core when called, as the benchmark wraps the rules there
         params = getattr(core, "schedule_" + schedule)(ds, spec, plan)
-    dspdc = cfg.algo == "dspdc"
-    if dspdc:
+    if cfg.algo == "dspdc":  # spdc's run, checked by thm20 for its one primal block
         b = cfg.dspdc_b
         # floor(d/b) >= 2 blocks: thm20 fails every partition the rules here give
         if b is not None and 2 * b <= ds.d:
@@ -191,8 +196,7 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
             raise ScheduleError(f"dspdc parameter check failed at {failing}")
         # the run keeps these params, so the verdict is the run's
         extra["thm20"] = {"ok": bool(ok), "failing": failing, "margins": margins}
-    result = run_fixed(ds, spec, params, budget, rng, block_draw=dspdc)
-    return result, extra
+    return run_fixed(ds, spec, params, budget, rng), extra
 
 
 def _condition_report(result: RunResult, ds, spec, cfg: RunConfig, extra: dict) -> dict:

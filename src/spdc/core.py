@@ -20,8 +20,8 @@ everything else reads its ``p`` and batch size ``a`` there.
 ``verify_lemma3`` / ``verify_lemma14`` / ``verify_thm20`` evaluate the
 feasibility inequalities that certify geometric contraction of the paper's
 primal-dual potential for the emitted parameters; ``verify_thm20`` is the
-doubly stochastic loop's check for its one primal block, which ``dspdc``
-draws after each dual draw (``iterate``'s ``block_draw``).
+doubly stochastic loop's check for its one primal block, the full primal
+step, with which that loop's iteration is plain SPDC's.
 
 From d = ``_LAZY_MIN_D`` on, the primal pass costs O(row nnz), not O(d): it
 keeps each weight as an anchor with a closed-form law (:class:`_Anchors`)
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -366,12 +367,14 @@ def _steps(spec: ProblemSpec, k: int, tau_half, sigma_half):
     sqrt(n)-boosted ones; the halves are ``a x/2`` and ``n x_i/2`` for the
     rule's ``x`` (``R_under``, ``p_i/||x_i||`` or ``1/(a ||x_i||)``), computed
     by the caller in the rule's own expression order, which fixes the bits.
-    Steps that underflow to zero are rejected before any momentum is computed.
+    Steps that underflow to zero or overflow to infinity are rejected before
+    any momentum is computed.
     """
     tau = tau_half * math.sqrt(k * spec.gamma / spec.lam)
     sigma = sigma_half * math.sqrt(k * spec.lam / spec.gamma)
-    if tau <= 0 or np.any(sigma <= 0):
-        raise ScheduleError("step sizes must be positive")
+    if not (0 < tau < math.inf and np.all((sigma > 0) & (sigma < math.inf))):
+        raise ScheduleError(f"step sizes must be positive and finite; got tau={tau}, "
+                            f"sigma from {np.min(sigma)} to {np.max(sigma)}")
     return tau, sigma
 
 
@@ -552,7 +555,7 @@ def verify_thm20(params: StepParams, ds, spec: ProblemSpec, theta_bar: float | N
 
 
 def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
-               rng: np.random.Generator, k: int = 1, block_draw: bool = False) -> None:
+               rng: np.random.Generator, k: int = 1) -> None:
     """Sample and prox the ``a`` dual coordinates of a draw from the plan of
     ``params``, then extrapolate them into the cache.
 
@@ -563,8 +566,7 @@ def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
     ``a0_i`` before the pass, which makes the dual image fed to the primal
     prox unbiased for a full synchronous pass; one :func:`_scatter` adds it.
     ``state.last_batch`` keeps each drawn row's ``bar_i`` for :func:`_settle`.
-    With ``block_draw``, dspdc's one primal block is drawn after each draw.  An
-    anchored state runs up to ``k`` iterations' draws with disjoint supports
+    An anchored state runs up to ``k`` iterations' draws with disjoint supports
     as one (:meth:`_Anchors.prepare`); ``last_draws`` holds them all.
 
     The scalar arithmetic runs on Python floats, which round as numpy's
@@ -576,17 +578,12 @@ def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
     p, a = plan.p, plan.batch
     indptr, indices, data = ds.csr_arrays()
 
-    def draw():
-        draws = draw_batch(plan, rng)
-        if block_draw:
-            rng.random()  # the one block there is
-        return draws
-
     anchors = state._anchors
     if anchors is None:
-        draws, bars = draw(), None
+        draws, bars = draw_batch(plan, rng), None
     else:
-        draws, bars = anchors.prepare(indptr, indices, draw, k, state.iter)
+        draws, bars = anchors.prepare(indptr, indices, partial(draw_batch, plan, rng), k,
+                                      state.iter)
     start_vals: dict[int, float] = {}
     for i in draws.tolist():
         old = alpha.item(i)
@@ -749,15 +746,10 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
 
 
 def iterate(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
-            rng: np.random.Generator, k: int, primal_coords=None,
-            block_draw: bool = False) -> SolverState:
+            rng: np.random.Generator, k: int, primal_coords=None) -> SolverState:
     """k iterations: each proxes a draw from ``params.plan`` with per-instance
     dual steps (plain SPDC's shared step is the case where the rule makes every
     sigma_i equal), then the primal, or only ``primal_coords`` of it.
-
-    With ``block_draw`` the iteration is dspdc's with its one primal block:
-    each draw is followed by the block draw, one ``rng.random()``, and the
-    primal step is the full one.
 
     An anchored state runs them in blocks of draws with disjoint supports
     (:class:`_Anchors`), bit for bit the iterations one at a time: a block
@@ -769,7 +761,7 @@ def iterate(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
     while k > 0:
         t = state.iter
         block = k if k > 1 and _continues(state, tau, lam, theta, primal_coords) else 1
-        _dual_pass(state, params, ds, spec, rng, block, block_draw)
+        _dual_pass(state, params, ds, spec, rng, block)
         _primal_pass(state, tau, lam, theta, primal_coords)
         _settle(state, ds)
         k -= state.iter - t

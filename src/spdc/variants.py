@@ -139,22 +139,20 @@ def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
 
 
 def run_fixed(ds, spec: ProblemSpec, params: StepParams, budget: Budget,
-              rng: np.random.Generator, block_draw: bool = False,
-              state0: SolverState | None = None) -> RunResult:
+              rng: np.random.Generator, state0: SolverState | None = None) -> RunResult:
     """Run a solver with fixed step sizes, and so their fixed plan, to the budget.
 
     Each iteration proxes a draw from ``params.plan`` with the steps of
     ``params`` (the shared-sigma rules make them equal: plain SPDC) and then
-    the whole primal; with ``block_draw`` it is ``dspdc``'s, which draws its
-    one primal block after each draw.  A unit is one epoch, ceil(n/a)
-    iterations.  ``state0`` warm-starts the run (it is copied).
+    the whole primal.  A unit is one epoch, ceil(n/a) iterations.  ``state0``
+    warm-starts the run (it is copied).
     """
     run = _new_run(ds, state0)
     run.params, a = params, params.plan.batch
     per_epoch = math.ceil(ds.n / a)
 
     def epoch():
-        core.iterate(run.state, params, ds, spec, rng, per_epoch, block_draw=block_draw)
+        core.iterate(run.state, params, ds, spec, rng, per_epoch)
         return per_epoch * a
 
     return _drive(ds, spec, budget, run, epoch)

@@ -19,7 +19,7 @@ as they were before one table of rules per algorithm replaced them:
 
 So is the anchored iteration (d >= ``core._LAZY_MIN_D``) as it ran one step
 at a time, before iterations ran in blocks of draws with disjoint supports:
-``ReferenceAnchors`` and ``reference_adaspdc_step``/``reference_dspdc_step``.
+``ReferenceAnchors`` and ``reference_adaspdc_step``.
 A k-iteration call of the library must leave the state, the anchors and the
 generator as k of these steps do.
 """
@@ -173,13 +173,11 @@ def reference_complexity_estimate(ds, spec: ProblemSpec, plan: SamplingPlan, a: 
 
 
 def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budget: Budget,
-                        rng: np.random.Generator, stepper: str = "adaspdc",
+                        rng: np.random.Generator,
                         state0: SolverState | None = None) -> RunResult:
     """Run a solver with a fixed plan and fixed step sizes to the budget.
 
-    ``stepper`` selects the iteration: 'adaspdc' (per-instance dual steps),
-    'spdc' (shared scalar step), or 'dspdc' (its one primal block drawn
-    after each draw).  ``state0`` warm-starts the run (the state is copied).
+    ``state0`` warm-starts the run (the state is copied).
     """
     state = init_state(ds) if state0 is None else state0.copy()
     t0 = time.perf_counter()
@@ -191,7 +189,7 @@ def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budge
     ckpt = 0
     while not converged and duals_drawn / ds.n < budget.max_epochs:
         for _ in range(per_epoch):
-            core.iterate(state, params, ds, spec, rng, 1, block_draw=stepper == "dspdc")
+            core.iterate(state, params, ds, spec, rng, 1)
             duals_drawn += a
         ckpt += 1
         rec = variants._checkpoint(records, ckpt, duals_drawn / ds.n, t0, state, ds, spec)
@@ -708,13 +706,3 @@ def reference_adaspdc_step(state, params, plan, ds, spec, a, rng, primal_coords=
     reference_settle(state, ds)
     return state
 
-
-def reference_dspdc_step(state, params, plan, ds, spec, a, rng):
-    """The dspdc step with its one primal block: all d weights, drawn with
-    probability 1 and stepped by ``tau |M_h| / (q_h d)``, which is tau."""
-    reference_dual_pass(state, params, plan, ds, spec, a, rng)
-    rng.random()  # the block draw
-    tau_eff = params.tau * (ds.d / (1.0 * ds.d))
-    reference_primal_pass(state, tau_eff, spec.lam, params.theta, primal_coords=np.arange(ds.d))
-    reference_settle(state, ds)
-    return state

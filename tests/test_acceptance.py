@@ -229,8 +229,6 @@ def test_criterion_6_cross_solver_agreement(bench_file):
                                 budget, np.random.default_rng(61))
     runs["spdc"] = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"),
                              budget, np.random.default_rng(62))
-    runs["dspdc"] = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"),
-                              budget, np.random.default_rng(63), block_draw=True)
     runs["ovsspdc"] = run_ovsspdc(ds, spec, 1, budget,
                                   np.random.default_rng(64))
     runs["plus"] = run_ovsspdc_plus(ds, spec, 1, budget,

@@ -130,12 +130,10 @@ CASES = {
     "restricted": dict(a=1, restricted=True),
     "restricted a=2": dict(a=2, restricted=True),
     "frozen selection": dict(a=1, coords=True),
-    "dspdc b=d": dict(a=1, dspdc=True),
-    "dspdc b=d a=2": dict(a=2, dspdc=True),
 }
 
 
-def _setup(highd, a, restricted=False, coords=False, dspdc=False):
+def _setup(highd, a, restricted=False, coords=False):
     ds, spec = highd
     if restricted:
         kappa = np.where(np.arange(ds.n) % 5 == 0, 0.0, 1.0 + np.arange(ds.n) % 3)
@@ -147,14 +145,14 @@ def _setup(highd, a, restricted=False, coords=False, dspdc=False):
     # a small tau lam: a planted weight needs some 20 steps to cross 0
     params = dataclasses.replace(params, tau=0.01 / spec.lam)
     primal = np.flatnonzero(np.arange(ds.d) % 4 != 1) if coords else None
-    return plan, params, primal, dspdc
+    return plan, params, primal
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
     ds, spec = highd
     a = CASES[case]["a"]
-    plan, params, primal, dspdc = _setup(highd, **CASES[case])
+    plan, params, primal = _setup(highd, **CASES[case])
     spy = _Spy(monkeypatch)
     new, old = init_state(ds), init_state(ds)
     rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
@@ -165,13 +163,9 @@ def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
     near = np.setdiff1d(indices[indptr[ds.n // 2]:indptr[ds.n // 2 + ds.n // 10]], far)
     for _ in range(6):
         for chunk in CHUNKS:
-            core.iterate(new, params, ds, spec, rng_new, chunk, primal, block_draw=dspdc)
+            core.iterate(new, params, ds, spec, rng_new, chunk, primal)
             for _ in range(chunk):
-                if dspdc:
-                    ref.reference_dspdc_step(old, params, plan, ds, spec, a, rng_old)
-                else:
-                    ref.reference_adaspdc_step(old, params, plan, ds, spec, a, rng_old,
-                                               primal)
+                ref.reference_adaspdc_step(old, params, plan, ds, spec, a, rng_old, primal)
             assert_same(new, old, rng_new, rng_old)
             if chunk >= 40:
                 for state in (new, old):
@@ -188,7 +182,7 @@ def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
 
 def test_one_iteration_is_a_block_of_one(highd, monkeypatch):
     ds, spec = highd
-    _, params, _, _ = _setup(highd, 1)
+    _, params, _ = _setup(highd, 1)
     spy = _Spy(monkeypatch)
     state, rng = init_state(ds), np.random.default_rng(0)
     for _ in range(300):
@@ -199,7 +193,7 @@ def test_one_iteration_is_a_block_of_one(highd, monkeypatch):
 
 def test_a_block_ends_at_the_first_draw_that_meets_it(highd, monkeypatch):
     ds, spec = highd
-    _, params, _, _ = _setup(highd, 1)
+    _, params, _ = _setup(highd, 1)
     state, rng = init_state(ds), np.random.default_rng(1)
     core.iterate(state, params, ds, spec, rng, 5)
     indptr, indices, _ = ds.csr_arrays()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from spdc import cli as cli_mod
 from spdc.cli import RunConfig, main, run, sweep, synth
-from spdc.datamat import load_libsvm
+from spdc.datamat import example_path, load_libsvm
 from spdc.errors import ConfigError, ScheduleError
 from spdc.trace import CSV_HEADER
 
@@ -152,6 +152,31 @@ class TestRun:
         assert json.loads(summary.read_text())["conditions"]["thm20"] == {
             "ok": ok, "failing": failing, "margins": margins}
 
+    @pytest.mark.parametrize("a", ["1", "2"])
+    def test_dspdc_writes_the_spdc_run(self, tmp_path, a):
+        # at its one block dspdc is spdc checked by thm20: the same trace, and
+        # a summary that differs only in the algorithm, block size and check
+        trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        d = load_libsvm(example_path()).d
+
+        def outputs(algo, *flags):
+            assert cli("run", "--data", example_path(), "--normalize", "--algo", algo,
+                       "-a", a, "--lambda-scale", "1e-2", "--max-epochs", "5", "--seed", "3",
+                       "--no-timing", "--trace", str(trace), "--summary", str(summary),
+                       *flags) == 0
+            return trace.read_bytes(), json.loads(summary.read_text())
+
+        spdc_trace, spdc_summary = outputs("spdc")
+        for b in (None, d):
+            dspdc_trace, dspdc_summary = outputs("dspdc", *(() if b is None else
+                                                           ("--dspdc-b", str(b))))
+            assert dspdc_trace == spdc_trace, b
+            assert dspdc_summary["conditions"].pop("thm20")["ok"] is True
+            assert dspdc_summary["config"] == {**spdc_summary["config"], "algo": "dspdc",
+                                               "dspdc_b": b}
+            dspdc_summary["config"] = spdc_summary["config"]
+            assert dspdc_summary == spdc_summary, b
+
     def test_dspdc_uneven_blocks_exit_with_a_contract_code(self, small_file, capsys):
         # d=5, b=3: floor(d/b) = 1, the one block of all five weights
         rc = cli("run", "--data", small_file, "--algo", "dspdc", "--dspdc-b", "3",
@@ -230,11 +255,26 @@ class TestRun:
         (["--dspdc-q", "0.5,0.5"], "unrecognized arguments: --dspdc-q"),
         (["--max-epochs", "-1"], "max-epochs must be >= 0"),
         (["--algo", "dspdc", "--dspdc-b", "0"], "dspdc-b=0 must lie in [1, d=5]"),
+        (["--algo", "adaspdc", "--dspdc-b", "-5"], "dspdc-b applies only to algo=dspdc"),
+        # lambda_max is 0.44 on the normalized data: lam underflows to 0
+        (["--normalize", "--lambda-scale", "5e-324"], "underflows to 0"),
     ])
     def test_out_of_range_flags_exit_2(self, small_file, capsys, flags, fragment):
         assert cli("run", "--data", small_file, *flags) == 2
         err = capsys.readouterr().err
         assert fragment in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("algo", ["spdc", "dspdc", "ovsspdc", "ovs-exact",
+                                      "ovsspdc-plus"])
+    @pytest.mark.parametrize("flags", [["--gamma", "1e-320"], ["--lambda-scale", "5e-324"]])
+    def test_non_finite_steps_exit_3(self, capsys, algo, flags):
+        # sigma (tiny gamma) or tau (tiny lambda) overflows to inf on the
+        # bundled data; every rule refuses it before any iteration
+        assert cli("run", "--data", example_path(), "--algo", algo, "--max-epochs", "1",
+                   *flags) == 3
+        err = capsys.readouterr().err
+        assert "step sizes must be positive and finite" in err
         assert "Traceback" not in err
 
     def test_non_finite_data_exits_2(self, tmp_path, capsys):
@@ -585,7 +625,7 @@ RUN_FLAGS = {
     "--prob": ["uniform", "cor16", "cor17", "ovs", "x"],
     "--schedule": ["auto", "thm4", "thm5", "thm15", "cor18", "cor19", "nope"],
     "-a": ["1", "2", "25", "0", "-3", "x"],
-    "--lambda-scale": ["1e-2", "0", "-1", "nan", "inf", "x"],
+    "--lambda-scale": ["1e-2", "0", "-1", "nan", "inf", "x", "5e-324"],
     "--dspdc-b": ["1", "3", "5", "0", "9"],
     "--seed": ["0", "7", "-1", "x"],
 }
@@ -597,7 +637,7 @@ SWEEP_FLAGS = {
     "--seeds": ["0", "0,1", "x", "-1"],
 }
 SHARED_FLAGS = {
-    "--gamma": ["1", "0.5", "0", "-2", "nan", "inf"],
+    "--gamma": ["1", "0.5", "0", "-2", "nan", "inf", "1e-320"],
     "--gap-tol": ["1e-3", "0", "-1", "nan"],
     "--max-epochs": ["0", "0.5", "1", "-1", "nan"],
 }

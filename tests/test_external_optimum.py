@@ -42,14 +42,17 @@ def problem(request):
     return ds, spec, lbfgs_optimum(ds, spec)
 
 
-def _fixed(ds, spec, budget, rng, block_draw=False):
-    params = core.schedule_thm5(ds, spec, build_uniform(ds.n, 1))
-    return run_fixed(ds, spec, params, budget, rng, block_draw=block_draw)
+def _fixed(ds, spec, budget, rng, schedule="thm5"):
+    plan = build_uniform(ds.n, 1)
+    params = (core.schedule_thm5(ds, spec, plan) if schedule == "thm5"
+              else core.schedule_vanilla(ds, spec, plan, schedule))
+    return run_fixed(ds, spec, params, budget, rng)
 
 
 RUNNERS = {
     "adaspdc": _fixed,
-    "dspdc": lambda ds, spec, budget, rng: _fixed(ds, spec, budget, rng, block_draw=True),
+    # spdc's shared step, as cli runs dspdc
+    "dspdc": lambda ds, spec, budget, rng: _fixed(ds, spec, budget, rng, "cor19"),
     "ovsspdc": lambda ds, spec, budget, rng: run_ovsspdc(ds, spec, 2, budget, rng),
     "ovs-exact": run_ovs_exact,
     "ovsspdc-plus": lambda ds, spec, budget, rng: run_ovsspdc_plus(ds, spec, 1, budget, rng),

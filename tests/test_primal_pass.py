@@ -62,7 +62,6 @@ def highd():
 
 OPS = st.one_of(
     st.tuples(st.just("step"), st.integers(0, 1)),
-    st.tuples(st.just("dspdc"), st.integers(0, 1)),
     st.tuples(st.just("restrict"), st.integers(0, 3)),
     st.tuples(st.just("flush"), st.integers(0, 1)),
     st.tuples(st.just("primal"), st.integers(0, 1)),
@@ -82,9 +81,6 @@ def _replay(problem, ops, seed):
         if op == "step":
             for _ in range(STEPS_PER_OP):
                 core.iterate(state, params[arg], ds, spec, rng, 1)
-        elif op == "dspdc":
-            for _ in range(STEPS_PER_OP):
-                core.iterate(state, params[arg], ds, spec, rng, 1, block_draw=True)
         elif op == "restrict":
             # the restricted primal updates of ovsspdc-plusplus
             coords = np.flatnonzero(np.arange(ds.d) % 4 != arg)
@@ -123,7 +119,7 @@ def test_matches_dense_reference_within_rounding(highd, ops, seed):
             scale = max(float(np.max(np.abs(want[key]))), fixed_points)
             err = float(np.max(np.abs(got[key] - want[key])))
             assert err <= ULPS_PER_STEP * iters * EPS * scale, (k, ops[k], key, err, scale)
-        if ops[k][0] in ("step", "dspdc", "restrict", "flush", "primal"):
+        if ops[k][0] in ("step", "restrict", "flush", "primal"):
             # a weight the reference held at 0 for its last two passes is 0
             held = (want["w"] == 0.0) & (want["w_prev"] == 0.0)
             assert np.all(got["w"][held] == 0.0), (k, ops[k])
@@ -281,14 +277,14 @@ def test_new_parameters_reanchor_every_weight(tau_scale, lam_scale):
 
 
 def test_dspdc_takes_the_anchored_pass_at_full_block_only(highd):
-    # dspdc's one block spans all d weights, so its iterations keep the
-    # anchors; a selection that changes from the last pass's takes the
-    # whole-vector pass
+    # dspdc's one block spans all d weights: its iterations are the full
+    # primal step, which keeps the anchors; a selection that changes from
+    # the last pass's takes the whole-vector pass
     ds, spec, _, params = highd
     state = init_state(ds)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        core.iterate(state, params[0], ds, spec, rng, 1, block_draw=True)
+        core.iterate(state, params[0], ds, spec, rng, 1)
     assert state._anchors is not None
     core.iterate(state, params[0], ds, spec, rng, 1, primal_coords=np.arange(600))
     assert state._anchors is None and state.w is state._w

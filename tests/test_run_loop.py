@@ -158,6 +158,7 @@ BUDGETS = [Budget(1e-12, 2.5), Budget(1e-12, 0.0), Budget(1e-6, 400.0),
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
+# dspdc runs spdc's cor19 iteration; cli checks thm20 for it
 @pytest.mark.parametrize("algo,a", [("adaspdc", 1), ("adaspdc", 3), ("spdc", 2),
                                     ("dspdc", 1), ("thm15", 7)])
 def test_fixed_matches_reference(mid, budget, algo, a):
@@ -169,9 +170,8 @@ def test_fixed_matches_reference(mid, budget, algo, a):
         params = core.schedule_thm5(ds, spec, plan)
     else:
         params = core.schedule_vanilla(ds, spec, plan, "cor19")
-    new = run_fixed(ds, spec, params, budget, _rng(), block_draw=algo == "dspdc")
-    old = ref.reference_run_fixed(ds, spec, params, a, budget, _rng(),
-                                  stepper="dspdc" if algo == "dspdc" else "adaspdc")
+    new = run_fixed(ds, spec, params, budget, _rng())
+    old = ref.reference_run_fixed(ds, spec, params, a, budget, _rng())
     assert_same_run(new, old)
 
 
@@ -187,8 +187,8 @@ def test_fixed_anchored_matches_reference(algo):
     else:
         params = core.schedule_vanilla(ds, spec, plan, "cor19")
     budget = Budget(1e-12, 6.0)
-    new = run_fixed(ds, spec, params, budget, _rng(), block_draw=algo == "dspdc")
-    old = ref.reference_run_fixed(ds, spec, params, 1, budget, _rng(), stepper=algo)
+    new = run_fixed(ds, spec, params, budget, _rng())
+    old = ref.reference_run_fixed(ds, spec, params, 1, budget, _rng())
     assert new.state._anchors is not None
     assert_same_run(new, old)
 
@@ -331,14 +331,14 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
 
 
 # one runner of each kind on ``mid`` (n=30): a fixed plan (a=4 gives units
-# of 32/30 epochs), dspdc's block draw, the refresh at a = 1 and 2, the exact
+# of 32/30 epochs), dspdc's shared step, the refresh at a = 1 and 2, the exact
 # gate and both snapshot variants
 PREFIX_RUNNERS = {
     "adaspdc": lambda ds, spec, budget: run_fixed(
         ds, spec, core.schedule_thm5(ds, spec, build_uniform(ds.n, 4)), budget, _rng()),
     "dspdc": lambda ds, spec, budget: run_fixed(
         ds, spec, core.schedule_vanilla(ds, spec, build_uniform(ds.n, 1), "cor19"), budget,
-        _rng(), block_draw=True),
+        _rng()),
     "ovsspdc a=1": lambda ds, spec, budget: run_ovsspdc(ds, spec, 1, budget, _rng()),
     "ovsspdc a=2": lambda ds, spec, budget: run_ovsspdc(ds, spec, 2, budget, _rng()),
     "ovs-exact": lambda ds, spec, budget: run_ovs_exact(ds, spec, budget, _rng()),

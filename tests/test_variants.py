@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdc import core, variants
-from spdc.core import init_state, schedule_thm4, schedule_thm5
+from spdc.core import init_state, schedule_thm4, schedule_thm5, schedule_vanilla
 from spdc.datamat import example_path, lambda_max, load_libsvm
 from spdc.errors import ScheduleError
 from spdc.objective import (
@@ -51,9 +51,10 @@ def test_runners_return_settled_states(mid, runner):
     ds, spec = mid
     budget, rng = Budget(gap_tol=1e-12, max_epochs=2.5), np.random.default_rng(3)
     plan = build_uniform(ds.n, 2)
-    if runner in ("adaspdc", "dspdc"):
-        res = run_fixed(ds, spec, schedule_thm5(ds, spec, plan), budget, rng,
-                        block_draw=runner == "dspdc")
+    if runner == "adaspdc":
+        res = run_fixed(ds, spec, schedule_thm5(ds, spec, plan), budget, rng)
+    elif runner == "dspdc":  # spdc's shared step, as cli runs dspdc
+        res = run_fixed(ds, spec, schedule_vanilla(ds, spec, plan, "cor19"), budget, rng)
     elif runner == "ovs-exact":
         res = run_ovs_exact(ds, spec, budget, rng)
     else:
