@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ScheduleError
-from .objective import ProblemSpec, dual_prox, dual_prox_array, primal_prox
+from .objective import ProblemSpec, dual_prox, primal_prox
 from .sampling import SamplingPlan, draw_batch
 
 __all__ = [
@@ -284,7 +284,8 @@ def _weights(slot: int) -> property:
 class SolverState:
     """Mutable iterate: weights, duals, extrapolated weights, and the dual-image cache.
 
-    Between steps ``v_cache`` is ``(1/n) X^T alpha``, kept incrementally.
+    Between steps ``v_cache`` is ``(1/n) X^T alpha``, kept incrementally (the
+    snapshot variants' full sweep rebuilds it as a new array).
     Within a step, or an anchored block of steps, the dual pass extrapolates
     its drawn rows into it, keeping their extrapolated duals in
     ``last_batch`` (``{row: bar}``), and :func:`_settle` takes them out after
@@ -636,63 +637,6 @@ def _scatter(v, cols: list, vals: list) -> None:
 
 def _cat(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-# rows per block of the bulk dual sweep: bounds its gathered arrays, and so
-# its memory, whatever n is
-_SWEEP_ROWS = 256
-
-
-def _row_dots(indptr, indices, data, lo: int, hi: int, w) -> np.ndarray:
-    """``x_i . w`` for the rows ``lo <= i < hi``.
-
-    Rows of one length are gathered into a ``(rows, length)`` pair and
-    multiplied as a stack of row-by-column products, which numpy evaluates
-    with the routine of a lone vector dot, so every entry has the bits of the
-    per-row ``np.dot``.  (A plain ``X @ w`` or ``einsum`` sums in another
-    order and differs in about half the rows.)
-    """
-    starts = indptr[lo:hi]
-    lengths = indptr[lo + 1:hi + 1] - starts
-    out = np.empty(hi - lo)
-    for length in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == length)
-        pos = starts[rows, None] + np.arange(length)
-        out[rows] = np.matmul(data[pos][:, None, :], w[indices[pos]][:, :, None])[:, 0, 0]
-    return out
-
-
-def _dual_sweep(state: SolverState, ds, spec: ProblemSpec, sigma) -> None:
-    """Prox every dual coordinate once, in index order, with ``q_i = 1/sigma_i``
-    against ``w_bar``, writing each change into ``alpha`` and the cache
-    unextrapolated.
-
-    ``w_bar`` is fixed during the sweep, so the rows are independent and run
-    in blocks of ``_SWEEP_ROWS``: one grouped dot, one array prox and one
-    :func:`_scatter` of the block's rows in row order, which adds into each
-    cache entry in the order of the row-at-a-time sweep.  The result is that
-    sweep's, bit for bit.
-    """
-    n = ds.n
-    indptr, indices, data = ds.csr_arrays()
-    alpha = state.alpha
-    state._materialize()  # the sweep changes the whole cache: the next pass anchors anew
-    for lo in range(0, n, _SWEEP_ROWS):
-        hi = min(lo + _SWEEP_ROWS, n)
-        s = _row_dots(indptr, indices, data, lo, hi, state._w_bar)
-        old = alpha[lo:hi]
-        new = dual_prox_array(s, old, 1.0 / sigma[lo:hi], ds.labels[lo:hi], spec.gamma)
-        delta = new - old
-        changed = delta != 0.0
-        if not changed.any():
-            continue
-        np.copyto(old, new, where=changed)
-        # rows whose delta is zero add nothing: adding 0.0 would turn -0.0 into 0.0
-        lengths = np.diff(indptr[lo:hi + 1])
-        keep = np.repeat(changed, lengths)
-        p0, p1 = indptr[lo], indptr[hi]
-        step = np.repeat(delta / n, lengths) * data[p0:p1]
-        _scatter(state.v_cache, [indices[p0:p1][keep]], [step[keep]])
 
 
 # Anchored vs whole-vector pass, per iteration (median of 7 runs of 2000, CPU

@@ -27,6 +27,7 @@ from .errors import NumericalFailure, ScheduleError, ZeroViolations
 from .objective import (
     ProblemSpec,
     dual_objective,
+    dual_prox_array,
     dual_violations,
     primal_objective,
     primal_violations,
@@ -176,6 +177,8 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     if a * a > n:
         raise ScheduleError(f"violation-weighted sampling requires a <= sqrt(n); got a={a}")
     per_epoch = math.ceil(n / a)
+    # derived before checkpoint 0, so that steps the rule refuses end the run first
+    uniform = core.schedule_thm5(ds, spec, build_uniform(n, a))
     run = _new_run(ds, state0, refreshes=0, uniform_fallbacks=0)
     counters = run.counters
 
@@ -184,11 +187,10 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
         kappa = dual_violations(state.w, state.alpha, ds, spec)
         kappa = np.where(kappa > 0.0, kappa, 0.0)
         try:
-            plan = build_ovs(kappa, ds.row_norms, a)
+            run.params = core.schedule_thm5(ds, spec, build_ovs(kappa, ds.row_norms, a))
         except ZeroViolations:
-            plan = build_uniform(n, a)
+            run.params = uniform
             counters["uniform_fallbacks"] += 1
-        run.params = core.schedule_thm5(ds, spec, plan)
         counters["refreshes"] += 1
         core.iterate(state, run.params, ds, spec, rng, per_epoch)
         return per_epoch * a
@@ -219,6 +221,8 @@ def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
     Terminates early when every dual and primal violation is exactly zero.
     """
     n = ds.n
+    # the flush rule, derived before checkpoint 0 as in :func:`run_ovsspdc`
+    flush = core.schedule_thm5(ds, spec, build_uniform(n, 1))
     run = _new_run(ds, state0, optimal_exit=False)
 
     def epoch():
@@ -235,7 +239,7 @@ def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
                     raise _Optimum(drawn) from None
                 # dual side settled; flush the primal and re-check next iteration
                 if run.params is None:
-                    run.params = core.schedule_thm5(ds, spec, build_uniform(n, 1))
+                    run.params = flush
                 w_before = state.w.copy()
                 core._primal_pass(state, run.params.tau, spec.lam, run.params.theta)
                 if np.array_equal(state.w, w_before):
@@ -251,15 +255,20 @@ def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
 
 
 def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) -> None:
-    """One deterministic sweep: every dual coordinate once, in index order,
-    then the full primal prox and weight extrapolation.
+    """One deterministic sweep: every dual coordinate proxed once against
+    ``w_bar``, then the full primal prox and weight extrapolation.
 
-    No sampling is involved, so the duals enter the cache unextrapolated.
-    The weights the duals see do not change during the sweep, so it is
-    evaluated in bulk (:func:`core._dual_sweep`), bit for bit as the sweep
-    that proxes one row at a time.
+    No sampling is involved and the weights the duals see do not change
+    during the sweep, so it is three products on the dataset: ``X w_bar``,
+    one array prox that writes back only the rows whose value changed (an
+    unchanged row keeps its bits, a -0.0 included), and the dual image
+    rebuilt as ``X^T alpha / n``, so the cache is exact after every sweep.
     """
-    core._dual_sweep(state, ds, spec, params.sigma)
+    alpha = state.alpha
+    new = dual_prox_array(ds.matvec(state.w_bar), alpha, 1.0 / params.sigma, ds.labels,
+                          spec.gamma)
+    np.copyto(alpha, new, where=new != alpha)
+    state.v_cache = ds.rmatvec(alpha) / ds.n
     core._primal_pass(state, params.tau, spec.lam, params.theta)
 
 

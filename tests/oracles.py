@@ -11,16 +11,19 @@ a quasi-Newton method that shares no code with the coordinate solvers.
 contracts in expectation.
 
 The ``reference_*`` functions and ``dense_primal_pass`` are the exceptions:
-they are frozen copies of code the library has replaced by faster code that
-must agree with them bit for bit.  ``reference_primal_prox``,
+they are frozen copies, or (``reference_full_pass``) a row-at-a-time form,
+of code the library runs as faster code that must agree with them bit for
+bit.  ``reference_primal_prox``,
 ``dense_primal_pass``, ``reference_row_norms``, ``reference_load_libsvm``,
 ``reference_full_pass``, ``reference_block_norms_sq`` and
 ``reference_alias_build`` are the closed-form prox, the whole-vector primal
 pass, the per-row norm loop, the line-by-line LIBSVM loader, the
 row-at-a-time dual sweep, the per-instance block norms and the Vose loop on
 numpy arrays; they are the references for the library's fused prox, its
-skipping pass, its grouped row norms, its bulk loader, its bulk sweep, the
-one-block norms of ``verify_thm20`` and its alias build on Python floats.
+skipping pass, its grouped row norms, its bulk loader, its sweep of three
+whole-dataset products (scipy's CSR and CSC products sum each row in index
+order, as the row loop does), the one-block norms of ``verify_thm20`` and
+its alias build on Python floats.
 """
 
 import math
@@ -234,21 +237,28 @@ def reference_load_libsvm(path, normalize=False):
 
 
 def reference_full_pass(state, ds, spec, params):
-    """The snapshot variants' full sweep, one dual row at a time: every dual
-    in index order against ``w_bar``, then the full primal pass."""
+    """The snapshot variants' full sweep, one dual row at a time: each row's
+    dot with ``w_bar`` summed left to right in Python floats, the scalar prox
+    written back only when it changes the dual, and the dual image rebuilt by
+    adding ``data * alpha_i`` row after row into zeros and dividing by n; then
+    the full primal pass."""
     n = ds.n
     indptr, indices, data = ds.csr_arrays()
     alpha = state.alpha
     w_bar = state.w_bar
     for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]]))
-        q = 1.0 / params.sigma[i]
-        new = dual_prox(s, alpha[i], q, ds.labels[i], spec.gamma)
-        delta = new - alpha[i]
-        if delta != 0.0:
-            state.v_cache[indices[lo:hi]] += (delta / n) * data[lo:hi]
+        s = 0.0
+        for k in range(indptr[i], indptr[i + 1]):
+            s += float(data[k]) * float(w_bar[indices[k]])
+        new = dual_prox(s, float(alpha[i]), 1.0 / float(params.sigma[i]),
+                        float(ds.labels[i]), spec.gamma)
+        if new != alpha[i]:
             alpha[i] = new
+    v = np.zeros(ds.d)
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        v[indices[lo:hi]] += data[lo:hi] * alpha[i]
+    state.v_cache = v / n
     core._primal_pass(state, params.tau, spec.lam, params.theta)
 
 

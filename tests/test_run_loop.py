@@ -300,18 +300,26 @@ def test_snapshot_matches_reference(request, mid, budget, a, cfg, runner, restri
 
 @pytest.mark.parametrize("runner,restrict", SNAPSHOT_RUNNERS)
 def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
-    # a full sweep that reaches the tolerance: this one is the gap the 21st
-    # sweep of either variant leaves on ``mid`` at this seed
+    # the tolerances come from a first run on ``mid`` at this seed: the first
+    # committed gap no checkpoint shows is a sweep's that its round's inner
+    # iterate then beat (round 20 of either variant), the next one that
+    # inner iterate's
     ds, spec = mid
-    budget = Budget(gap_tol=0.2765596451434991, max_epochs=400)
+    first = runner(ds, spec, 1, Budget(gap_tol=0.0, max_epochs=60), _rng())
+    gaps = [rec.gap for rec in first.trace]
+    committed = first.counters["committed_gaps"]
+    k = next(k for k, g in enumerate(committed) if g not in gaps)
+    swept, accepted = committed[k], committed[k + 1]
+    # a full sweep that reaches the tolerance
+    budget = Budget(gap_tol=swept, max_epochs=400)
     new = runner(ds, spec, 1, budget, _rng())
     old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
                                      restrict_primal=restrict)
     assert new.converged and new.counters["inner_rounds"] == len(new.trace) - 2
+    assert new.trace[-1].gap == swept
     assert_same_run(new, old)
-    # an inner iterate that reaches the tolerance: the one accepted at the end
-    # of the 20th round
-    budget = Budget(gap_tol=0.16911786969625514, max_epochs=400)
+    # an inner iterate that reaches the tolerance
+    budget = Budget(gap_tol=accepted, max_epochs=400)
     new = runner(ds, spec, 1, budget, _rng())
     old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
                                      restrict_primal=restrict)
