@@ -200,6 +200,8 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
 
 
 def _condition_report(result: RunResult, ds, spec, cfg: RunConfig, extra: dict) -> dict:
+    """The summary's ``conditions``: Lemmas 3 and 14 and dspdc's thm20 from ``extra``.
+    ``spec`` and ``cfg`` are unread; they stay for the benchmark's five-argument call."""
     if result.params is None:
         return {}
     ok3, margin3 = core.verify_lemma3(result.params, ds)

@@ -21,7 +21,8 @@ everything else reads its ``p`` and batch size ``a`` there.
 feasibility inequalities that certify geometric contraction of the paper's
 primal-dual potential for the emitted parameters; ``verify_thm20`` is the
 doubly stochastic loop's check for its one primal block, the full primal
-step, with which that loop's iteration is plain SPDC's.
+step, with which that loop's iteration is plain SPDC's: its five clauses are
+theta's two rates, theta itself twice, and Lemma 3.
 
 From d = ``_LAZY_MIN_D`` on, the primal pass costs O(row nnz), not O(d): it
 keeps each weight as an anchor with a closed-form law (:class:`_Anchors`)
@@ -379,13 +380,17 @@ def _steps(spec: ProblemSpec, k: int, tau_half, sigma_half):
     return tau, sigma
 
 
-def _theta(spec: ProblemSpec, tau: float, a: int, n: int, p, sigma) -> float:
-    """Momentum factor: the slower of the primal and dual contraction rates,
-    ``max(1 - 1/(1 + 1/(2 tau lam)), 1 - 1/max_i(1/(a p_i) + n/(2 a sigma_i gamma)))``
-    over the entries of ``p`` and ``sigma``; always in (0, 1)."""
+def _rates(spec: ProblemSpec, tau: float, a: int, n: int, p, sigma) -> tuple[float, float]:
+    """The primal and dual contraction rates ``1 - 1/(1 + 1/(2 tau lam))`` and
+    ``1 - 1/max_i(1/(a p_i) + n/(2 a sigma_i gamma))`` over ``p`` and ``sigma``."""
     t1 = 1.0 - 1.0 / (1.0 + 1.0 / (2.0 * tau * spec.lam))
     t2 = 1.0 - 1.0 / np.max(1.0 / (a * p) + n / (2.0 * a * sigma * spec.gamma))
-    return max(t1, float(t2))
+    return t1, float(t2)
+
+
+def _theta(spec: ProblemSpec, tau: float, a: int, n: int, p, sigma) -> float:
+    """Momentum factor: the slower of the two :func:`_rates`; always in (0, 1)."""
+    return max(_rates(spec, tau, a, n, p, sigma))
 
 
 # rules on a given plan: schedule -> (sqrt(n)-boosted, shared scalar sigma)
@@ -508,50 +513,26 @@ def verify_lemma14(params: StepParams, ds) -> bool:
     return bool(ok1 and ok2)
 
 
-def verify_thm20(params: StepParams, ds, spec: ProblemSpec, theta_bar: float | None = None):
+def verify_thm20(params: StepParams, ds, spec: ProblemSpec):
     """Evaluate the five feasibility clauses of the doubly stochastic loop
-    with its one primal block, all d weights, drawn with probability q = 1.
-
-    The clauses' block terms then read: block step ``d/(2 tau d)``, and for
-    instance k the squared norm ``lambda_k`` of its row, its squares summed
-    in row order.  With q = 1 the fifth clause is Lemma 3's inequality, and
-    the cross and momentum terms are theta.  ``theta_bar`` defaults to the
-    momentum factor.  Returns (ok, first failing clause name or None,
-    per-clause margins) where a margin is ``theta_bar - value`` for the
-    first four clauses and the worst left-hand side for the fifth.
+    with its one primal block, all d weights, drawn with probability q = 1:
+    theta's two :func:`_rates` on the plan's support, as the rule took them,
+    the cross and momentum terms, which are theta, and Lemma 3's inequality.
+    Returns (ok, first failing clause name or None, per-clause margins), a
+    margin being ``theta - value`` for the first four clauses and Lemma 3's
+    worst margin for the fifth.
     """
-    if theta_bar is None:
-        theta_bar = params.theta
-    n, d, tau, theta, a = ds.n, ds.d, params.tau, params.theta, params.plan.batch
-    lam, gamma = spec.lam, spec.gamma
-
-    a_blk = d / (2.0 * tau * d)  # d/(2 tau |M|), |M| = d: 1/(2 tau) has other bits
-    clause1 = a_blk / (a_blk + lam)
-
-    indptr, _, data = ds.csr_arrays()
-    row_sq = np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights=data * data,
-                         minlength=n)
-    p, sigma, lam_k = _supported(params.plan, params.sigma, row_sq)
-    dual_num = 1.0 / (2.0 * sigma) + (1.0 - a * p) * gamma / (p * n)
-    dual_den = 1.0 / (2.0 * sigma) + gamma / (p * n)
-    clause2 = float(np.max(dual_num / dual_den))
-
-    clause3 = clause4 = theta
-
-    lhs5 = 1.0 / (2.0 * a * sigma) - (
-        ((1.0 - a * p) ** 2 + theta) * tau * lam_k / (a * p * n) ** 2
-    )
-    clause5 = float(np.min(lhs5))
-
+    n = params.n_eff
+    p, sigma = _supported(params.plan, params.sigma)
+    t1, t2 = _rates(spec, params.tau, min(params.plan.batch, n), n, p, sigma)
     margins = {
-        "clause1_primal_rate": theta_bar - clause1,
-        "clause2_dual_rate": theta_bar - clause2,
-        "clause3_cross_term": theta_bar - clause3,
-        "clause4_momentum_term": theta_bar - clause4,
-        "clause5_step_product": clause5,
+        "clause1_primal_rate": params.theta - t1,
+        "clause2_dual_rate": params.theta - t2,
+        "clause3_cross_term": 0.0,
+        "clause4_momentum_term": 0.0,
+        "clause5_step_product": verify_lemma3(params, ds)[1],
     }
-    tol = _RTOL * max(1.0, abs(theta_bar))
-    failing = next((name for name, margin in margins.items() if margin < -tol), None)
+    failing = next((name for name, margin in margins.items() if margin < -_RTOL), None)
     return failing is None, failing, margins
 
 

@@ -103,8 +103,7 @@ def _new_run(ds, state0: SolverState | None, **counters) -> RunResult:
     return RunResult(state, [], False, counters)
 
 
-def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
-           start=None) -> RunResult:
+def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance) -> RunResult:
     """The run loop of every solver.
 
     ``advance()`` is the solver's policy: it runs one unit on ``run.state``
@@ -113,16 +112,13 @@ def _drive(ds, spec: ProblemSpec, budget: Budget, run: RunResult, advance,
     first; the budget is tested before every unit, and every unit is
     checkpointed.  The run ends when a checkpoint's gap reaches the
     tolerance, the budget is spent or the policy finds an exact optimum; an
-    optimum gets a last checkpoint, once the state has iterated.  ``start``,
-    if given, is called with the gap of checkpoint 0.
+    optimum gets a last checkpoint, once the state has iterated.
     """
     n = ds.n
     t0 = time.perf_counter()
     records = run.trace
     rec = _checkpoint(records, 0, 0.0, t0, run.state, ds, spec)
     converged = rec.gap <= budget.gap_tol
-    if start is not None:
-        start(rec.gap)
     drawn = 0
     try:
         while not converged and drawn / n < budget.max_epochs:
@@ -260,15 +256,13 @@ def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) ->
 
     No sampling is involved and the weights the duals see do not change
     during the sweep, so it is three products on the dataset: ``X w_bar``,
-    one array prox that writes back only the rows whose value changed (an
-    unchanged row keeps its bits, a -0.0 included), and the dual image
-    rebuilt as ``X^T alpha / n``, so the cache is exact after every sweep.
+    one array prox written back whole (a row at its fixed point gets its own
+    bits back), and the dual image rebuilt as ``X^T alpha / n``, so the cache
+    is exact after every sweep.
     """
-    alpha = state.alpha
-    new = dual_prox_array(ds.matvec(state.w_bar), alpha, 1.0 / params.sigma, ds.labels,
-                          spec.gamma)
-    np.copyto(alpha, new, where=new != alpha)
-    state.v_cache = ds.rmatvec(alpha) / ds.n
+    state.alpha[:] = dual_prox_array(ds.matvec(state.w_bar), state.alpha, 1.0 / params.sigma,
+                                     ds.labels, spec.gamma)
+    state.v_cache = ds.rmatvec(state.alpha) / ds.n
     core._primal_pass(state, params.tau, spec.lam, params.theta)
 
 
@@ -296,6 +290,9 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
                    optimal_exit=False, committed_gaps=[], active_sizes=[], inner_lengths=[])
     counters = run.counters
     gaps = counters["committed_gaps"]  # gaps[-1] is the best committed gap
+    # the first is checkpoint 0's: the gap of the zero start state
+    gaps.append(primal_objective(run.state.w, ds, spec)
+                - dual_objective(run.state.alpha, ds, spec))
 
     def round_():
         state = run.state
@@ -333,7 +330,7 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
                                                   else len(primal_coords))
         return n + inner_len * a
 
-    return _drive(ds, spec, budget, run, round_, start=gaps.append)
+    return _drive(ds, spec, budget, run, round_)
 
 
 def run_ovsspdc_plus(ds, spec: ProblemSpec, a: int, budget: Budget,

@@ -13,17 +13,19 @@ contracts in expectation.
 The ``reference_*`` functions and ``dense_primal_pass`` are the exceptions:
 they are frozen copies, or (``reference_full_pass``) a row-at-a-time form,
 of code the library runs as faster code that must agree with them bit for
-bit.  ``reference_primal_prox``,
-``dense_primal_pass``, ``reference_row_norms``, ``reference_load_libsvm``,
-``reference_full_pass``, ``reference_block_norms_sq`` and
-``reference_alias_build`` are the closed-form prox, the whole-vector primal
-pass, the per-row norm loop, the line-by-line LIBSVM loader, the
-row-at-a-time dual sweep, the per-instance block norms and the Vose loop on
-numpy arrays; they are the references for the library's fused prox, its
-skipping pass, its grouped row norms, its bulk loader, its sweep of three
-whole-dataset products (scipy's CSR and CSC products sum each row in index
-order, as the row loop does), the one-block norms of ``verify_thm20`` and
-its alias build on Python floats.
+bit.  ``reference_primal_prox``, ``dense_primal_pass``,
+``reference_row_norms``, ``reference_load_libsvm``, ``reference_full_pass``
+and ``reference_alias_build`` are the closed-form prox, the whole-vector
+primal pass, the per-row norm loop, the line-by-line LIBSVM loader, the
+row-at-a-time dual sweep (which writes a row only when its value changes)
+and the Vose loop on numpy arrays; they are the references for the
+library's fused prox, its skipping pass, its grouped row norms, its bulk
+loader, its sweep of three whole-dataset products (scipy's CSR and CSC
+products sum each row in index order, as the row loop does, and the prox
+is written back whole) and its alias build on Python floats.
+``verify_thm20`` has no reference here: at its one primal block its five
+clauses are theta's two rates, theta twice, and Lemma 3, so its tests check
+it against ``verify_lemma3`` and the rule's own theta.
 """
 
 import math
@@ -260,21 +262,6 @@ def reference_full_pass(state, ds, spec, params):
         v[indices[lo:hi]] += data[lo:hi] * alpha[i]
     state.v_cache = v / n
     core._primal_pass(state, params.tau, spec.lam, params.theta)
-
-
-def reference_block_norms_sq(cfg, ds):
-    """Per instance, the max over ``cfg``'s blocks of the squared row norm
-    within the block, one ``bincount`` per instance."""
-    block_id = np.empty(ds.d, dtype=np.intp)
-    for h, blk in enumerate(cfg.blocks):
-        block_id[blk] = h
-    out = np.empty(ds.n)
-    nb = len(cfg.blocks)
-    for i in range(ds.n):
-        idx, vals = ds.row(i)
-        sums = np.bincount(block_id[idx], weights=vals * vals, minlength=nb)
-        out[i] = sums.max()
-    return out
 
 
 def reference_alias_build(p):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -183,6 +184,25 @@ class TestRun:
                  "--max-epochs", "1")
         assert rc == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_dspdc_failing_check_exits_3(self, data_file, monkeypatch, capsys):
+        # a primal step past the rule's breaks Lemma 3, so thm20 refuses the
+        # run at its clause 5 before any iteration
+        real = cli_mod.core.schedule_vanilla
+
+        def too_long(ds, spec, plan, scheme):
+            params = real(ds, spec, plan, scheme)
+            while cli_mod.core.verify_lemma3(params, ds)[0]:
+                params = dataclasses.replace(params, tau=2.0 * params.tau)
+            return params
+
+        monkeypatch.setattr(cli_mod.core, "schedule_vanilla", too_long)
+        rc = cli("run", "--data", data_file, "--normalize", "--algo", "dspdc",
+                 "--lambda-scale", "1e-2", "--max-epochs", "1")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "dspdc parameter check failed at clause5_step_product" in err
+        assert "Traceback" not in err
 
     @staticmethod
     def _dspdc_outputs(data, folder, *flags):
