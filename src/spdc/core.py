@@ -2,7 +2,8 @@
 
 The iteration alternates prox updates of randomly sampled dual coordinates
 against extrapolated weights with a primal prox pass over all weights (or a
-selection of them), plus momentum extrapolation of the weights.  Step-size
+selection of them), plus momentum extrapolation of the weights; one kernel,
+:func:`_scatter`, adds the duals' changes into the dual image.  Step-size
 rules are named after the spec's schedule tokens:
 
 * ``thm4``  - per-instance dual steps, any proper p with ``p_i <= 1/a``.
@@ -554,7 +555,7 @@ def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
     The scalar arithmetic runs on Python floats, which round as numpy's
     float64 scalars do, at a fraction of their per-operation cost.
     """
-    n, n_eff, gamma = ds.n, params.n_eff, spec.gamma
+    n_eff, gamma = params.n_eff, spec.gamma
     alpha, w_bar = state.alpha, state._w_bar
     plan, sigma, labels = params.plan, params.sigma, ds.labels
     p, a = plan.p, plan.batch
@@ -575,43 +576,39 @@ def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
         q = p.item(i) * n_eff / sigma.item(i)
         alpha[i] = dual_prox(s, old, q, labels.item(i), gamma)
 
-    batch, cols, vals = {}, [], []
+    batch, deltas = {}, []
     for i, a0 in start_vals.items():
         bar = batch[i] = a0 + (alpha.item(i) - a0) / (a * p.item(i))
-        delta = bar - a0
-        if delta != 0.0:
-            lo, hi = indptr.item(i), indptr.item(i + 1)
-            cols.append(indices[lo:hi])
-            vals.append(np.multiply(data[lo:hi], delta / n))
-    _scatter(state.v_cache, cols, vals)
+        deltas.append((i, bar - a0))
+    _scatter(state.v_cache, ds, deltas)
     state.last_batch, state.last_draws = batch, draws
 
 
 def _settle(state: SolverState, ds) -> None:
-    """End a step or block: one :func:`_scatter` of ``(alpha_i - bar_i)/n x_i`` over
-    ``last_batch`` takes its extrapolation out of the cache, and empties it.  Anchors then
-    re-anchor the supports on the settled cache (:meth:`_Anchors.settle`)."""
-    indptr, indices, data = ds.csr_arrays()
-    cols, vals, rows = [], [], []
-    for i, bar in state.last_batch.items():
-        lo, hi = indptr.item(i), indptr.item(i + 1)
-        row = indices[lo:hi]
-        rows.append(row)
-        delta = state.alpha.item(i) - bar
-        if delta != 0.0:
-            cols.append(row)
-            vals.append(np.multiply(data[lo:hi], delta / ds.n))
-    _scatter(state.v_cache, cols, vals)
+    """End a step or block: one :func:`_scatter` of ``alpha_i - bar_i`` over ``last_batch``
+    takes its extrapolation out of the cache, and empties it.  Anchors then re-anchor
+    every drawn support on the settled cache (:meth:`_Anchors.settle`)."""
+    batch, alpha, t = state.last_batch, state.alpha, state.iter
+    _scatter(state.v_cache, ds, [(i, alpha.item(i) - bar) for i, bar in batch.items()])
     state.last_batch = {}
     if state._anchors is not None:
-        state._anchors.settle(rows, state.iter)
+        indptr, indices = ds.csr_arrays()[:2]
+        state._anchors.settle([indices[indptr.item(i):indptr.item(i + 1)] for i in batch], t)
 
 
-def _scatter(v, cols: list, vals: list) -> None:
-    """Add rows' scaled supports into the dual image ``v`` in one ordered ``np.add.at``:
-    ``vals[k]`` at ``cols[k]``, one entry at a time in list order, the scalar adds of
-    ``v[cols] += vals`` row after row (datasets sum duplicates, so a row's columns are
-    distinct): the same bits.  Callers leave out rows of delta 0.0: +0.0 turns -0.0 to 0.0."""
+def _scatter(v, ds, deltas) -> None:
+    """Add ``delta/n x_i`` into the dual image ``v`` for each ``(i, delta)`` of ``deltas``
+    in one ordered ``np.add.at``: one entry at a time in pair order, the scalar adds of
+    ``v[cols] += (delta/n) * vals`` row after row (datasets sum duplicates, so a row's
+    columns are distinct): the same bits.  Zero deltas are left out, as adding +0.0
+    would turn a -0.0 entry into 0.0."""
+    indptr, indices, data = ds.csr_arrays()
+    cols, vals, n = [], [], ds.n
+    for i, delta in deltas:
+        if delta != 0.0:
+            lo, hi = indptr.item(i), indptr.item(i + 1)
+            cols.append(indices[lo:hi])
+            vals.append(np.multiply(data[lo:hi], delta / n))
     if cols:
         np.add.at(v, _cat(cols), _cat(vals))
 

@@ -23,7 +23,6 @@ __all__ = [
     "elastic_net_conj_grad",
     "soft_threshold",
     "dual_prox",
-    "dual_prox_array",
     "primal_prox",
     "primal_objective",
     "dual_objective",
@@ -115,9 +114,10 @@ def dual_prox(s, alpha_old, q, y, gamma):
 
     Maximizes ``-beta*s - f*(-beta) - (q/2)(beta - alpha_old)^2`` over the
     conjugate's domain, where ``s`` is the instance's inner product with the
-    extrapolated weights and ``q = p_i * n / sigma_i``.  The unconstrained
-    maximizer ``(y - s + q*alpha_old) / (gamma + q)`` is projected onto the
-    feasible strip ``y*beta in [0, 1]``.
+    extrapolated weights and ``q`` is ``p_i * n / sigma_i`` for a drawn dual and
+    ``1 / sigma_i`` in the snapshot variants' sweep.  The unconstrained maximizer
+    ``(y - s + q*alpha_old) / (gamma + q)`` is projected onto the feasible strip
+    ``y*beta in [0, 1]``.
 
     When the dual optimality violation at ``(s, alpha_old)`` is exactly zero
     the input is returned unchanged, bit for bit, so converged coordinates are
@@ -140,21 +140,6 @@ def dual_prox(s, alpha_old, q, y, gamma):
     elif u > 1.0:
         u = 1.0
     return y * u
-
-
-def dual_prox_array(s, alpha_old, q, y, gamma):
-    """:func:`dual_prox` over arrays of coordinates, bit for bit.
-
-    Every entry goes through the same operations in the same order as the
-    scalar update, fixed points and clipping included, so each output equals
-    ``dual_prox`` of that entry's inputs.  ``gamma`` is a scalar.
-    """
-    if np.any(q <= 0):
-        raise ValueError(f"q must be positive, got {q[q <= 0][0]}")
-    g = smoothed_hinge_grad(s, y, gamma)
-    u = y * (y - s + q * alpha_old) / (gamma + q)
-    u = np.where(u < 0.0, 0.0, np.where(u > 1.0, 1.0, u))
-    return np.where(-alpha_old - g == 0.0, alpha_old, y * u)
 
 
 def primal_prox(u, w_old, tau, lam):

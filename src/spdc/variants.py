@@ -18,16 +18,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from . import core
 from .core import SolverState, StepParams, init_state
-from .errors import NumericalFailure, ScheduleError, ZeroViolations
+from .errors import NumericalFailure, ZeroViolations
 from .objective import (
     ProblemSpec,
     dual_objective,
-    dual_prox_array,
+    dual_prox,
     dual_violations,
     primal_objective,
     primal_violations,
@@ -168,13 +169,9 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     to the uniform plan and the run continues.
     """
     n = ds.n
-    if a < 1:
-        raise ValueError(f"batch size {a} must lie in [1, {n}]")
-    if a * a > n:
-        raise ScheduleError(f"violation-weighted sampling requires a <= sqrt(n); got a={a}")
-    per_epoch = math.ceil(n / a)
-    # derived before checkpoint 0, so that steps the rule refuses end the run first
+    # derived before checkpoint 0, so that a batch or steps the rule refuses end the run first
     uniform = core.schedule_thm5(ds, spec, build_uniform(n, a))
+    per_epoch = math.ceil(n / a)
     run = _new_run(ds, state0, refreshes=0, uniform_fallbacks=0)
     counters = run.counters
 
@@ -254,15 +251,15 @@ def _full_pass(state: SolverState, ds, spec: ProblemSpec, params: StepParams) ->
     """One deterministic sweep: every dual coordinate proxed once against
     ``w_bar``, then the full primal prox and weight extrapolation.
 
-    No sampling is involved and the weights the duals see do not change
-    during the sweep, so it is three products on the dataset: ``X w_bar``,
-    one array prox written back whole (a row at its fixed point gets its own
-    bits back), and the dual image rebuilt as ``X^T alpha / n``, so the cache
-    is exact after every sweep.
+    No sampling is involved and the weights the duals see do not change during
+    the sweep: one product ``X w_bar``, the sampled steps' :func:`dual_prox` with
+    ``q = 1/sigma_i`` on every dual (a dual at its fixed point keeps its bits),
+    and the dual image rebuilt as ``X^T alpha / n``, exact after every sweep.
     """
-    state.alpha[:] = dual_prox_array(ds.matvec(state.w_bar), state.alpha, 1.0 / params.sigma,
-                                     ds.labels, spec.gamma)
-    state.v_cache = ds.rmatvec(state.alpha) / ds.n
+    alpha = state.alpha
+    alpha[:] = list(map(dual_prox, ds.matvec(state.w_bar).tolist(), alpha.tolist(),
+                        (1.0 / params.sigma).tolist(), ds.labels.tolist(), repeat(spec.gamma)))
+    state.v_cache = ds.rmatvec(alpha) / ds.n
     core._primal_pass(state, params.tau, spec.lam, params.theta)
 
 

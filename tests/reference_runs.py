@@ -19,7 +19,8 @@ as they were before one table of rules per algorithm replaced them:
 
 So is the anchored iteration (d >= ``core._LAZY_MIN_D``) as it ran one step
 at a time, before iterations ran in blocks of draws with disjoint supports:
-``ReferenceAnchors`` and ``reference_adaspdc_step``.
+``ReferenceAnchors`` and ``reference_adaspdc_step``, whose dual pass and
+settle add into the dual image with their own scatter, ``reference_scatter``.
 A k-iteration call of the library must leave the state, the anchors and the
 generator as k of these steps do.
 """
@@ -650,8 +651,16 @@ def reference_dual_pass(state, params, plan, ds, spec, a, rng) -> None:
             lo, hi = indptr.item(i), indptr.item(i + 1)
             cols.append(indices[lo:hi])
             vals.append(np.multiply(data[lo:hi], delta / n))
-    core._scatter(state.v_cache, cols, vals)
+    reference_scatter(state.v_cache, cols, vals)
     state.last_batch, state.last_draws = batch, draws
+
+
+def reference_scatter(v, cols, vals) -> None:
+    """The dual-image update of a step: ``vals[k]`` added at ``cols[k]`` in
+    one ordered ``np.add.at``, list after list; the callers leave out rows
+    whose delta is zero."""
+    if cols:
+        np.add.at(v, np.concatenate(cols), np.concatenate(vals))
 
 
 def reference_settle(state, ds) -> None:
@@ -667,7 +676,7 @@ def reference_settle(state, ds) -> None:
             vals.append(np.multiply(data[lo:hi], delta / ds.n))
         if touched is not None:
             touched.append(row)
-    core._scatter(state.v_cache, cols, vals)
+    reference_scatter(state.v_cache, cols, vals)
     state.last_batch = {}
 
 

@@ -1,5 +1,5 @@
-"""The dual sweep of the snapshot variants, three whole-dataset products,
-against the row-at-a-time sweep, bit for bit.
+"""The dual sweep of the snapshot variants, two whole-dataset products
+around the scalar dual prox, against the row-at-a-time sweep, bit for bit.
 
 A scipy whose CSR or CSC product stops summing each row in index order
 fails here first, rather than moving the golden traces."""

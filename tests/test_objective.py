@@ -9,7 +9,6 @@ from spdc.objective import (
     ProblemSpec,
     dual_objective,
     dual_prox,
-    dual_prox_array,
     dual_violations,
     duality_gap,
     elastic_net,
@@ -267,63 +266,6 @@ def test_primal_prox_matches_frozen_reference_bitwise(case):
     col = primal_prox(u[:, None], w[:, None], tau, lam)
     assert col.shape == (u.size, 1)
     assert _bits(col.ravel()) == _bits(reference_primal_prox(u, w, tau, lam))
-
-
-@st.composite
-def dual_prox_cases(draw):
-    """Coordinates for the dual prox, with the region boundaries ``y*s == 1``
-    and ``y*s == 1 - gamma``, exact fixed points (``-alpha - g == 0``), signed
-    zeros, and an unconstrained maximizer of exactly -0.0 mixed in."""
-    gamma = draw(st.one_of(st.sampled_from([0.1, 0.125, 0.5, 1.0, 2.0]), st.floats(1e-3, 1e3)))
-    m = draw(st.integers(1, 24))
-    rows = []
-    for _ in range(m):
-        y = draw(st.sampled_from([-1.0, 1.0]))
-        q = draw(st.floats(1e-6, 1e6))
-        s = draw(st.sampled_from([
-            y,  # y*s is exactly 1
-            y * (1.0 - gamma),  # y*s is exactly 1 - gamma
-            0.0, -0.0,
-        ]) | st.floats(-10.0, 10.0))
-        alpha = y * draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-        kind = draw(st.sampled_from(["free", "fixed", "zero_alpha", "neg_zero_u"]))
-        if kind == "fixed":
-            alpha = -float(smoothed_hinge_grad(s, y, gamma))
-        elif kind == "zero_alpha":
-            alpha = draw(st.sampled_from([0.0, -0.0]))
-        elif kind == "neg_zero_u":
-            # y - s + q*alpha is +0.0, so u = y*0.0/(gamma+q) is -0.0 for y = -1
-            s, alpha, q = 1.5 * y, 0.5 * y, 1.0
-        rows.append((s, alpha, q, y))
-    s, alpha, q, y = (np.array(col) for col in zip(*rows))
-    return s, alpha, q, y, gamma
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=dual_prox_cases())
-# unconstrained maximizers u of exactly 1, +0.0 and -0.0, none clipped
-@example(case=(np.array([0.0, 1.5, -1.5]), np.array([0.75, 0.25, -0.5]),
-               np.array([2.0, 2.0, 1.0]), np.array([1.0, 1.0, -1.0]), 0.5))
-# a fixed point on the kink y*s == 1 - gamma, where 1 - (1 - gamma) != gamma
-# makes it a point of the quadratic piece only
-@example(case=(np.array([0.9]), np.array([-float(smoothed_hinge_grad(0.9, 1.0, 0.1))]),
-               np.array([1.0]), np.array([1.0]), 0.1))
-def test_dual_prox_array_matches_scalar_bitwise(case):
-    s, alpha, q, y, gamma = case
-    want = [dual_prox(*args, gamma) for args in zip(s.tolist(), alpha.tolist(),
-                                                       q.tolist(), y.tolist())]
-    got = dual_prox_array(s, alpha, q, y, gamma)
-    assert got.shape == s.shape
-    assert _bits(got) == _bits(want)
-    # the exact fixed points come back as the input, signed zeros included
-    fixed = -alpha - smoothed_hinge_grad(s, y, gamma) == 0.0
-    assert _bits(got[fixed]) == _bits(alpha[fixed])
-
-
-def test_dual_prox_array_rejects_bad_q():
-    with pytest.raises(ValueError, match="q must be positive"):
-        dual_prox_array(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 2.0]),
-                        np.ones(3), 1.0)
 
 
 class TestObjectives:

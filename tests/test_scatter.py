@@ -1,6 +1,7 @@
 """The dual-image scatter of a step against the row-at-a-time update
-``v[cols] += (delta / n) * vals``, bit for bit: the shared ordered
-``np.add.at`` (``core._scatter``) and the two step phases that call it, the
+``v[cols] += (delta / n) * vals``, bit for bit: ``core._scatter``, which
+takes ``(row, delta)`` pairs, scales them and leaves out zero deltas in one
+ordered ``np.add.at``, and the two step phases that call it, the
 extrapolation of ``core._dual_pass`` and the settle of ``core._settle``."""
 
 import numpy as np
@@ -58,13 +59,16 @@ def _bits(x):
 
 @settings(max_examples=300, deadline=None)
 @given(problems())
+@example((SparseDataset(sp.csr_matrix(np.array([[1.0, -2.0], [3.0, 0.0]])), np.ones(2)),
+          np.array([-0.0, -0.0]), [0, 1, 0, 1], [0.0, -0.0, 5e-324, 2.5]))
+@example((SparseDataset(sp.csr_matrix(np.array([[1.0, -2.0]])), np.ones(1)),
+          np.array([-0.0, 4.0]), [], []))
 def test_scatter_matches_row_at_a_time_adds_bitwise(problem):
-    # shared columns, a row given twice, -0.0 entries, one row and no row
+    # shared columns, a row given twice, zero deltas 0.0 and -0.0 (left out,
+    # so -0.0 entries stay), 5e-324 (kept), one row and no row
     ds, v, rows, deltas = problem
-    kept = [(i, dl) for i, dl in zip(rows, deltas) if dl != 0.0]
     got = v.copy()
-    core._scatter(got, [ds.row(i)[0] for i, _ in kept],
-                  [(dl / ds.n) * ds.row(i)[1] for i, dl in kept])
+    core._scatter(got, ds, zip(rows, deltas))
     assert _bits(got) == _bits(sequential(v, ds, rows, deltas))
 
 
