@@ -177,10 +177,10 @@ class _Anchors:
         self._anchor(idx, w, its, idx.size - first)
         return m
 
-    def settle(self, rows: list, t: int) -> None:
+    def settle(self, rows, t: int) -> None:
         """The settle's phase at the block's end t, on the settled cache: each
         drawn support falls due one iteration on, and the weights due before
-        t are re-anchored.  With no block, the settled ``rows`` fall due at t."""
+        t are re-anchored.  With no block, the ``rows`` (read only then) fall due at t."""
         block, self.block, self.cached = self.block, None, {}
         if block is not None:
             idx, _, its, first, last, m = block
@@ -188,6 +188,8 @@ class _Anchors:
                 self.due.append((idx[first:last], its[first:last] + _ONE32))
                 self._chain(np.int32(t))
             rows = [idx[last:]]
+        else:
+            rows = list(rows)
         if rows:
             idx = _cat(rows)
             self.due.append((idx, np.full(idx.size, t, dtype=np.int32)))
@@ -593,7 +595,7 @@ def _settle(state: SolverState, ds) -> None:
     state.last_batch = {}
     if state._anchors is not None:
         indptr, indices = ds.csr_arrays()[:2]
-        state._anchors.settle([indices[indptr.item(i):indptr.item(i + 1)] for i in batch], t)
+        state._anchors.settle((indices[indptr.item(i):indptr.item(i + 1)] for i in batch), t)
 
 
 def _scatter(v, ds, deltas) -> None:

@@ -2,8 +2,8 @@
 
 The alias table gives O(n) preprocessing and O(1) draws from a fixed discrete
 distribution.  Plan builders cover uniform sampling, norm-based data-driven
-sampling, violation-weighted sampling capped at ``1/(a*sqrt(n))`` through a
-uniform mixture, and the restricted distribution that puts zero mass on
+sampling, violation-weighted sampling mixed toward uniform within its
+``thm5`` bounds, and the restricted distribution that puts zero mass on
 coordinates whose violations vanish.
 
 All stochastic operations take a ``numpy.random.Generator`` so runs are
@@ -29,6 +29,10 @@ __all__ = [
     "build_ovs",
     "build_restricted",
 ]
+
+# a violation-weighted plan's thm5 complexity estimate stays within this factor
+# of the uniform plan's (the safeguard of AdaSDCA+, Csiba, Qu and Richtarik 2015)
+_COMPLEXITY_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -159,14 +163,16 @@ def build_data_driven(ds, spec, a: int, scheme: str) -> SamplingPlan:
     return _finalize(p, a, kind)
 
 
-def build_ovs(kappa, row_norms, a: int) -> SamplingPlan:
-    """Violation-weighted plan over the ``n = len(kappa)`` instances with
-    entries capped at ``1/(a*sqrt(n))``.
+def build_ovs(kappa, row_norms, spec, a: int) -> SamplingPlan:
+    """Violation-weighted plan over the ``n = len(kappa)`` instances of ``spec``.
 
-    Weights are ``rho_i = kappa_i + min nonzero kappa`` times the instance
-    norm, normalized.  If the raw maximum exceeds the cap, the plan is the
-    uniform mixture ``(1-zeta)/n + zeta*raw`` with ``zeta`` chosen so the
-    maximum lands exactly on the cap.
+    Weights ``rho_i = kappa_i + min nonzero kappa`` times the instance norm,
+    normalized, give ``raw``.  The plan is ``(1-zeta)/n + zeta*raw`` with the
+    largest ``zeta`` in [0, 1] that keeps every entry under the cap
+    ``1/(a*sqrt(n))`` and the thm5 complexity ``max_i c_i/(a p_i)``,
+    ``c_i = 1 + ||x_i||/sqrt(n lam gamma)``, within twice uniform's: the floor
+    ``p_i >= c_i/(2 n max_k c_k)``, without which one tiny ``p_i`` shrinks every
+    step for a whole refresh.  When the cap binds first, the maximum lands on it.
 
     Raises
     ------
@@ -188,15 +194,19 @@ def build_ovs(kappa, row_norms, a: int) -> SamplingPlan:
     rho = kappa + nonzero.min()
     weights = rho * row_norms
     raw = weights / weights.sum()
-    cap = 1.0 / (a * math.sqrt(n))
+    cap, base = 1.0 / (a * math.sqrt(n)), 1.0 / n
     p_bar = raw.max()
-    if p_bar <= cap:
-        return _finalize(raw, a, "ovs")
-    # mixture written so the max entry lands on the cap exactly:
-    # (1-zeta)/n + zeta*raw == 1/n + (cap - 1/n) * (raw - 1/n)/(p_bar - 1/n)
-    base = 1.0 / n
-    p = base + (cap - base) * (raw - base) / (p_bar - base)
-    np.minimum(p, cap, out=p)
+    c = math.sqrt(n * spec.lam * spec.gamma) + row_norms  # c_i sqrt(n lam gamma)
+    floor = c / (_COMPLEXITY_FACTOR * n * c.max())
+    # the largest zeta whose floors hold: only entries below 1/n can break one
+    low = raw < base
+    zeta = float(np.min((base - floor[low]) / (base - raw[low]), initial=1.0))
+    if p_bar > cap and cap - base <= zeta * (p_bar - base):
+        # the cap binds first; written so the max entry lands on it exactly:
+        # (1-zeta)/n + zeta*raw == 1/n + (cap - 1/n) * (raw - 1/n)/(p_bar - 1/n)
+        p = np.minimum(base + (cap - base) * (raw - base) / (p_bar - base), cap)
+    else:
+        p = (1.0 - zeta) * base + zeta * raw  # raw itself at zeta = 1
     return _finalize(p, a, "ovs")
 
 

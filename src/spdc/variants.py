@@ -162,11 +162,11 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     """Violation-weighted sampling with a probability refresh once per epoch.
 
     A unit is one epoch-equivalent, ceil(n/a) iterations.  At its start the
-    dual violations are recomputed at the current iterate, the capped
-    violation-weighted plan is rebuilt, and the sqrt(n)-boosted step sizes and
-    momentum are rederived from it; the epoch then runs as one call of
-    :func:`core.iterate`.  When every violation is zero the refresh falls back
-    to the uniform plan and the run continues.
+    dual violations are recomputed at the current iterate, the violation-weighted
+    plan is rebuilt under the cap and within twice uniform's thm5 complexity
+    (:func:`build_ovs`), and the sqrt(n)-boosted steps and momentum are rederived;
+    the epoch runs as one call of :func:`core.iterate`.  When every violation
+    is zero the refresh falls back to the uniform plan and the run continues.
     """
     n = ds.n
     # derived before checkpoint 0, so that a batch or steps the rule refuses end the run first
@@ -180,7 +180,7 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
         kappa = dual_violations(state.w, state.alpha, ds, spec)
         kappa = np.where(kappa > 0.0, kappa, 0.0)
         try:
-            run.params = core.schedule_thm5(ds, spec, build_ovs(kappa, ds.row_norms, a))
+            run.params = core.schedule_thm5(ds, spec, build_ovs(kappa, ds.row_norms, spec, a))
         except ZeroViolations:
             run.params = uniform
             counters["uniform_fallbacks"] += 1

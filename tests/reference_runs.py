@@ -210,7 +210,7 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     """Violation-weighted sampling with periodic probability refresh.
 
     Every epoch-equivalent the dual violations are recomputed at the current
-    iterate, the capped violation-weighted plan is rebuilt, and the
+    iterate, the violation-weighted plan is rebuilt (the library's ``build_ovs``), and the
     sqrt(n)-boosted step sizes and momentum are rederived from it.  When every violation is zero the refresh
     falls back to the uniform plan and the run continues.  The budget is
     tested between epochs, so the run ends on a whole epoch.
@@ -232,7 +232,7 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
         kappa = dual_violations(state.w, state.alpha, ds, spec)
         kappa = np.where(kappa > 0.0, kappa, 0.0)
         try:
-            plan = build_ovs(kappa, ds.row_norms, a)
+            plan = build_ovs(kappa, ds.row_norms, spec, a)
         except ZeroViolations:
             plan = build_uniform(n, a)
             fallbacks += 1

@@ -7,6 +7,7 @@ lines; the suite asserts every criterion at its stated tolerance.
 import math
 import statistics
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -283,6 +284,30 @@ def test_criterion_7_violation_sampling_speedup(tmp_path):
     report(7, ok, f"{detail}; zero-dual fraction {zero_frac:.2f}")
 
 
+def test_criterion_7_single_draws(tmp_path):
+    # the paper's ordering at a = 1, where the cap 1/sqrt(n) seldom binds and
+    # only the complexity floor keeps the violation plan from stalling
+    data = tmp_path / "single.svm"
+    synth(n=200, d=30, sparsity=0.3, dual_skew=0.6, seed=5, out_path=str(data))
+    ds = load_libsvm(str(data), normalize=True)
+    budget = Budget(gap_tol=1e-6, max_epochs=300)
+    results = {}
+    for scale in (1e-2, 1e-3):
+        spec = ProblemSpec(gamma=1.0, lam=scale * lambda_max(ds))
+        params = schedule_thm5(ds, spec, build_uniform(ds.n, 1))
+        uni_epochs, ovs_epochs = [], []
+        for seed in range(5):
+            base = run_fixed(ds, spec, params, budget, np.random.default_rng(seed))
+            ovs = run_ovsspdc(ds, spec, 1, budget, np.random.default_rng(seed))
+            assert base.converged and ovs.converged
+            uni_epochs.append(base.trace[-1].epoch)
+            ovs_epochs.append(ovs.trace[-1].epoch)
+        results[scale] = (statistics.median(ovs_epochs), statistics.median(uni_epochs))
+    ok = all(o <= u for o, u in results.values())
+    report(7, ok, ", ".join(f"a=1, scale {s:g}: ovs {o:.0f} vs uniform {u:.0f} epochs"
+                            for s, (o, u) in results.items()))
+
+
 def test_criterion_8_minibatch_scaling(tmp_path):
     data = tmp_path / "scaling.svm"
     n = 400
@@ -318,18 +343,23 @@ def test_criterion_9_sampler_fidelity():
         if not np.any(kappa):
             kappa[int(rng.integers(n))] = 1.0
         norms = rng.uniform(0.2, 3.0, size=n)
+        spec = ProblemSpec(gamma=1.0, lam=float(10.0 ** rng.uniform(-5, 0)))
         cap = 1.0 / (a * math.sqrt(n))
-        plan = build_ovs(kappa, norms, a)
+        plan = build_ovs(kappa, norms, spec, a)
         rho = kappa + kappa[kappa != 0.0].min()
         raw = rho * norms / np.sum(rho * norms)
         if raw.max() <= cap:
             raw_cases += 1
         else:
             mix_cases += 1
+        rows = SimpleNamespace(n=n, row_norms=norms)
+        complexity = [complexity_estimate(rows, spec, q, "thm5")
+                      for q in (plan, build_uniform(n, a))]
         if not (np.all(plan.p > 0.0) and np.all(plan.p <= cap)
-                and abs(plan.p.sum() - 1.0) <= 1e-12):
+                and abs(plan.p.sum() - 1.0) <= 1e-12
+                and complexity[0] <= 2.0 * complexity[1] * (1.0 + 1e-12)):
             bounds_ok = False
-    hand = build_ovs([0.0, 0.0, 0.001, 100.0], np.ones(4), 1)
+    hand = build_ovs([0.0, 0.0, 0.001, 100.0], np.ones(4), ProblemSpec(), 1)
     hand_ok = hand.p.max() == 0.5 and abs(hand.p.sum() - 1.0) <= 1e-12
     ok = pvalue > 0.001 and bounds_ok and raw_cases > 50 and mix_cases > 50 and hand_ok
     report(9, ok, f"chi-square p={pvalue:.3f}, {raw_cases} raw / {mix_cases} mixture "

@@ -300,7 +300,7 @@ class TestSteps:
         for k in range(1000):
             if k % 100 == 0:  # also survive plan swaps mid-run
                 kappa = np.abs(rng.normal(size=ds.n))
-                plan = build_ovs(kappa, ds.row_norms, 2)
+                plan = build_ovs(kappa, ds.row_norms, spec, 2)
                 params = schedule_thm5(ds, spec, plan)
             core.iterate(state, params, ds, spec, rng, 1)
         assert state.cache_error(ds) <= 1e-9

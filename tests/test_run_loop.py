@@ -77,7 +77,7 @@ def test_rules_match_reference(problem, data):
     a = data.draw(st.integers(1, n))
     small = data.draw(st.integers(1, math.isqrt(n)))
     plans = [build_uniform(n, a), build_uniform(n, small),
-             build_ovs(_kappa(data.draw, n), ds.row_norms, small),
+             build_ovs(_kappa(data.draw, n), ds.row_norms, spec, small),
              build_restricted(_kappa(data.draw, n), a)]
     for scheme in ("cor16", "cor17"):
         try:

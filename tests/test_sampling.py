@@ -1,6 +1,7 @@
 """Alias sampler and the sampling-plan families."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spdc import core
 from spdc.errors import ConditionNotMetError, ZeroViolations
 from spdc.objective import ProblemSpec
 from spdc.sampling import (
@@ -216,14 +218,42 @@ class TestDataDriven:
             build_data_driven(ds, ProblemSpec(), 2, "cor16")
 
 
+def _thm5_complexity(plan, norms, spec):
+    """``core.complexity_estimate`` of ``plan`` under thm5 for rows of ``norms``."""
+    return core.complexity_estimate(SimpleNamespace(n=norms.size, row_norms=norms), spec,
+                                    plan, "thm5")
+
+
 class TestOvs:
     def test_hand_raw_branch(self):
-        plan = build_ovs([0.0, 1.0, 3.0], np.ones(3), 1)
-        assert np.allclose(plan.p, [1 / 7, 2 / 7, 4 / 7], rtol=1e-15)
+        # rho = [2, 3, 4]: raw = [2/9, 1/3, 4/9] lies within the cap 1/sqrt(3)
+        # and above the floor 1/6 of unit rows, so it is the plan itself
+        plan = build_ovs([1.0, 2.0, 3.0], np.ones(3), ProblemSpec(), 1)
+        assert np.array_equal(plan.p, np.array([2.0, 3.0, 4.0]) / 9.0)
         assert plan.kind == "ovs"
 
+    def test_hand_floor_branch(self):
+        # rho = [1, 2, 4]: raw[0] = 1/7 lies below the floor 1/(2n) = 1/6, so
+        # zeta = (1/3 - 1/6)/(1/3 - 1/7) = 7/8 and p = 1/24 + 7/8 raw
+        plan = build_ovs([0.0, 1.0, 3.0], np.ones(3), ProblemSpec(), 1)
+        assert np.allclose(plan.p, [1 / 6, 7 / 24, 13 / 24], rtol=1e-15)
+        assert plan.p.max() < 1.0 / math.sqrt(3.0)  # the cap does not bind
+        # the thm5 complexity lands on twice uniform's
+        norms = np.ones(3)
+        assert _thm5_complexity(plan, norms, ProblemSpec()) == pytest.approx(
+            2.0 * _thm5_complexity(build_uniform(3, 1), norms, ProblemSpec()), rel=1e-15)
+
+    def test_hand_floor_follows_row_norms(self):
+        # with n lam gamma = 1, c = 1 + ||x|| = [2, 5, 5, 5] and the floors
+        # c_i/(2 n max c) are [1/20, 1/8, 1/8, 1/8]; rho = [1, 2, 2, 2] gives
+        # raw = [1, 8, 8, 8]/25, whose first entry lies below its floor:
+        # zeta = (1/4 - 1/20)/(1/4 - 1/25) = 20/21
+        plan = build_ovs([0.0, 1.0, 1.0, 1.0], np.array([1.0, 4.0, 4.0, 4.0]),
+                         ProblemSpec(lam=0.25), 1)
+        assert np.allclose(plan.p, [1 / 20, 19 / 60, 19 / 60, 19 / 60], rtol=1e-14)
+
     def test_hand_mixture_branch(self):
-        plan = build_ovs([0.0, 0.0, 0.001, 100.0], np.ones(4), 1)
+        plan = build_ovs([0.0, 0.0, 0.001, 100.0], np.ones(4), ProblemSpec(), 1)
         cap = 0.5
         assert plan.p.max() == cap  # lands on the cap exactly
         assert abs(plan.p.sum() - 1.0) <= 1e-12
@@ -235,19 +265,20 @@ class TestOvs:
         assert np.allclose(plan.p, (1 - zeta) / 4 + zeta * raw, atol=1e-12)
 
     def test_equal_kappa_equal_norms_uniform(self):
-        plan = build_ovs(np.full(9, 2.5), np.ones(9), 1)
+        plan = build_ovs(np.full(9, 2.5), np.ones(9), ProblemSpec(), 1)
         assert np.allclose(plan.p, 1.0 / 9, rtol=1e-12)
 
     def test_all_zero_raises(self):
         with pytest.raises(ZeroViolations):
-            build_ovs(np.zeros(5), np.ones(5), 1)
+            build_ovs(np.zeros(5), np.ones(5), ProblemSpec(), 1)
 
     def test_large_batch_rejected(self):
         with pytest.raises(ValueError, match="sqrt"):
-            build_ovs(np.ones(4), np.ones(4), 3)
+            build_ovs(np.ones(4), np.ones(4), ProblemSpec(), 3)
 
     def test_invariants_random(self):
         rng = np.random.default_rng(8)
+        tight = {"one": 0, "cap": 0, "floor": 0}
         for _ in range(1000):
             n = int(rng.integers(4, 80))
             a = int(rng.integers(1, max(2, int(math.isqrt(n)) + 1)))
@@ -255,11 +286,29 @@ class TestOvs:
             if not np.any(kappa):
                 kappa[0] = 1.0
             norms = rng.uniform(0.2, 3.0, size=n)
-            plan = build_ovs(kappa, norms, a)
+            spec = ProblemSpec(gamma=float(rng.uniform(0.2, 3.0)),
+                               lam=float(10.0 ** rng.uniform(-5, 0)))
+            plan = build_ovs(kappa, norms, spec, a)
             cap = 1.0 / (a * math.sqrt(n))
             assert np.all(plan.p > 0.0)
             assert np.all(plan.p <= cap)
             assert abs(plan.p.sum() - 1.0) <= 1e-12
+            assert (_thm5_complexity(plan, norms, spec)
+                    <= 2.0 * _thm5_complexity(build_uniform(n, a), norms, spec)
+                    * (1.0 + core._RTOL))
+            # zeta is maximal: the raw plan itself, or a bound holds with equality
+            rho = kappa + kappa[kappa != 0.0].min()
+            raw = rho * norms / np.sum(rho * norms)
+            c = 1.0 + norms / math.sqrt(n * spec.lam * spec.gamma)
+            floor = c / (2.0 * n * c.max())
+            if np.array_equal(plan.p, raw):
+                tight["one"] += 1
+            elif abs(plan.p.max() - cap) <= core._RTOL * cap:
+                tight["cap"] += 1
+            else:
+                assert np.min(np.abs(plan.p - floor) / floor) <= 1e-12
+                tight["floor"] += 1
+        assert min(tight.values()) > 0, tight  # every branch is exercised
 
     def test_mixture_continuity_at_cap(self):
         # rho = [2,2,2,s+1]; raw max crosses the 1/(a sqrt(n)) = 0.5 cap at s=5
@@ -268,7 +317,7 @@ class TestOvs:
         kappa = np.array([1.0, 1.0, 1.0, s])
         raw = (kappa + 1.0) / (kappa + 1.0).sum()
         assert raw.max() > 0.5
-        plan = build_ovs(kappa, np.ones(4), 1)
+        plan = build_ovs(kappa, np.ones(4), ProblemSpec(), 1)
         assert np.max(np.abs(plan.p - raw)) <= 1e-8
 
 
