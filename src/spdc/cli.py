@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import core
-from .datamat import lambda_max, load_libsvm
+from .datamat import _MAX_INDEX, lambda_max, load_libsvm
 from .errors import (
     ConditionNotMetError,
     ConfigError,
@@ -37,7 +37,6 @@ from .errors import (
 from .objective import ProblemSpec
 from .sampling import build_data_driven, build_uniform
 from .trace import write_trace_csv
-# _dispatch looks the run_* names up in this module's globals when it calls one
 from .variants import (
     Budget,
     RunResult,
@@ -61,6 +60,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SCHEDULE = 3
 EXIT_NUMERICAL = 4
+
+# each failure class the CLI reports: its stderr prefix and exit code; a
+# dataset too wide to hold in memory is a data error
+FAILURES = {
+    **dict.fromkeys((ConfigError, DataError, MemoryError), ("error", EXIT_CONFIG)),
+    **dict.fromkeys((ScheduleError, ConditionNotMetError),
+                    ("schedule precondition failed", EXIT_SCHEDULE)),
+    NumericalFailure: ("numerical failure", EXIT_NUMERICAL),
+}
 
 
 @dataclass
@@ -173,17 +181,17 @@ def _dispatch(cfg: RunConfig, ds, spec: ProblemSpec, budget: Budget,
     if cfg.algo == "ovs-exact":
         return run_ovs_exact(ds, spec, budget, rng), extra
     if cfg.algo in VARIANTS:
-        # run_ovsspdc, run_ovsspdc_plus or run_ovsspdc_plusplus, read from
-        # the module's globals when called (the benchmark patches them)
-        runner = globals()["run_" + cfg.algo.replace("-", "_")]
+        runner = {"ovsspdc": run_ovsspdc, "ovsspdc-plus": run_ovsspdc_plus,
+                  "ovsspdc-plusplus": run_ovsspdc_plusplus}[cfg.algo]
         return runner(ds, spec, cfg.a, budget, rng), extra
     schedule = _pick_schedule(cfg, ds)
     plan = (build_uniform(ds.n, cfg.a) if cfg.prob == "uniform"
             else build_data_driven(ds, spec, cfg.a, cfg.prob))
     if schedule in ("cor18", "cor19"):
         params = core.schedule_vanilla(ds, spec, plan, schedule)
-    else:  # looked up in core when called, as the benchmark wraps the rules there
-        params = getattr(core, "schedule_" + schedule)(ds, spec, plan)
+    else:
+        params = {"thm4": core.schedule_thm4, "thm5": core.schedule_thm5,
+                  "thm15": core.schedule_thm15}[schedule](ds, spec, plan)
     if cfg.algo == "dspdc":  # spdc's run, checked by thm20 for its one primal block
         b = cfg.dspdc_b
         # floor(d/b) >= 2 blocks: thm20 fails every partition the rules here give
@@ -206,13 +214,8 @@ def _condition_report(result: RunResult, ds, spec, cfg: RunConfig, extra: dict) 
         return {}
     ok3, margin3 = core.verify_lemma3(result.params, ds)
     ok14 = core.verify_lemma14(result.params, ds)
-    report = {
-        "lemma3": {"ok": bool(ok3), "worst_margin": margin3},
-        "lemma14": {"ok": bool(ok14)},
-    }
-    if "thm20" in extra:
-        report["thm20"] = extra["thm20"]
-    return report
+    return {"lemma3": {"ok": bool(ok3), "worst_margin": margin3},
+            "lemma14": {"ok": bool(ok14)}, **extra}
 
 
 def run(cfg: RunConfig) -> int:
@@ -222,15 +225,13 @@ def run(cfg: RunConfig) -> int:
         ds = load_libsvm(cfg.data, normalize=cfg.normalize)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
-    except DataError as exc:
-        raise ConfigError(str(exc)) from exc
     lmax, spec, budget, rng = _problem(cfg, ds)
     t0 = time.perf_counter()
     result, extra = _dispatch(cfg, ds, spec, budget, rng)
     wall = time.perf_counter() - t0 if cfg.timing else 0.0
     last = result.trace[-1]
     summary = {
-        "config": {k: v for k, v in asdict(cfg).items()},
+        "config": asdict(cfg),
         "n": ds.n,
         "d": ds.d,
         "lambda_max": lmax,
@@ -293,7 +294,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
             if cfg.normalize not in loaded:
                 try:
                     loaded[cfg.normalize] = load_libsvm(data, normalize=cfg.normalize)
-                except (DataError, OSError) as exc:
+                except (*FAILURES, OSError) as exc:
                     loaded[cfg.normalize] = exc
             ds = loaded[cfg.normalize]
             if isinstance(ds, Exception):
@@ -307,8 +308,7 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
                 final_gap=last.gap,
                 iterations=result.counters.get("iterations", 0),
             )
-        except (ConfigError, DataError, ScheduleError, ConditionNotMetError,
-                NumericalFailure, OSError) as exc:
+        except (*FAILURES, OSError) as exc:
             outcome = dict(status=f"error: {exc}", epochs_to_tol="", final_gap="",
                            iterations="")
         # after validate, which gives the violation-driven algos prob=ovs
@@ -330,10 +330,11 @@ def synth(n: int, d: int, sparsity: float, dual_skew: float, seed: int,
     by a hidden sparse direction.  A ``dual_skew`` fraction of instances is
     scaled to sit far outside the margin (their duals vanish at the optimum);
     the rest sit inside it.  ``dual_skew=0`` gives balanced margins.  The
-    output is deterministic in the seed.
+    skew is one scale per row, so loading with ``normalize=True`` undoes it.
+    The output is deterministic in the seed.
     """
-    if n < 1 or d < 1:
-        raise ConfigError("n and d must be >= 1")
+    if n < 1 or not 1 <= d <= _MAX_INDEX:
+        raise ConfigError(f"n must be >= 1 and d must lie in [1, {_MAX_INDEX}]")
     if not 0.0 <= sparsity <= 1.0:
         raise ConfigError(f"sparsity must lie in [0, 1], got {sparsity}")
     if not 0.0 <= dual_skew <= 1.0:
@@ -419,7 +420,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--sparsity", type=float, default=0.3,
                          help="fraction of nonzero features per instance")
     p_synth.add_argument("--dual-skew", type=float, default=0.0,
-                         help="fraction of instances far outside the margin")
+                         help="fraction of instances far outside the margin; "
+                              "--normalize undoes it, as it rescales every row")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output LIBSVM path")
     return parser
@@ -469,15 +471,10 @@ def main(argv=None) -> int:
         synth(args.n, args.d, args.sparsity, args.dual_skew, args.seed, args.out)
         print(f"wrote {args.out}")
         return EXIT_OK
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ScheduleError, ConditionNotMetError) as exc:
-        print(f"schedule precondition failed: {exc}", file=sys.stderr)
-        return EXIT_SCHEDULE
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except tuple(FAILURES) as exc:
+        prefix, code = next(v for kind, v in FAILURES.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

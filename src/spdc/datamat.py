@@ -131,7 +131,8 @@ def _row_norms(indptr, data):
 
 # lines per bulk parse step: bounds the Python strings alive at one time
 _BLOCK_LINES = 128
-_MAX_INDEX = np.iinfo(np.int64).max
+# the largest feature count whose float64 weight vector numpy can size
+_MAX_INDEX = np.iinfo(np.intp).max // 8
 
 
 def _parse_line(line: str, lineno: int):
@@ -226,8 +227,9 @@ def _parse_block(raw):
     steps[starts[1:] - 1] = 1  # the first index of an instance follows nothing
     nonzero = vals != 0.0
     lengths = np.add.reduceat(nonzero, starts, dtype=np.int64)
-    if not (np.all((labels == 1.0) | (labels == -1.0)) and idx.min() >= 1
-            and np.all(steps > 0) and np.all(np.isfinite(vals)) and lengths.min() > 0):
+    if not (np.all((labels == 1.0) | (labels == -1.0)) and 1 <= idx.min()
+            and idx.max() <= _MAX_INDEX and np.all(steps > 0) and np.all(np.isfinite(vals))
+            and lengths.min() > 0):
         return None
     return labels, lengths, idx[nonzero] - 1, vals[nonzero]
 

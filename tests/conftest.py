@@ -87,13 +87,6 @@ def small():
     return ds, ProblemSpec(gamma=1.0, lam=0.05 * lambda_max(ds))
 
 
-@pytest.fixture(scope="session")
-def small_ref(small):
-    ds, spec = small
-    state, _, _ = solve_to_fixed_point(ds, spec)
-    return state
-
-
 @pytest.fixture
 def draw_log(monkeypatch):
     """Every batch of sampled duals, as ``(plan, draws)``: records the calls

@@ -75,7 +75,9 @@ class TestSynth:
         assert out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--sparsity", "2"), ("--sparsity", "nan"),
-                                            ("--sparsity", "inf"), ("--seed", "-1")])
+                                            ("--sparsity", "inf"), ("--seed", "-1"),
+                                            # too wide to hold, too wide to size
+                                            ("--d", str(10**14)), ("--d", str(2**62))])
     def test_out_of_range_flags_exit_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "f.svm"
         assert cli("synth", "--n", "5", "--d", "3", flag, value, "--out", str(out)) == 2
@@ -431,6 +433,43 @@ def test_zero_lambda_max_is_a_config_error(tmp_path, capsys):
     with open(out, newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["status"] == "error: lambda_max is zero; the label/feature correlation vanishes"
+
+
+@pytest.mark.parametrize("index,fragment", [
+    # a 728 TiB weight vector, beyond a 47-bit address space: its allocation fails
+    (10**14, "Unable to allocate"),
+    # a weight vector numpy cannot even size: the loader rejects it
+    (2**62, f"line 2: feature index {2**62} is too large"),
+])
+def test_too_wide_dataset_is_a_data_error(tmp_path, capsys, index, fragment):
+    data = tmp_path / "wide.svm"
+    data.write_text(f"+1 1:1\n-1 {index}:1\n")
+    assert cli("run", "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+    out = tmp_path / "table.csv"
+    assert cli("sweep", "--data", str(data), "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"].startswith("error: ") and fragment in row["status"]
+
+
+@pytest.mark.parametrize("kind", list(cli_mod.FAILURES), ids=lambda k: k.__name__)
+def test_failure_table_maps_run_and_sweep(data_file, tmp_path, monkeypatch, capsys, kind):
+    """Every failure class exits with its table code and prefix from ``run``,
+    and is an ``error:`` row of ``sweep``."""
+    def boom(*args, **kwargs):
+        raise kind("planted")
+
+    monkeypatch.setattr(cli_mod, "_dispatch", boom)
+    prefix, code = cli_mod.FAILURES[kind]
+    assert cli("run", "--data", data_file) == code
+    assert capsys.readouterr().err == f"{prefix}: planted\n"
+    out = tmp_path / "table.csv"
+    assert cli("sweep", "--data", data_file, "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "error: planted"
 
 
 class TestDeterminism:

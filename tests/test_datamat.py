@@ -237,6 +237,19 @@ class TestBulkLoader:
         assert data_error(load_libsvm, path) == (
             "line 2: feature index 99999999999999999999 is too large")
 
+    def test_index_beyond_a_sizable_weight_vector_rejected(self, tmp_path):
+        # the largest feature count whose float64 vector numpy can size
+        bound = np.iinfo(np.intp).max // 8
+        ds = load_libsvm(write(tmp_path, f"+1 1:1\n-1 {bound}:1\n"))
+        assert ds.d == bound
+        for index in (bound + 1, 2**62):
+            assert data_error(load_libsvm, write(tmp_path, f"+1 1:1\n-1 {index}:1\n")) == (
+                f"line 2: feature index {index} is too large")
+        # the line-by-line check passes it on to name a later bad line
+        text = f"+1 1:1\n-1 {bound}:1\n+1 2:nan\n"
+        assert data_error(load_libsvm, write(tmp_path, text)) == (
+            "line 3: feature 2 has non-finite value nan")
+
     def test_no_data_lines(self, tmp_path):
         for text in ("", "# only a comment\n\n"):
             path = write(tmp_path, text)
@@ -384,6 +397,11 @@ class TestIndexArrays:
                                 np.array([0, 2, 3])), shape=(2, 2))
         with pytest.raises(DataError, match="instance 0 has zero norm"):
             SparseDataset(matrix, np.ones(2))
+
+    def test_label_count_must_match_instance_count(self):
+        with pytest.raises(DataError, match=r"label count \(2,\) does not match "
+                                            r"instance count 3"):
+            SparseDataset(sp.csr_matrix(np.eye(3)), np.ones(2))
 
 
 class TestLambdaMax:

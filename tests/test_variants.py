@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from spdc import core, variants
 from spdc.core import init_state, schedule_thm4, schedule_thm5, schedule_vanilla
 from spdc.datamat import example_path, lambda_max, load_libsvm
-from spdc.errors import ScheduleError
+from spdc.errors import NumericalFailure, ScheduleError
 from spdc.objective import (
     ProblemSpec,
+    dual_objective,
     dual_violations,
     duality_gap,
     primal_objective,
@@ -27,6 +28,7 @@ from spdc.variants import (
 )
 
 from conftest import assert_settled, make_dataset, untimed
+from oracles import lbfgs_optimum
 
 
 def optimal_zero_state(ds, spec):
@@ -163,6 +165,52 @@ class TestOvsExact:
                             np.random.default_rng(8), state0=state0)
         assert res.counters["optimal_exit"]
         assert res.counters["duals_drawn"] == 0
+
+    def test_first_iteration_flush_converges(self, monkeypatch):
+        # below lambda_max the zero weights are not optimal, but every dual
+        # at y_i is (gamma = 1): the first iteration finds no violated dual
+        # and flushes the primal with the uniform thm5 steps
+        ds = make_dataset(50, 10, seed=33, density=0.6)
+        spec = ProblemSpec(gamma=1.0, lam=0.1 * lambda_max(ds))
+        state0 = optimal_zero_state(ds, spec)
+        assert np.all(dual_violations(state0.w_bar, state0.alpha, ds, spec) <= 0.0)
+        passes = []
+        primal_pass = core._primal_pass
+
+        def recorded(state, tau, lam, theta, primal_coords=None):
+            passes.append((tau, lam, theta))
+            primal_pass(state, tau, lam, theta, primal_coords)
+
+        monkeypatch.setattr(core, "_primal_pass", recorded)
+        res = run_ovs_exact(ds, spec, Budget(gap_tol=1e-8, max_epochs=2000),
+                            np.random.default_rng(9), state0=state0)
+        flush = schedule_thm5(ds, spec, build_uniform(ds.n, 1))
+        assert passes[0] == (flush.tau, spec.lam, flush.theta)
+        p_val = primal_objective(res.state.w, ds, spec)
+        d_val = dual_objective(res.state.alpha, ds, spec)
+        assert res.converged and p_val - d_val <= 1e-8
+        assert d_val - 1e-14 <= lbfgs_optimum(ds, spec) <= p_val + 1e-14
+
+
+class TestCheckpointGuards:
+    """A state the run cannot certify ends it at its first checkpoint."""
+
+    def _run(self, mid, state0):
+        ds, spec = mid
+        params = schedule_thm5(ds, spec, build_uniform(ds.n, 1))
+        return run_fixed(ds, spec, params, Budget(), np.random.default_rng(0), state0=state0)
+
+    def test_non_finite_objective(self, mid):
+        state0 = init_state(mid[0])
+        state0.w = np.where(np.arange(mid[0].d) == 0, np.inf, 0.0)
+        with pytest.raises(NumericalFailure, match="non-finite objective at checkpoint 0"):
+            self._run(mid, state0)
+
+    def test_cache_drift(self, mid):
+        state0 = init_state(mid[0])
+        state0.v_cache = state0.v_cache + 1e-6
+        with pytest.raises(NumericalFailure, match="dual-image cache drifted at checkpoint 0"):
+            self._run(mid, state0)
 
 
 class TestSnapshotVariants:
