@@ -10,6 +10,7 @@ runs.
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import islice, repeat
 
 import numpy as np
@@ -135,67 +136,73 @@ _BLOCK_LINES = 128
 _MAX_INDEX = np.iinfo(np.intp).max // 8
 
 
-def _parse_line(line: str, lineno: int):
-    tokens = line.split()
-    try:
-        label = float(tokens[0])
-    except ValueError:
-        raise DataError(f"line {lineno}: cannot parse label {tokens[0]!r}") from None
-    if not math.isfinite(label):
-        raise DataError(f"line {lineno}: label {tokens[0]!r} is not finite")
-    if label not in (-1.0, 1.0):
-        raise DataError(f"line {lineno}: label {tokens[0]!r} is not +-1")
-    idxs, vals = [], []
-    prev = 0
-    for tok in tokens[1:]:
-        try:
-            stext, vtext = tok.split(":", 1)
-            idx = int(stext)
-            val = float(vtext)
-        except ValueError:
-            raise DataError(f"line {lineno}: malformed feature token {tok!r}") from None
-        if idx < 1:
-            raise DataError(f"line {lineno}: feature index {idx} is not 1-based")
-        if idx > _MAX_INDEX:
-            raise DataError(f"line {lineno}: feature index {idx} is too large")
-        if idx == prev:
-            raise DataError(f"line {lineno}: duplicate feature index {idx}")
-        if idx < prev:
-            raise DataError(f"line {lineno}: feature indices must be strictly increasing")
-        prev = idx
-        if val != 0.0:
-            idxs.append(idx - 1)
-            vals.append(val)
-    return label, idxs, vals
-
-
-def _check_lines(raw, first_lineno: int) -> None:
-    """Check a block's lines one at a time; raise for the first bad one."""
+def _parse_lines(raw, first_lineno: int):
+    """Parse a block line by line to ``_parse_block``'s arrays; raise for its first bad line."""
+    labels, lengths, idx, vals = [], [], [], []
     for lineno, text in enumerate(raw, start=first_lineno):
         try:
             text.encode()
         except UnicodeEncodeError:  # undecodable bytes arrive as lone surrogates
             raise DataError(f"line {lineno}: not valid UTF-8 text") from None
-        line = text.strip()
-        if not line or line.startswith("#"):
+        tokens = text.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        _, idxs, vals = _parse_line(line, lineno)
-        if not idxs:
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise DataError(f"line {lineno}: cannot parse label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise DataError(f"line {lineno}: label {tokens[0]!r} is not finite")
+        if label not in (-1.0, 1.0):
+            raise DataError(f"line {lineno}: label {tokens[0]!r} is not +-1")
+        start, prev = len(idx), 0
+        for tok in tokens[1:]:
+            try:
+                stext, vtext = tok.split(":", 1)
+                j, v = int(stext), float(vtext)
+            except ValueError:
+                raise DataError(f"line {lineno}: malformed feature token {tok!r}") from None
+            if j < 1:
+                raise DataError(f"line {lineno}: feature index {j} is not 1-based")
+            if j > _MAX_INDEX:
+                raise DataError(f"line {lineno}: feature index {j} is too large")
+            if j == prev:
+                raise DataError(f"line {lineno}: duplicate feature index {j}")
+            if j < prev:
+                raise DataError(f"line {lineno}: feature indices must be strictly increasing")
+            prev = j
+            if v != 0.0:
+                idx.append(j - 1)
+                vals.append(v)
+        if len(idx) == start:
             raise DataError(f"line {lineno}: instance has no nonzero features")
-        for j, v in zip(idxs, vals):
+        for j, v in zip(idx[start:], vals[start:]):
             if not math.isfinite(v):
                 raise DataError(f"line {lineno}: feature {j + 1} has non-finite value {v!r}")
-    raise DataError(f"lines {first_lineno}-{first_lineno + len(raw) - 1}: not LIBSVM data")
+        labels.append(label)
+        lengths.append(len(idx) - start)
+    return (np.array(labels, np.float64), np.array(lengths, np.int64),
+            np.array(idx, np.int64), np.array(vals, np.float64))
+
+
+def _read_tokens(tokens):
+    """The (index, value) fields of ``idx:val`` tokens, converted as ``int`` and
+    ``float`` do by numpy's C text reader; ValueError for a token with no colon
+    or two, an empty side, or a field that is no ASCII decimal int64 or float
+    (``1_0`` is none).  numpy < 2 only warns for index ``1.5``: raised here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(tokens, [("i", np.int64), ("v", np.float64)], delimiter=":",
+                          comments=None, ndmin=1)
 
 
 def _parse_block(raw):
-    """Parse a block of lines in bulk, or return None if any line of it is bad.
+    """Parse a block of lines in bulk, or None if a line is bad or numpy refuses a token.
 
     Returns the labels, the count of nonzero entries per instance, and the
-    0-based indices and values of those entries in file order.  The tokens
-    are split by a few ``str`` calls over the whole block and converted by
-    the same ``int`` and ``float`` as ``_parse_line``, and every check runs
-    on arrays, so a block this accepts parses line by line to the same data.
+    0-based indices and values of those entries in file order, converted as
+    ``float`` and ``int`` do (``_read_tokens``) and checked as arrays, so a
+    block this accepts parses line by line to the same data.
     """
     try:
         "".join(raw).encode()
@@ -208,20 +215,14 @@ def _parse_block(raw):
     if any(len(h) < 2 for h in heads):
         return None
     rests = [h[1] for h in heads]
-    text = " ".join(rests)
-    tokens = text.split()
-    counts = np.fromiter(map(str.count, rests, repeat(":")), np.int64, len(rests))
-    # every token has a colon after its index and the block has as many colons
-    # as tokens, so every token has exactly one and instance i has counts[i]
-    if counts.sum() != len(tokens) or min(map(str.find, tokens, repeat(":"))) < 1:
-        return None
-    parts = text.replace(":", " ").split()
-    try:  # an empty value leaves too few parts, which fromiter's count rejects
+    try:
         labels = np.fromiter(map(float, (h[0] for h in heads)), np.float64, len(heads))
-        idx = np.fromiter(map(int, parts[0::2]), np.int64, len(tokens))
-        vals = np.fromiter(map(float, parts[1::2]), np.float64, len(tokens))
-    except (ValueError, OverflowError):
+        fields = _read_tokens(" ".join(rests).split())
+    except (ValueError, DeprecationWarning):
         return None
+    idx, vals = fields["i"], fields["v"]
+    # every token has exactly one colon, so instance i has counts[i] tokens
+    counts = np.fromiter(map(str.count, rests, repeat(":")), np.int64, len(rests))
     starts = np.cumsum(counts) - counts
     steps = np.diff(idx)
     steps[starts[1:] - 1] = 1  # the first index of an instance follows nothing
@@ -242,8 +243,9 @@ def load_libsvm(path, normalize: bool = False) -> SparseDataset:
     character is ``#`` are skipped.  Explicitly stored zeros are dropped.
     The feature count is the maximum index seen.
 
-    The file is parsed in blocks of lines, each in bulk; a block that fails
-    a bulk check is read again line by line to name its first bad line.
+    The file is parsed in blocks of lines, in bulk with numpy's text reader.
+    A block that fails a bulk check is parsed again line by line, to the same
+    arrays if only Python reads its tokens (``1_0``), else to name its first bad line.
 
     Parameters
     ----------
@@ -264,9 +266,7 @@ def load_libsvm(path, normalize: bool = False) -> SparseDataset:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while raw := list(islice(fh, _BLOCK_LINES)):
             block = _parse_block(raw)
-            if block is None:
-                _check_lines(raw, lineno)
-            blocks.append(block)
+            blocks.append(_parse_lines(raw, lineno) if block is None else block)
             lineno += len(raw)
     if not sum(block[0].size for block in blocks):
         raise DataError(f"{path}: no data lines found")

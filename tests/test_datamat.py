@@ -187,9 +187,11 @@ DEFECTS = (
     b"+1 1:x", b"+1 3", b"+1 1:2:3", b"+1 :3", b"+1 3:", b"+1 0:1", b"+1 2:1 2:3",
     b"+1 3:1 2:1", b"2 1:1", b"inf 1:1", b"nan 1:1", b"abc 1:1", b"+1 1:nan",
     b"-1 2:-inf", b"+1 1:1e400", b"+1 1:0 4:0", b"+1", b"-1 1:1 # trailing",
-    b"+1 1 2:3:4", b"+1 2: 3:4",
+    b"+1 1 2:3:4", b"+1 2: 3:4", b"+1 1.5:3", b"+1 1e2:3", b"+1 1:0x10",
     b"+1 1:\xff", b"# caf\xe9",
 )
+# tokens Python's int and float read, some of which numpy's text reader refuses
+PYTHON_TOKENS = ("1_0:5", "\u0663:5", "+3:2", "01:5", "1:.5", "1:5.", "1:1E5", "1:+2")
 NOT_UTF8 = (b"+1 1:\xff", b"# caf\xe9")
 
 
@@ -231,6 +233,17 @@ class TestBulkLoader:
             one[spots[first]] = defects[first]
             path = write_lines(folder / "one.svm", one, seed)
             assert got == data_error(reference_load_libsvm, path)
+
+    @pytest.mark.parametrize("token", PYTHON_TOKENS)
+    def test_tokens_only_python_reads_load_as_reference(self, tmp_path, token):
+        # three blocks of lines; the token sits in the middle one, whose bulk
+        # parse may refuse it, and must then be parsed line by line
+        lines = [f"{(-1, 1)[i % 2]:+d} {i % 9 + 11}:{i * 0.37!r} 30:-2" for i in range(300)]
+        lines[200] = f"-1 {token} 20:3"
+        path = write_lines(tmp_path / "python.svm", lines, 0)
+        for normalize in (False, True):
+            assert_same_dataset(load_libsvm(path, normalize=normalize),
+                                reference_load_libsvm(path, normalize=normalize))
 
     def test_huge_index_rejected(self, tmp_path):
         path = write(tmp_path, "+1 1:1\n-1 99999999999999999999:1\n")
