@@ -40,8 +40,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ScheduleError
-from .objective import ProblemSpec, dual_prox, primal_prox
-from .sampling import SamplingPlan, draw_batch
+from .objective import ProblemSpec, dual_prox, prox_arrays
+from .sampling import SamplingPlan, sampler
 
 __all__ = [
     "StepParams",
@@ -115,17 +115,14 @@ class _Anchors:
     evaluations of the iterations one at a time, a phase's in one call.
     """
 
-    def __init__(self, w, v_cache, t: int, tau: float, lam: float, theta: float,
-                 primal_coords):
+    def __init__(self, w, v_cache, t: int, tau: float, lam: float, theta: float, frozen):
         d = v_cache.size
         self.params, self.v = (tau, lam, theta), v_cache
         # numpy scalars: their arithmetic with small arrays costs less
         self.tau, self.lam, self.theta = np.float64(tau), np.float64(lam), np.float64(theta)
         self.c = np.float64(1.0 / (1.0 + tau * lam))
         self.kill = np.float64(-1.0 - 1.0 / (tau * lam))
-        self.frozen = None if primal_coords is None else np.ones(d, dtype=bool)
-        if self.frozen is not None:
-            self.frozen[primal_coords] = False
+        self.frozen = frozen  # the weights a selection leaves out, or None
         self.B, self.W, self.t0 = np.array(w, dtype=np.float64), np.empty(d), np.empty(d, np.int32)
         # due: (weights, the iteration each is due at); block: the prepared
         # block; pending: a draw that met the block, which opens the next one
@@ -136,7 +133,7 @@ class _Anchors:
     def prepare(self, indptr, indices, draw, k: int, t: int):
         """The dual pass's phase from iteration t: up to k draws of ``draw()``,
         and the first round's weights, the due ones at t and each drawn
-        support at its iteration.  Returns the draws and ``{row: w_bar}``."""
+        support at its iteration.  Returns the draws, a list, and ``{row: w_bar}``."""
         parts, self.due = [i for i, _ in self.due], []
         if len(parts) > 1:  # a weight may be due twice over: watched and settled
             parts = [np.unique(np.concatenate(parts))]
@@ -145,7 +142,7 @@ class _Anchors:
         draws, spans, ends = [], [], []
         while len(draws) < k:
             batch, self.pending = draw() if self.pending is None else self.pending, None
-            rows = list(dict.fromkeys(batch.tolist()))
+            rows = list(dict.fromkeys(batch))
             cols = [indices[indptr[i]:indptr[i + 1]] for i in rows]
             if k > 1:
                 new = _cat(cols).tolist()
@@ -164,7 +161,7 @@ class _Anchors:
                                                    [b - a for a, b in zip([0] + ends, ends)])
         w, _, w_bar = self._law(idx, its, bar=True)
         self.block = (idx, w, its, first, ends[-2] if m > 1 else first, m)
-        return _cat(draws), {i: w_bar[lo:hi] for i, lo, hi in spans}
+        return [i for batch in draws for i in batch], {i: w_bar[lo:hi] for i, lo, hi in spans}
 
     def advance(self, t: int) -> int:
         """The primal pass's phase: anchor the first round, watching all but the
@@ -292,11 +289,11 @@ class SolverState:
     snapshot variants' full sweep rebuilds it as a new array).
     Within a step, or an anchored block of steps, the dual pass extrapolates
     its drawn rows into it, keeping their extrapolated duals in
-    ``last_batch`` (``{row: bar}``), and :func:`_settle` takes them out after
-    the primal pass.  For d >= ``_LAZY_MIN_D`` the weights are kept as
-    anchors (:class:`_Anchors`) and ``w``, ``w_prev``, ``w_bar`` are
-    evaluated when read, as new arrays, the same for every read at one
-    iteration between calls; a copy holds them and starts without anchors.
+    ``last_batch`` (``{row: bar}``) and their slices in ``last_rows``, and :func:`_settle`
+    takes them out after the primal pass.  For d >= ``_LAZY_MIN_D`` the weights are kept
+    as anchors (:class:`_Anchors`) and ``w``, ``w_prev``, ``w_bar`` are evaluated when
+    read, as new arrays, the same for every read at one iteration between calls; a copy
+    holds them and starts without anchors.
     Code outside the solver that edits ``w``, ``w_prev``, ``w_bar`` or
     ``v_cache`` assigns a new float64 array rather than writing into it.
     """
@@ -304,13 +301,14 @@ class SolverState:
     w, w_prev, w_bar = _weights(0), _weights(1), _weights(2)
 
     def __init__(self, w, w_prev, alpha, w_bar, v_cache, iter: int = 0,
-                 last_draws: np.ndarray | None = None):
+                 last_draws: list | None = None):
         self._w, self._w_prev, self._w_bar = w, w_prev, w_bar
         self.alpha, self.v_cache, self.iter = alpha, v_cache, iter
         self.last_batch: dict[int, float] = {}
+        self.last_rows: dict[int, tuple] = {}
         self.last_draws = last_draws
         self._anchors: _Anchors | None = None
-        self._coords = None  # the primal selection of the last pass
+        self._coords = self._frozen = None  # the last pass's selection, and what it left out
 
     def _materialize(self) -> None:
         """Store the weights as arrays and drop the anchors."""
@@ -539,8 +537,18 @@ def verify_thm20(params: StepParams, ds, spec: ProblemSpec):
     return failing is None, failing, margins
 
 
+def _constants(params: StepParams, ds) -> tuple:
+    """The plan's :func:`sampler` and the dual prox's ``q_i = p_i n_eff / sigma_i``, the
+    extrapolation's ``a p_i``, the labels and the CSR row pointers, each the float arithmetic
+    of a draw, so its bits, read by index through a ``memoryview``: made in O(1), unlike a
+    list, it reads a Python scalar in less than half the time of ``.item``."""
+    plan, p = params.plan, params.plan.p
+    seqs = p * params.n_eff / params.sigma, plan.batch * p, ds.labels, ds.csr_arrays()[0]
+    return (sampler(plan), *map(memoryview, seqs))
+
+
 def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
-               rng: np.random.Generator, k: int = 1) -> None:
+               rng: np.random.Generator, k: int = 1, consts: tuple | None = None) -> None:
     """Sample and prox the ``a`` dual coordinates of a draw from the plan of
     ``params``, then extrapolate them into the cache.
 
@@ -550,68 +558,55 @@ def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
     ``bar_i = a0_i + (alpha_i - a0_i)/(a p_i)`` from the row's value
     ``a0_i`` before the pass, which makes the dual image fed to the primal
     prox unbiased for a full synchronous pass; one :func:`_scatter` adds it.
-    ``state.last_batch`` keeps each drawn row's ``bar_i`` for :func:`_settle`.
-    An anchored state runs up to ``k`` iterations' draws with disjoint supports
-    as one (:meth:`_Anchors.prepare`); ``last_draws`` holds them all.
+    ``state.last_batch`` keeps each drawn row's ``bar_i`` and ``state.last_rows`` its
+    ``(cols, vals)`` slices for :func:`_settle`, and ``last_draws`` lists the draws.  An
+    anchored state runs up to ``k`` iterations' draws with disjoint supports as one
+    (:meth:`_Anchors.prepare`).
 
-    The scalar arithmetic runs on Python floats, which round as numpy's
-    float64 scalars do, at a fraction of their per-operation cost.
-    """
-    n_eff, gamma = params.n_eff, spec.gamma
-    alpha, w_bar = state.alpha, state._w_bar
-    plan, sigma, labels = params.plan, params.sigma, ds.labels
-    p, a = plan.p, plan.batch
-    indptr, indices, data = ds.csr_arrays()
-
+    Scalars are read from the :func:`_constants` ``consts`` of ``params`` (made here when
+    None); Python floats round as numpy's float64 scalars do, at a fraction of their cost."""
+    draw, q, ap, labels, indptr = consts or _constants(params, ds)
+    gamma, alpha, w_bar = spec.gamma, state.alpha, state._w_bar
+    _, indices, data = ds.csr_arrays()
     anchors = state._anchors
     if anchors is None:
-        draws, bars = draw_batch(plan, rng), None
+        draws, bars = draw(rng), None
     else:
-        draws, bars = anchors.prepare(indptr, indices, partial(draw_batch, plan, rng), k,
-                                      state.iter)
-    start_vals: dict[int, float] = {}
-    for i in draws.tolist():
+        draws, bars = anchors.prepare(indptr, indices, partial(draw, rng), k, state.iter)
+    start, rows = {}, {}
+    for i in draws:
         old = alpha.item(i)
-        start_vals.setdefault(i, old)
-        lo, hi = indptr[i], indptr[i + 1]
-        s = float(np.dot(data[lo:hi], w_bar[indices[lo:hi]] if bars is None else bars[i]))
-        q = p.item(i) * n_eff / sigma.item(i)
-        alpha[i] = dual_prox(s, old, q, labels.item(i), gamma)
-
-    batch, deltas = {}, []
-    for i, a0 in start_vals.items():
-        bar = batch[i] = a0 + (alpha.item(i) - a0) / (a * p.item(i))
-        deltas.append((i, bar - a0))
-    _scatter(state.v_cache, ds, deltas)
-    state.last_batch, state.last_draws = batch, draws
+        if i not in rows:
+            lo, hi = indptr[i], indptr[i + 1]
+            start[i], rows[i] = old, (indices[lo:hi], data[lo:hi])
+        cols, vals = rows[i]
+        s = float(vals.dot(w_bar[cols] if bars is None else bars[i]))
+        alpha[i] = dual_prox(s, old, q[i], labels[i], gamma)
+    batch = {i: a0 + (alpha.item(i) - a0) / ap[i] for i, a0 in start.items()}
+    _scatter(state.v_cache, ds.n, [(*rows[i], bar - start[i]) for i, bar in batch.items()])
+    state.last_batch, state.last_rows, state.last_draws = batch, rows, draws
 
 
 def _settle(state: SolverState, ds) -> None:
-    """End a step or block: one :func:`_scatter` of ``alpha_i - bar_i`` over ``last_batch``
-    takes its extrapolation out of the cache, and empties it.  Anchors then re-anchor
-    every drawn support on the settled cache (:meth:`_Anchors.settle`)."""
-    batch, alpha, t = state.last_batch, state.alpha, state.iter
-    _scatter(state.v_cache, ds, [(i, alpha.item(i) - bar) for i, bar in batch.items()])
+    """End a step or block: one :func:`_scatter` of ``alpha_i - bar_i`` over ``last_batch``,
+    on the slices in ``last_rows``, takes its extrapolation out of the cache, and empties
+    it.  Anchors then re-anchor every drawn support on the settled cache."""
+    batch, rows, alpha = state.last_batch, state.last_rows, state.alpha
+    _scatter(state.v_cache, ds.n, [(*rows[i], alpha.item(i) - bar) for i, bar in batch.items()])
     state.last_batch = {}
     if state._anchors is not None:
-        indptr, indices = ds.csr_arrays()[:2]
-        state._anchors.settle((indices[indptr.item(i):indptr.item(i + 1)] for i in batch), t)
+        state._anchors.settle((rows[i][0] for i in batch), state.iter)
 
 
-def _scatter(v, ds, deltas) -> None:
-    """Add ``delta/n x_i`` into the dual image ``v`` for each ``(i, delta)`` of ``deltas``
-    in one ordered ``np.add.at``: one entry at a time in pair order, the scalar adds of
-    ``v[cols] += (delta/n) * vals`` row after row (datasets sum duplicates, so a row's
-    columns are distinct): the same bits.  Zero deltas are left out, as adding +0.0
-    would turn a -0.0 entry into 0.0."""
-    indptr, indices, data = ds.csr_arrays()
-    cols, vals, n = [], [], ds.n
-    for i, delta in deltas:
-        if delta != 0.0:
-            lo, hi = indptr.item(i), indptr.item(i + 1)
-            cols.append(indices[lo:hi])
-            vals.append(np.multiply(data[lo:hi], delta / n))
-    if cols:
+def _scatter(v, n: int, terms) -> None:
+    """Add ``(delta/n) vals`` at ``cols`` into the dual image ``v`` for each ``(cols, vals,
+    delta)`` of ``terms``, a row's slices and its dual's change, in one ordered ``np.add.at``:
+    one entry at a time in term order, the scalar adds of ``v[cols] += (delta/n) * vals`` row
+    after row (datasets sum duplicates, so a row's columns are distinct): the same bits.
+    Zero deltas are left out, as adding +0.0 would turn a -0.0 entry into 0.0."""
+    nonzero = [(c, np.multiply(x, delta / n)) for c, x, delta in terms if delta != 0.0]
+    if nonzero:
+        cols, vals = zip(*nonzero)
         np.add.at(v, _cat(cols), _cat(vals))
 
 
@@ -619,9 +614,9 @@ def _cat(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-# Anchored vs whole-vector pass, per iteration (median of 7 runs of 2000, CPU
-# time, 2-core Xeon VM, numpy 2.4; synth n=500, 20 nonzeros a row, adaspdc
-# a=1): d=500 102/62 us, 1000 121/93, 2000 96/102, 3000 119/159, 5000 117/257.
+# Anchored vs whole-vector pass, per iteration (median of 9 runs of 2000 after 200, CPU
+# time, 2-core Xeon VM, numpy 2.4; synth n=500, 20 nonzeros a row, lambda_max/10, adaspdc
+# a=1): d=500 107/50 us, 1000 62/38, 2000 76/77, 3000 67/98, 5000 38/102: even at 2000.
 # Anchoring makes a few dozen numpy calls, the whole pass a handful over d.
 _LAZY_MIN_D = 2000
 
@@ -651,20 +646,21 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
         state.iter += state._anchors.advance(state.iter)
         return
     state._materialize()
+    if primal_coords is not None and primal_coords is not state._coords:
+        state._frozen = np.ones(d, dtype=bool)
+        state._frozen[primal_coords] = False
+    frozen = None if primal_coords is None else state._frozen
     if d >= _LAZY_MIN_D and primal_coords is state._coords:
         w, state._w, state._w_prev, state._w_bar = state._w, None, None, None
-        state._anchors = _Anchors(w, state.v_cache, state.iter, tau, lam, theta,
-                                  primal_coords)
+        state._anchors = _Anchors(w, state.v_cache, state.iter, tau, lam, theta, frozen)
     else:
-        w_old, v = state._w, state.v_cache
-        if primal_coords is None:
-            w_new = primal_prox(v, w_old, tau, lam)
-        else:
-            w_new = w_old.copy()
-            w_new[primal_coords] = primal_prox(v[primal_coords], w_old[primal_coords], tau,
-                                               lam)
-        state._w_prev, state._w = w_old, w_new
-        state._w_bar = w_new + theta * (w_new - w_old)
+        w_old = state._w
+        w_new = prox_arrays(state.v_cache, w_old, tau, lam)
+        if frozen is not None:  # elementwise, so the selection's bits
+            np.copyto(w_new, w_old, where=frozen)
+        w_bar = np.subtract(w_new, w_old)
+        np.add(np.multiply(w_bar, theta, out=w_bar), w_new, out=w_bar)  # w + theta (w - w_old)
+        state._w_prev, state._w, state._w_bar = w_old, w_new, w_bar
     state._coords = primal_coords
     state.iter += 1
 
@@ -673,19 +669,20 @@ def iterate(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
             rng: np.random.Generator, k: int, primal_coords=None) -> SolverState:
     """k iterations: each proxes a draw from ``params.plan`` with per-instance
     dual steps (plain SPDC's shared step is the case where the rule makes every
-    sigma_i equal), then the primal, or only ``primal_coords`` of it.
+    sigma_i equal), then the primal, or only ``primal_coords`` of it, on the
+    :func:`_constants` of ``params``, made once per call.
 
     An anchored state runs them in blocks of draws with disjoint supports
     (:class:`_Anchors`), bit for bit the iterations one at a time: a block
-    ends at the first draw that meets it, which opens the next, or at k.
-    """
+    ends at the first draw that meets it, which opens the next, or at k."""
     tau, lam, theta = params.tau, spec.lam, params.theta
     if primal_coords is not None and len(primal_coords) == ds.d:
         primal_coords = None  # a selection spanning every coordinate is the full pass
+    consts = _constants(params, ds)
     while k > 0:
         t = state.iter
         block = k if k > 1 and _continues(state, tau, lam, theta, primal_coords) else 1
-        _dual_pass(state, params, ds, spec, rng, block)
+        _dual_pass(state, params, ds, spec, rng, block, consts)
         _primal_pass(state, tau, lam, theta, primal_coords)
         _settle(state, ds)
         k -= state.iter - t

@@ -31,6 +31,9 @@ __all__ = [
     "primal_violations",
 ]
 
+# 0-d operands for the prox: a ufunc converts a Python float on every call
+_ZERO, _ONE, _MINUS_ONE = (np.array(x) for x in (0.0, 1.0, -1.0))
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -158,30 +161,31 @@ def primal_prox(u, w_old, tau, lam):
         raise ValueError(f"tau must be positive, got {tau}")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    u = np.asarray(u, dtype=float)
-    w_old = np.asarray(w_old, dtype=float)
-    scalar = u.ndim == 0 and w_old.ndim == 0
-    if scalar:
-        u, w_old = np.atleast_1d(u, w_old)
-    elif u.shape != w_old.shape:
-        u, w_old = np.broadcast_arrays(u, w_old)
+    u, w_old = np.asarray(u, dtype=float), np.asarray(w_old, dtype=float)
+    v = prox_arrays(*np.broadcast_arrays(*np.atleast_1d(u, w_old)), tau, lam)
+    return float(v[0]) if u.ndim == w_old.ndim == 0 else v
+
+
+def prox_arrays(u: np.ndarray, w_old: np.ndarray, tau: float, lam: float) -> np.ndarray:
+    """:func:`primal_prox`'s arithmetic on float64 arrays of one shape, unchecked."""
+    tau, lam, den = np.array(tau), np.array(lam), np.array(lam + 1.0 / tau)
     # the same expressions as soft_threshold, in place and with fewer temporaries
     s = w_old / tau
     s += u
     v = np.abs(s)
     v -= lam
-    np.maximum(v, 0.0, out=v)
+    np.maximum(v, _ZERO, out=v)
     v *= np.sign(s, out=s)
-    v /= lam + 1.0 / tau
+    v /= den
     # the fixed point soft(t, 1) is t - clip(t, -1, 1) but for the sign of 0, which == ignores
     t = np.divide(u, lam, out=s)
-    r = np.minimum(t, 1.0)
-    np.maximum(r, -1.0, out=r)
+    r = np.minimum(t, _ONE)
+    np.maximum(r, _MINUS_ONE, out=r)
     np.subtract(t, r, out=r)
     keep = r == w_old
     keep &= np.sign(v, out=s) == np.sign(w_old, out=r)
     np.copyto(v, w_old, where=keep)
-    return float(v[0]) if scalar else v
+    return v
 
 
 def primal_objective(w, ds, spec: ProblemSpec) -> float:

@@ -24,6 +24,7 @@ __all__ = [
     "SamplingPlan",
     "alias_build",
     "draw_batch",
+    "sampler",
     "build_uniform",
     "build_data_driven",
     "build_ovs",
@@ -44,14 +45,18 @@ class AliasTable:
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. indices."""
-        n = self.prob.size
         if size == 1:
-            # scalar calls read the generator's stream as the array calls do
-            k = rng.integers(0, n)
-            return np.array([k if rng.random() < self.prob[k] else self.alias[k]])
-        ks = rng.integers(0, n, size=size)
+            return np.array([_draw_one(rng, self.prob, self.alias)])
+        ks = rng.integers(0, self.prob.size, size=size)
         us = rng.random(size)
         return np.where(us < self.prob[ks], ks, self.alias[ks])
+
+
+def _draw_one(rng: np.random.Generator, prob, alias) -> int:
+    """One index from a table's columns, arrays or memoryviews, by scalar calls
+    that read the generator's stream as :meth:`AliasTable.draw`'s array calls do."""
+    k = int(rng.integers(0, len(prob)))
+    return k if rng.random() < prob[k] else alias[k]
 
 
 def alias_build(p) -> AliasTable:
@@ -121,6 +126,16 @@ def _finalize(p: np.ndarray, a: int, kind: str) -> SamplingPlan:
 def draw_batch(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
     """Draw the plan's mini-batch: ``a`` indices i.i.d. with replacement."""
     return plan.alias.draw(rng, plan.batch)
+
+
+def sampler(plan: SamplingPlan):
+    """``sampler(plan)(rng)`` equals ``draw_batch(plan, rng).tolist()``, stream for stream;
+    a single draw reads the table through memoryviews, as Python scalars."""
+    table, a = plan.alias, plan.batch
+    if a > 1:
+        return lambda rng: table.draw(rng, a).tolist()
+    prob, alias = memoryview(table.prob), memoryview(table.alias)
+    return lambda rng: [_draw_one(rng, prob, alias)]
 
 
 def build_uniform(n: int, a: int) -> SamplingPlan:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spdc import core
+from spdc import core, sampling
 from spdc.core import init_state, schedule_thm5
 from spdc.datamat import SparseDataset
 from spdc.objective import ProblemSpec
@@ -89,15 +89,27 @@ def small():
 
 @pytest.fixture
 def draw_log(monkeypatch):
-    """Every batch of sampled duals, as ``(plan, draws)``: records the calls
-    of ``core.draw_batch``, where every solver step draws its duals."""
+    """Every batch of sampled duals, as ``(plan, draws)`` with the draws an
+    array: records the draws of the functions ``core.sampler`` makes, where
+    every solver step draws its duals, and the calls of
+    ``sampling.draw_batch``, where the frozen reference runs draw theirs."""
     log = []
-    draw_batch = core.draw_batch
+    make, draw_batch = core.sampler, sampling.draw_batch
 
-    def recorded(plan, rng):
+    def sampler(plan, *args):
+        draw = make(plan, *args)
+
+        def recorded(rng):
+            draws = draw(rng)
+            log.append((plan, np.array(draws)))
+            return draws
+        return recorded
+
+    def batch(plan, rng):
         draws = draw_batch(plan, rng)
         log.append((plan, draws.copy()))
         return draws
 
-    monkeypatch.setattr(core, "draw_batch", recorded)
+    monkeypatch.setattr(core, "sampler", sampler)
+    monkeypatch.setattr(sampling, "draw_batch", batch)
     return log

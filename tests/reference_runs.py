@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from spdc import core, variants
+from spdc import core, sampling, variants
 from spdc.core import StepParams, _check_cap, _r_under, init_state
 from spdc.errors import ConfigError, ScheduleError, ZeroViolations
 from spdc.objective import (
@@ -631,7 +631,7 @@ def reference_dual_pass(state, params, plan, ds, spec, a, rng) -> None:
     alpha, w_bar = state.alpha, state._w_bar
     p, sigma, labels = plan.p, params.sigma, ds.labels
     indptr, indices, data = ds.csr_arrays()
-    draws = core.draw_batch(plan, rng)
+    draws = sampling.draw_batch(plan, rng)
     anchors = state._anchors
     bars = None if anchors is None else anchors.prepare(indptr, indices, draws.tolist(),
                                                         state.iter)

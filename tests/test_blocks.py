@@ -6,6 +6,9 @@ block's.  A k-iteration call must leave everything as k steps of the frozen
 copy in ``tests/reference_runs.py`` do: the iterates, the cache, the
 generator, and the anchors' values, laws and anchor iterations, bit for
 bit, and the weights due at the next iteration, whatever the chunk lengths.
+Below ``core._LAZY_MIN_D`` every step takes the whole-vector passes, on the
+constants ``core.iterate`` makes once per call; they too must leave
+everything as the frozen steps do.
 """
 
 import dataclasses
@@ -203,7 +206,7 @@ def test_a_block_ends_at_the_first_draw_that_meets_it(highd, monkeypatch):
     def recorded(anchors, *args):
         claimed = set(_due(anchors).tolist())
         draws, bars = real(anchors, *args)
-        blocks.append((claimed, draws.tolist(), anchors.pending))
+        blocks.append((claimed, draws, anchors.pending))
         return draws, bars
     monkeypatch.setattr(core._Anchors, "prepare", recorded)
     core.iterate(state, params, ds, spec, rng, 400)
@@ -220,3 +223,60 @@ def test_a_block_ends_at_the_first_draw_that_meets_it(highd, monkeypatch):
             assert blocks[k + 1][1][0] == i
         else:
             assert k == len(blocks) - 1
+
+
+# d below the anchors' threshold; n = 12 with a = 8 so that batches repeat rows
+WHOLE = {
+    "a=1": dict(a=1),
+    "a=3": dict(a=3),
+    "a=8": dict(a=8),
+    "restricted a=3": dict(a=3, restricted=True),
+    "selection": dict(a=1, coords="half"),
+    "selection a=3": dict(a=3, coords="half"),
+    "selection of all d": dict(a=3, coords="all"),
+    "fixed point": dict(a=1, fixed=True),
+}
+
+
+@pytest.mark.parametrize("case", list(WHOLE))
+def test_whole_vector_steps_match_the_step_by_step_iteration(request, case, monkeypatch):
+    a, coords = WHOLE[case]["a"], WHOLE[case].get("coords")
+    if WHOLE[case].get("fixed"):
+        # every drawn dual keeps its value at first: its zero deltas meet -0.0 entries
+        ds, spec = request.getfixturevalue("tiny")
+        start = request.getfixturevalue("tiny_ref")
+    else:
+        ds = make_dataset(12, 9, seed=5, density=0.5)
+        # a small gamma and lambda: duals pinned at a bound stay put when drawn again
+        spec, start = ProblemSpec(gamma=0.1, lam=1e-3 * lambda_max(ds)), init_state(ds)
+    assert ds.d < core._LAZY_MIN_D
+    if WHOLE[case].get("restricted"):
+        plan = build_restricted(np.where(np.arange(ds.n) % 4 == 0, 0.0, 1.0), a)
+        params = variants._restricted_schedule(ds, spec, plan)
+    else:
+        plan = build_uniform(ds.n, a)
+        params = core.schedule_thm4(ds, spec, plan)  # thm5 needs a^2 <= n
+    primal = {None: None, "half": np.flatnonzero(np.arange(ds.d) % 2 == 0),
+              "all": np.arange(ds.d)}[coords]
+    seen = Counter()
+    dual_pass = core._dual_pass
+
+    def recorded(state, *args):
+        before = state.alpha.copy()
+        dual_pass(state, *args)
+        draws = state.last_draws
+        seen["repeated rows"] += len(set(draws)) < len(draws)
+        seen["zero deltas"] += sum(bar == before[i] for i, bar in state.last_batch.items())
+    monkeypatch.setattr(core, "_dual_pass", recorded)
+    new, old = start.copy(), start.copy()
+    for state in (new, old):  # a -0.0 entry stays -0.0 until a nonzero delta meets it
+        state.v_cache = np.where(np.arange(ds.d) % 2 == 0, -0.0, state.v_cache)
+    rng_new, rng_old = np.random.default_rng(8), np.random.default_rng(8)
+    for chunk in CHUNKS + CHUNKS:
+        core.iterate(new, params, ds, spec, rng_new, chunk, primal)
+        for _ in range(chunk):
+            ref.reference_adaspdc_step(old, params, plan, ds, spec, a, rng_old, primal)
+        assert_same(new, old, rng_new, rng_old)
+    assert seen["zero deltas"] > 0, seen
+    if a > 1:
+        assert seen["repeated rows"] > 0, seen

@@ -20,6 +20,7 @@ from spdc.sampling import (
     build_restricted,
     build_uniform,
     draw_batch,
+    sampler,
 )
 
 from conftest import make_dataset
@@ -160,6 +161,23 @@ class TestDrawBatch:
         a = draw_batch(plan, np.random.default_rng(7))
         b = draw_batch(plan, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p,a", [
+        (np.full(10, 0.1), 1),
+        (np.array([0.05, 0.0, 0.6, 0.0, 0.15, 0.2]), 1),  # aliased slots
+        (np.r_[np.full(7, 1.0 / 7), np.zeros(3)], 1),  # a restricted plan
+        (np.array([0.05, 0.0, 0.6, 0.0, 0.15, 0.2]), 3),
+    ])
+    def test_sampler_draws_the_batches_of_draw_batch(self, p, a):
+        # the solver's lists: the same indices from the same stream
+        plan = SamplingPlan(p=p, alias=alias_build(p), batch=a, kind="manual")
+        draw = sampler(plan)
+        rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(2000):
+            got, want = draw(rng), draw_batch(plan, twin)
+            assert type(got) is list and got == want.tolist()
+            assert all(type(i) is int for i in got)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestUniform:

@@ -1,8 +1,9 @@
 """The dual-image scatter of a step against the row-at-a-time update
 ``v[cols] += (delta / n) * vals``, bit for bit: ``core._scatter``, which
-takes ``(row, delta)`` pairs, scales them and leaves out zero deltas in one
-ordered ``np.add.at``, and the two step phases that call it, the
-extrapolation of ``core._dual_pass`` and the settle of ``core._settle``."""
+takes ``(cols, vals, delta)`` terms, a row's slices and its delta, scales
+them and leaves out zero deltas in one ordered ``np.add.at``, and the two
+step phases that call it, the extrapolation of ``core._dual_pass`` and the
+settle of ``core._settle`` on the row slices the dual pass kept."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,7 +69,7 @@ def test_scatter_matches_row_at_a_time_adds_bitwise(problem):
     # so -0.0 entries stay), 5e-324 (kept), one row and no row
     ds, v, rows, deltas = problem
     got = v.copy()
-    core._scatter(got, ds, zip(rows, deltas))
+    core._scatter(got, ds.n, [(*ds.row(i), dl) for i, dl in zip(rows, deltas)])
     assert _bits(got) == _bits(sequential(v, ds, rows, deltas))
 
 
@@ -85,6 +86,7 @@ def test_settle_matches_row_at_a_time_adds_bitwise(problem):
     state.alpha = np.linspace(-0.5, 0.5, ds.n)
     state.v_cache = v.copy()
     state.last_batch = {i: state.alpha[i] - dl for i, dl in batch.items()}
+    state.last_rows = {i: ds.row(i) for i in batch}  # as a dual pass keeps them
     want = sequential(v, ds, list(state.last_batch),
                       [state.alpha[i] - bar for i, bar in state.last_batch.items()])
     core._settle(state, ds)
