@@ -15,6 +15,7 @@ from itertools import islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -32,15 +33,20 @@ def example_path() -> str:
 class SparseDataset:
     """An n x d sparse design matrix with labels and per-instance norms.
 
+    ``load_libsvm`` builds its datasets from the arrays it parsed, which they
+    keep without a copy; this constructor copies its input once.
+
     Parameters
     ----------
-    matrix : scipy.sparse matrix, shape (n, d)
+    matrix : scipy.sparse matrix or array_like, shape (n, d)
         The design matrix X whose i-th row is the i-th instance; duplicate
-        entries are summed.  Its index arrays are kept as ``np.intp``, 4 bytes an
-        entry more than int32: numpy casts others on every fancy-index call.
-    labels : ndarray, shape (n,)
+        entries are summed and explicit zeros dropped.  The dataset keeps one
+        copy of it, whose index arrays are cast straight to ``np.intp``, 4
+        bytes an entry more than int32: numpy casts others on every
+        fancy-index call.  The caller's arrays are neither kept nor changed.
+    labels : array_like, shape (n,)
         Targets, +-1 for the hinge-type losses the solvers use; this
-        constructor does not check them (``load_libsvm`` does).
+        constructor copies them and does not check them (``load_libsvm`` does).
 
     Attributes
     ----------
@@ -53,26 +59,32 @@ class SparseDataset:
     """
 
     def __init__(self, matrix, labels):
-        csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-        csr.indptr, csr.indices = csr.indptr.astype(np.intp), csr.indices.astype(np.intp)
-        csr.sum_duplicates()  # sorts the indices too
-        csr.eliminate_zeros()
-        labels = np.asarray(labels, dtype=np.float64).copy()
+        src = sp.csr_matrix(matrix, dtype=np.float64)
+        csr = _assigned(sp.csr_matrix(src.shape), src.data.copy(),
+                        src.indices.astype(np.intp), src.indptr.astype(np.intp))
+        csr.sum_duplicates()  # in place; sorts the indices too
+        self._adopt(csr, np.array(labels, dtype=np.float64))
+
+    def _adopt(self, csr, labels):
+        """Construction core: keep ``csr``'s arrays and ``labels`` as they are.
+
+        ``csr`` holds float64 data and ``np.intp`` index arrays, its indices
+        sorted and unique within each row; neither it nor ``labels`` is copied.
+        """
+        csr.eliminate_zeros()  # in place; normalizing can underflow a value to 0
         if labels.shape != (csr.shape[0],):
             raise DataError(
                 f"label count {labels.shape} does not match instance count {csr.shape[0]}"
             )
-        norms = _row_norms(csr.indptr, csr.data)
         self._csr = csr
-        # X^T on the CSR's own arrays, assigned as above so that scipy keeps them intp
-        self._csc_t = t = sp.csc_matrix((csr.shape[1], csr.shape[0]))
-        t.data, t.indices, t.indptr = csr.data, csr.indices, csr.indptr
+        # X^T on the CSR's own arrays, assigned so that scipy keeps them intp
+        self._csc_t = _assigned(sp.csc_matrix(csr.shape[::-1]), csr.data, csr.indices,
+                                csr.indptr)
         self.n, self.d = csr.shape
         self.labels = labels
-        self.row_norms = norms
+        self.row_norms = _row_norms(csr.indptr, csr.data)
         # read-only views guard against accidental mutation by callers
-        for arr in (self._csr.data, self._csr.indices, self._csr.indptr,
-                    self.labels, self.row_norms):
+        for arr in (csr.data, csr.indices, csr.indptr, self.labels, self.row_norms):
             arr.setflags(write=False)
 
     @property
@@ -108,13 +120,24 @@ class SparseDataset:
         )
 
 
+def _assigned(matrix, data, indices, indptr):
+    """``matrix`` (an empty CSR or CSC) over these arrays, set by assignment:
+    scipy's constructor would copy them or cast the indices to int32."""
+    matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+    return matrix
+
+
+# entries per chunk of ``_row_norms``: bounds its temporaries
+_NORM_CHUNK = 1 << 13
+
+
 def _row_norms(indptr, data):
     """Euclidean norm of every CSR row, ``peak * sqrt(sum((vals / peak)**2))``.
 
-    Rows of one length are reduced together as a ``(rows, length)`` array; a
-    reduction along its last axis adds each row's values in the same order
-    as a sum over that row alone, so every norm is the one a per-row loop
-    gives, bit for bit.
+    Rows of one length are reduced together, as ``(rows, length)`` copies of
+    at most about ``_NORM_CHUNK`` entries; a reduction along the last axis
+    adds each row's values in the same order as a sum over that row alone,
+    so every norm is the one a per-row loop gives, bit for bit.
     """
     lengths = np.diff(indptr)
     empty = np.flatnonzero(lengths == 0)
@@ -122,11 +145,20 @@ def _row_norms(indptr, data):
         raise DataError(f"instance {empty[0]} has zero norm; all-zero rows are rejected")
     norms = np.empty(lengths.size)
     for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        vals = data[indptr[rows, None] + np.arange(length)]
-        # scale before squaring so tiny stored values cannot underflow to zero
-        peak = np.max(np.abs(vals), axis=1)
-        norms[rows] = peak * np.sqrt(np.sum((vals / peak[:, None]) ** 2, axis=1))
+        # a view: window k is data[k:k + length], so a row's values are the
+        # window at its start
+        windows = sliding_window_view(data, length)
+        group = np.flatnonzero(lengths == length)
+        step = max(1, _NORM_CHUNK // length)
+        for start in range(0, group.size, step):
+            rows = group[start:start + step]
+            vals = windows[indptr[rows]]  # a copy, scaled and squared in place
+            np.abs(vals, out=vals)
+            # scale before squaring so tiny stored values cannot underflow to zero
+            peak = np.max(vals, axis=1)
+            vals /= peak[:, None]
+            vals *= vals
+            norms[rows] = peak * np.sqrt(np.sum(vals, axis=1))
     return norms
 
 
@@ -246,20 +278,26 @@ def load_libsvm(path, normalize: bool = False) -> SparseDataset:
     The file is parsed in blocks of lines, in bulk with numpy's text reader.
     A block that fails a bulk check is parsed again line by line, to the same
     arrays if only Python reads its tokens (``1_0``), else to name its first bad line.
+    The blocks' arrays are joined one field at a time and the dataset adopts
+    the joined arrays as they are, with no copy, so a load's memory peaks
+    under twice the dataset's own arrays.
 
     Parameters
     ----------
     path : str or Path
         File to read, UTF-8 text.
     normalize : bool
-        If set, scale every instance to unit Euclidean norm.
+        If set, scale every instance to unit Euclidean norm, multiplying its
+        values by the reciprocal of its norm.
 
     Raises
     ------
     DataError
         Naming the first bad line in file order: text that is not UTF-8,
         malformed tokens, labels other than +-1, non-finite values, or
-        instances without a nonzero entry.
+        instances without a nonzero entry.  With ``normalize``, also an
+        instance (numbered from 0) whose norm is too small for its reciprocal
+        to be finite, below about 5.6e-309.
     """
     blocks = []
     lineno = 1
@@ -270,14 +308,29 @@ def load_libsvm(path, normalize: bool = False) -> SparseDataset:
             lineno += len(raw)
     if not sum(block[0].size for block in blocks):
         raise DataError(f"{path}: no data lines found")
-    labels, lengths, indices, values = (np.concatenate(parts) for parts in zip(*blocks))
+    # one field at a time, each field's block parts dropped once it is joined
+    fields = [list(parts) for parts in zip(*blocks)]
     del blocks
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    for k, parts in enumerate(fields):
+        fields[k] = np.concatenate(parts)
+        parts.clear()
+    labels, lengths, indices, values = fields
+    indptr = np.zeros(lengths.size + 1, np.intp)
+    np.cumsum(lengths, out=indptr[1:])
     if normalize:
-        values *= np.repeat(1.0 / _row_norms(indptr, values), lengths)
-    matrix = sp.csr_matrix((values, indices, indptr),
-                           shape=(labels.size, int(indices.max()) + 1))
-    return SparseDataset(matrix, labels)
+        norms = _row_norms(indptr, values)
+        with np.errstate(over="ignore"):
+            scale = 1.0 / norms
+        tiny = np.flatnonzero(np.isinf(scale))
+        if tiny.size:
+            raise DataError(f"instance {tiny[0]} has norm {float(norms[tiny[0]])!r}, "
+                            "too small to scale to unit norm")
+        values *= np.repeat(scale, lengths)
+    ds = object.__new__(SparseDataset)
+    shape = (labels.size, int(indices.max()) + 1)
+    ds._adopt(_assigned(sp.csr_matrix(shape), values, indices.astype(np.intp, copy=False),
+                        indptr), labels)
+    return ds
 
 
 def save_libsvm(ds: SparseDataset, path) -> None:

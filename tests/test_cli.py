@@ -308,6 +308,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_too_small_to_normalize_exits_2(self, tmp_path, capsys):
+        # 1 / 1e-320 overflows: scaled, the row would hold inf and a nan norm,
+        # and the step rule would refuse its nan tau with exit 3
+        bad = tmp_path / "tiny.svm"
+        bad.write_text("+1 1:1e-320\n-1 2:0.5\n")
+        assert cli("run", "--data", str(bad), "--normalize", "--max-epochs", "1") == 2
+        assert capsys.readouterr().err == (
+            "error: instance 0 has norm 1e-320, too small to scale to unit norm\n")
+
     def test_non_utf8_data_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.svm"
         bad.write_bytes(b"+1 1:1\n# caf\xe9\n-1 2:3\n")

@@ -1,6 +1,7 @@
 """Loader, serializer, lambda_max, and density."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdc import datamat
 from spdc.cli import synth
 from spdc.datamat import (SparseDataset, density, example_path, lambda_max, load_libsvm,
                           save_libsvm)
@@ -268,6 +270,21 @@ class TestBulkLoader:
             path = write(tmp_path, text)
             assert data_error(load_libsvm, path) == data_error(reference_load_libsvm, path)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["1e-320", "5.5e-309"])
+    def test_row_too_small_to_normalize(self, tmp_path, value):
+        # the reciprocal of a norm below 1/DBL_MAX ~ 5.56e-309 overflows
+        path = write(tmp_path, f"-1 2:0.5 3:1\n+1 1:{value}\n")
+        assert data_error(load_libsvm, path, normalize=True) == (
+            f"instance 1 has norm {value}, too small to scale to unit norm")
+        assert_same_dataset(load_libsvm(path), reference_load_libsvm(path))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_just_large_enough_to_normalize(self, tmp_path):
+        path = write(tmp_path, "-1 2:0.5 3:1\n+1 1:5.6e-309\n+1 1:3e-309 2:-5e-309\n")
+        assert_same_dataset(load_libsvm(path, normalize=True),
+                            reference_load_libsvm(path, normalize=True))
+
     @given(lengths=st.lists(st.one_of(st.integers(1, 300), st.sampled_from([7, 8, 9, 128, 129])),
                             min_size=1, max_size=30),
            seed=st.integers(0, 2**32 - 1))
@@ -281,6 +298,43 @@ class TestBulkLoader:
         ds = SparseDataset(sp.csr_matrix((data, indices, indptr)), np.ones(len(lengths)))
         ref = reference_row_norms(indptr, data)
         assert ds.row_norms.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 8, 50])
+    def test_chunked_row_norms_match_per_row_loop(self, monkeypatch, chunk):
+        # interleaved lengths, each with more rows than one chunk holds
+        monkeypatch.setattr(datamat, "_NORM_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        lengths = rng.permutation(np.repeat([1, 2, 3, 7, 9, 60], 40))
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        data = rng.choice([-1.0, 1.0], size=indptr[-1]) * 10.0 ** rng.uniform(-300, 300,
+                                                                                indptr[-1])
+        before = data.tobytes()
+        norms = datamat._row_norms(indptr, data)
+        assert data.tobytes() == before
+        assert norms.tobytes() == reference_row_norms(indptr, data).tobytes()
+
+
+class TestLoadMemory:
+    """A load holds little beyond the dataset's own arrays."""
+
+    # traced peak of a normalized load over the dataset's array bytes: 1.5-1.7
+    # when the dataset adopts the parsed arrays, 3.3-3.7 with a CSR round trip
+    # and a copy in the constructor
+    BOUND = 2.0
+
+    @pytest.mark.parametrize("n,d,sparsity", [(3000, 200, 0.05), (2000, 100, 0.2)])
+    def test_peak_is_under_twice_the_data(self, tmp_path, n, d, sparsity):
+        path = tmp_path / "mem.svm"
+        synth(n=n, d=d, sparsity=sparsity, dual_skew=0.6, seed=1, out_path=str(path))
+        load_libsvm(path, normalize=True)  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(path, normalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(a.nbytes for a in (*ds.csr_arrays(), ds.labels, ds.row_norms))
+        assert peak <= self.BOUND * own, peak / own
 
 
 def column_layout_product(ds, alpha):
@@ -395,6 +449,28 @@ class TestIndexArrays:
         alpha = rng.normal(size=30) * (rng.random(30) < 0.5)  # with exact zeros
         assert ds.rmatvec(alpha).tobytes() == (ds._csr.T @ alpha).tobytes()
         assert ds._csc_t.indices.dtype == np.intp
+
+    def test_non_canonical_input_is_copied_and_canonicalized(self):
+        # int32 indices, unsorted columns, duplicates (one pair summing to
+        # zero) and explicit zeros
+        indices = np.array([3, 1, 3, 0, 2, 0, 2, 4, 2], np.int32)
+        data = np.array([1.0, 2.0, 4.0, 0.0, 0.5, -1.0, -0.5, 3.0, 0.0])
+        indptr = np.array([0, 4, 7, 9], np.int32)
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(3, 5))
+        inputs = [a.copy() for a in (matrix.data, matrix.indices, matrix.indptr)]
+        ds = SparseDataset(matrix, np.ones(3))
+        indptr_, indices_, data_ = ds.csr_arrays()
+        assert indptr_.tolist() == [0, 2, 3, 4]
+        assert indices_.tolist() == [1, 3, 0, 4]
+        assert data_.tolist() == [2.0, 5.0, -1.0, 3.0]
+        assert ds.row_norms.tobytes() == reference_row_norms(indptr_, data_).tobytes()
+        # the caller's matrix is neither changed nor shared
+        for mine, theirs in zip((matrix.data, matrix.indices, matrix.indptr), inputs):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        for mine in ds.csr_arrays():
+            assert not any(np.shares_memory(mine, theirs) for theirs in
+                           (matrix.data, matrix.indices, matrix.indptr))
+        self._check(ds)
 
     def test_duplicate_entries_are_summed(self):
         matrix = sp.csr_matrix((np.array([3.0, 4.0, 1.0]), np.array([0, 0, 1]),
