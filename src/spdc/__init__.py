@@ -6,7 +6,6 @@ CLI (``spdc-bench``).
 """
 
 from .errors import (
-    ConditionNotMetError,
     ConfigError,
     DataError,
     NumericalFailure,

@@ -27,13 +27,7 @@ import numpy as np
 
 from . import core
 from .datamat import _MAX_INDEX, lambda_max, load_libsvm
-from .errors import (
-    ConditionNotMetError,
-    ConfigError,
-    DataError,
-    NumericalFailure,
-    ScheduleError,
-)
+from .errors import ConfigError, DataError, NumericalFailure, ScheduleError
 from .objective import ProblemSpec
 from .sampling import build_data_driven, build_uniform
 from .trace import write_trace_csv
@@ -65,8 +59,7 @@ EXIT_NUMERICAL = 4
 # dataset too wide to hold in memory is a data error
 FAILURES = {
     **dict.fromkeys((ConfigError, DataError, MemoryError), ("error", EXIT_CONFIG)),
-    **dict.fromkeys((ScheduleError, ConditionNotMetError),
-                    ("schedule precondition failed", EXIT_SCHEDULE)),
+    ScheduleError: ("schedule precondition failed", EXIT_SCHEDULE),
     NumericalFailure: ("numerical failure", EXIT_NUMERICAL),
 }
 
@@ -123,7 +116,7 @@ class RunConfig:
             elif self.prob != "ovs":
                 raise ConfigError(f"algo {self.algo!r} does not take prob={self.prob!r}")
         elif self.prob == "ovs":
-            raise ConfigError("prob=ovs requires algo=ovsspdc")
+            raise ConfigError(f"prob=ovs requires one of the algos {VARIANTS}")
         if self.algo == "ovs-exact" and self.a != 1:
             raise ConfigError("algo=ovs-exact requires a=1")
         if self.prob in ("cor16", "cor17") and self.a != 1:
@@ -140,12 +133,14 @@ class RunConfig:
 
 
 @contextlib.contextmanager
-def _writing(path: str):
-    """Report a failure to write ``path`` as a configuration error."""
+def _file_errors(path: str | None = None):
+    """Report an ``OSError`` in the block as a configuration error: a failure
+    to write ``path``, or with no path, to read the dataset (``run`` and ``sweep``)."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}" if path is not None
+                          else f"cannot read dataset: {exc}") from exc
 
 
 def _problem(cfg: RunConfig, ds):
@@ -221,10 +216,8 @@ def _condition_report(result: RunResult, ds, spec, cfg: RunConfig, extra: dict) 
 def run(cfg: RunConfig) -> int:
     """Execute one configuration; writes trace/summary files when paths are set."""
     cfg.validate()
-    try:
+    with _file_errors():
         ds = load_libsvm(cfg.data, normalize=cfg.normalize)
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset: {exc}") from exc
     lmax, spec, budget, rng = _problem(cfg, ds)
     t0 = time.perf_counter()
     result, extra = _dispatch(cfg, ds, spec, budget, rng)
@@ -257,11 +250,11 @@ def run(cfg: RunConfig) -> int:
             "theta": result.params.theta,
         }
     if cfg.trace:
-        with _writing(cfg.trace):
+        with _file_errors(cfg.trace):
             write_trace_csv(result.trace if cfg.timing else
                             [replace(r, seconds=0.0) for r in result.trace], cfg.trace)
     if cfg.summary:
-        with _writing(cfg.summary), open(cfg.summary, "w") as fh:
+        with _file_errors(cfg.summary), open(cfg.summary, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(
@@ -293,8 +286,9 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
             cfg.validate()
             if cfg.normalize not in loaded:
                 try:
-                    loaded[cfg.normalize] = load_libsvm(data, normalize=cfg.normalize)
-                except (*FAILURES, OSError) as exc:
+                    with _file_errors():
+                        loaded[cfg.normalize] = load_libsvm(data, normalize=cfg.normalize)
+                except tuple(FAILURES) as exc:
                     loaded[cfg.normalize] = exc
             ds = loaded[cfg.normalize]
             if isinstance(ds, Exception):
@@ -308,14 +302,14 @@ def sweep(configs: list[RunConfig], out_path: str | None = None) -> list[dict]:
                 final_gap=last.gap,
                 iterations=result.counters.get("iterations", 0),
             )
-        except (*FAILURES, OSError) as exc:
+        except tuple(FAILURES) as exc:
             outcome = dict(status=f"error: {exc}", epochs_to_tol="", final_gap="",
                            iterations="")
         # after validate, which gives the violation-driven algos prob=ovs
         rows.append({"algo": cfg.algo, "prob": cfg.prob, "lambda_scale": cfg.lambda_scale,
                      "a": cfg.a, "seed": cfg.seed, **outcome})
     if out_path:
-        with _writing(out_path), open(out_path, "w", newline="") as fh:
+        with _file_errors(out_path), open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
@@ -367,7 +361,7 @@ def synth(n: int, d: int, sparsity: float, dual_skew: float, seed: int,
         vals *= margin / abs(s)
         feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(support, vals))
         lines.append(f"{int(y):+d} {feats}")
-    with _writing(out_path), open(out_path, "w") as fh:
+    with _file_errors(out_path), open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

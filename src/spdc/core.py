@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ScheduleError
 from .objective import ProblemSpec, dual_prox, prox_arrays
-from .sampling import SamplingPlan, sampler
+from .sampling import SamplingPlan, boosted_cap, sampler
 
 __all__ = [
     "StepParams",
@@ -401,13 +401,8 @@ _PLAN_RULES = {"thm4": (False, False), "thm5": (True, False),
 
 def _plan_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
     a = plan.batch
-    n = ds.n
-    if _PLAN_RULES[schedule][0]:
-        if a * a > n:
-            raise ScheduleError(f"{schedule} requires a <= sqrt(n); got a={a}, n={n}")
-        _check_cap(plan.p, 1.0 / (a * math.sqrt(n)), schedule)
-    else:
-        _check_cap(plan.p, 1.0 / a, schedule)
+    cap = boosted_cap(ds.n, a, schedule) if _PLAN_RULES[schedule][0] else 1.0 / a
+    _check_cap(plan.p, cap, schedule)
     return _support_rule(schedule, ds, spec, plan)
 
 

@@ -134,31 +134,38 @@ _NORM_CHUNK = 1 << 13
 def _row_norms(indptr, data):
     """Euclidean norm of every CSR row, ``peak * sqrt(sum((vals / peak)**2))``.
 
-    Rows of one length are reduced together, as ``(rows, length)`` copies of
-    at most about ``_NORM_CHUNK`` entries; a reduction along the last axis
-    adds each row's values in the same order as a sum over that row alone,
-    so every norm is the one a per-row loop gives, bit for bit.
+    Rows of one length, grouped by one stable sort of the lengths, are
+    reduced together as ``(rows, length)`` copies of at most about
+    ``_NORM_CHUNK`` entries; a reduction along the last axis adds each row's
+    values in the same order as a sum over that row alone, so every norm is
+    the one a per-row loop gives, bit for bit.  A row with no entries, or
+    whose norm overflows, is a DataError.
     """
     lengths = np.diff(indptr)
-    empty = np.flatnonzero(lengths == 0)
-    if empty.size:
-        raise DataError(f"instance {empty[0]} has zero norm; all-zero rows are rejected")
+    order = np.argsort(lengths, kind="stable")
+    if lengths.size and lengths[order[0]] == 0:  # the first empty row sorts first
+        raise DataError(f"instance {order[0]} has zero norm; all-zero rows are rejected")
     norms = np.empty(lengths.size)
-    for length in np.unique(lengths):
-        # a view: window k is data[k:k + length], so a row's values are the
-        # window at its start
-        windows = sliding_window_view(data, length)
-        group = np.flatnonzero(lengths == length)
-        step = max(1, _NORM_CHUNK // length)
-        for start in range(0, group.size, step):
-            rows = group[start:start + step]
-            vals = windows[indptr[rows]]  # a copy, scaled and squared in place
-            np.abs(vals, out=vals)
-            # scale before squaring so tiny stored values cannot underflow to zero
-            peak = np.max(vals, axis=1)
-            vals /= peak[:, None]
-            vals *= vals
-            norms[rows] = peak * np.sqrt(np.sum(vals, axis=1))
+    # each length's rows are order[lo:hi] for adjacent bounds, as lengths are >= 1
+    bounds = np.flatnonzero(np.diff(lengths[order], prepend=0, append=0)).tolist()
+    with np.errstate(over="ignore"):  # a norm that overflows is refused below
+        for lo, hi in zip(bounds, bounds[1:]):
+            length = int(lengths[order[lo]])
+            # a view: window k is data[k:k + length], so a row's values are the
+            # window at its start
+            windows = sliding_window_view(data, length)
+            step = max(1, _NORM_CHUNK // length)
+            for start in range(lo, hi, step):
+                rows = order[start:min(start + step, hi)]
+                vals = windows[indptr[rows]]  # a copy, scaled and squared in place
+                np.abs(vals, out=vals)
+                # scale before squaring so tiny stored values cannot underflow to zero
+                peak = np.max(vals, axis=1)
+                vals /= peak[:, None]
+                vals *= vals
+                norms[rows] = peak * np.sqrt(np.sum(vals, axis=1))
+    if np.isinf(norms).any():
+        raise DataError(f"instance {np.flatnonzero(np.isinf(norms))[0]} has a norm that overflows")
     return norms
 
 

@@ -6,11 +6,8 @@ class DataError(ValueError):
 
 
 class ScheduleError(ValueError):
-    """A step-size rule's precondition (probability cap, batch limit) is violated."""
-
-
-class ConditionNotMetError(ValueError):
-    """A data-dependent applicability condition fails; names the offending instance."""
+    """A plan outside its step-size rule's limits: a probability cap, a batch limit,
+    steps not positive and finite, or Corollary 17's norm spread (naming the instance)."""
 
 
 class ZeroViolations(Exception):

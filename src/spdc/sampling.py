@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionNotMetError, ZeroViolations
+from .errors import ScheduleError, ZeroViolations
 
 __all__ = [
     "AliasTable",
@@ -117,6 +117,14 @@ class SamplingPlan:
         return np.flatnonzero(self.p > 0.0)
 
 
+def boosted_cap(n: int, a: int, rule: str = "thm5") -> float:
+    """The probability cap ``1/(a sqrt(n))`` of the sqrt(n)-boosted ``rule`` (thm5,
+    cor19) on n instances; a ScheduleError if ``a > sqrt(n)``, the rule's batch limit."""
+    if a * a > n:
+        raise ScheduleError(f"{rule} requires a <= sqrt(n); got a={a}, n={n}")
+    return 1.0 / (a * math.sqrt(n))
+
+
 def _finalize(p: np.ndarray, a: int, kind: str) -> SamplingPlan:
     p = np.asarray(p, dtype=np.float64)
     p.setflags(write=False)
@@ -152,8 +160,8 @@ def build_data_driven(ds, spec, a: int, scheme: str) -> SamplingPlan:
     ``scheme='cor16'`` uses offset ``sqrt(lam*gamma)`` (pairs with the base
     step-size rule); ``scheme='cor17'`` uses ``sqrt(n*lam*gamma)`` (pairs with
     the sqrt(n)-boosted rule) and requires the norm-spread condition
-    ``max_i ||x_i|| <= (1/sqrt(n)) sum_k ||x_k|| + sqrt(lam*gamma)(n - sqrt(n))``.
-    Both apply to single draws (a = 1).
+    ``max_i ||x_i|| <= (1/sqrt(n)) sum_k ||x_k|| + sqrt(lam*gamma)(n - sqrt(n))``,
+    else a ScheduleError names the widest instance.  Both apply to single draws (a = 1).
     """
     if a != 1:
         raise ValueError(f"data-driven plans require a=1, got a={a}")
@@ -166,7 +174,7 @@ def build_data_driven(ds, spec, a: int, scheme: str) -> SamplingPlan:
         bound = np.sum(norms) / math.sqrt(n) + math.sqrt(lg) * (n - math.sqrt(n))
         worst = int(np.argmax(norms))
         if norms[worst] > bound:
-            raise ConditionNotMetError(
+            raise ScheduleError(
                 f"instance {worst} has norm {norms[worst]:.6g} exceeding the "
                 f"data-driven cap {bound:.6g}"
             )
@@ -191,25 +199,23 @@ def build_ovs(kappa, row_norms, spec, a: int) -> SamplingPlan:
 
     Raises
     ------
+    ScheduleError
+        If ``a > sqrt(n)`` (the cap would be infeasible), as thm5 refuses it.
     ZeroViolations
         If every ``kappa_i`` is zero.  Callers substitute the uniform plan.
-    ValueError
-        If ``a > sqrt(n)`` (the cap would be infeasible).
     """
     kappa = np.asarray(kappa, dtype=np.float64)
     row_norms = np.asarray(row_norms, dtype=np.float64)
     n = kappa.size
     if kappa.shape != (n,) or row_norms.shape != (n,):
         raise ValueError("kappa and row_norms must be vectors of one length")
-    if a * a > n:
-        raise ValueError(f"a={a} exceeds sqrt(n)={math.sqrt(n):.6g}")
+    cap, base = boosted_cap(n, a), 1.0 / n
     nonzero = kappa[kappa != 0.0]
     if nonzero.size == 0:
         raise ZeroViolations("all dual optimality violations are zero")
     rho = kappa + nonzero.min()
     weights = rho * row_norms
     raw = weights / weights.sum()
-    cap, base = 1.0 / (a * math.sqrt(n)), 1.0 / n
     p_bar = raw.max()
     c = math.sqrt(n * spec.lam * spec.gamma) + row_norms  # c_i sqrt(n lam gamma)
     floor = c / (_COMPLEXITY_FACTOR * n * c.max())

@@ -287,9 +287,11 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
                    optimal_exit=False, committed_gaps=[], active_sizes=[], inner_lengths=[])
     counters = run.counters
     gaps = counters["committed_gaps"]  # gaps[-1] is the best committed gap
-    # the first is checkpoint 0's: the gap of the zero start state
-    gaps.append(primal_objective(run.state.w, ds, spec)
-                - dual_objective(run.state.alpha, ds, spec))
+
+    def gap(state):
+        return primal_objective(state.w, ds, spec) - dual_objective(state.alpha, ds, spec)
+
+    gaps.append(gap(run.state))  # checkpoint 0's: the gap of the zero start state
 
     def round_():
         state = run.state
@@ -297,7 +299,7 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
         counters["primal_writes"] += ds.d
         kappa = dual_violations(state.w, state.alpha, ds, spec)
         kappa = np.where(kappa > 0.0, kappa, 0.0)
-        g_full = primal_objective(state.w, ds, spec) - dual_objective(state.alpha, ds, spec)
+        g_full = gap(state)
         if g_full < gaps[-1]:
             gaps.append(g_full)
         if gaps[-1] <= budget.gap_tol:
@@ -310,14 +312,13 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
         primal_coords = None
         if restrict_primal:
             psi = primal_violations(state.w, state.alpha, ds, spec)
-            psi = np.where(psi > 0.0, psi, 0.0)
-            primal_coords = np.flatnonzero(psi != 0.0)
+            primal_coords = np.flatnonzero(psi > 0.0)
         n_active = plan.active.size
         inner_len = math.ceil(n_active / a)
         counters["active_sizes"].append(n_active)
         counters["inner_lengths"].append(inner_len)
         inner = core.iterate(state.copy(), params, ds, spec, rng, inner_len, primal_coords)
-        g = primal_objective(inner.w, ds, spec) - dual_objective(inner.alpha, ds, spec)
+        g = gap(inner)
         if g < gaps[-1]:
             gaps.append(g)
             run.state = inner

@@ -77,7 +77,8 @@ class TestSynth:
     @pytest.mark.parametrize("flag,value", [("--sparsity", "2"), ("--sparsity", "nan"),
                                             ("--sparsity", "inf"), ("--seed", "-1"),
                                             # too wide to hold, too wide to size
-                                            ("--d", str(10**14)), ("--d", str(2**62))])
+                                            ("--d", str(10**14)), ("--d", str(2**62)),
+                                            ("--dual-skew", "1.5"), ("--dual-skew", "-0.1")])
     def test_out_of_range_flags_exit_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "f.svm"
         assert cli("synth", "--n", "5", "--d", "3", flag, value, "--out", str(out)) == 2
@@ -280,6 +281,11 @@ class TestRun:
         (["--algo", "adaspdc", "--dspdc-b", "-5"], "dspdc-b applies only to algo=dspdc"),
         # lambda_max is 0.44 on the normalized data: lam underflows to 0
         (["--normalize", "--lambda-scale", "5e-324"], "underflows to 0"),
+        (["-a", "0"], "a must be >= 1, got 0"),
+        (["--lambda-scale", "inf"], "lambda-scale must be positive and finite, got inf"),
+        # the default algo is adaspdc; every violation-driven algo takes prob=ovs
+        (["--prob", "ovs"], "prob=ovs requires one of the algos ('ovsspdc', 'ovs-exact', "
+                            "'ovsspdc-plus', 'ovsspdc-plusplus')"),
     ])
     def test_out_of_range_flags_exit_2(self, small_file, capsys, flags, fragment):
         assert cli("run", "--data", small_file, *flags) == 2
@@ -317,6 +323,27 @@ class TestRun:
         assert cli("run", "--data", str(bad), "--normalize", "--max-epochs", "1") == 2
         assert capsys.readouterr().err == (
             "error: instance 0 has norm 1e-320, too small to scale to unit norm\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [[], ["--normalize"]])
+    def test_row_whose_norm_overflows_exits_2(self, tmp_path, capsys, flags):
+        # each value is finite but the norm is not: raw, the step rule refused
+        # its inf norm (exit 3); normalized, the scale 1/inf emptied the row
+        bad = tmp_path / "huge.svm"
+        bad.write_text("+1 1:1.5e308 2:1.5e308\n-1 2:0.5\n")
+        assert cli("run", "--data", str(bad), *flags, "--max-epochs", "1") == 2
+        assert capsys.readouterr().err == "error: instance 0 has a norm that overflows\n"
+
+    @pytest.mark.parametrize("algo", cli_mod.VARIANTS)
+    def test_tolerance_met_at_checkpoint_0_reports_no_conditions(self, small_file, tmp_path,
+                                                                 algo):
+        # a violation-driven run sets its step sizes in its first unit, which never runs
+        summary = tmp_path / "s.json"
+        assert cli("run", "--data", small_file, "--algo", algo, "--gap-tol", "1e300",
+                   "--summary", str(summary)) == 0
+        s = json.loads(summary.read_text())
+        assert s["converged"] is True and s["epochs"] == 0.0
+        assert s["conditions"] == {} and s["schedule_params"] is None
 
     def test_non_utf8_data_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.svm"
@@ -589,6 +616,17 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [r["status"].split(":")[0] for r in rows] == ["error"] * 2
         assert "Is a directory" in rows[0]["status"]
+
+    def test_unreadable_file_row_reads_as_run_reports_it(self, tmp_path, capsys):
+        for path in (str(tmp_path / "missing.svm"), str(tmp_path)):
+            assert cli("run", "--data", path) == 2
+            (row,) = sweep([RunConfig(data=path)])
+            assert row["status"].startswith("error: cannot read dataset: ")
+            assert capsys.readouterr().err == row["status"] + "\n"
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ConfigError, match="sweep needs at least one configuration"):
+            sweep([])
 
     @pytest.mark.parametrize("flag,value", [("--batches", "x"), ("--lambda-scales", "abc"),
                                             ("--seeds", "1,x")])

@@ -285,6 +285,19 @@ class TestBulkLoader:
         assert_same_dataset(load_libsvm(path, normalize=True),
                             reference_load_libsvm(path, normalize=True))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_row_whose_norm_overflows(self, tmp_path, normalize):
+        # each value is finite, but the third row's norm, 2.1e308, exceeds
+        # DBL_MAX ~ 1.8e308; the second's, 1.7e308, does not
+        rows = "-1 2:0.5\n+1 1:1.2e308 2:1.2e308\n"
+        path = write(tmp_path, rows + "+1 1:1.5e308 2:-1.5e308\n")
+        assert data_error(load_libsvm, path, normalize=normalize) == (
+            "instance 2 has a norm that overflows")
+        path = write(tmp_path, rows)
+        assert_same_dataset(load_libsvm(path, normalize=normalize),
+                            reference_load_libsvm(path, normalize=normalize))
+
     @given(lengths=st.lists(st.one_of(st.integers(1, 300), st.sampled_from([7, 8, 9, 128, 129])),
                             min_size=1, max_size=30),
            seed=st.integers(0, 2**32 - 1))
@@ -487,6 +500,18 @@ class TestIndexArrays:
         with pytest.raises(DataError, match="instance 0 has zero norm"):
             SparseDataset(matrix, np.ones(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows,message", [
+        # lengths 2, 0, 1, 0: both empty rows sort first, and instance 1 leads
+        ([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+         "instance 1 has zero norm; all-zero rows are rejected"),
+        ([[0.5, 0.0], [1.5e308, -1.5e308]], "instance 1 has a norm that overflows"),
+    ])
+    def test_first_bad_row_is_named(self, rows, message):
+        with pytest.raises(DataError) as info:
+            SparseDataset(np.array(rows), np.ones(len(rows)))
+        assert str(info.value) == message
+
     def test_label_count_must_match_instance_count(self):
         with pytest.raises(DataError, match=r"label count \(2,\) does not match "
                                             r"instance count 3"):
@@ -501,6 +526,12 @@ class TestLambdaMax:
     def test_cancellation(self):
         ds = SparseDataset(sp.csr_matrix(np.array([[1.0], [1.0]])), [1.0, -1.0])
         assert lambda_max(ds) == 0.0
+
+    def test_empty_dataset_rejected(self):
+        ds = SparseDataset(sp.csr_matrix((0, 3)), np.ones(0))
+        assert ds.n == 0 and ds.row_norms.size == 0
+        with pytest.raises(DataError, match="empty dataset"):
+            lambda_max(ds)
 
     def test_single_instance(self):
         ds = SparseDataset(sp.csr_matrix(np.array([[3.0]])), [1.0])

@@ -31,6 +31,18 @@ from oracles import (
 )
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"gamma": 0.0}, "gamma must be positive, got 0.0"),
+    ({"gamma": float("nan")}, "gamma must be positive, got nan"),
+    ({"lam": 0.0}, "lambda must be positive, got 0.0"),
+    ({"lam": -1e-3}, "lambda must be positive, got -0.001"),
+])
+def test_problem_spec_rejects_non_positive_parameters(fields, message):
+    with pytest.raises(ValueError) as info:
+        ProblemSpec(**fields)
+    assert str(info.value) == message
+
+
 class TestSmoothedHinge:
     @pytest.mark.parametrize(
         "z,y,gamma,expected",

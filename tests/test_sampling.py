@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdc import core
-from spdc.errors import ConditionNotMetError, ZeroViolations
+from spdc.errors import ScheduleError, ZeroViolations
 from spdc.objective import ProblemSpec
 from spdc.sampling import (
     SamplingPlan,
@@ -227,7 +227,7 @@ class TestDataDriven:
         M = np.diag([1.0, 1.0, 1.0, 100.0])
         ds = SparseDataset(sp.csr_matrix(M), [1.0, 1.0, -1.0, -1.0])
         spec = ProblemSpec(gamma=1.0, lam=1e-6)
-        with pytest.raises(ConditionNotMetError, match="instance 3"):
+        with pytest.raises(ScheduleError, match="instance 3"):
             build_data_driven(ds, spec, 1, "cor17")
 
     def test_requires_single_draws(self):
@@ -291,8 +291,14 @@ class TestOvs:
             build_ovs(np.zeros(5), np.ones(5), ProblemSpec(), 1)
 
     def test_large_batch_rejected(self):
-        with pytest.raises(ValueError, match="sqrt"):
+        with pytest.raises(ValueError, match="sqrt") as plan_info:
             build_ovs(np.ones(4), np.ones(4), ProblemSpec(), 3)
+        # one statement of the limit: the plan's refusal is thm5's ScheduleError
+        with pytest.raises(ScheduleError) as rule_info:
+            core.schedule_thm5(make_dataset(4, 3, seed=1), ProblemSpec(), build_uniform(4, 3))
+        assert plan_info.type is ScheduleError
+        assert str(plan_info.value) == str(rule_info.value) == (
+            "thm5 requires a <= sqrt(n); got a=3, n=4")
 
     def test_invariants_random(self):
         rng = np.random.default_rng(8)
@@ -337,6 +343,17 @@ class TestOvs:
         assert raw.max() > 0.5
         plan = build_ovs(kappa, np.ones(4), ProblemSpec(), 1)
         assert np.max(np.abs(plan.p - raw)) <= 1e-8
+
+
+@pytest.mark.parametrize("build,fragment", [
+    (lambda: build_data_driven(make_dataset(9, 4, seed=3), ProblemSpec(), 1, "cor99"),
+     "unknown scheme 'cor99'"),
+    (lambda: build_ovs(np.ones(4), np.ones(3), ProblemSpec(), 1), "vectors of one length"),
+    (lambda: build_ovs(np.ones((2, 2)), np.ones(4), ProblemSpec(), 1), "vectors of one length"),
+], ids=["unknown scheme", "lengths differ", "kappa not a vector"])
+def test_malformed_plan_arguments_rejected(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
 
 
 class TestRestricted:
