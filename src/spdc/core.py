@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ScheduleError
 from .objective import ProblemSpec, dual_prox, prox_arrays
-from .sampling import SamplingPlan, boosted_cap, sampler
+from .sampling import SamplingPlan, boosted_cap, draw_batch
 
 __all__ = [
     "StepParams",
@@ -124,44 +123,44 @@ class _Anchors:
         self.kill = np.float64(-1.0 - 1.0 / (tau * lam))
         self.frozen = frozen  # the weights a selection leaves out, or None
         self.B, self.W, self.t0 = np.array(w, dtype=np.float64), np.empty(d), np.empty(d, np.int32)
-        # due: (weights, the iteration each is due at); block: the prepared
-        # block; pending: a draw that met the block, which opens the next one
-        self.due, self.cached, self.block, self.pending = [], {}, None, None
+        # due: (weights, the iteration each is due at); block: the prepared block
+        self.due, self.cached, self.block = [], {}, None
         for lo in range(0, d, _CHUNK):
             self._anchor(slice(lo, lo + _CHUNK), self.B[lo:lo + _CHUNK], np.int32(t))
 
-    def prepare(self, indptr, indices, draw, k: int, t: int):
-        """The dual pass's phase from iteration t: up to k draws of ``draw()``,
-        and the first round's weights, the due ones at t and each drawn
-        support at its iteration.  Returns the draws, a list, and ``{row: w_bar}``."""
+    def prepare(self, indices, consts, at: int, a: int, k: int, t: int):
+        """The dual pass's phase from iteration t: the draws of ``a`` rows from
+        position ``at`` of the :func:`_constants` ``consts``, up to k of them,
+        and the first round's weights, the due ones at t and each drawn support
+        at its iteration.  Returns the position after the block's draws and
+        ``{row: w_bar}``."""
+        rows, lo, hi = consts[0], consts[4], consts[5]
         parts, self.due = [i for i, _ in self.due], []
         if len(parts) > 1:  # a weight may be due twice over: watched and settled
             parts = [np.unique(np.concatenate(parts))]
         first = size = sum(map(len, parts))
         claimed = set(_cat(parts).tolist()) if parts and k > 1 else set()
-        draws, spans, ends = [], [], []
-        while len(draws) < k:
-            batch, self.pending = draw() if self.pending is None else self.pending, None
-            rows = list(dict.fromkeys(batch))
-            cols = [indices[indptr[i]:indptr[i + 1]] for i in rows]
+        spans, ends, stop = [], [], at
+        while len(ends) < k:
+            at_row = {rows[j]: j for j in range(stop, stop + a)}  # the draw's rows, in order
+            cols = [indices[lo[j]:hi[j]] for j in at_row.values()]
             if k > 1:
                 new = _cat(cols).tolist()
-                if draws and not claimed.isdisjoint(new):
-                    self.pending = batch
-                    break
+                if ends and not claimed.isdisjoint(new):
+                    break  # the draw that meets the block opens the next one
                 claimed.update(new)
-            for i, c in zip(rows, cols):
+            for i, c in zip(at_row, cols):
                 spans.append((i, size, size + c.size))
                 size += c.size
-            draws.append(batch)
             parts += cols
             ends.append(size)
-        idx, m = _cat(parts), len(draws)
+            stop += a
+        idx, m = _cat(parts), len(ends)
         its = np.int32(t) if m == 1 else np.repeat(np.arange(t, t + m, dtype=np.int32),
-                                                   [b - a for a, b in zip([0] + ends, ends)])
+                                                   [e - b for b, e in zip([0] + ends, ends)])
         w, _, w_bar = self._law(idx, its, bar=True)
         self.block = (idx, w, its, first, ends[-2] if m > 1 else first, m)
-        return [i for batch in draws for i in batch], {i: w_bar[lo:hi] for i, lo, hi in spans}
+        return stop, {i: w_bar[b:e] for i, b, e in spans}
 
     def advance(self, t: int) -> int:
         """The primal pass's phase: anchor the first round, watching all but the
@@ -359,7 +358,8 @@ def _supported(plan: SamplingPlan, *arrays):
 
 
 def _r_under(p: np.ndarray, norms: np.ndarray) -> float:
-    return float(np.min(p / norms))
+    with np.errstate(over="ignore"):  # a tiny raw norm's ratio is inf: never the min
+        return float(np.min(p / norms))
 
 
 def _steps(spec: ProblemSpec, k: int, tau_half, sigma_half):
@@ -420,8 +420,9 @@ def _support_rule(schedule: str, ds, spec: ProblemSpec, plan: SamplingPlan) -> S
     a = min(plan.batch, n)
     p, norms = plan.p[active], ds.row_norms[active]
     ru = _r_under(p, norms)
-    tau, sig = _steps(spec, n if boosted else 1, a * ru / 2.0,
-                      n * ru / 2.0 if shared else n * p / (2.0 * norms))
+    with np.errstate(over="ignore"):  # a tiny raw norm: an inf sigma_i, which _steps refuses
+        tau, sig = _steps(spec, n if boosted else 1, a * ru / 2.0,
+                          n * ru / 2.0 if shared else n * p / (2.0 * norms))
     sigma = np.ones(ds.n)
     sigma[active] = sig
     theta = _theta(spec, tau, a, n, p, sigma[active])
@@ -460,7 +461,8 @@ def schedule_thm15(ds, spec: ProblemSpec, plan: SamplingPlan) -> StepParams:
     if np.any(plan.p != 1.0 / n):
         raise ScheduleError(f"thm15 requires the uniform plan, not a {plan.kind} one")
     big_r = float(np.max(ds.row_norms))
-    tau, sigma = _steps(spec, 1, 1.0 / (2.0 * big_r), n / (2.0 * a * ds.row_norms))
+    with np.errstate(over="ignore"):  # as in _support_rule
+        tau, sigma = _steps(spec, 1, 1.0 / (2.0 * big_r), n / (2.0 * a * ds.row_norms))
     return StepParams(tau=tau, sigma=sigma, theta=_theta(spec, tau, a, n, plan.p, sigma),
                       schedule="thm15", r_under=_r_under(plan.p, ds.row_norms), n_eff=n,
                       plan=plan)
@@ -502,7 +504,8 @@ def verify_lemma14(params: StepParams, ds) -> bool:
     """
     n, a = params.n_eff, params.plan.batch
     p, sigma, norms = _supported(params.plan, params.sigma, ds.row_norms)
-    bound1 = a * (p * n) ** 2 / (4.0 * norms**2)
+    with np.errstate(divide="ignore"):  # a tiny raw norm squares to 0: no bound
+        bound1 = a * (p * n) ** 2 / (4.0 * norms**2)
     ok1 = np.all(params.tau * sigma <= bound1 * (1.0 + _RTOL))
     lhs2 = float(np.sum(norms**2)) / (n * n / params.tau)
     ok2 = np.all(lhs2 <= (1.0 / (4.0 * a * sigma)) * (1.0 + _RTOL))
@@ -532,20 +535,22 @@ def verify_thm20(params: StepParams, ds, spec: ProblemSpec):
     return failing is None, failing, margins
 
 
-def _constants(params: StepParams, ds) -> tuple:
-    """The plan's :func:`sampler` and the dual prox's ``q_i = p_i n_eff / sigma_i``, the
-    extrapolation's ``a p_i``, the labels and the CSR row pointers, each the float arithmetic
-    of a draw, so its bits, read by index through a ``memoryview``: made in O(1), unlike a
-    list, it reads a Python scalar in less than half the time of ``.item``."""
-    plan, p = params.plan, params.plan.p
-    seqs = p * params.n_eff / params.sigma, plan.batch * p, ds.labels, ds.csr_arrays()[0]
-    return (sampler(plan), *map(memoryview, seqs))
+def _constants(params: StepParams, ds, draws) -> tuple:
+    """The rows of ``draws`` and, position by position, the dual prox's
+    ``q_i = p_i n_eff / sigma_i``, the extrapolation's ``a p_i``, the labels and the CSR
+    row bounds, as lists of Python scalars: the float arithmetic of each draw, so its
+    bits, gathered for the drawn rows only, in O(len(draws))."""
+    rows = np.asarray(draws, dtype=np.intp)
+    p, indptr = params.plan.p[rows], ds.csr_arrays()[0]
+    return tuple(x.tolist() for x in (rows, p * params.n_eff / params.sigma[rows],
+                                      params.plan.batch * p, ds.labels[rows],
+                                      indptr[rows], indptr[rows + 1]))
 
 
 def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
-               rng: np.random.Generator, k: int = 1, consts: tuple | None = None) -> None:
-    """Sample and prox the ``a`` dual coordinates of a draw from the plan of
-    ``params``, then extrapolate them into the cache.
+               draws, k: int = 1, at: int = 0, consts: tuple | None = None) -> None:
+    """Prox the ``a`` dual coordinates of the draw at position ``at`` of ``draws``, rows
+    drawn from the plan of ``params``, then extrapolate them into the cache.
 
     Draws are processed sequentially in draw order, so a repeated index sees
     the value left by the earlier draw.  The extrapolation applies the net
@@ -554,32 +559,32 @@ def _dual_pass(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
     ``a0_i`` before the pass, which makes the dual image fed to the primal
     prox unbiased for a full synchronous pass; one :func:`_scatter` adds it.
     ``state.last_batch`` keeps each drawn row's ``bar_i`` and ``state.last_rows`` its
-    ``(cols, vals)`` slices for :func:`_settle`, and ``last_draws`` lists the draws.  An
-    anchored state runs up to ``k`` iterations' draws with disjoint supports as one
-    (:meth:`_Anchors.prepare`).
+    ``(cols, vals)`` slices for :func:`_settle`, and ``last_draws`` lists the pass's
+    rows.  An anchored state runs up to ``k`` iterations' draws with disjoint supports
+    as one (:meth:`_Anchors.prepare`).
 
-    Scalars are read from the :func:`_constants` ``consts`` of ``params`` (made here when
+    Scalars are read from the :func:`_constants` ``consts`` of ``draws`` (made here when
     None); Python floats round as numpy's float64 scalars do, at a fraction of their cost."""
-    draw, q, ap, labels, indptr = consts or _constants(params, ds)
-    gamma, alpha, w_bar = spec.gamma, state.alpha, state._w_bar
+    rows, q, ap, labels, lo, hi = consts = consts or _constants(params, ds, draws)
+    gamma, alpha, w_bar, a = spec.gamma, state.alpha, state._w_bar, params.plan.batch
     _, indices, data = ds.csr_arrays()
     anchors = state._anchors
     if anchors is None:
-        draws, bars = draw(rng), None
+        stop, bars = at + a, None
     else:
-        draws, bars = anchors.prepare(indptr, indices, partial(draw, rng), k, state.iter)
-    start, rows = {}, {}
-    for i in draws:
+        stop, bars = anchors.prepare(indices, consts, at, a, k, state.iter)
+    start, slices = {}, {}
+    for j in range(at, stop):
+        i = rows[j]
         old = alpha.item(i)
-        if i not in rows:
-            lo, hi = indptr[i], indptr[i + 1]
-            start[i], rows[i] = old, (indices[lo:hi], data[lo:hi])
-        cols, vals = rows[i]
+        if i not in slices:
+            start[i], slices[i] = (old, ap[j]), (indices[lo[j]:hi[j]], data[lo[j]:hi[j]])
+        cols, vals = slices[i]
         s = float(vals.dot(w_bar[cols] if bars is None else bars[i]))
-        alpha[i] = dual_prox(s, old, q[i], labels[i], gamma)
-    batch = {i: a0 + (alpha.item(i) - a0) / ap[i] for i, a0 in start.items()}
-    _scatter(state.v_cache, ds.n, [(*rows[i], bar - start[i]) for i, bar in batch.items()])
-    state.last_batch, state.last_rows, state.last_draws = batch, rows, draws
+        alpha[i] = dual_prox(s, old, q[j], labels[j], gamma)
+    batch = {i: a0 + (alpha.item(i) - a0) / api for i, (a0, api) in start.items()}
+    _scatter(state.v_cache, ds.n, [(*slices[i], bar - start[i][0]) for i, bar in batch.items()])
+    state.last_batch, state.last_rows, state.last_draws = batch, slices, rows[at:stop]
 
 
 def _settle(state: SolverState, ds) -> None:
@@ -661,26 +666,32 @@ def _primal_pass(state: SolverState, tau: float, lam: float, theta: float,
 
 
 def iterate(state: SolverState, params: StepParams, ds, spec: ProblemSpec,
-            rng: np.random.Generator, k: int, primal_coords=None) -> SolverState:
-    """k iterations: each proxes a draw from ``params.plan`` with per-instance
-    dual steps (plain SPDC's shared step is the case where the rule makes every
-    sigma_i equal), then the primal, or only ``primal_coords`` of it, on the
-    :func:`_constants` of ``params``, made once per call.
+            draws, k: int | None = None, primal_coords=None) -> SolverState:
+    """The ``len(draws) // a`` iterations of ``draws``, rows from ``params.plan`` as
+    :func:`draw_batch` gives them, ``a`` (the plan's batch) an iteration; with k, the
+    k iterations of ``draw_batch(params.plan, draws, k)`` from the generator ``draws``.
+    Each proxes its rows with per-instance dual steps (plain SPDC's shared step is the
+    case where the rule makes every sigma_i equal), then the primal, or only
+    ``primal_coords`` of it, on the :func:`_constants` of the rows, made once per call.
 
     An anchored state runs them in blocks of draws with disjoint supports
     (:class:`_Anchors`), bit for bit the iterations one at a time: a block
-    ends at the first draw that meets it, which opens the next, or at k."""
-    tau, lam, theta = params.tau, spec.lam, params.theta
+    ends at the first draw that meets it, which opens the next, or at the last."""
+    if k is not None:
+        draws = draw_batch(params.plan, draws, k)
+    tau, lam, theta, a = params.tau, spec.lam, params.theta, params.plan.batch
     if primal_coords is not None and len(primal_coords) == ds.d:
         primal_coords = None  # a selection spanning every coordinate is the full pass
-    consts = _constants(params, ds)
+    consts = _constants(params, ds, draws)
+    at, k = 0, len(draws) // a
     while k > 0:
         t = state.iter
         block = k if k > 1 and _continues(state, tau, lam, theta, primal_coords) else 1
-        _dual_pass(state, params, ds, spec, rng, block, consts)
+        _dual_pass(state, params, ds, spec, draws, block, at, consts)
         _primal_pass(state, tau, lam, theta, primal_coords)
         _settle(state, ds)
         k -= state.iter - t
+        at += (state.iter - t) * a
     return state
 
 

@@ -369,5 +369,7 @@ def lambda_max(ds: SparseDataset) -> float:
 
 
 def density(ds: SparseDataset) -> float:
-    """Fraction of nonzero entries, nnz / (n * d)."""
+    """Fraction of nonzero entries, nnz / (n * d); a DataError for an empty dataset."""
+    if ds.n * ds.d == 0:
+        raise DataError("empty dataset")
     return ds.nnz / (ds.n * ds.d)

@@ -24,7 +24,6 @@ __all__ = [
     "SamplingPlan",
     "alias_build",
     "draw_batch",
-    "sampler",
     "build_uniform",
     "build_data_driven",
     "build_ovs",
@@ -44,19 +43,10 @@ class AliasTable:
     alias: np.ndarray
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. indices."""
-        if size == 1:
-            return np.array([_draw_one(rng, self.prob, self.alias)])
+        """Draw ``size`` i.i.d. indices from one ``integers`` and one ``random`` call."""
         ks = rng.integers(0, self.prob.size, size=size)
         us = rng.random(size)
         return np.where(us < self.prob[ks], ks, self.alias[ks])
-
-
-def _draw_one(rng: np.random.Generator, prob, alias) -> int:
-    """One index from a table's columns, arrays or memoryviews, by scalar calls
-    that read the generator's stream as :meth:`AliasTable.draw`'s array calls do."""
-    k = int(rng.integers(0, len(prob)))
-    return k if rng.random() < prob[k] else alias[k]
 
 
 def alias_build(p) -> AliasTable:
@@ -131,19 +121,10 @@ def _finalize(p: np.ndarray, a: int, kind: str) -> SamplingPlan:
     return SamplingPlan(p=p, alias=alias_build(p), batch=a, kind=kind)
 
 
-def draw_batch(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
-    """Draw the plan's mini-batch: ``a`` indices i.i.d. with replacement."""
-    return plan.alias.draw(rng, plan.batch)
-
-
-def sampler(plan: SamplingPlan):
-    """``sampler(plan)(rng)`` equals ``draw_batch(plan, rng).tolist()``, stream for stream;
-    a single draw reads the table through memoryviews, as Python scalars."""
-    table, a = plan.alias, plan.batch
-    if a > 1:
-        return lambda rng: table.draw(rng, a).tolist()
-    prob, alias = memoryview(table.prob), memoryview(table.alias)
-    return lambda rng: [_draw_one(rng, prob, alias)]
+def draw_batch(plan: SamplingPlan, rng: np.random.Generator, k: int = 1) -> np.ndarray:
+    """The mini-batches of k iterations: ``k a`` indices i.i.d. with replacement
+    from one :meth:`AliasTable.draw`, iteration j's at ``[j a, (j + 1) a)``."""
+    return plan.alias.draw(rng, k * plan.batch)
 
 
 def build_uniform(n: int, a: int) -> SamplingPlan:

@@ -33,7 +33,7 @@ from .objective import (
     primal_objective,
     primal_violations,
 )
-from .sampling import SamplingPlan, build_ovs, build_restricted, build_uniform
+from .sampling import SamplingPlan, build_ovs, build_restricted, build_uniform, draw_batch
 from .trace import TraceRecord
 
 __all__ = [
@@ -142,15 +142,15 @@ def run_fixed(ds, spec: ProblemSpec, params: StepParams, budget: Budget,
 
     Each iteration proxes a draw from ``params.plan`` with the steps of
     ``params`` (the shared-sigma rules make them equal: plain SPDC) and then
-    the whole primal.  A unit is one epoch, ceil(n/a) iterations.  ``state0``
-    warm-starts the run (it is copied).
+    the whole primal.  A unit is one epoch, ceil(n/a) iterations, whose rows
+    are one :func:`draw_batch`.  ``state0`` warm-starts the run (it is copied).
     """
     run = _new_run(ds, state0)
     run.params, a = params, params.plan.batch
     per_epoch = math.ceil(ds.n / a)
 
     def epoch():
-        core.iterate(run.state, params, ds, spec, rng, per_epoch)
+        core.iterate(run.state, params, ds, spec, draw_batch(params.plan, rng, per_epoch))
         return per_epoch * a
 
     return _drive(ds, spec, budget, run, epoch)
@@ -165,8 +165,9 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
     dual violations are recomputed at the current iterate, the violation-weighted
     plan is rebuilt under the cap and within twice uniform's thm5 complexity
     (:func:`build_ovs`), and the sqrt(n)-boosted steps and momentum are rederived;
-    the epoch runs as one call of :func:`core.iterate`.  When every violation
-    is zero the refresh falls back to the uniform plan and the run continues.
+    the epoch runs as one call of :func:`core.iterate` on one :func:`draw_batch`.
+    When every violation is zero the refresh falls back to the uniform plan and
+    the run continues.
     """
     n = ds.n
     # derived before checkpoint 0, so that a batch or steps the rule refuses end the run first
@@ -185,7 +186,7 @@ def run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
             run.params = uniform
             counters["uniform_fallbacks"] += 1
         counters["refreshes"] += 1
-        core.iterate(state, run.params, ds, spec, rng, per_epoch)
+        core.iterate(state, run.params, ds, spec, draw_batch(run.params.plan, rng, per_epoch))
         return per_epoch * a
 
     return _drive(ds, spec, budget, run, epoch)
@@ -240,7 +241,7 @@ def run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
                     raise _Optimum(drawn) from None
                 continue
             run.params = _restricted_schedule(ds, spec, plan)
-            core.iterate(state, run.params, ds, spec, rng, 1)
+            core.iterate(state, run.params, ds, spec, draw_batch(plan, rng))
             drawn += 1
         return n
 
@@ -270,13 +271,13 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
 
     A round is one deterministic full sweep, violation recomputation, then
     an inner loop of ceil(n'/a) sampled iterations over the restricted plan
-    on a copy of the state.  The acceptance test runs once per round, at the
-    end of the inner loop: the inner iterate is committed only when its
-    duality gap strictly improves on the best committed gap, so the
-    committed gap sequence is strictly decreasing by construction.  The
-    sweep itself is applied without an acceptance test, so the state it
-    leaves, and with it the gap of the trace, can be worse than the best
-    committed one: the trace gap may rise from round to round.  When
+    on a copy of the state, their rows one :func:`draw_batch`.  The acceptance
+    test runs once per round, at the end of the inner loop: the inner iterate
+    is committed only when its duality gap strictly improves on the best
+    committed gap, so the committed gap sequence is strictly decreasing by
+    construction.  The sweep itself is applied without an acceptance test, so
+    the state it leaves, and with it the gap of the trace, can be worse than
+    the best committed one: the trace gap may rise from round to round.  When
     ``restrict_primal`` is set, inner primal updates touch only coordinates
     with nonzero primal violations.
     """
@@ -317,7 +318,8 @@ def _run_snapshot_variant(ds, spec: ProblemSpec, a: int, budget: Budget,
         inner_len = math.ceil(n_active / a)
         counters["active_sizes"].append(n_active)
         counters["inner_lengths"].append(inner_len)
-        inner = core.iterate(state.copy(), params, ds, spec, rng, inner_len, primal_coords)
+        inner = core.iterate(state.copy(), params, ds, spec, draw_batch(plan, rng, inner_len),
+                             primal_coords=primal_coords)
         g = gap(inner)
         if g < gaps[-1]:
             gaps.append(g)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spdc import core, sampling
+from spdc import core, sampling, variants
 from spdc.core import init_state, schedule_thm5
 from spdc.datamat import SparseDataset
 from spdc.objective import ProblemSpec
@@ -89,27 +89,17 @@ def small():
 
 @pytest.fixture
 def draw_log(monkeypatch):
-    """Every batch of sampled duals, as ``(plan, draws)`` with the draws an
-    array: records the draws of the functions ``core.sampler`` makes, where
-    every solver step draws its duals, and the calls of
-    ``sampling.draw_batch``, where the frozen reference runs draw theirs."""
+    """Every call of ``sampling.draw_batch``, as ``(plan, draws)`` with the
+    draws an array: the library's runners and the frozen reference runs draw
+    every step's duals there.  It is patched wherever it is looked up."""
     log = []
-    make, draw_batch = core.sampler, sampling.draw_batch
+    draw_batch = sampling.draw_batch
 
-    def sampler(plan, *args):
-        draw = make(plan, *args)
-
-        def recorded(rng):
-            draws = draw(rng)
-            log.append((plan, np.array(draws)))
-            return draws
-        return recorded
-
-    def batch(plan, rng):
-        draws = draw_batch(plan, rng)
+    def batch(plan, rng, k=1):
+        draws = draw_batch(plan, rng, k)
         log.append((plan, draws.copy()))
         return draws
 
-    monkeypatch.setattr(core, "sampler", sampler)
-    monkeypatch.setattr(sampling, "draw_batch", batch)
+    for module in (sampling, core, variants):
+        monkeypatch.setattr(module, "draw_batch", batch)
     return log

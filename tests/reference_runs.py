@@ -10,7 +10,9 @@ that were later removed (the refresh and acceptance-test cadences, and the
 logs of draws) are written as their one remaining value too.  The copies of
 ``ovsspdc`` and ``ovs-exact`` test the budget between epochs, as the run
 loop does since every runner's unit became an epoch, and close with no
-partial checkpoint; they still step one iteration at a time.
+partial checkpoint; they still step one iteration at a time.  Each draws
+its rows with one ``sampling.draw_batch(plan, rng, k)`` where the library's
+runner does, k iterations' at a time, and steps through them in order.
 
 The CLI's checks of which rules an algorithm may run are frozen here too,
 as they were before one table of rules per algorithm replaced them:
@@ -21,8 +23,8 @@ So is the anchored iteration (d >= ``core._LAZY_MIN_D``) as it ran one step
 at a time, before iterations ran in blocks of draws with disjoint supports:
 ``ReferenceAnchors`` and ``reference_adaspdc_step``, whose dual pass and
 settle add into the dual image with their own scatter, ``reference_scatter``.
-A k-iteration call of the library must leave the state, the anchors and the
-generator as k of these steps do.
+A k-iteration call of the library must leave the state and the anchors as k
+of these steps on the same rows do.
 """
 
 from __future__ import annotations
@@ -189,8 +191,9 @@ def reference_run_fixed(ds, spec: ProblemSpec, params: StepParams, a: int, budge
     duals_drawn = 0
     ckpt = 0
     while not converged and duals_drawn / ds.n < budget.max_epochs:
-        for _ in range(per_epoch):
-            core.iterate(state, params, ds, spec, rng, 1)
+        rows = sampling.draw_batch(params.plan, rng, per_epoch)
+        for j in range(per_epoch):
+            core.iterate(state, params, ds, spec, rows[j * a:(j + 1) * a])
             duals_drawn += a
         ckpt += 1
         rec = variants._checkpoint(records, ckpt, duals_drawn / ds.n, t0, state, ds, spec)
@@ -238,8 +241,9 @@ def reference_run_ovsspdc(ds, spec: ProblemSpec, a: int, budget: Budget,
             fallbacks += 1
         params = reference_schedule_thm5(ds, spec, plan)
         refreshes += 1
-        for _ in range(per_epoch):
-            core.iterate(state, params, ds, spec, rng, 1)
+        rows = sampling.draw_batch(plan, rng, per_epoch)
+        for j in range(per_epoch):
+            core.iterate(state, params, ds, spec, rows[j * a:(j + 1) * a])
             duals_drawn += a
         ckpt += 1
         rec = variants._checkpoint(records, ckpt, duals_drawn / n, t0, state, ds, spec)
@@ -340,7 +344,7 @@ def reference_run_ovs_exact(ds, spec: ProblemSpec, budget: Budget,
                     break
                 continue
             params = reference_restricted_schedule(ds, spec, plan, a)
-            core.iterate(state, params, ds, spec, rng, 1)
+            core.iterate(state, params, ds, spec, sampling.draw_batch(plan, rng))
             duals_drawn += a
         if not optimal:
             ckpt += 1
@@ -418,8 +422,9 @@ def reference_run_snapshot(ds, spec: ProblemSpec, a: int, budget: Budget, rng: n
         counters["inner_lengths"].append(inner_len)
         inner = state.copy()
         accepted = None
+        rows = sampling.draw_batch(plan, rng, inner_len)
         for u in range(1, inner_len + 1):
-            core.iterate(inner, params, ds, spec, rng, 1,
+            core.iterate(inner, params, ds, spec, rows[(u - 1) * a:u * a],
                          primal_coords=primal_coords)
             counters["duals_drawn"] += a
             counters["primal_writes"] += ds.d if primal_coords is None else len(primal_coords)
@@ -520,8 +525,8 @@ def reference_pick_schedule(cfg, ds) -> str:
 
 # The anchored iteration as it ran one step at a time, before iterations ran
 # in blocks: the anchors with their per-step dual and primal halves
-# (``prepare``, ``advance``) and the step's three passes.  The dual prox,
-# the primal prox, the scatter and the draws are the library's.
+# (``prepare``, ``advance``) and the step's three passes.  The dual prox and
+# the primal prox are the library's; the caller gives each step its rows.
 
 _REF_ZERO32, _REF_ONE32 = np.int32(0), np.int32(1)
 
@@ -626,12 +631,11 @@ class ReferenceAnchors:
                               else idx[flip])
 
 
-def reference_dual_pass(state, params, plan, ds, spec, a, rng) -> None:
+def reference_dual_pass(state, params, plan, ds, spec, a, draws) -> None:
     n, n_eff, gamma = ds.n, params.n_eff, spec.gamma
     alpha, w_bar = state.alpha, state._w_bar
     p, sigma, labels = plan.p, params.sigma, ds.labels
     indptr, indices, data = ds.csr_arrays()
-    draws = sampling.draw_batch(plan, rng)
     anchors = state._anchors
     bars = None if anchors is None else anchors.prepare(indptr, indices, draws.tolist(),
                                                         state.iter)
@@ -709,8 +713,9 @@ def reference_primal_pass(state, tau, lam, theta, primal_coords=None) -> None:
     state.iter += 1
 
 
-def reference_adaspdc_step(state, params, plan, ds, spec, a, rng, primal_coords=None):
-    reference_dual_pass(state, params, plan, ds, spec, a, rng)
+def reference_adaspdc_step(state, params, plan, ds, spec, a, draws, primal_coords=None):
+    """One step on ``draws``, the ``a`` rows of one iteration."""
+    reference_dual_pass(state, params, plan, ds, spec, a, draws)
     reference_primal_pass(state, params.tau, spec.lam, params.theta, primal_coords)
     reference_settle(state, ds)
     return state

@@ -2,13 +2,13 @@
 
 From d = ``core._LAZY_MIN_D`` on, ``core.iterate`` runs consecutive
 iterations as one block while each new draw's support is disjoint from the
-block's.  A k-iteration call must leave everything as k steps of the frozen
-copy in ``tests/reference_runs.py`` do: the iterates, the cache, the
-generator, and the anchors' values, laws and anchor iterations, bit for
-bit, and the weights due at the next iteration, whatever the chunk lengths.
-Below ``core._LAZY_MIN_D`` every step takes the whole-vector passes, on the
-constants ``core.iterate`` makes once per call; they too must leave
-everything as the frozen steps do.
+block's.  A call on the rows of k iterations must leave everything as k
+steps of the frozen copy in ``tests/reference_runs.py`` on slices of the
+same rows do: the iterates, the cache, and the anchors' values, laws and
+anchor iterations, bit for bit, and the weights due at the next iteration,
+whatever the chunk lengths.  Below ``core._LAZY_MIN_D`` every step takes the
+whole-vector passes, on the constants ``core.iterate`` gathers once per
+call; they too must leave everything as the frozen steps do.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from spdc import core, variants
 from spdc.core import init_state, schedule_thm5
 from spdc.datamat import lambda_max
 from spdc.objective import ProblemSpec
-from spdc.sampling import build_restricted, build_uniform
+from spdc.sampling import build_restricted, build_uniform, draw_batch
 
 import reference_runs as ref
 from conftest import make_dataset
@@ -46,12 +46,11 @@ def _due(anchors) -> np.ndarray:
     return np.unique(np.concatenate(due)) if due else np.empty(0, dtype=np.intp)
 
 
-def assert_same(new, old, rng_new, rng_old):
+def assert_same(new, old):
     assert new.iter == old.iter
     assert new.last_batch == {} and old.last_batch == {}
     for key in ("alpha", "v_cache", "w", "w_prev", "w_bar"):
         assert getattr(new, key).tobytes() == getattr(old, key).tobytes(), key
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
     a, b = new._anchors, old._anchors
     assert (a is None) == (b is None)
     if a is not None:
@@ -59,7 +58,7 @@ def assert_same(new, old, rng_new, rng_old):
             assert getattr(a, key).tobytes() == getattr(b, key).tobytes(), key
         assert np.array_equal(_due(a), _due(b))
         assert all(np.all(due == new.iter) for _, due in a.due)
-        assert a.block is None and a.pending is None
+        assert a.block is None
 
 
 def _plant(state, spec, tau, far, near):
@@ -151,14 +150,22 @@ def _setup(highd, a, restricted=False, coords=False):
     return plan, params, primal
 
 
+def _step_both(new, old, params, plan, ds, spec, rows, primal):
+    """One call of the library on ``rows`` and frozen steps on its slices."""
+    a = plan.batch
+    core.iterate(new, params, ds, spec, rows, primal_coords=primal)
+    for j in range(0, len(rows), a):
+        ref.reference_adaspdc_step(old, params, plan, ds, spec, a, rows[j:j + a], primal)
+    assert_same(new, old)
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
     ds, spec = highd
-    a = CASES[case]["a"]
     plan, params, primal = _setup(highd, **CASES[case])
     spy = _Spy(monkeypatch)
     new, old = init_state(ds), init_state(ds)
-    rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
+    rng = np.random.default_rng(3)
     indptr, indices, _ = ds.csr_arrays()
     # the supports of a tenth of the rows each, so that a block's first draw
     # often meets the watched weights and its later draws mostly do not
@@ -166,10 +173,7 @@ def test_blocks_match_the_step_by_step_iteration(highd, case, monkeypatch):
     near = np.setdiff1d(indices[indptr[ds.n // 2]:indptr[ds.n // 2 + ds.n // 10]], far)
     for _ in range(6):
         for chunk in CHUNKS:
-            core.iterate(new, params, ds, spec, rng_new, chunk, primal)
-            for _ in range(chunk):
-                ref.reference_adaspdc_step(old, params, plan, ds, spec, a, rng_old, primal)
-            assert_same(new, old, rng_new, rng_old)
+            _step_both(new, old, params, plan, ds, spec, draw_batch(plan, rng, chunk), primal)
             if chunk >= 40:
                 for state in (new, old):
                     _plant(state, spec, params.tau, far, near)
@@ -196,31 +200,33 @@ def test_one_iteration_is_a_block_of_one(highd, monkeypatch):
 
 def test_a_block_ends_at_the_first_draw_that_meets_it(highd, monkeypatch):
     ds, spec = highd
-    _, params, _ = _setup(highd, 1)
+    plan, params, _ = _setup(highd, 1)
     state, rng = init_state(ds), np.random.default_rng(1)
-    core.iterate(state, params, ds, spec, rng, 5)
+    core.iterate(state, params, ds, spec, draw_batch(plan, rng, 5))
     indptr, indices, _ = ds.csr_arrays()
     blocks = []
     real = core._Anchors.prepare
 
-    def recorded(anchors, *args):
+    def recorded(anchors, cols, consts, at, a, k, t):
         claimed = set(_due(anchors).tolist())
-        draws, bars = real(anchors, *args)
-        blocks.append((claimed, draws, anchors.pending))
-        return draws, bars
+        stop, bars = real(anchors, cols, consts, at, a, k, t)
+        # the draw that met the block, if it ended before its k draws
+        met = consts[0][stop] if stop < at + k * a else None
+        blocks.append((claimed, consts[0][at:stop], met))
+        return stop, bars
     monkeypatch.setattr(core._Anchors, "prepare", recorded)
-    core.iterate(state, params, ds, spec, rng, 400)
-    assert sum(len(draws) for _, draws, _ in blocks) == 400
-    for k, (claimed, draws, pending) in enumerate(blocks):
+    rows = draw_batch(plan, rng, 400)
+    core.iterate(state, params, ds, spec, rows)
+    assert [i for _, draws, _ in blocks for i in draws] == rows.tolist()
+    for k, (claimed, draws, met) in enumerate(blocks):
         supports = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in draws]
         claimed |= supports[0]
         for s in supports[1:]:
             assert not s & claimed  # a later draw meets nothing the block claimed
             claimed |= s
-        if pending is not None:  # the draw that met the block opens the next
-            i = int(pending[0])
-            assert set(indices[indptr[i]:indptr[i + 1]].tolist()) & claimed
-            assert blocks[k + 1][1][0] == i
+        if met is not None:  # the draw that met the block opens the next
+            assert set(indices[indptr[met]:indptr[met + 1]].tolist()) & claimed
+            assert blocks[k + 1][1][0] == met
         else:
             assert k == len(blocks) - 1
 
@@ -271,12 +277,9 @@ def test_whole_vector_steps_match_the_step_by_step_iteration(request, case, monk
     new, old = start.copy(), start.copy()
     for state in (new, old):  # a -0.0 entry stays -0.0 until a nonzero delta meets it
         state.v_cache = np.where(np.arange(ds.d) % 2 == 0, -0.0, state.v_cache)
-    rng_new, rng_old = np.random.default_rng(8), np.random.default_rng(8)
+    rng = np.random.default_rng(8)
     for chunk in CHUNKS + CHUNKS:
-        core.iterate(new, params, ds, spec, rng_new, chunk, primal)
-        for _ in range(chunk):
-            ref.reference_adaspdc_step(old, params, plan, ds, spec, a, rng_old, primal)
-        assert_same(new, old, rng_new, rng_old)
+        _step_both(new, old, params, plan, ds, spec, draw_batch(plan, rng, chunk), primal)
     assert seen["zero deltas"] > 0, seen
     if a > 1:
         assert seen["repeated rows"] > 0, seen

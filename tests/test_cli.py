@@ -325,6 +325,20 @@ class TestRun:
             "error: instance 0 has norm 1e-320, too small to scale to unit norm\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("algo,code", [("adaspdc", 3), ("ovsspdc", 3), ("spdc", 0)])
+    def test_raw_row_too_small_warns_of_nothing(self, tmp_path, capsys, algo, code):
+        # raw, the tiny row loads: its sigma_i overflows and the per-instance
+        # rules refuse it with exit 3; the shared step of spdc runs, and its
+        # Lemma 14 bound for the row is inf
+        bad = tmp_path / "tiny.svm"
+        bad.write_text("+1 1:1e-320\n-1 2:0.5\n")
+        assert cli("run", "--data", str(bad), "--algo", algo, "--max-epochs", "1") == code
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        if code == 3:
+            assert "step sizes must be positive and finite" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [[], ["--normalize"]])
     def test_row_whose_norm_overflows_exits_2(self, tmp_path, capsys, flags):
         # each value is finite but the norm is not: raw, the step rule refused

@@ -25,7 +25,7 @@ from spdc.cli import RunConfig, synth
 from spdc.datamat import SparseDataset, example_path, lambda_max, load_libsvm
 from spdc.errors import ConfigError, ScheduleError
 from spdc.objective import ProblemSpec
-from spdc.sampling import build_ovs, build_restricted, build_uniform
+from spdc.sampling import build_ovs, build_restricted, build_uniform, draw_batch
 
 from conftest import assert_settled, make_dataset, solve_to_fixed_point
 from oracles import delta_t
@@ -263,7 +263,7 @@ class TestSteps:
         state = init_state(ds)
         rng = np.random.default_rng(0)
         # the first step, pass by pass
-        core._dual_pass(state, params, ds, spec, rng)
+        core._dual_pass(state, params, ds, spec, draw_batch(plan, rng))
         assert state.alpha[0] == 0.2
         assert state.last_batch == {0: 0.2}
         assert state.v_cache[0] == 0.4
@@ -328,7 +328,7 @@ class TestSteps:
         params = StepParams(tau=0.25, sigma=np.array([0.25]), theta=0.5,
                             schedule="manual", r_under=0.5, n_eff=1, plan=plan)
         state = init_state(ds)
-        core._dual_pass(state, params, ds, spec, np.random.default_rng(0))
+        core._dual_pass(state, params, ds, spec, [0, 0])
         # two sequential proxes from 0 with q = p*n/sigma = 4, against w_bar = 0
         q = 4.0
         a1 = (1.0 + q * 0.0) / (1.0 + q)

@@ -561,6 +561,13 @@ class TestDensity:
         ds = make_dataset(20, 10, seed=9, density=0.35)
         assert density(ds) == ds.nnz / 200
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+    def test_empty_dataset_rejected(self, shape):
+        # as lambda_max refuses it, not a ZeroDivisionError
+        ds = SparseDataset(sp.csr_matrix(shape), np.ones(0))
+        with pytest.raises(DataError, match="empty dataset"):
+            density(ds)
+
 
 W8A = os.environ.get("SPDC_W8A_PATH", "")
 

@@ -31,7 +31,7 @@ them where they were, whose weights must be re-anchored all the same.
 
 Another runs the benchmarked mini-batch regime at small d for a long run
 (``tests/golden/long-batch/``): ``ovsspdc -a 8`` on ``dual-skewed`` to a gap
-of 0, which it reaches after 77 epochs.  Each of its steps scatters eight
+of 0, which it reaches after 76 epochs.  Each of its steps scatters eight
 rows into the dual image twice, and rounding differences compound over the
 run, so a scatter that adds in another order shows here.
 """

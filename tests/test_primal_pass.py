@@ -25,7 +25,7 @@ from spdc.core import (
 )
 from spdc.datamat import lambda_max
 from spdc.objective import ProblemSpec
-from spdc.sampling import build_uniform
+from spdc.sampling import build_uniform, draw_batch
 from spdc.variants import Budget, run_fixed, run_ovsspdc
 
 from conftest import make_dataset, untimed
@@ -308,7 +308,7 @@ def test_primal_passes_alone_follow_the_reference(highd):
     state = init_state(ds)
     for _ in range(30 * ds.n):
         # a step, pass by pass, to read the anchors as the primal pass left them
-        core._dual_pass(state, params[0], ds, spec, rng)
+        core._dual_pass(state, params[0], ds, spec, draw_batch(params[0].plan, rng))
         core._primal_pass(state, params[0].tau, spec.lam, params[0].theta)
         drawn = ds.row(int(state.last_draws[0]))[0]
         moving = np.any(_may_change_phase(state._anchors, drawn))

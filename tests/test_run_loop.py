@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from spdc import core, variants
 from spdc.datamat import lambda_max
 from spdc.objective import ProblemSpec
-from spdc.sampling import build_data_driven, build_ovs, build_restricted, build_uniform
+from spdc.sampling import (build_data_driven, build_ovs, build_restricted, build_uniform,
+                           draw_batch)
 from spdc.variants import (
     Budget,
     run_fixed,
@@ -193,6 +194,31 @@ def test_fixed_anchored_matches_reference(algo):
     assert_same_run(new, old)
 
 
+@pytest.mark.parametrize("d,a", [(8, 1), (8, 4), (max(2400, core._LAZY_MIN_D), 1)])
+def test_an_epoch_draws_its_rows_in_one_call(monkeypatch, d, a):
+    # the draw protocol: run_fixed's first epoch leaves the generator where
+    # one draw_batch of ceil(n/a) iterations does, and its dual passes, whole
+    # vector or anchored blocks, list that call's rows in order
+    ds = make_dataset(40, d, seed=11, density=min(0.6, 5 / d))
+    spec = ProblemSpec(gamma=1.0, lam=0.1 * lambda_max(ds))
+    plan = build_uniform(ds.n, a)
+    params = core.schedule_thm5(ds, spec, plan)
+    passes = []
+    dual_pass = core._dual_pass
+
+    def recorded(state, *args):
+        dual_pass(state, *args)
+        passes.append(list(state.last_draws))
+    monkeypatch.setattr(core, "_dual_pass", recorded)
+    rng, twin = _rng(), _rng()
+    run_fixed(ds, spec, params, Budget(1e-12, 1.0), rng)
+    rows = draw_batch(plan, twin, math.ceil(ds.n / a))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert [i for drawn in passes for i in drawn] == rows.tolist()
+    # anchored blocks of iterations, or a pass each
+    assert (len(passes) < len(rows) // a) == (d >= core._LAZY_MIN_D)
+
+
 def test_fixed_warm_start_matches_reference(mid):
     ds, spec = mid
     plan = build_uniform(ds.n, 2)
@@ -302,7 +328,7 @@ def test_snapshot_matches_reference(request, mid, budget, a, cfg, runner, restri
 def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
     # the tolerances come from a first run on ``mid`` at this seed: the first
     # committed gap no checkpoint shows is a sweep's that its round's inner
-    # iterate then beat (round 20 of either variant), the next one that
+    # iterate then beat (round 2 of either variant), the next one that
     # inner iterate's
     ds, spec = mid
     first = runner(ds, spec, 1, Budget(gap_tol=0.0, max_epochs=60), _rng())
@@ -323,7 +349,7 @@ def test_snapshot_stops_like_reference(mid, optimal, runner, restrict):
     new = runner(ds, spec, 1, budget, _rng())
     old = ref.reference_run_snapshot(ds, spec, 1, budget, _rng(),
                                      restrict_primal=restrict)
-    assert new.converged and new.counters["inner_rounds"] == len(new.trace) - 1 == 20
+    assert new.converged and new.counters["inner_rounds"] == len(new.trace) - 1 == 2
     assert_same_run(new, old)
     # and one that finds the exact optimum
     # gamma < 1 clamps the duals onto their optimum, alpha = y, in finitely

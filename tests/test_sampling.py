@@ -20,7 +20,6 @@ from spdc.sampling import (
     build_restricted,
     build_uniform,
     draw_batch,
-    sampler,
 )
 
 from conftest import make_dataset
@@ -119,8 +118,10 @@ def test_alias_build_matches_frozen_reference_bitwise(p):
 
 
 class TestSingleDraw:
-    """``draw(rng, 1)`` takes scalar generator calls; it must pick what the
-    array path picks and read the same stream."""
+    """``draw(rng, 1)`` reads the generator as the scalar calls
+    ``int(rng.integers(0, n))`` and ``rng.random()`` do, which earlier versions
+    made for a single draw: a run that draws one row per call (``ovs-exact``)
+    keeps its stream."""
 
     @pytest.mark.parametrize("p", [
         [0.5, 0.0, 0.25, 0.25],
@@ -135,11 +136,9 @@ class TestSingleDraw:
         rng, twin = np.random.default_rng(13), np.random.default_rng(13)
         for _ in range(3000):
             got = table.draw(rng, 1)
-            ks = twin.integers(0, p.size, size=1)
-            us = twin.random(1)
-            want = np.where(us < table.prob[ks], ks, table.alias[ks])
-            assert got.shape == (1,) and got.dtype == want.dtype
-            assert got[0] == want[0] and p[got[0]] > 0.0
+            k = int(twin.integers(0, p.size))
+            want = k if twin.random() < table.prob[k] else table.alias[k]
+            assert got.shape == (1,) and got[0] == want and p[got[0]] > 0.0
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -168,16 +167,32 @@ class TestDrawBatch:
         (np.r_[np.full(7, 1.0 / 7), np.zeros(3)], 1),  # a restricted plan
         (np.array([0.05, 0.0, 0.6, 0.0, 0.15, 0.2]), 3),
     ])
-    def test_sampler_draws_the_batches_of_draw_batch(self, p, a):
-        # the solver's lists: the same indices from the same stream
+    def test_k_batches_take_one_call_of_each_generator_method(self, p, a):
+        # the draw protocol: k iterations' k a rows from one integers and one
+        # random call of k a numbers each, iteration j's at [j a, (j + 1) a)
         plan = SamplingPlan(p=p, alias=alias_build(p), batch=a, kind="manual")
-        draw = sampler(plan)
+        table = plan.alias
         rng, twin = np.random.default_rng(17), np.random.default_rng(17)
-        for _ in range(2000):
-            got, want = draw(rng), draw_batch(plan, twin)
-            assert type(got) is list and got == want.tolist()
-            assert all(type(i) is int for i in got)
+        for k in (1, 2, 7, 1, 300):
+            got = draw_batch(plan, rng, k)
+            ks = twin.integers(0, p.size, size=k * a)
+            us = twin.random(k * a)
+            assert got.shape == (k * a,)
+            assert np.array_equal(got, np.where(us < table.prob[ks], ks, table.alias[ks]))
+            assert np.all(p[got] > 0.0)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_k_batches_fidelity(self):
+        # criterion 9's chi-square for draws of many iterations at once: the
+        # counts over all k a rows, and over each of the a slots of a batch,
+        # follow p
+        rng = np.random.default_rng(1009)
+        p = rng.dirichlet(np.ones(64))
+        plan = SamplingPlan(p=p, alias=alias_build(p), batch=4, kind="manual")
+        draws = draw_batch(plan, np.random.default_rng(1011), 250_000).reshape(-1, 4)
+        for rows in (draws.ravel(), *draws.T):
+            counts = np.bincount(rows, minlength=64)
+            assert scipy.stats.chisquare(counts, f_exp=p * rows.size).pvalue > 0.001
 
 
 class TestUniform:

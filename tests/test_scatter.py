@@ -14,7 +14,7 @@ from spdc import core
 from spdc.core import init_state, schedule_thm5
 from spdc.datamat import SparseDataset, lambda_max
 from spdc.objective import ProblemSpec
-from spdc.sampling import build_uniform
+from spdc.sampling import build_uniform, draw_batch
 
 from conftest import make_dataset, solve_to_fixed_point
 
@@ -95,7 +95,8 @@ def test_settle_matches_row_at_a_time_adds_bitwise(problem):
 
 def _extrapolation_matches(state, params, ds, spec, seed):
     alpha0, v0 = state.alpha.copy(), state.v_cache.copy()
-    core._dual_pass(state, params, ds, spec, np.random.default_rng(seed))
+    core._dual_pass(state, params, ds, spec,
+                    draw_batch(params.plan, np.random.default_rng(seed)))
     rows = list(state.last_batch)
     want = sequential(v0, ds, rows, [state.last_batch[i] - alpha0[i] for i in rows])
     assert _bits(state.v_cache) == _bits(want)
